@@ -41,7 +41,7 @@ _EXPORTS = {
     "EntropyResult": "information",
     "entropy": "information",
     "delta_entropy": "information",
-    "neg_log_kernel_sum": "information",
+    "contained_fraction": "information",
     "diversity": "information",
     "overlap": "information",
     "efficiency": "information",

@@ -123,6 +123,7 @@ def _kernel_params(args):
 def _load_descriptors(path, args):
     """Read a dataset and build (or reuse cached) descriptors for it."""
     from .descriptor import build_descriptor_set, load_descriptor_set, save_descriptor_set
+    from .errors import InputError
     from .extxyz import read_extxyz
     from .report import file_digest
 
@@ -131,12 +132,16 @@ def _load_descriptors(path, args):
     cache_file = None
     if args.cache:
         os.makedirs(args.cache, exist_ok=True)
-        key = f"{file_digest(path)[:16]}_k{params.n_neighbors}_rc{params.cutoff:g}"
+        key = f"{file_digest(path)[:16]}_k{params.n_neighbors}_rc{params.cutoff!r}"
         cache_file = os.path.join(args.cache, f"{key}.acds")
         if os.path.exists(cache_file):
-            descs = load_descriptor_set(cache_file)
-            if descs.params == params and descs.n_structures == len(dataset):
-                return dataset, descs
+            try:
+                descs = load_descriptor_set(cache_file)
+            except (InputError, OSError):
+                pass  # truncated or unreadable: a miss, rebuilt below
+            else:
+                if descs.params == params and descs.n_structures == len(dataset):
+                    return dataset, descs
     descs = build_descriptor_set(dataset, params)
     if cache_file:
         save_descriptor_set(descs, cache_file)
@@ -169,7 +174,6 @@ def cmd_compress(args):
         fraction=args.fraction,
         seed=args.seed,
         kernel=_kernel_params(args),
-        descriptor=_descriptor_params(args),
     )
     result = run_sampler(config, descs)
     write_extxyz(dataset, args.output, result.selected)
@@ -199,10 +203,10 @@ def cmd_compress(args):
 def cmd_analyze(args):
     import numpy as np
 
-    from .information import diversity, efficiency, entropy, per_structure_entropy
+    from .information import entropy, per_structure_entropy
     from .report import ReportDocument
 
-    dataset, descs = _load_descriptors(args.input, args)
+    _, descs = _load_descriptors(args.input, args)
     kernel = _kernel_params(args)
     result = entropy(descs, kernel)
     metrics = {
@@ -210,10 +214,8 @@ def cmd_analyze(args):
         "n_environments": descs.n_environments,
         "entropy_nats": result.entropy_nats,
         "max_entropy_nats": float(np.log(descs.n_environments)),
-        "diversity_nats": diversity(descs, kernel),
-        "efficiency": (
-            efficiency(descs, kernel) if descs.n_environments >= 2 else None
-        ),
+        "diversity_nats": result.diversity_nats,
+        "efficiency": result.efficiency,
         "per_structure_entropy_nats": per_structure_entropy(descs, kernel),
     }
     doc = ReportDocument(
@@ -228,7 +230,7 @@ def cmd_analyze(args):
 def cmd_overlap(args):
     import numpy as np
 
-    from .information import delta_entropy
+    from .information import contained_fraction, delta_entropy
     from .evaluation import delta_h_histogram
     from .report import ReportDocument
 
@@ -239,7 +241,7 @@ def cmd_overlap(args):
     metrics = {
         "n_query_environments": query_descs.n_environments,
         "n_reference_environments": ref_descs.n_environments,
-        "overlap": float(np.count_nonzero(dh <= 0) / len(dh)),
+        "overlap": contained_fraction(dh),
         "n_delta_h_positive": int(np.count_nonzero(dh > 0)),
         "n_delta_h_above_10": int(np.count_nonzero(dh > 10)),
         "delta_h_histogram": delta_h_histogram(dh, kernel),

@@ -13,6 +13,7 @@ Units: entries are in inverse angstrom.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -43,8 +44,8 @@ class DescriptorParams:
     def __post_init__(self):
         if self.n_neighbors < 2:
             raise InputError(f"n_neighbors must be >= 2, got {self.n_neighbors}")
-        if self.cutoff <= 0:
-            raise InputError(f"cutoff must be positive, got {self.cutoff}")
+        if not 0 < self.cutoff < np.inf:
+            raise InputError(f"cutoff must be positive and finite, got {self.cutoff}")
 
     @property
     def width(self) -> int:
@@ -227,6 +228,7 @@ def build_descriptor_set(dataset: Dataset, params: DescriptorParams) -> Descript
 
 
 _CACHE_MAGIC = b"ACDS0001"
+_CACHE_HEADER = struct.Struct("<IdQQ")
 
 
 def save_descriptor_set(descs: DescriptorSet, path) -> None:
@@ -234,34 +236,56 @@ def save_descriptor_set(descs: DescriptorSet, path) -> None:
 
     Layout is little-endian: magic, u32 neighbor count, f64 cutoff,
     u64 environment count, u64 structure count, then (start, length)
-    pairs as i64 and the row-major f64 value matrix.
+    pairs as i64 and the row-major f64 value matrix.  The file is written
+    under a temporary name in the same directory and renamed into place,
+    so an interrupted write never leaves a partial cache at ``path``.
     """
     if descs.params is None:
         raise InputError("cannot cache a descriptor set without params")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IdQQ",
-                descs.params.n_neighbors,
-                descs.params.cutoff,
-                descs.n_environments,
-                descs.n_structures,
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(
+                _CACHE_HEADER.pack(
+                    descs.params.n_neighbors,
+                    descs.params.cutoff,
+                    descs.n_environments,
+                    descs.n_structures,
+                )
             )
-        )
-        fh.write(np.ascontiguousarray(descs.offsets, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(descs.values, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(descs.offsets, dtype="<i8").tobytes())
+            fh.write(np.ascontiguousarray(descs.values, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_descriptor_set(path) -> DescriptorSet:
-    """Read a cache written by :func:`save_descriptor_set`."""
+    """Read a cache written by :func:`save_descriptor_set`.
+
+    Raises InputError unless the magic, the header and the exact file
+    length all match what the header describes.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
             raise InputError(f"{path}: not a descriptor cache file")
-        header = fh.read(struct.calcsize("<IdQQ"))
-        n_neighbors, cutoff, n_env, n_structures = struct.unpack("<IdQQ", header)
+        header = fh.read(_CACHE_HEADER.size)
+        if len(header) != _CACHE_HEADER.size:
+            raise InputError(f"{path}: descriptor cache header is truncated")
+        n_neighbors, cutoff, n_env, n_structures = _CACHE_HEADER.unpack(header)
         params = DescriptorParams(n_neighbors=n_neighbors, cutoff=cutoff)
+        expected = (
+            len(_CACHE_MAGIC) + _CACHE_HEADER.size
+            + 16 * n_structures + 8 * n_env * params.width
+        )
+        if size != expected:
+            raise InputError(
+                f"{path}: descriptor cache is {size} bytes, its header implies {expected}"
+            )
         offsets = np.frombuffer(fh.read(16 * n_structures), dtype="<i8").reshape(
             n_structures, 2
         )

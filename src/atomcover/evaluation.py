@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import DescriptorSet
-from .information import (
-    KernelParams,
-    delta_entropy,
-    diversity,
-    efficiency,
-    entropy,
-    overlap,
-)
+from .information import KernelParams, contained_fraction, delta_entropy, entropy, overlap
 from .errors import InputError
 from .geometry import Dataset
 from .report import ReportDocument
@@ -80,6 +73,8 @@ class ForceCdf:
         cdf = np.asarray(self.cdf, dtype=float)
         if thresholds.ndim != 1 or thresholds.shape != cdf.shape:
             raise InputError("thresholds and cdf must be matching 1-D arrays")
+        if not np.all(np.isfinite(thresholds)):
+            raise InputError("thresholds must be finite")
         if len(thresholds) > 1 and not np.all(np.diff(thresholds) > 0):
             raise InputError("thresholds must be strictly ascending")
         if np.any(cdf < 0) or np.any(cdf > 1) or np.any(np.diff(cdf) < 0):
@@ -152,21 +147,19 @@ def compression_report(
     sub = descs.subset(selection)
     kernel_params = {"bandwidth": kernel.bandwidth}
 
-    compressed_entropy = entropy(sub, kernel).entropy_nats
+    compressed = entropy(sub, kernel)
     compressed_block = {
         "parameters": kernel_params,
-        "entropy_nats": compressed_entropy,
-        "diversity_nats": diversity(sub, kernel),
+        "entropy_nats": compressed.entropy_nats,
+        "diversity_nats": compressed.diversity_nats,
         "max_entropy_nats": float(np.log(sub.n_environments)),
-        "efficiency": (
-            efficiency(sub, kernel) if sub.n_environments >= 2 else None
-        ),
+        "efficiency": compressed.efficiency,
     }
 
     dh = delta_entropy(descs.values, sub.values, kernel)
     overlap_block = {
         "parameters": kernel_params,
-        "full_vs_compressed": float(np.count_nonzero(dh <= 0) / len(dh)),
+        "full_vs_compressed": contained_fraction(dh),
         "compressed_vs_full": overlap(sub.values, descs.values, kernel),
         "n_delta_h_positive": int(np.count_nonzero(dh > 0)),
         "n_delta_h_above_10": int(np.count_nonzero(dh > 10)),
@@ -270,6 +263,7 @@ def compare_methods(
             )
             result = run_sampler(config, descs)
             sub = descs.subset(result.selected)
+            kept = entropy(sub, kernel)
             dh = delta_entropy(descs.values, sub.values, kernel)
             rows.append(
                 SweepRow(
@@ -277,14 +271,10 @@ def compare_methods(
                     fraction=fraction,
                     count=len(result.selected),
                     n_environments=sub.n_environments,
-                    entropy_nats=entropy(sub, kernel).entropy_nats,
-                    diversity_nats=diversity(sub, kernel),
-                    efficiency=(
-                        efficiency(sub, kernel) if sub.n_environments >= 2 else 0.0
-                    ),
-                    overlap_full_vs_compressed=float(
-                        np.count_nonzero(dh <= 0) / len(dh)
-                    ),
+                    entropy_nats=kept.entropy_nats,
+                    diversity_nats=kept.diversity_nats,
+                    efficiency=0.0 if kept.efficiency is None else kept.efficiency,
+                    overlap_full_vs_compressed=contained_fraction(dh),
                 )
             )
     return SweepResult(rows=tuple(rows))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .geometry import Dataset, Structure
 
 __all__ = ["read_extxyz", "write_extxyz"]
@@ -209,8 +209,8 @@ def read_extxyz(path) -> Dataset:
                 pbc = np.zeros(3, dtype=bool)
         elif pbc is None:
             pbc = np.ones(3, dtype=bool)
-        structures.append(
-            Structure(
+        try:
+            structure = Structure(
                 cell=cell,
                 pbc=pbc,
                 positions=positions,
@@ -219,7 +219,9 @@ def read_extxyz(path) -> Dataset:
                 energy=energy,
                 info=info,
             )
-        )
+        except InputError as exc:
+            raise ParseError(str(exc), line=lineno + 1) from exc
+        structures.append(structure)
         lineno += 2 + natoms
 
     if not structures:

@@ -103,7 +103,11 @@ class Structure:
                 raise InputError(
                     f"forces shape {forces.shape} does not match positions {positions.shape}"
                 )
+            if not np.all(np.isfinite(forces)):
+                raise InputError("forces contain non-finite values")
             object.__setattr__(self, "forces", _freeze(forces))
+        if self.energy is not None and not np.isfinite(self.energy):
+            raise InputError(f"energy must be finite, got {self.energy}")
         object.__setattr__(self, "cell", _freeze(cell))
         object.__setattr__(self, "pbc", _freeze(pbc))
         object.__setattr__(self, "positions", _freeze(positions))

@@ -23,7 +23,7 @@ __all__ = [
     "KernelParams",
     "EntropyResult",
     "delta_entropy",
-    "neg_log_kernel_sum",
+    "contained_fraction",
     "entropy",
     "diversity",
     "overlap",
@@ -51,9 +51,17 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class EntropyResult:
+    """Every self-pass figure of one set, all read off one delta-H vector.
+
+    ``per_point[i] = -log sum_j K_h(X_i, X_j)`` over the set itself;
+    ``efficiency`` is None when the set has fewer than two rows.
+    """
+
     entropy_nats: float
+    diversity_nats: float
+    efficiency: float | None
     n_environments: int
-    per_point: np.ndarray | None = None
+    per_point: np.ndarray
 
 
 def _as_rows(x) -> np.ndarray:
@@ -117,61 +125,58 @@ def delta_entropy(queries, refs, kernel: KernelParams = KernelParams()) -> np.nd
     return _neg_log_kernel_sums(q, r, kernel.bandwidth)
 
 
-def neg_log_kernel_sum(query, refs, kernel: KernelParams = KernelParams()) -> float:
-    """delta_entropy for a single query row."""
-    out = delta_entropy(np.atleast_2d(np.asarray(query, dtype=float)), refs, kernel)
-    return float(out[0])
+def contained_fraction(dh) -> float:
+    """Fraction of delta entropies <= 0: environments inside the references.
+
+    The boundary ``dh == 0`` counts as inside, so a set is always fully
+    contained in itself.
+    """
+    dh = np.asarray(dh)
+    return float(np.count_nonzero(dh <= 0.0) / dh.shape[0])
 
 
-def entropy(descs, kernel: KernelParams = KernelParams(), per_point: bool = False) -> EntropyResult:
-    """Kernel-density estimate of the dataset entropy, in nats.
+def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
+    """Entropy, diversity and efficiency of a set from one self kernel pass.
 
-    Computed as ``mean_i(-log sum_j K_h(X_i, X_j)) + log n``, which is the
-    mean per-point differential entropy against the set itself plus
-    ``log n``.  Bounded by ``0 <= H <= log n``: a degenerate set of
-    identical rows gives 0, all-far-apart rows give ``log n``.
+    The entropy is ``mean_i(dH_i) + log n``, the mean per-point
+    differential entropy against the set itself plus ``log n``, bounded
+    by ``0 <= H <= log n``: a degenerate set of identical rows gives 0,
+    all-far-apart rows give ``log n``.  The diversity is
+    ``log sum_i exp(dH_i)``, the effective log-count of distinct
+    environments, which weighs rare environments more than the entropy
+    does and spans the same range.  The efficiency is ``H / log n``.
     """
     rows = _as_rows(descs)
     n = rows.shape[0]
     dh = _neg_log_kernel_sums(rows, rows, kernel.bandwidth)
-    value = float(np.mean(dh) + np.log(n))
-    value = max(value, 0.0)  # self-match makes tiny negatives pure roundoff
+    value = max(float(np.mean(dh) + np.log(n)), 0.0)  # self-match: negatives are roundoff
+    m = float(dh.max())
+    div = max(m + float(np.log(np.exp(dh - m).sum())), 0.0)
     return EntropyResult(
         entropy_nats=value,
+        diversity_nats=div,
+        efficiency=value / float(np.log(n)) if n >= 2 else None,
         n_environments=n,
-        per_point=dh if per_point else None,
+        per_point=dh,
     )
 
 
 def diversity(descs, kernel: KernelParams = KernelParams()) -> float:
-    """Effective log-count of distinct environments: ``log sum_i exp(dH_i)``.
-
-    0 for a fully degenerate set, ``log n`` when every row is far from
-    every other.  Unlike the entropy it weighs rare environments more.
-    """
-    rows = _as_rows(descs)
-    dh = _neg_log_kernel_sums(rows, rows, kernel.bandwidth)
-    m = float(dh.max())
-    value = m + float(np.log(np.exp(dh - m).sum()))
-    return max(value, 0.0)
+    """``entropy(descs, kernel).diversity_nats``."""
+    return entropy(descs, kernel).diversity_nats
 
 
 def overlap(queries, refs, kernel: KernelParams = KernelParams()) -> float:
-    """Fraction of query environments contained in the reference set.
-
-    An environment counts as contained when its delta_entropy against the
-    references is <= 0 (the boundary counts as inside).
-    """
-    dh = delta_entropy(queries, refs, kernel)
-    return float(np.count_nonzero(dh <= 0.0) / dh.shape[0])
+    """Fraction of query environments contained in the reference set."""
+    return contained_fraction(delta_entropy(queries, refs, kernel))
 
 
 def efficiency(descs, kernel: KernelParams = KernelParams()) -> float:
     """Entropy divided by its ceiling ``log n``; 1 means no redundancy."""
-    rows = _as_rows(descs)
-    if rows.shape[0] < 2:
+    value = entropy(descs, kernel).efficiency
+    if value is None:
         raise InputError("efficiency needs at least two environments")
-    return entropy(rows, kernel).entropy_nats / float(np.log(rows.shape[0]))
+    return value
 
 
 def per_structure_entropy(descs, kernel: KernelParams = KernelParams()) -> np.ndarray:

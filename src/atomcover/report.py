@@ -51,11 +51,13 @@ class ReportDocument:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """Strict JSON: a NaN or infinity raises ValueError instead of being written."""
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
     def write(self, path) -> None:
+        text = self.to_json()  # serialize first, so a failure leaves no file
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
+            fh.write(text)
 
 
 def file_digest(path) -> str:

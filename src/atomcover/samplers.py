@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptor import DescriptorParams, DescriptorSet
-from .information import KernelParams, _neg_log_kernel_sums, per_structure_entropy
+from .descriptor import DescriptorSet
+from .information import KernelParams, delta_entropy, per_structure_entropy
 from .errors import InputError
 
 __all__ = [
@@ -47,7 +47,6 @@ class SamplerConfig:
     fraction: float | None = None
     seed: int = 0
     kernel: KernelParams = field(default_factory=KernelParams)
-    descriptor: DescriptorParams = field(default_factory=DescriptorParams)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -247,7 +246,7 @@ def sample_msc(
 
     # log of the running kernel sum of every environment against the
     # selected environments; grows by one logaddexp per added structure.
-    log_acc = -_neg_log_kernel_sums(descs.values, descs.rows_for(first), kernel.bandwidth)
+    log_acc = -delta_entropy(descs.values, descs.rows_for(first), kernel)
     while len(selected) < count:
         env_dh = -log_acc
         per_structure_max = np.maximum.reduceat(env_dh, starts)
@@ -265,9 +264,7 @@ def sample_msc(
             )
         )
         if len(selected) < count:
-            block = -_neg_log_kernel_sums(
-                descs.values, descs.rows_for(pick), kernel.bandwidth
-            )
+            block = -delta_entropy(descs.values, descs.rows_for(pick), kernel)
             log_acc = np.logaddexp(log_acc, block)
     return CompressionResult(selected=tuple(selected), per_step=tuple(steps))
 

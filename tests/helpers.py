@@ -72,6 +72,26 @@ def dataset(*structures):
     return Dataset(structures=tuple(structures))
 
 
+def count_self_passes(monkeypatch):
+    """Record the size of every self kernel pass (queries are the references).
+
+    Returns a list that grows by one row count per pass made while the
+    monkeypatch is active.
+    """
+    from atomcover import information
+
+    sizes = []
+    real = information._neg_log_kernel_sums
+
+    def counting(queries, refs, bandwidth):
+        if queries is refs:
+            sizes.append(refs.shape[0])
+        return real(queries, refs, bandwidth)
+
+    monkeypatch.setattr(information, "_neg_log_kernel_sums", counting)
+    return sizes
+
+
 # --- independent reference implementations -------------------------------
 
 

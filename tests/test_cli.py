@@ -1,12 +1,16 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import atomcover
 from atomcover import read_extxyz
 from atomcover.cli import main
+from helpers import count_self_passes
 
 
 def frame_text(positions, forces, cell=6.0):
@@ -103,6 +107,23 @@ class TestExitCodes:
         assert main(["analyze", str(bad)]) == 4
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "force-cdf"])
+    @pytest.mark.parametrize("field", ["force", "energy", "position"])
+    def test_nonfinite_input_exits_2(self, tmp_path, capsys, command, field):
+        lines = write_dataset(tmp_path / "d.xyz", n_frames=3).read_text().splitlines()
+        if field == "energy":
+            lines[6] += " energy=nan"  # comment line of the second frame
+        else:
+            nums = lines[7].split()
+            nums[1 if field == "position" else 4] = "nan"
+            lines[7] = " ".join(nums)
+        bad = tmp_path / "bad.xyz"
+        bad.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "report.json"
+        assert main([command, str(bad), "-o", str(report)]) == 2
+        assert "line 6" in capsys.readouterr().err  # the frame's first line
+        assert not report.exists()
+
     def test_unknown_method_in_compare_exits_3(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=2)
         code = main(["compare", str(data), "--methods", "bogus"])
@@ -180,6 +201,14 @@ class TestAnalyze:
         assert m["entropy_nats"] <= m["max_entropy_nats"] + 1e-9
         assert len(m["per_structure_entropy_nats"]) == 5
         assert doc["parameters"]["k"] == 32
+
+    def test_one_full_set_self_pass(self, tmp_path, capsys, monkeypatch):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=5)
+        sizes = count_self_passes(monkeypatch)
+        assert main(["analyze", str(data)]) == 0
+        capsys.readouterr()
+        # one pass over all 15 environments, then one per 3-atom structure
+        assert sizes == [15] + [3] * 5
 
     def test_output_file(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=4)
@@ -286,6 +315,54 @@ class TestCache:
         main(["analyze", str(data), "--cache", str(cache), "--k", "8"])
         capsys.readouterr()
         assert len(list(cache.glob("*.acds"))) == 2
+        # cutoffs that agree to 7 significant digits still get their own file
+        main(["analyze", str(data), "--cache", str(cache), "--cutoff", "5.0000001"])
+        capsys.readouterr()
+        assert len(list(cache.glob("*.acds"))) == 3
+
+    def test_truncated_cache_is_a_miss(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=5)
+        cache = tmp_path / "cache"
+        main(["analyze", str(data), "-o", str(tmp_path / "uncached.json")])
+        main(["analyze", str(data), "--cache", str(cache)])
+        capsys.readouterr()
+        (cached,) = cache.glob("*.acds")
+        full = cached.read_bytes()
+        cached.write_bytes(full[: len(full) // 2])
+        out = tmp_path / "cached.json"
+        assert main(["analyze", str(data), "--cache", str(cache), "-o", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
+        assert cached.read_bytes() == full  # rebuilt in place
+        assert sorted(p.name for p in cache.iterdir()) == [cached.name]
+
+
+class TestThreads:
+    def test_thread_count_never_changes_reports(self, tmp_path):
+        # the BLAS pool size is fixed when numpy loads, so each run needs
+        # a fresh interpreter
+        data = write_dataset(tmp_path / "d.xyz", n_frames=8)
+        src = os.path.dirname(os.path.dirname(atomcover.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        blobs = []
+        for threads in ("1", "2"):
+            run = tmp_path / f"t{threads}"
+            run.mkdir()
+            for argv in (  # relative outputs: the report records their paths
+                ["compress", str(data), "-o", "kept.xyz",
+                 "--report", "compress.json", "--fraction", "0.5"],
+                ["analyze", str(data), "-o", "analyze.json"],
+            ):
+                subprocess.run(
+                    [sys.executable, "-m", "atomcover.cli", *argv, "--threads", threads],
+                    cwd=run, env=env, check=True, capture_output=True,
+                )
+            blobs.append([
+                (run / name).read_bytes()
+                for name in ("kept.xyz", "compress.json", "analyze.json")
+            ])
+        assert blobs[0] == blobs[1]
 
 
 class TestConsoleScript:

@@ -70,6 +70,9 @@ class TestParams:
             DescriptorParams(n_neighbors=1)
         with pytest.raises(InputError):
             DescriptorParams(cutoff=-2.0)
+        for cutoff in (np.nan, np.inf):
+            with pytest.raises(InputError):
+                DescriptorParams(cutoff=cutoff)
 
 
 class TestTwoBody:
@@ -295,3 +298,18 @@ class TestCache:
         descs = DescriptorSet(values=np.zeros((1, 3)), offsets=np.array([(0, 1)]))
         with pytest.raises(InputError):
             save_descriptor_set(descs, tmp_path / "x.acds")
+
+    def test_rejects_wrong_length(self, tmp_path):
+        rng = np.random.default_rng(31)
+        descs = build_descriptor_set(
+            dataset(perturbed_cubic(rng, n_side=2, a=2.8)),
+            DescriptorParams(n_neighbors=4, cutoff=3.5),
+        )
+        path = tmp_path / "cache.acds"
+        save_descriptor_set(descs, path)
+        full = path.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.acds"]  # no temp left
+        for cut in (full[:10], full[:40], full[:-8], full + b"\0" * 8):
+            path.write_bytes(cut)
+            with pytest.raises(InputError):
+                load_descriptor_set(path)

@@ -16,7 +16,7 @@ from atomcover import (
     force_cdf,
     pooled_force_magnitudes,
 )
-from helpers import molecule, synthetic_set
+from helpers import count_self_passes, molecule, synthetic_set
 from test_samplers import random_fixture, redundant_fixture
 
 H = 0.015
@@ -45,6 +45,10 @@ class TestForceCdfType:
     def test_rejects_decreasing_cdf(self):
         with pytest.raises(InputError):
             ForceCdf(thresholds=np.array([1.0, 2.0]), cdf=np.array([0.8, 0.5]), max_force=1.0)
+
+    def test_rejects_nonfinite_thresholds(self):
+        with pytest.raises(InputError):
+            ForceCdf(thresholds=np.array([np.nan]), cdf=np.array([0.5]), max_force=1.0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError):
@@ -205,6 +209,15 @@ class TestCompressionReport:
         for block in doc.metrics.values():
             assert "parameters" in block
 
+    def test_one_self_pass_over_the_subset(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        descs = random_fixture(rng, n_structures=9)
+        selection = [1, 3, 8]
+        n_sub = descs.subset(selection).n_environments
+        sizes = count_self_passes(monkeypatch)
+        compression_report(descs, selection, KP)
+        assert sizes == [n_sub]
+
     def test_empty_selection_rejected(self):
         rng = np.random.default_rng(5)
         descs = random_fixture(rng, n_structures=4)
@@ -239,6 +252,13 @@ class TestCompareMethods:
         overlaps = {r.overlap_full_vs_compressed for r in sweep.rows}
         assert len(entropies) == 1
         assert overlaps == {1.0}
+
+    def test_one_self_pass_per_row(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        descs = random_fixture(rng, n_structures=8)
+        sizes = count_self_passes(monkeypatch)
+        sweep = compare_methods(descs, [0.25, 0.5], methods=("random",), kernel=KP)
+        assert sizes == [row.n_environments for row in sweep.rows]
 
     def test_row_structure(self):
         rng = np.random.default_rng(8)

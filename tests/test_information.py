@@ -6,11 +6,11 @@ import pytest
 from atomcover import (
     InputError,
     KernelParams,
+    contained_fraction,
     delta_entropy,
     diversity,
     efficiency,
     entropy,
-    neg_log_kernel_sum,
     overlap,
     per_structure_entropy,
 )
@@ -68,13 +68,6 @@ class TestClosedForm:
         got = delta_entropy(query, np.zeros((1, 63)), KP)[0]
         assert got == pytest.approx(d * d / (2 * H * H), abs=1e-9)
 
-    def test_single_query_helper(self):
-        q = np.full(63, 0.01)
-        refs = np.random.default_rng(2).random((20, 63)) * 0.1
-        assert neg_log_kernel_sum(q, refs, KP) == pytest.approx(
-            delta_entropy(q[None, :], refs, KP)[0], abs=0
-        )
-
 
 class TestOracleEquivalence:
     def test_matches_naive_double_loop(self):
@@ -110,11 +103,26 @@ class TestEntropyProperties:
     def test_identity_mean_dh_plus_log_n(self):
         rng = np.random.default_rng(3)
         rows = rng.normal(scale=0.05, size=(120, 16))
-        result = entropy(rows, KP, per_point=True)
-        assert result.per_point is not None
+        result = entropy(rows, KP)
+        assert result.per_point.shape == (len(rows),)
         assert result.entropy_nats == pytest.approx(
             float(np.mean(result.per_point) + np.log(len(rows))), abs=1e-12
         )
+
+    def test_one_pass_carries_every_figure(self):
+        rng = np.random.default_rng(12)
+        rows = rng.normal(scale=0.02, size=(75, 9))
+        result = entropy(rows, KP)
+        assert result.n_environments == 75
+        assert result.efficiency == result.entropy_nats / np.log(75)
+        assert efficiency(rows, KP) == result.efficiency
+        assert diversity(rows, KP) == result.diversity_nats
+        assert np.array_equal(result.per_point, delta_entropy(rows, rows, KP))
+
+    def test_single_row_has_no_efficiency(self):
+        result = entropy(np.zeros((1, 4)), KP)
+        assert result.efficiency is None
+        assert result.entropy_nats == 0.0 and result.diversity_nats == 0.0
 
     def test_bounds(self):
         rng = np.random.default_rng(4)
@@ -178,6 +186,9 @@ class TestOverlap:
         # one reference at distance h*sqrt(2 ln 1) = 0 gives dh = 0 exactly
         q = np.zeros((1, 4))
         assert overlap(q, q, KP) == 1.0
+
+    def test_contained_fraction_counts_boundary_inside(self):
+        assert contained_fraction(np.array([-1.0, 0.0, 1e-300, 3.0])) == 0.5
 
     def test_half_contained(self):
         near = np.zeros((5, 6))
