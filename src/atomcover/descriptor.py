@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ __all__ = [
     "save_descriptor_set",
     "load_descriptor_set",
 ]
+
+#: Atoms per block in :func:`compute_x2`; its (rows, k, k) temporaries are
+#: about 4 MB each at k = 32.
+_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -152,53 +157,80 @@ def cutoff_weight(r, cutoff: float):
     return w
 
 
-def compute_x1(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
-    """Two-body block: ``w(r_ij) / r_ij`` in ascending-distance order.
+def _valid_slots(nbrs: NeighborSet) -> np.ndarray:
+    """(n, k) mask of the slots that hold a real neighbor."""
+    k = nbrs.distances.shape[1]
+    return np.arange(k) < np.asarray(nbrs.valid_count)[:, None]
 
-    Slots past the last real neighbor are zero.  Entries are kept in
-    radial order, not re-sorted by value.
+
+def compute_x1(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
+    """Two-body block, (n, k): ``w(r_ij) / r_ij`` in ascending-distance order.
+
+    Row ``i`` belongs to atom ``i``.  Slots past an atom's last real
+    neighbor are zero.  Entries are kept in radial order, not re-sorted
+    by value.
     """
-    k = params.n_neighbors
-    out = np.zeros(k)
-    v = nbrs.valid_count
-    if v == 0:
-        return out
-    r = nbrs.distances[:v]
-    if np.any(r <= 0):
+    valid = _valid_slots(nbrs)
+    bad = np.flatnonzero((valid & (nbrs.distances <= 0)).any(axis=1))
+    if bad.size:
         raise DegenerateGeometryError(
-            f"coincident atoms: zero distance to neighbor of atom {nbrs.center_index}"
+            f"atom {bad[0]}: coincident atoms, zero distance to a neighbor"
         )
-    out[:v] = cutoff_weight(r, params.cutoff) / r
-    return out
+    r = np.where(valid, nbrs.distances, np.inf)  # padding weighs 0 / inf = 0
+    return cutoff_weight(r, params.cutoff) / r
 
 
 def compute_x2(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
-    """Three-body block from distances between pairs of neighbors.
+    """Three-body block, (n, k - 1), from distances between pairs of neighbors.
 
     For each neighbor j the terms ``sqrt(w(r_ij) w(r_il)) / r_jl`` over
     the other neighbors l are sorted descending; the block is the
     rank-wise mean over j, re-sorted descending, zero-padded to ``k - 1``.
+    Atoms go through in blocks of ``_CHUNK_ROWS`` rows, so the (rows, k, k)
+    temporaries stay small however large the structure.
     """
-    k = params.n_neighbors
-    out = np.zeros(k - 1)
-    v = nbrs.valid_count
-    if v <= 1:
-        return out
-    pos = nbrs.neighbor_positions[:v]
-    w = cutoff_weight(nbrs.distances[:v], params.cutoff)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    off_diag = ~np.eye(v, dtype=bool)
-    if np.any(dist[off_diag] <= 0):
-        raise DegenerateGeometryError(
-            f"coincident neighbors around atom {nbrs.center_index}"
+    n = nbrs.distances.shape[0]
+    out = np.empty((n, params.n_neighbors - 1))
+    valid = _valid_slots(nbrs)
+    for c0 in range(0, n, _CHUNK_ROWS):
+        rows = slice(c0, c0 + _CHUNK_ROWS)
+        out[rows] = _x2_rows(
+            nbrs.neighbor_positions[rows], nbrs.distances[rows], valid[rows], c0, params
         )
-    np.fill_diagonal(dist, 1.0)  # avoid 0/0; the slot is discarded below
-    terms = np.sqrt(np.outer(w, w)) / dist
-    np.fill_diagonal(terms, -1.0)  # sorts past every real (non-negative) term
-    ranked = -np.sort(-terms, axis=1)[:, : v - 1]
-    out[: v - 1] = ranked.sum(axis=0) / v
-    return -np.sort(-out)
+    return out
+
+
+def _x2_rows(pos, distances, valid, first_atom, params) -> np.ndarray:
+    """:func:`compute_x2` for one block of atoms, the first being ``first_atom``."""
+    k = valid.shape[1]
+    w = cutoff_weight(np.where(valid, distances, np.inf), params.cutoff)
+    p = np.ascontiguousarray(pos.transpose(2, 0, 1))  # (3, m, k)
+    # Padded positions are inf and the diagonal distance is 0: the terms of
+    # those pairs are nan or inf here and are overwritten below.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = p[:, :, :, None] - p[:, :, None, :]
+        d *= d
+        # Same bits as the norm over the last axis of the (.., 3) differences.
+        dist = d[0] + d[1]
+        dist += d[2]
+        np.sqrt(dist, out=dist)
+        terms = w[:, :, None] * w[:, None, :]
+        np.sqrt(terms, out=terms)
+        terms /= dist
+    pair = valid[:, :, None] & valid[:, None, :]
+    pair[:, np.arange(k), np.arange(k)] = False
+    # Real atoms are at distance 0 only from themselves, on the diagonal.
+    if np.count_nonzero(dist <= 0) > np.count_nonzero(valid):
+        bad = np.flatnonzero((pair & (dist <= 0)).any(axis=(1, 2)))
+        raise DegenerateGeometryError(f"atom {first_atom + bad[0]}: coincident neighbors")
+    # Zeros for the diagonal and padded pairs sort below every real term, so
+    # the top v - 1 ranks of row j are its real terms and the rest add 0.
+    np.copyto(terms, 0.0, where=~pair)
+    terms.sort(axis=2)
+    v = np.maximum(valid.sum(axis=1), 1)
+    # Rank r (descending) is column k - 1 - r.  Rank-wise sums of rows sorted
+    # descending are themselves descending, so no final sort is needed.
+    return terms.sum(axis=1)[:, :0:-1] / v[:, None]
 
 
 def build_descriptor_set(dataset: Dataset, params: DescriptorParams) -> DescriptorSet:
@@ -208,40 +240,41 @@ def build_descriptor_set(dataset: Dataset, params: DescriptorParams) -> Descript
     are re-raised with the offending structure and atom named.
     """
     k = params.n_neighbors
-    n_env = dataset.n_environments
-    values = np.empty((n_env, params.width))
+    values = np.empty((dataset.n_environments, params.width))
     offsets = np.empty((len(dataset), 2), dtype=int)
     pos = 0
     for si, structure in enumerate(dataset):
         nbrs = nearest_neighbors(structure, k, search_radius=params.cutoff)
-        for ai, nb in enumerate(nbrs):
-            try:
-                values[pos + ai, :k] = compute_x1(nb, params)
-                values[pos + ai, k:] = compute_x2(nb, params)
-            except DegenerateGeometryError as exc:
-                raise DegenerateGeometryError(
-                    f"structure {si}, atom {ai}: {exc}"
-                ) from exc
+        rows = values[pos : pos + len(structure)]
+        try:
+            rows[:, :k] = compute_x1(nbrs, params)
+            rows[:, k:] = compute_x2(nbrs, params)
+        except DegenerateGeometryError as exc:
+            raise DegenerateGeometryError(f"structure {si}, {exc}") from exc
         offsets[si] = (pos, len(structure))
         pos += len(structure)
     return DescriptorSet(values=values, offsets=offsets, params=params)
 
 
-_CACHE_MAGIC = b"ACDS0001"
+_CACHE_MAGIC = b"ACDS0002"
 _CACHE_HEADER = struct.Struct("<IdQQ")
+_CACHE_CHECKSUM = struct.Struct("<I")
 
 
 def save_descriptor_set(descs: DescriptorSet, path) -> None:
-    """Write a binary cache: header (k, cutoff, counts), offsets, rows.
+    """Write a binary cache: header (k, cutoff, counts), offsets, rows, checksum.
 
     Layout is little-endian: magic, u32 neighbor count, f64 cutoff,
     u64 environment count, u64 structure count, then (start, length)
-    pairs as i64 and the row-major f64 value matrix.  The file is written
-    under a temporary name in the same directory and renamed into place,
-    so an interrupted write never leaves a partial cache at ``path``.
+    pairs as i64, the row-major f64 value matrix and a u32 ``zlib.crc32``
+    of those pairs and values.  The file is written under a temporary
+    name in the same directory and renamed into place, so an interrupted
+    write never leaves a partial cache at ``path``.
     """
     if descs.params is None:
         raise InputError("cannot cache a descriptor set without params")
+    offsets = np.ascontiguousarray(descs.offsets, dtype="<i8").tobytes()
+    values = np.ascontiguousarray(descs.values, dtype="<f8").tobytes()
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -254,8 +287,9 @@ def save_descriptor_set(descs: DescriptorSet, path) -> None:
                     descs.n_structures,
                 )
             )
-            fh.write(np.ascontiguousarray(descs.offsets, dtype="<i8").tobytes())
-            fh.write(np.ascontiguousarray(descs.values, dtype="<f8").tobytes())
+            fh.write(offsets)
+            fh.write(values)
+            fh.write(_CACHE_CHECKSUM.pack(zlib.crc32(values, zlib.crc32(offsets))))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -266,34 +300,35 @@ def save_descriptor_set(descs: DescriptorSet, path) -> None:
 def load_descriptor_set(path) -> DescriptorSet:
     """Read a cache written by :func:`save_descriptor_set`.
 
-    Raises InputError unless the magic, the header and the exact file
-    length all match what the header describes.
+    Raises InputError unless the magic, the header, the exact file length
+    and the checksum all match.  Files of the older checksum-free format
+    fail on the magic.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(_CACHE_MAGIC)) != _CACHE_MAGIC:
-            raise InputError(f"{path}: not a descriptor cache file")
+            raise InputError(f"{path}: not a descriptor cache file of this version")
         header = fh.read(_CACHE_HEADER.size)
         if len(header) != _CACHE_HEADER.size:
             raise InputError(f"{path}: descriptor cache header is truncated")
         n_neighbors, cutoff, n_env, n_structures = _CACHE_HEADER.unpack(header)
         params = DescriptorParams(n_neighbors=n_neighbors, cutoff=cutoff)
+        n_offsets, n_values = 16 * n_structures, 8 * n_env * params.width
         expected = (
-            len(_CACHE_MAGIC) + _CACHE_HEADER.size
-            + 16 * n_structures + 8 * n_env * params.width
+            len(_CACHE_MAGIC) + _CACHE_HEADER.size + n_offsets + n_values
+            + _CACHE_CHECKSUM.size
         )
         if size != expected:
             raise InputError(
                 f"{path}: descriptor cache is {size} bytes, its header implies {expected}"
             )
-        offsets = np.frombuffer(fh.read(16 * n_structures), dtype="<i8").reshape(
-            n_structures, 2
-        )
-        values = np.frombuffer(
-            fh.read(8 * n_env * params.width), dtype="<f8"
-        ).reshape(n_env, params.width)
+        offsets = fh.read(n_offsets)
+        values = fh.read(n_values)
+        (checksum,) = _CACHE_CHECKSUM.unpack(fh.read(_CACHE_CHECKSUM.size))
+    if zlib.crc32(values, zlib.crc32(offsets)) != checksum:
+        raise InputError(f"{path}: descriptor cache checksum does not match")
     return DescriptorSet(
-        values=values.astype(float),
-        offsets=offsets.astype(int),
+        values=np.frombuffer(values, dtype="<f8").reshape(n_env, params.width).astype(float),
+        offsets=np.frombuffer(offsets, dtype="<i8").reshape(n_structures, 2).astype(int),
         params=params,
     )

@@ -130,8 +130,13 @@ def read_extxyz(path) -> Dataset:
     (species then x y z).  ``forces`` and ``force`` columns both map to
     Structure.forces.  Malformed input raises ParseError naming the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
 
     structures = []
     lineno = 0

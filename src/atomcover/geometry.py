@@ -6,9 +6,11 @@ fractional to Cartesian coordinates.
 
 Neighbor queries replicate periodic images explicitly (out to
 ``ceil(search_radius / cell_height) + 1`` images per periodic direction)
-and prune candidates with a k-d tree.  Minimum-image shortcuts are
-deliberately avoided: they are wrong for cells smaller than the search
-radius, which occur routinely in the datasets this package targets.
+and search them with a k-d tree, built over the images near the cell
+only.  Minimum-image shortcuts are deliberately avoided: they are wrong
+for cells smaller than the search radius, which occur routinely in the
+datasets this package targets.  All atoms of a structure are searched
+in one batch.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ _SINGULAR_VOLUME = 1e-12
 
 #: Sorted-distance slots beyond the last real neighbor hold this sentinel.
 PADDING_DISTANCE = np.inf
+
+#: Points within this many angstrom beyond the k-th nearest are candidates
+#: too, so exact ties are ranked by atom and image offset, never by the tree.
+_TIE_SLACK = 1e-8
+
+#: First pruning radius, as a multiple of the radius of a sphere that holds
+#: k + 1 atoms at the cell's mean density.
+_PRUNE_SCALE = 1.25
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -144,19 +154,21 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NeighborSet:
-    """Sorted neighbor shell of one atom.
+    """Sorted neighbor shells of every atom of one structure.
 
-    ``distances`` is ascending; entries past ``valid_count`` are padding
-    (``inf`` distance) and contribute zero weight downstream.  Distinct
-    periodic images of the same atom count as distinct neighbors; only
-    the zero-distance self-image is excluded.
+    Row ``i`` belongs to atom ``i``.  ``distances`` (n, k) is ascending
+    along each row; slots from ``valid_count[i]`` on are padding (``inf``
+    distance and position, index -1) and contribute zero weight
+    downstream.  ``neighbor_positions`` is (n, k, 3) and ``indices``
+    (n, k) holds the neighbor's atom index.  Distinct periodic images of
+    the same atom count as distinct neighbors; only the zero-distance
+    self-image is excluded.
     """
 
-    center_index: int
     distances: np.ndarray
     neighbor_positions: np.ndarray
     indices: np.ndarray
-    valid_count: int
+    valid_count: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -187,11 +199,8 @@ def _wrap_positions(structure: Structure) -> np.ndarray:
 def _cell_heights(cell: np.ndarray) -> np.ndarray:
     """Perpendicular spacing between opposite cell faces, per direction."""
     volume = abs(np.linalg.det(cell))
-    heights = np.empty(3)
-    for axis in range(3):
-        cross = np.cross(cell[(axis + 1) % 3], cell[(axis + 2) % 3])
-        heights[axis] = volume / np.linalg.norm(cross)
-    return heights
+    crosses = np.cross(cell[[1, 2, 0]], cell[[2, 0, 1]])
+    return np.array([volume / np.linalg.norm(cross) for cross in crosses])
 
 
 def replicate_for_search(structure: Structure, search_radius: float) -> ReplicatedPoints:
@@ -230,10 +239,60 @@ def replicate_for_search(structure: Structure, search_radius: float) -> Replicat
     return ReplicatedPoints(positions, atom_indices, image_offsets)
 
 
-def nearest_neighbors(
-    structure: Structure, k: int, search_radius: float
-) -> list[NeighborSet]:
-    """Find each atom's ``k`` nearest periodic images.
+def _nearest_candidates(points: np.ndarray, centers: np.ndarray, k: int):
+    """Tree distances and indices, (n, m), of each center's m nearest points.
+
+    ``m >= min(k + 2, len(points))`` covers the k nearest neighbors plus the
+    self-image, and grows until the last point lies clearly beyond the
+    (k + 1)-th: every point tied with the k-th neighbor is then a candidate,
+    so the tree's own order of tied points never decides which are kept.
+    """
+    # Query results do not depend on the tree's shape, and skipping the
+    # balancing halves the build time on replicated cells.
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+    n_points = points.shape[0]
+    n_query = min(k + 2, n_points)
+    while True:
+        dists, cand = tree.query(centers, k=n_query)
+        dists = dists.reshape(len(centers), n_query)
+        if n_query == n_points or np.all(dists[:, -1] > dists[:, k] + _TIE_SLACK):
+            return dists, cand.reshape(len(centers), n_query)
+        n_query = min(2 * n_query, n_points)
+
+
+def _candidates_near_cell(structure: Structure, rep: ReplicatedPoints, centers, k: int):
+    """:func:`_nearest_candidates` indices into ``rep``, searching only near the cell.
+
+    Every point within ``radius`` of a center lies within ``radius`` of the
+    cell, whose periodic faces are ``height`` apart, so its fractional
+    coordinates lie within ``radius / height`` of [0, 1].  The search keeps
+    only those points, starting from the radius of a sphere that holds
+    k + 1 atoms at the cell's density.  A subset's (k + 1)-th distance is
+    an upper bound on the true one, so when some atom's reaches past the
+    radius, one more search out to the largest of them is enough.  Either
+    way the candidates equal those of a search over all of ``rep``.
+    """
+    frac = rep.positions @ np.linalg.inv(structure.cell)
+    frac_per_angstrom = np.where(structure.pbc, 1.0 / _cell_heights(structure.cell), 0.0)
+    volume_per_atom = abs(np.linalg.det(structure.cell)) / len(structure)
+    radius = _PRUNE_SCALE * np.cbrt(3 * (k + 1) * volume_per_atom / (4 * np.pi))
+    while True:
+        margin = radius * frac_per_angstrom + 1e-9
+        kept = np.flatnonzero(np.all((frac >= -margin) & (frac <= 1.0 + margin), axis=1))
+        if kept.shape[0] == frac.shape[0]:
+            return _nearest_candidates(rep.positions, centers, k)[1]
+        if kept.shape[0] <= k:
+            radius *= 2.0
+            continue
+        dists, cand = _nearest_candidates(rep.positions[kept], centers, k)
+        needed = dists[:, k].max() + 2 * _TIE_SLACK
+        if needed <= radius:
+            return kept[cand]
+        radius = needed
+
+
+def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> NeighborSet:
+    """Find each atom's ``k`` nearest periodic images, for all atoms at once.
 
     The zero-distance self-image is excluded; other images of the same
     atom are valid neighbors.  Neighbors are sorted by distance, with
@@ -244,41 +303,39 @@ def nearest_neighbors(
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     rep = replicate_for_search(structure, search_radius)
+    n = len(structure)
     # Zero-offset image block holds the (wrapped) original atoms in order.
-    zero_mask = np.all(rep.image_offsets == 0, axis=1)
-    centers = rep.positions[zero_mask]
+    zero = np.flatnonzero(~rep.image_offsets[::n].any(axis=1))[0] * n
+    centers = rep.positions[zero : zero + n]
+    if structure.pbc.any():
+        cand = _candidates_near_cell(structure, rep, centers, k)
+    else:
+        cand = _nearest_candidates(rep.positions, centers, k)[1]
 
-    tree = cKDTree(rep.positions)
-    n_points = rep.positions.shape[0]
-    k_query = min(k + 1, n_points)  # +1 covers the self-image
-    query_dists, _ = tree.query(centers, k=k_query)
-    query_dists = np.asarray(query_dists).reshape(len(centers), -1)
-    upper = query_dists[:, -1] + 1e-8
-    candidate_lists = tree.query_ball_point(centers, upper)
+    atoms = rep.atom_indices[cand]
+    offs = rep.image_offsets[cand]
+    diff = rep.positions[cand] - centers[:, None, :]
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    # Same bits as np.linalg.norm(diff, axis=-1), without its reduction overhead.
+    dists = np.sqrt(dx * dx + dy * dy + dz * dz)
+    # Sort each row by (distance, atom, image offset); the self-image gets
+    # a key below every distance, so it sorts first and is dropped.
+    is_self = (atoms == np.arange(n)[:, None]) & ~offs.any(axis=2)
+    key = np.where(is_self, -1.0, dists)
+    order = np.lexsort((offs[..., 2], offs[..., 1], offs[..., 0], atoms, key), axis=1)
+    order = order[:, 1 : k + 1]
+    valid = order.shape[1]
 
-    out = []
-    for i in range(len(structure)):
-        cand = np.asarray(candidate_lists[i], dtype=int)
-        atoms = rep.atom_indices[cand]
-        offs = rep.image_offsets[cand]
-        self_image = (atoms == i) & np.all(offs == 0, axis=1)
-        cand, atoms, offs = cand[~self_image], atoms[~self_image], offs[~self_image]
-        dists = np.linalg.norm(rep.positions[cand] - centers[i], axis=1)
-        order = np.lexsort((offs[:, 2], offs[:, 1], offs[:, 0], atoms, dists))[:k]
-        valid = len(order)
-        distances = np.full(k, PADDING_DISTANCE)
-        positions = np.full((k, 3), PADDING_DISTANCE)
-        indices = np.full(k, -1, dtype=int)
-        distances[:valid] = dists[order]
-        positions[:valid] = rep.positions[cand[order]]
-        indices[:valid] = atoms[order]
-        out.append(
-            NeighborSet(
-                center_index=i,
-                distances=_freeze(distances),
-                neighbor_positions=_freeze(positions),
-                indices=_freeze(indices),
-                valid_count=valid,
-            )
-        )
-    return out
+    distances = np.full((n, k), PADDING_DISTANCE)
+    positions = np.full((n, k, 3), PADDING_DISTANCE)
+    indices = np.full((n, k), -1, dtype=int)
+    chosen = np.take_along_axis(cand, order, axis=1)
+    distances[:, :valid] = np.take_along_axis(dists, order, axis=1)
+    positions[:, :valid] = rep.positions[chosen]
+    indices[:, :valid] = rep.atom_indices[chosen]
+    return NeighborSet(
+        distances=_freeze(distances),
+        neighbor_positions=_freeze(positions),
+        indices=_freeze(indices),
+        valid_count=_freeze(np.full(n, valid)),
+    )

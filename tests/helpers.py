@@ -92,6 +92,26 @@ def count_self_passes(monkeypatch):
     return sizes
 
 
+def count_cross_passes(monkeypatch):
+    """Record (query rows, reference rows) of every cross kernel pass.
+
+    Returns a list that grows by one pair per pass, whose queries are not
+    the references, made while the monkeypatch is active.
+    """
+    from atomcover import information
+
+    shapes = []
+    real = information._neg_log_kernel_sums
+
+    def counting(queries, refs, bandwidth):
+        if queries is not refs:
+            shapes.append((queries.shape[0], refs.shape[0]))
+        return real(queries, refs, bandwidth)
+
+    monkeypatch.setattr(information, "_neg_log_kernel_sums", counting)
+    return shapes
+
+
 # --- independent reference implementations -------------------------------
 
 
@@ -114,21 +134,23 @@ def naive_weight(r, cutoff):
     return (1.0 - (r / cutoff) ** 2) ** 2 if r <= cutoff else 0.0
 
 
-def naive_x1(nbrs, k, cutoff):
+def naive_x1(nbrs, i, k, cutoff):
+    """Two-body block of atom i, from row i of a NeighborSet."""
     out = [0.0] * k
-    for slot in range(nbrs.valid_count):
-        r = nbrs.distances[slot]
+    for slot in range(nbrs.valid_count[i]):
+        r = nbrs.distances[i, slot]
         out[slot] = naive_weight(r, cutoff) / r
     return np.array(out)
 
 
-def naive_x2(nbrs, k, cutoff):
-    v = nbrs.valid_count
+def naive_x2(nbrs, i, k, cutoff):
+    """Three-body block of atom i, from row i of a NeighborSet."""
+    v = nbrs.valid_count[i]
     out = np.zeros(k - 1)
     if v <= 1:
         return out
-    pos = nbrs.neighbor_positions[:v]
-    w = [naive_weight(d, cutoff) for d in nbrs.distances[:v]]
+    pos = nbrs.neighbor_positions[i, :v]
+    w = [naive_weight(d, cutoff) for d in nbrs.distances[i, :v]]
     ranked_rows = []
     for j in range(v):
         terms = []

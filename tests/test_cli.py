@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import atomcover
-from atomcover import read_extxyz
+from atomcover import load_descriptor_set, read_extxyz
 from atomcover.cli import main
 from helpers import count_self_passes
 
@@ -334,6 +334,25 @@ class TestCache:
         assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
         assert cached.read_bytes() == full  # rebuilt in place
         assert sorted(p.name for p in cache.iterdir()) == [cached.name]
+
+
+    def test_corrupt_cache_is_a_miss(self, tmp_path, capsys):
+        # a same-length cache with one changed value byte must not load
+        data = write_dataset(tmp_path / "d.xyz", n_frames=5)
+        cache = tmp_path / "cache"
+        main(["analyze", str(data), "-o", str(tmp_path / "uncached.json")])
+        main(["analyze", str(data), "--cache", str(cache)])
+        capsys.readouterr()
+        (cached,) = cache.glob("*.acds")
+        full = cached.read_bytes()
+        width = load_descriptor_set(cached).width
+        # byte 5 of the last row's first value: the row changes but stays finite
+        pos = len(full) - 4 - 8 * width + 5
+        cached.write_bytes(full[:pos] + bytes([full[pos] ^ 0xFF]) + full[pos + 1 :])
+        out = tmp_path / "cached.json"
+        assert main(["analyze", str(data), "--cache", str(cache), "-o", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
+        assert cached.read_bytes() == full  # rebuilt in place
 
 
 class TestThreads:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from atomcover import descriptor
 from atomcover import (
     Dataset,
     DegenerateGeometryError,
@@ -79,8 +80,8 @@ class TestTwoBody:
     def test_dimer(self):
         params = DescriptorParams(n_neighbors=32, cutoff=5.0)
         s = molecule([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        nb = nearest_neighbors(s, 32, search_radius=5.0)[0]
-        x1 = compute_x1(nb, params)
+        nbrs = nearest_neighbors(s, 32, search_radius=5.0)
+        x1 = compute_x1(nbrs, params)[0]
         w = (1 - (2.0 / 5.0) ** 2) ** 2
         assert x1[0] == pytest.approx(w / 2.0, abs=1e-15)  # 0.3528
         assert np.all(x1[1:] == 0)
@@ -89,8 +90,8 @@ class TestTwoBody:
         # near neighbor beyond-cutoff value is 0 but stays in its slot
         params = DescriptorParams(n_neighbors=4, cutoff=2.5)
         s = molecule([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        nb = nearest_neighbors(s, 4, search_radius=6.0)[0]
-        x1 = compute_x1(nb, params)
+        nbrs = nearest_neighbors(s, 4, search_radius=6.0)
+        x1 = compute_x1(nbrs, params)[0]
         assert x1[0] > 0       # r=2.0 inside cutoff
         assert x1[1] == 0.0    # r=3.0 beyond cutoff
         assert np.all(x1[2:] == 0)
@@ -99,10 +100,11 @@ class TestTwoBody:
         rng = np.random.default_rng(21)
         params = DescriptorParams(n_neighbors=12, cutoff=4.0)
         s = perturbed_cubic(rng, n_side=2, a=2.8)
-        for nb in nearest_neighbors(s, 12, search_radius=4.0):
-            assert np.allclose(
-                compute_x1(nb, params), naive_x1(nb, 12, 4.0), atol=1e-12
-            )
+        nbrs = nearest_neighbors(s, 12, search_radius=4.0)
+        x1 = compute_x1(nbrs, params)
+        assert x1.shape == (len(s), 12)
+        for i in range(len(s)):
+            assert np.allclose(x1[i], naive_x1(nbrs, i, 12, 4.0), atol=1e-12)
 
 
 class TestThreeBody:
@@ -118,8 +120,8 @@ class TestThreeBody:
                 [r * np.cos(half_angle), -r * np.sin(half_angle), 0.0],
             ]
         )
-        nb = nearest_neighbors(s, 8, search_radius=5.0)[0]
-        x2 = compute_x2(nb, params)
+        nbrs = nearest_neighbors(s, 8, search_radius=5.0)
+        x2 = compute_x2(nbrs, params)[0]
         d = 2 * r * np.sin(half_angle)
         w = (1 - (r / 5.0) ** 2) ** 2
         assert x2[0] == pytest.approx(w / d, rel=1e-12)
@@ -128,25 +130,53 @@ class TestThreeBody:
     def test_isolated_pair_is_zero(self):
         params = DescriptorParams(n_neighbors=8, cutoff=5.0)
         s = molecule([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        nb = nearest_neighbors(s, 8, search_radius=5.0)[0]
-        assert np.all(compute_x2(nb, params) == 0)
+        nbrs = nearest_neighbors(s, 8, search_radius=5.0)
+        assert np.all(compute_x2(nbrs, params) == 0)
 
     def test_entries_descending(self):
         rng = np.random.default_rng(8)
         params = DescriptorParams(n_neighbors=10, cutoff=4.5)
         s = perturbed_cubic(rng, n_side=2, a=2.9)
-        for nb in nearest_neighbors(s, 10, search_radius=4.5):
-            x2 = compute_x2(nb, params)
-            assert np.all(np.diff(x2) <= 1e-15)
+        x2 = compute_x2(nearest_neighbors(s, 10, search_radius=4.5), params)
+        assert np.all(np.diff(x2, axis=1) <= 1e-15)
 
     def test_matches_naive_loops(self):
         rng = np.random.default_rng(22)
         params = DescriptorParams(n_neighbors=12, cutoff=4.0)
         s = perturbed_cubic(rng, n_side=2, a=2.8)
-        for nb in nearest_neighbors(s, 12, search_radius=4.0):
-            assert np.allclose(
-                compute_x2(nb, params), naive_x2(nb, 12, 4.0), atol=1e-12
-            )
+        nbrs = nearest_neighbors(s, 12, search_radius=4.0)
+        x2 = compute_x2(nbrs, params)
+        assert x2.shape == (len(s), 11)
+        for i in range(len(s)):
+            assert np.allclose(x2[i], naive_x2(nbrs, i, 12, 4.0), atol=1e-12)
+
+
+class TestBatchedBlocks:
+    """Both blocks against the naive oracles on padded and chunked inputs."""
+
+    def _assert_rows_match_naive(self, s, k, cutoff):
+        params = DescriptorParams(n_neighbors=k, cutoff=cutoff)
+        nbrs = nearest_neighbors(s, k, search_radius=cutoff)
+        x1, x2 = compute_x1(nbrs, params), compute_x2(nbrs, params)
+        assert x1.shape == (len(s), k) and x2.shape == (len(s), k - 1)
+        for i in range(len(s)):
+            assert np.allclose(x1[i], naive_x1(nbrs, i, k, cutoff), atol=1e-12)
+            assert np.allclose(x2[i], naive_x2(nbrs, i, k, cutoff), atol=1e-12)
+        return nbrs
+
+    def test_clusters_smaller_than_k(self):
+        # v = n_atoms - 1 < k, down to v = 0: padding must not leak into a block
+        rng = np.random.default_rng(40)
+        for n_atoms in (1, 2, 3, 5, 9):
+            s = molecule(rng.random((n_atoms, 3)) * 3.0 + np.arange(n_atoms)[:, None])
+            nbrs = self._assert_rows_match_naive(s, k=8, cutoff=5.0)
+            assert list(nbrs.valid_count) == [n_atoms - 1] * n_atoms
+
+    def test_structure_larger_than_one_chunk(self):
+        rng = np.random.default_rng(41)
+        s = perturbed_cubic(rng, n_side=9, a=2.6, jitter=0.1)
+        assert len(s) > descriptor._CHUNK_ROWS
+        self._assert_rows_match_naive(s, k=6, cutoff=3.5)
 
 
 class TestInvariances:
@@ -207,7 +237,7 @@ class TestBuildErrors:
         params = DescriptorParams(n_neighbors=4, cutoff=5.0)
         good = molecule([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         bad = molecule([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.raises(DegenerateGeometryError, match="structure 1"):
+        with pytest.raises(DegenerateGeometryError, match="structure 1, atom 0"):
             build_descriptor_set(dataset(good, bad), params)
 
 
@@ -298,6 +328,36 @@ class TestCache:
         descs = DescriptorSet(values=np.zeros((1, 3)), offsets=np.array([(0, 1)]))
         with pytest.raises(InputError):
             save_descriptor_set(descs, tmp_path / "x.acds")
+
+    def test_rejects_changed_bytes(self, tmp_path):
+        rng = np.random.default_rng(32)
+        descs = build_descriptor_set(
+            dataset(perturbed_cubic(rng, n_side=2, a=2.8)),
+            DescriptorParams(n_neighbors=4, cutoff=3.5),
+        )
+        path = tmp_path / "cache.acds"
+        save_descriptor_set(descs, path)
+        full = path.read_bytes()
+        header = 8 + 28
+        # an offset byte, the low byte of two values, the top byte of the last
+        # value and a checksum byte
+        for pos in (header + 3, header + 16 + 8, len(full) - 20, len(full) - 5, len(full) - 1):
+            path.write_bytes(full[:pos] + bytes([full[pos] ^ 0x01]) + full[pos + 1 :])
+            with pytest.raises(InputError, match="checksum"):
+                load_descriptor_set(path)
+
+    def test_rejects_previous_format(self, tmp_path):
+        rng = np.random.default_rng(33)
+        descs = build_descriptor_set(
+            dataset(perturbed_cubic(rng, n_side=2, a=2.8)),
+            DescriptorParams(n_neighbors=4, cutoff=3.5),
+        )
+        path = tmp_path / "cache.acds"
+        save_descriptor_set(descs, path)
+        full = path.read_bytes()
+        path.write_bytes(b"ACDS0001" + full[8:-4])  # the checksum-free layout
+        with pytest.raises(InputError):
+            load_descriptor_set(path)
 
     def test_rejects_wrong_length(self, tmp_path):
         rng = np.random.default_rng(31)

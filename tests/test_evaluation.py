@@ -14,9 +14,10 @@ from atomcover import (
     diversity,
     entropy,
     force_cdf,
+    overlap,
     pooled_force_magnitudes,
 )
-from helpers import count_self_passes, molecule, synthetic_set
+from helpers import count_cross_passes, count_self_passes, molecule, synthetic_set
 from test_samplers import random_fixture, redundant_fixture
 
 H = 0.015
@@ -217,6 +218,31 @@ class TestCompressionReport:
         sizes = count_self_passes(monkeypatch)
         compression_report(descs, selection, KP)
         assert sizes == [n_sub]
+
+    def test_one_cross_pass_full_vs_subset(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        descs = random_fixture(rng, n_structures=9)
+        selection = [0, 2, 7]
+        n_sub = descs.subset(selection).n_environments
+        shapes = count_cross_passes(monkeypatch)
+        doc = compression_report(descs, selection, KP)
+        assert shapes == [(descs.n_environments, n_sub)]
+        assert doc.metrics["overlap"]["compressed_vs_full"] == 1.0
+
+    def test_subset_always_inside_full_set(self):
+        # the report writes compressed_vs_full = 1.0 without a kernel pass;
+        # this is the pass it skips, on rows near, far from and at the origin
+        rng = np.random.default_rng(14)
+        for scale in (1e-3, 0.05, 1.0, 1e3):
+            for _ in range(5):
+                rows = random_fixture(rng, n_structures=12, width=63, scale=scale)
+                descs = synthetic_set(
+                    [np.zeros((2, 63))] + [rows.rows_for(i) for i in range(12)]
+                )
+                n_keep = int(rng.integers(1, descs.n_structures + 1))
+                selection = rng.choice(descs.n_structures, size=n_keep, replace=False)
+                sub = descs.subset(selection)
+                assert overlap(sub.values, descs.values, KP) == 1.0
 
     def test_empty_selection_rejected(self):
         rng = np.random.default_rng(5)

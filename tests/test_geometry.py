@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from atomcover import geometry
 from atomcover import (
     CellError,
     InputError,
@@ -84,27 +85,29 @@ class TestNearestNeighbors:
     def test_dimer(self):
         s = molecule([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         nbrs = nearest_neighbors(s, 4, search_radius=5.0)
-        assert nbrs[0].valid_count == 1
-        assert nbrs[0].distances[0] == pytest.approx(2.0, abs=1e-12)
-        assert np.isinf(nbrs[0].distances[1:]).all()
-        assert nbrs[0].indices[0] == 1
-        assert list(nbrs[0].indices[1:]) == [-1, -1, -1]
+        assert nbrs.distances.shape == (2, 4)
+        assert nbrs.neighbor_positions.shape == (2, 4, 3)
+        assert list(nbrs.valid_count) == [1, 1]
+        assert nbrs.distances[0, 0] == pytest.approx(2.0, abs=1e-12)
+        assert np.isinf(nbrs.distances[0, 1:]).all()
+        assert nbrs.indices[0, 0] == 1
+        assert list(nbrs.indices[0, 1:]) == [-1, -1, -1]
 
     def test_simple_cubic_shell(self):
         s = crystal(np.eye(3) * 3.0, [[0.0, 0.0, 0.0]])
         nbrs = nearest_neighbors(s, 6, search_radius=4.0)
-        assert nbrs[0].valid_count == 6
-        assert np.allclose(nbrs[0].distances, 3.0, atol=1e-10)
+        assert nbrs.valid_count[0] == 6
+        assert np.allclose(nbrs.distances[0], 3.0, atol=1e-10)
         # all six neighbors are periodic images of atom 0 itself
-        assert np.all(nbrs[0].indices == 0)
+        assert np.all(nbrs.indices[0] == 0)
 
     def test_fcc_coordination(self):
         a = 4.05
         cell = np.array([[0, a / 2, a / 2], [a / 2, 0, a / 2], [a / 2, a / 2, 0]])
         s = crystal(cell, [[0.0, 0.0, 0.0]])
         nbrs = nearest_neighbors(s, 12, search_radius=a)
-        assert nbrs[0].valid_count == 12
-        assert np.allclose(nbrs[0].distances, a / np.sqrt(2), atol=1e-10)
+        assert nbrs.valid_count[0] == 12
+        assert np.allclose(nbrs.distances[0], a / np.sqrt(2), atol=1e-10)
 
     def test_matches_brute_force_on_random_cells(self):
         rng = np.random.default_rng(11)
@@ -118,8 +121,8 @@ class TestNearestNeighbors:
             nbrs = nearest_neighbors(s, 40, search_radius=radius)
             for i in range(len(s)):
                 want = [d for d, _, _ in brute_force_neighbors(s, i, radius)]
-                v = nbrs[i].valid_count
-                got = nbrs[i].distances[:v]
+                v = nbrs.valid_count[i]
+                got = nbrs.distances[i, :v]
                 got = got[got <= radius]  # beyond-radius finds are best-effort
                 assert len(got) == min(len(want), 40)
                 assert np.allclose(got, want[: len(got)], atol=1e-10)
@@ -130,34 +133,73 @@ class TestNearestNeighbors:
         # centers are the wrapped positions; rewrap independently here
         frac = s.positions @ np.linalg.inv(s.cell)
         center = (frac - np.floor(frac)) @ s.cell
-        for i, nb in enumerate(nearest_neighbors(s, 10, search_radius=4.0)):
-            v = nb.valid_count
-            recomputed = np.linalg.norm(nb.neighbor_positions[:v] - center[i], axis=1)
-            assert np.allclose(recomputed, nb.distances[:v], atol=1e-10)
+        nbrs = nearest_neighbors(s, 10, search_radius=4.0)
+        for i in range(len(s)):
+            v = nbrs.valid_count[i]
+            recomputed = np.linalg.norm(nbrs.neighbor_positions[i, :v] - center[i], axis=1)
+            assert np.allclose(recomputed, nbrs.distances[i, :v], atol=1e-10)
 
     def test_distances_sorted_ascending(self):
         rng = np.random.default_rng(4)
         s = perturbed_cubic(rng, n_side=2, a=3.2)
-        for nb in nearest_neighbors(s, 20, search_radius=5.0):
-            v = nb.valid_count
-            assert np.all(np.diff(nb.distances[:v]) >= 0)
+        nbrs = nearest_neighbors(s, 20, search_radius=5.0)
+        for i in range(len(s)):
+            v = nbrs.valid_count[i]
+            assert np.all(np.diff(nbrs.distances[i, :v]) >= 0)
 
     def test_deterministic_under_repeat(self):
         rng = np.random.default_rng(5)
         s = perturbed_cubic(rng, n_side=2, a=3.0)
         first = nearest_neighbors(s, 16, search_radius=5.0)
         second = nearest_neighbors(s, 16, search_radius=5.0)
-        for a, b in zip(first, second):
-            assert np.array_equal(a.distances, b.distances)
-            assert np.array_equal(a.indices, b.indices)
-            assert np.array_equal(a.neighbor_positions, b.neighbor_positions)
+        assert np.array_equal(first.distances, second.distances)
+        assert np.array_equal(first.indices, second.indices)
+        assert np.array_equal(first.neighbor_positions, second.neighbor_positions)
+        assert np.array_equal(first.valid_count, second.valid_count)
 
     def test_tie_break_is_stable_by_atom_then_offset(self):
         # two atoms equidistant from the center: lower atom index first
         s = molecule([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        nb = nearest_neighbors(s, 2, search_radius=3.0)[0]
-        assert np.allclose(nb.distances, [1.0, 1.0])
-        assert list(nb.indices) == [1, 2]
+        nbrs = nearest_neighbors(s, 2, search_radius=3.0)
+        assert np.allclose(nbrs.distances[0], [1.0, 1.0])
+        assert list(nbrs.indices[0]) == [1, 2]
+
+    def test_lattice_ties_follow_brute_force_order(self):
+        # perfect simple-cubic cell on an integer grid: every shell is an
+        # exact tie, and k cuts through the second and third shells
+        grid = [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+        s = crystal(np.eye(3) * 4.0, grid)
+        radius = 4.0
+        for k in (10, 20):
+            nbrs = nearest_neighbors(s, k, search_radius=radius)
+            for i in range(len(s)):
+                got = []
+                for slot in range(nbrs.valid_count[i]):
+                    atom = int(nbrs.indices[i, slot])
+                    shift = nbrs.neighbor_positions[i, slot] - s.positions[atom]
+                    offset = tuple(int(o) for o in np.rint(shift / 4.0))
+                    got.append((nbrs.distances[i, slot], atom, offset))
+                want = brute_force_neighbors(s, i, radius)[:k]
+                assert got == want
+
+    def test_search_near_cell_equals_full_search(self, monkeypatch):
+        # whatever radius the pruned search starts from (too small: it must
+        # widen; huge: it keeps every image), the neighbors are the same
+        rng = np.random.default_rng(12)
+        structures = [perturbed_cubic(rng, n_side=2, a=2.5, jitter=0.05)]
+        for _ in range(4):
+            cell = np.eye(3) * 3.5 + rng.normal(scale=0.6, size=(3, 3))
+            structures.append(crystal(cell, rng.random((4, 3)) @ cell))
+        structures.append(crystal(np.eye(3) * 5.0, rng.random((5, 3)) * 5.0, pbc=(1, 1, 0)))
+        for s in structures:
+            runs = []
+            for scale in (1e-3, 0.5, 1.25, 1e6):
+                monkeypatch.setattr(geometry, "_PRUNE_SCALE", scale)
+                runs.append(nearest_neighbors(s, 20, search_radius=4.0))
+            for other in runs[1:]:
+                assert np.array_equal(other.distances, runs[0].distances)
+                assert np.array_equal(other.neighbor_positions, runs[0].neighbor_positions)
+                assert np.array_equal(other.indices, runs[0].indices)
 
     def test_k_must_be_positive(self):
         s = molecule([[0.0, 0.0, 0.0]])
@@ -166,6 +208,6 @@ class TestNearestNeighbors:
 
     def test_lone_aperiodic_atom_has_no_neighbors(self):
         s = molecule([[0.0, 0.0, 0.0]])
-        nb = nearest_neighbors(s, 3, search_radius=2.0)[0]
-        assert nb.valid_count == 0
-        assert np.isinf(nb.distances).all()
+        nbrs = nearest_neighbors(s, 3, search_radius=2.0)
+        assert list(nbrs.valid_count) == [0]
+        assert np.isinf(nbrs.distances).all()

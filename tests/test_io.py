@@ -234,6 +234,12 @@ class TestParseErrors:
     def test_second_frame_error_points_at_its_line(self, tmp_path):
         self.check("1\nc\nH 0 0 0\n1\nc\nH 0 x 0\n", 6, tmp_path)
 
+    def test_invalid_utf8_points_at_its_line(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_bytes(b"1\nc\nH 0 \xff 0\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_extxyz(path)
+
 
 class TestRoundFloats:
     def test_12_significant_digits(self):
