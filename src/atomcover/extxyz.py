@@ -135,7 +135,9 @@ def read_extxyz(path) -> Dataset:
     try:
         lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        # Count lines as splitlines() does (\r, \x85, ... end lines too);
+        # the extra character stands in for the undecodable byte.
+        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
         raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
 
     structures = []

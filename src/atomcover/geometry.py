@@ -6,11 +6,10 @@ fractional to Cartesian coordinates.
 
 Neighbor queries replicate periodic images explicitly (out to
 ``ceil(search_radius / cell_height) + 1`` images per periodic direction)
-and search them with a k-d tree, built over the images near the cell
-only.  Minimum-image shortcuts are deliberately avoided: they are wrong
-for cells smaller than the search radius, which occur routinely in the
-datasets this package targets.  All atoms of a structure are searched
-in one batch.
+and search them with a k-d tree.  Minimum-image shortcuts are
+deliberately avoided: they are wrong for cells smaller than the search
+radius, which occur routinely in the datasets this package targets.
+All atoms of a structure are searched in one batch.
 """
 
 from __future__ import annotations
@@ -41,10 +40,6 @@ PADDING_DISTANCE = np.inf
 #: Points within this many angstrom beyond the k-th nearest are candidates
 #: too, so exact ties are ranked by atom and image offset, never by the tree.
 _TIE_SLACK = 1e-8
-
-#: First pruning radius, as a multiple of the radius of a sphere that holds
-#: k + 1 atoms at the cell's mean density.
-_PRUNE_SCALE = 1.25
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -240,7 +235,7 @@ def replicate_for_search(structure: Structure, search_radius: float) -> Replicat
 
 
 def _nearest_candidates(points: np.ndarray, centers: np.ndarray, k: int):
-    """Tree distances and indices, (n, m), of each center's m nearest points.
+    """Indices into ``points``, (n, m), of each center's m nearest points.
 
     ``m >= min(k + 2, len(points))`` covers the k nearest neighbors plus the
     self-image, and grows until the last point lies clearly beyond the
@@ -256,39 +251,8 @@ def _nearest_candidates(points: np.ndarray, centers: np.ndarray, k: int):
         dists, cand = tree.query(centers, k=n_query)
         dists = dists.reshape(len(centers), n_query)
         if n_query == n_points or np.all(dists[:, -1] > dists[:, k] + _TIE_SLACK):
-            return dists, cand.reshape(len(centers), n_query)
+            return cand.reshape(len(centers), n_query)
         n_query = min(2 * n_query, n_points)
-
-
-def _candidates_near_cell(structure: Structure, rep: ReplicatedPoints, centers, k: int):
-    """:func:`_nearest_candidates` indices into ``rep``, searching only near the cell.
-
-    Every point within ``radius`` of a center lies within ``radius`` of the
-    cell, whose periodic faces are ``height`` apart, so its fractional
-    coordinates lie within ``radius / height`` of [0, 1].  The search keeps
-    only those points, starting from the radius of a sphere that holds
-    k + 1 atoms at the cell's density.  A subset's (k + 1)-th distance is
-    an upper bound on the true one, so when some atom's reaches past the
-    radius, one more search out to the largest of them is enough.  Either
-    way the candidates equal those of a search over all of ``rep``.
-    """
-    frac = rep.positions @ np.linalg.inv(structure.cell)
-    frac_per_angstrom = np.where(structure.pbc, 1.0 / _cell_heights(structure.cell), 0.0)
-    volume_per_atom = abs(np.linalg.det(structure.cell)) / len(structure)
-    radius = _PRUNE_SCALE * np.cbrt(3 * (k + 1) * volume_per_atom / (4 * np.pi))
-    while True:
-        margin = radius * frac_per_angstrom + 1e-9
-        kept = np.flatnonzero(np.all((frac >= -margin) & (frac <= 1.0 + margin), axis=1))
-        if kept.shape[0] == frac.shape[0]:
-            return _nearest_candidates(rep.positions, centers, k)[1]
-        if kept.shape[0] <= k:
-            radius *= 2.0
-            continue
-        dists, cand = _nearest_candidates(rep.positions[kept], centers, k)
-        needed = dists[:, k].max() + 2 * _TIE_SLACK
-        if needed <= radius:
-            return kept[cand]
-        radius = needed
 
 
 def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> NeighborSet:
@@ -307,10 +271,7 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     # Zero-offset image block holds the (wrapped) original atoms in order.
     zero = np.flatnonzero(~rep.image_offsets[::n].any(axis=1))[0] * n
     centers = rep.positions[zero : zero + n]
-    if structure.pbc.any():
-        cand = _candidates_near_cell(structure, rep, centers, k)
-    else:
-        cand = _nearest_candidates(rep.positions, centers, k)[1]
+    cand = _nearest_candidates(rep.positions, centers, k)
 
     atoms = rep.atom_indices[cand]
     offs = rep.image_offsets[cand]

@@ -234,10 +234,15 @@ class TestParseErrors:
     def test_second_frame_error_points_at_its_line(self, tmp_path):
         self.check("1\nc\nH 0 0 0\n1\nc\nH 0 x 0\n", 6, tmp_path)
 
-    def test_invalid_utf8_points_at_its_line(self, tmp_path):
+    @pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n", b"\x0c", b"\xc2\x85"])
+    def test_invalid_utf8_points_at_its_line(self, tmp_path, end):
+        # line numbers follow str.splitlines(), as for every other ParseError
         path = tmp_path / "bad.xyz"
-        path.write_bytes(b"1\nc\nH 0 \xff 0\n")
+        path.write_bytes(b"1" + end + b"c" + end + b"H 0 \xff 0" + end)
         with pytest.raises(ParseError, match="line 3"):
+            read_extxyz(path)
+        path.write_bytes(b"1" + end + b"c" + end + b"H 0 0 0" + end + b"\xff")
+        with pytest.raises(ParseError, match="line 4"):
             read_extxyz(path)
 
 
