@@ -32,6 +32,9 @@ __all__ = [
     "compare_methods",
 ]
 
+#: Samplers whose first c picks at any count C >= c are their picks at count c.
+_NESTED_METHODS = ("fps", "msc")
+
 _HIST_RANGE = (-20.0, 20.0)
 _HIST_BIN_WIDTH = 0.5
 
@@ -244,6 +247,9 @@ def compare_methods(
     """Run each sampler at each fraction and tabulate the figures of merit.
 
     Fractions are sorted ascending; one row per (method, fraction).
+    ``fps`` and ``msc`` run once, at the largest count, and each smaller
+    fraction takes the prefix of that selection, which is what they pick
+    at that count.
     """
     if kernel is None:
         kernel = KernelParams()
@@ -260,19 +266,24 @@ def compare_methods(
 
     rows = []
     for method in methods:
-        for fraction in fractions:
-            config = SamplerConfig(
-                method=method, fraction=fraction, seed=seed, kernel=kernel
-            )
-            result = run_sampler(config, descs)
-            sub = descs.subset(result.selected)
+        configs = [
+            SamplerConfig(method=method, fraction=f, seed=seed, kernel=kernel)
+            for f in fractions
+        ]
+        if method in _NESTED_METHODS:
+            largest = run_sampler(configs[-1], descs).selected
+            selections = [largest[: c.resolve_count(descs.n_structures)] for c in configs]
+        else:
+            selections = [run_sampler(c, descs).selected for c in configs]
+        for fraction, selected in zip(fractions, selections):
+            sub = descs.subset(selected)
             kept = entropy(sub, kernel)
             dh = delta_entropy(descs.values, sub.values, kernel)
             rows.append(
                 SweepRow(
                     method=method,
                     fraction=fraction,
-                    count=len(result.selected),
+                    count=len(selected),
                     n_environments=sub.n_environments,
                     entropy_nats=kept.entropy_nats,
                     diversity_nats=kept.diversity_nats,

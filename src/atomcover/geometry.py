@@ -34,6 +34,11 @@ __all__ = [
 #: Cell determinants below this (in cubic angstrom) are treated as singular.
 _SINGULAR_VOLUME = 1e-12
 
+#: Most replicated points one structure may need.  A 1-atom 0.2 angstrom
+#: cell at a 5 angstrom cutoff needs 148,877; this limit only stops cells
+#: far too small to be physical before they exhaust memory.
+_MAX_IMAGE_POINTS = 10**7
+
 #: Sorted-distance slots beyond the last real neighbor hold this sentinel.
 PADDING_DISTANCE = np.inf
 
@@ -217,6 +222,13 @@ def replicate_for_search(structure: Structure, search_radius: float) -> Replicat
         int(np.ceil(search_radius / heights[axis])) + 1 if structure.pbc[axis] else 0
         for axis in range(3)
     ]
+    n_points = n * (2 * reach[0] + 1) * (2 * reach[1] + 1) * (2 * reach[2] + 1)
+    if n_points > _MAX_IMAGE_POINTS:
+        raise CellError(
+            f"cell heights {np.array2string(heights, precision=4)} angstrom need "
+            f"{n_points} periodic image points within {search_radius:g} angstrom, "
+            f"more than the limit of {_MAX_IMAGE_POINTS}"
+        )
     offsets = np.array(
         list(
             itertools.product(

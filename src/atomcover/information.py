@@ -32,8 +32,9 @@ __all__ = [
 ]
 
 # Block sizes for the streaming reduction.  Fixed constants keep the
-# floating-point summation order (and hence every digit of the result)
-# independent of memory pressure or input size.
+# floating-point summation order and the bits of each block's GEMM (and
+# hence every digit of the result) independent of memory pressure or
+# input size.
 _QUERY_BLOCK = 256
 _REF_BLOCK = 4096
 
@@ -86,6 +87,14 @@ def _neg_log_kernel_sums(queries: np.ndarray, refs: np.ndarray, bandwidth: float
     inv_two_h2 = 1.0 / (2.0 * bandwidth * bandwidth)
     ref_sq = np.einsum("ij,ij->i", refs, refs)
     out = np.empty(queries.shape[0])
+    # One set of block buffers per call; every block works in views of them,
+    # so a pass allocates O(n) memory on top of them whatever its size.
+    # The views keep a unit inner stride, so matmul(out=) still goes
+    # through BLAS and gives the same bits as a fresh product.
+    shape = (min(_QUERY_BLOCK, queries.shape[0]), min(_REF_BLOCK, refs.shape[0]))
+    d2_buf = np.empty(shape)
+    scale_buf = np.empty(shape)
+    snap_buf = np.empty(shape, dtype=bool)
     for q0 in range(0, queries.shape[0], _QUERY_BLOCK):
         qb = queries[q0 : q0 + _QUERY_BLOCK]
         q_sq = np.einsum("ij,ij->i", qb, qb)
@@ -93,16 +102,24 @@ def _neg_log_kernel_sums(queries: np.ndarray, refs: np.ndarray, bandwidth: float
         run_sum = np.zeros(len(qb))
         for r0 in range(0, refs.shape[0], _REF_BLOCK):
             rb = refs[r0 : r0 + _REF_BLOCK]
-            norm_scale = q_sq[:, None] + ref_sq[r0 : r0 + len(rb)][None, :]
-            d2 = norm_scale - 2.0 * (qb @ rb.T)
+            d2 = d2_buf[: len(qb), : len(rb)]
+            norm_scale = scale_buf[: len(qb), : len(rb)]
+            snap = snap_buf[: len(qb), : len(rb)]
+            np.add(q_sq[:, None], ref_sq[r0 : r0 + len(rb)][None, :], out=norm_scale)
+            np.matmul(qb, rb.T, out=d2)
+            # -2G + s is exactly s - 2G: scaling by 2 and negating are exact.
+            d2 *= -2.0
+            d2 += norm_scale
             # The norm expansion leaves O(eps * |q||r|) residue on coincident
             # rows; snap those to exactly zero so that a member of the
             # reference set always gets kernel sum >= 1 (delta entropy <= 0).
-            d2[d2 <= 1e-12 * norm_scale] = 0.0
-            logk = d2
-            logk *= -inv_two_h2
-            block_max = logk.max(axis=1)
-            block_sum = np.exp(logk - block_max[:, None]).sum(axis=1)
+            norm_scale *= 1e-12
+            np.less_equal(d2, norm_scale, out=snap)
+            np.copyto(d2, 0.0, where=snap)
+            d2 *= -inv_two_h2  # now the log kernel
+            block_max = d2.max(axis=1)
+            d2 -= block_max[:, None]
+            block_sum = np.exp(d2, out=d2).sum(axis=1)
             new_max = np.maximum(run_max, block_max)
             run_sum = run_sum * np.exp(run_max - new_max) + block_sum * np.exp(
                 block_max - new_max

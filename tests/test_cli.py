@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -106,6 +107,31 @@ class TestExitCodes:
         )
         assert main(["analyze", str(bad)]) == 4
         assert "degenerate" in capsys.readouterr().err
+
+    def test_tiny_cell_exits_4_before_replicating(self, tmp_path, capsys, monkeypatch):
+        from types import SimpleNamespace
+
+        from atomcover import geometry
+
+        def no_images(*ranges):
+            raise AssertionError("periodic images were built for a 0.02 angstrom cell")
+
+        # At the 5 angstrom cutoff this cell needs about 1.3e8 image points;
+        # the limit must trip before any of them exist.
+        monkeypatch.setattr(geometry, "itertools", SimpleNamespace(product=no_images))
+        tiny = tmp_path / "tiny.xyz"
+        tiny.write_text(
+            "1\n"
+            'Lattice="0.02 0 0 0 0.02 0 0 0 0.02" Properties=species:S:1:pos:R:3 pbc="T T T"\n'
+            "Cu 0.0 0.0 0.0\n"
+        )
+        out = tmp_path / "report.json"
+        start = time.perf_counter()
+        assert main(["analyze", str(tiny), "-o", str(out)]) == 4
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert "0.02" in err and "image points" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "force-cdf"])
     @pytest.mark.parametrize("field", ["force", "energy", "position"])

@@ -7,6 +7,7 @@ from atomcover import (
     ForceCdf,
     InputError,
     KernelParams,
+    SamplerConfig,
     compare_methods,
     compression_report,
     default_threshold_grid,
@@ -16,6 +17,7 @@ from atomcover import (
     force_cdf,
     overlap,
     pooled_force_magnitudes,
+    run_sampler,
 )
 from helpers import count_cross_passes, count_self_passes, molecule, synthetic_set
 from test_samplers import random_fixture, redundant_fixture
@@ -285,6 +287,40 @@ class TestCompareMethods:
         sizes = count_self_passes(monkeypatch)
         sweep = compare_methods(descs, [0.25, 0.5], methods=("random",), kernel=KP)
         assert sizes == [row.n_environments for row in sweep.rows]
+
+    def test_nested_rows_match_per_fraction_runs(self):
+        rng = np.random.default_rng(14)
+        descs = random_fixture(rng, n_structures=20)
+        # 0.1 and 0.12 of 20 structures both round to a count of 2
+        fractions = [0.1, 0.12, 0.5]
+        sweep = compare_methods(descs, fractions, methods=("fps", "msc"), seed=2, kernel=KP)
+        want = []
+        for method in ("fps", "msc"):
+            for fraction in fractions:
+                config = SamplerConfig(method=method, fraction=fraction, seed=2, kernel=KP)
+                sub = descs.subset(run_sampler(config, descs).selected)
+                kept = entropy(sub, KP)
+                want.append((
+                    method,
+                    fraction,
+                    sub.n_structures,
+                    sub.n_environments,
+                    kept.entropy_nats,
+                    kept.diversity_nats,
+                    kept.efficiency,
+                    overlap(descs.values, sub.values, KP),
+                ))
+        assert [r.count for r in sweep.rows] == [2, 2, 10] * 2
+        assert [tuple(row) for row in sweep.to_table()] == want
+
+    def test_nested_sampler_runs_once_per_sweep(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        descs = synthetic_set([rng.normal(scale=0.05, size=(2, 8)) for _ in range(8)])
+        sizes = count_self_passes(monkeypatch)
+        sweep = compare_methods(descs, [0.25, 0.5, 1.0], methods=["msc"], kernel=KP)
+        # one per-structure self pass per structure, then one per row
+        assert sizes == [2] * descs.n_structures + [4, 8, 16]
+        assert [r.n_environments for r in sweep.rows] == [4, 8, 16]
 
     def test_row_structure(self):
         rng = np.random.default_rng(8)

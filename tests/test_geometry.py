@@ -73,6 +73,11 @@ class TestReplication:
         assert np.all(rep.image_offsets[:, 2] == 0)
         assert rep.image_offsets[:, 0].max() > 0
 
+    def test_small_cell_stays_under_image_limit(self):
+        # ceil(5 / 0.2) + 1 = 26 images each way: 53**3 points
+        rep = replicate_for_search(crystal(np.eye(3) * 0.2, [[0.0, 0.0, 0.0]]), 5.0)
+        assert len(rep.positions) == 53**3
+
     def test_wraps_positions_outside_cell(self):
         inside = crystal(np.eye(3) * 4.0, [[1.0, 1.0, 1.0]])
         outside = crystal(np.eye(3) * 4.0, [[9.0, -3.0, 5.0]])  # same site mod 4

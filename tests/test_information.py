@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,39 @@ class TestOracleEquivalence:
         got = delta_entropy(queries, refs, KP)
         want = naive_delta_entropy(queries, refs, H)
         assert np.allclose(got, want, atol=1e-8)
+
+
+class TestBlockBuffers:
+    @pytest.mark.parametrize("near", [4500, 1000])
+    def test_lone_near_reference_among_far_blocks(self, near):
+        # 300 queries and 5000 references: both last blocks are partial.  The
+        # near reference sits in the partial second block behind an all-far
+        # first block, or in the first block ahead of an all-far second one.
+        rng = np.random.default_rng(21)
+        d = 5.0 * H
+        directions = rng.normal(size=(300, 63))
+        queries = d * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        refs = rng.normal(scale=0.01, size=(5000, 63))
+        refs[:, 0] += 2.0
+        refs[near] = 0.0  # the one near reference, at distance d from every query
+        # |q - r| >= |r| - d for every query q and every other reference r
+        far_gap = np.linalg.norm(np.delete(refs, near, axis=0), axis=1).min() - d
+        assert far_gap**2 / (2 * H * H) > 1000.0
+        got = delta_entropy(queries, refs, KP)
+        assert np.allclose(got, d * d / (2 * H * H), rtol=0.0, atol=1e-9)
+
+    def test_working_memory_is_a_few_blocks(self):
+        rng = np.random.default_rng(22)
+        queries = rng.normal(scale=0.02, size=(1000, 63))
+        refs = rng.normal(scale=0.02, size=(5000, 63))
+        tracemalloc.start()
+        try:
+            delta_entropy(queries, refs, KP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two float64 and one bool 256 x 4096 block, plus O(n) vectors
+        assert peak < 20 * 2**20
 
 
 class TestEntropyProperties:
