@@ -163,6 +163,8 @@ def _emit(doc, output):
 
 
 def cmd_compress(args):
+    from dataclasses import asdict
+
     from .evaluation import compression_report
     from .extxyz import write_extxyz
     from .samplers import SamplerConfig, run_sampler
@@ -184,15 +186,7 @@ def cmd_compress(args):
     )
     doc = compression_report(descs, result.selected, config.kernel, parameters)
     if result.per_step is not None:
-        doc.metrics["steps"] = [
-            {
-                "structure_index": s.structure_index,
-                "score": s.score,
-                "max_delta_h": s.max_delta_h,
-                "structure_entropy": s.structure_entropy,
-            }
-            for s in result.per_step
-        ]
+        doc.metrics["steps"] = [asdict(s) for s in result.per_step]
     report_path = args.report or args.output + ".report.json"
     doc.write(report_path)
     print(f"kept {len(result.selected)}/{len(dataset)} structures -> {args.output}")

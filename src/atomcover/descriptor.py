@@ -34,8 +34,8 @@ __all__ = [
     "load_descriptor_set",
 ]
 
-#: Atoms per block in :func:`compute_x2`; its (rows, k, k) temporaries are
-#: about 4 MB each at k = 32.
+#: Atoms per block in :func:`compute_x2`; its (rows, v, v) temporaries, with
+#: v <= k neighbors per atom, are at most about 4 MB each at k = 32.
 _CHUNK_ROWS = 512
 
 
@@ -157,27 +157,21 @@ def cutoff_weight(r, cutoff: float):
     return w
 
 
-def _valid_slots(nbrs: NeighborSet) -> np.ndarray:
-    """(n, k) mask of the slots that hold a real neighbor."""
-    k = nbrs.distances.shape[1]
-    return np.arange(k) < np.asarray(nbrs.valid_count)[:, None]
-
-
 def compute_x1(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
     """Two-body block, (n, k): ``w(r_ij) / r_ij`` in ascending-distance order.
 
-    Row ``i`` belongs to atom ``i``.  Slots past an atom's last real
-    neighbor are zero.  Entries are kept in radial order, not re-sorted
-    by value.
+    Row ``i`` belongs to atom ``i``.  Slots past the last neighbor found
+    are zero.  Entries are kept in radial order, not re-sorted by value.
     """
-    valid = _valid_slots(nbrs)
-    bad = np.flatnonzero((valid & (nbrs.distances <= 0)).any(axis=1))
+    r = nbrs.distances
+    bad = np.flatnonzero((r <= 0).any(axis=1))
     if bad.size:
         raise DegenerateGeometryError(
             f"atom {bad[0]}: coincident atoms, zero distance to a neighbor"
         )
-    r = np.where(valid, nbrs.distances, np.inf)  # padding weighs 0 / inf = 0
-    return cutoff_weight(r, params.cutoff) / r
+    out = np.zeros((r.shape[0], params.n_neighbors))
+    out[:, : r.shape[1]] = cutoff_weight(r, params.cutoff) / r
+    return out
 
 
 def compute_x2(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
@@ -186,27 +180,31 @@ def compute_x2(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
     For each neighbor j the terms ``sqrt(w(r_ij) w(r_il)) / r_jl`` over
     the other neighbors l are sorted descending; the block is the
     rank-wise mean over j, re-sorted descending, zero-padded to ``k - 1``.
-    Atoms go through in blocks of ``_CHUNK_ROWS`` rows, so the (rows, k, k)
+    Atoms go through in blocks of ``_CHUNK_ROWS`` rows, so the (rows, v, v)
     temporaries stay small however large the structure.
     """
-    n = nbrs.distances.shape[0]
-    out = np.empty((n, params.n_neighbors - 1))
-    valid = _valid_slots(nbrs)
+    n, v = nbrs.distances.shape
+    out = np.zeros((n, params.n_neighbors - 1))
+    if v < 2:  # no pair of neighbors
+        return out
     for c0 in range(0, n, _CHUNK_ROWS):
         rows = slice(c0, c0 + _CHUNK_ROWS)
-        out[rows] = _x2_rows(
-            nbrs.neighbor_positions[rows], nbrs.distances[rows], valid[rows], c0, params
+        out[rows, : v - 1] = _x2_rows(
+            nbrs.neighbor_positions[rows], nbrs.distances[rows], c0, params
         )
     return out
 
 
-def _x2_rows(pos, distances, valid, first_atom, params) -> np.ndarray:
-    """:func:`compute_x2` for one block of atoms, the first being ``first_atom``."""
-    k = valid.shape[1]
-    w = cutoff_weight(np.where(valid, distances, np.inf), params.cutoff)
-    p = np.ascontiguousarray(pos.transpose(2, 0, 1))  # (3, m, k)
-    # Padded positions are inf and the diagonal distance is 0: the terms of
-    # those pairs are nan or inf here and are overwritten below.
+def _x2_rows(pos, distances, first_atom, params) -> np.ndarray:
+    """:func:`compute_x2` for one block of atoms, the first being ``first_atom``.
+
+    Returns the v - 1 ranks, (rows, v - 1), for v neighbors per atom.
+    """
+    m, v = distances.shape
+    w = cutoff_weight(distances, params.cutoff)
+    p = np.ascontiguousarray(pos.transpose(2, 0, 1))  # (3, m, v)
+    # The diagonal distance is 0, so its terms are inf, or nan for a
+    # neighbor beyond the cutoff; they are overwritten below.
     with np.errstate(invalid="ignore", divide="ignore"):
         d = p[:, :, :, None] - p[:, :, None, :]
         d *= d
@@ -217,20 +215,20 @@ def _x2_rows(pos, distances, valid, first_atom, params) -> np.ndarray:
         terms = w[:, :, None] * w[:, None, :]
         np.sqrt(terms, out=terms)
         terms /= dist
-    pair = valid[:, :, None] & valid[:, None, :]
-    pair[:, np.arange(k), np.arange(k)] = False
-    # Real atoms are at distance 0 only from themselves, on the diagonal.
-    if np.count_nonzero(dist <= 0) > np.count_nonzero(valid):
-        bad = np.flatnonzero((pair & (dist <= 0)).any(axis=(1, 2)))
+    diag = np.arange(v)
+    # Neighbors are at distance 0 only from themselves, on the diagonal.
+    if np.count_nonzero(dist <= 0) > m * v:
+        coincident = dist <= 0
+        coincident[:, diag, diag] = False
+        bad = np.flatnonzero(coincident.any(axis=(1, 2)))
         raise DegenerateGeometryError(f"atom {first_atom + bad[0]}: coincident neighbors")
-    # Zeros for the diagonal and padded pairs sort below every real term, so
-    # the top v - 1 ranks of row j are its real terms and the rest add 0.
-    np.copyto(terms, 0.0, where=~pair)
+    # The zero on the diagonal sorts below every real term, so the top
+    # v - 1 ranks of row j are its real terms.
+    terms[:, diag, diag] = 0.0
     terms.sort(axis=2)
-    v = np.maximum(valid.sum(axis=1), 1)
-    # Rank r (descending) is column k - 1 - r.  Rank-wise sums of rows sorted
+    # Rank r (descending) is column v - 1 - r.  Rank-wise sums of rows sorted
     # descending are themselves descending, so no final sort is needed.
-    return terms.sum(axis=1)[:, :0:-1] / v[:, None]
+    return terms.sum(axis=1)[:, :0:-1] / v
 
 
 def build_descriptor_set(dataset: Dataset, params: DescriptorParams) -> DescriptorSet:

@@ -9,7 +9,7 @@ high-force tail was retained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -207,34 +207,13 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
-    HEADER = (
-        "method",
-        "fraction",
-        "count",
-        "n_environments",
-        "entropy_nats",
-        "diversity_nats",
-        "efficiency",
-        "overlap_full_vs_compressed",
-    )
+    HEADER = tuple(f.name for f in fields(SweepRow))
 
     def to_table(self):
-        return [
-            [
-                r.method,
-                r.fraction,
-                r.count,
-                r.n_environments,
-                r.entropy_nats,
-                r.diversity_nats,
-                r.efficiency,
-                r.overlap_full_vs_compressed,
-            ]
-            for r in self.rows
-        ]
+        return [list(astuple(r)) for r in self.rows]
 
     def to_metrics(self) -> dict:
-        return {"rows": [dict(zip(self.HEADER, row)) for row in self.to_table()]}
+        return {"rows": [asdict(r) for r in self.rows]}
 
 
 def compare_methods(
@@ -249,7 +228,8 @@ def compare_methods(
     Fractions are sorted ascending; one row per (method, fraction).
     ``fps`` and ``msc`` run once, at the largest count, and each smaller
     fraction takes the prefix of that selection, which is what they pick
-    at that count.
+    at that count.  A selection that recurs, such as two fractions that
+    round to one count, is evaluated once.
     """
     if kernel is None:
         kernel = KernelParams()
@@ -264,6 +244,7 @@ def compare_methods(
         if m not in METHODS:
             raise InputError(f"unknown method {m!r}; expected one of {METHODS}")
 
+    figures = {}  # ordered selection -> (n_environments, EntropyResult, overlap)
     rows = []
     for method in methods:
         configs = [
@@ -276,19 +257,23 @@ def compare_methods(
         else:
             selections = [run_sampler(c, descs).selected for c in configs]
         for fraction, selected in zip(fractions, selections):
-            sub = descs.subset(selected)
-            kept = entropy(sub, kernel)
-            dh = delta_entropy(descs.values, sub.values, kernel)
+            key = tuple(selected)
+            if key not in figures:
+                sub = descs.subset(selected)
+                kept = entropy(sub, kernel)
+                dh = delta_entropy(descs.values, sub.values, kernel)
+                figures[key] = (sub.n_environments, kept, contained_fraction(dh))
+            n_environments, kept, overlap = figures[key]
             rows.append(
                 SweepRow(
                     method=method,
                     fraction=fraction,
                     count=len(selected),
-                    n_environments=sub.n_environments,
+                    n_environments=n_environments,
                     entropy_nats=kept.entropy_nats,
                     diversity_nats=kept.diversity_nats,
                     efficiency=0.0 if kept.efficiency is None else kept.efficiency,
-                    overlap_full_vs_compressed=contained_fraction(dh),
+                    overlap_full_vs_compressed=overlap,
                 )
             )
     return SweepResult(rows=tuple(rows))

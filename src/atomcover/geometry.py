@@ -39,9 +39,6 @@ _SINGULAR_VOLUME = 1e-12
 #: far too small to be physical before they exhaust memory.
 _MAX_IMAGE_POINTS = 10**7
 
-#: Sorted-distance slots beyond the last real neighbor hold this sentinel.
-PADDING_DISTANCE = np.inf
-
 #: Points within this many angstrom beyond the k-th nearest are candidates
 #: too, so exact ties are ranked by atom and image offset, never by the tree.
 _TIE_SLACK = 1e-8
@@ -156,19 +153,18 @@ class Dataset:
 class NeighborSet:
     """Sorted neighbor shells of every atom of one structure.
 
-    Row ``i`` belongs to atom ``i``.  ``distances`` (n, k) is ascending
-    along each row; slots from ``valid_count[i]`` on are padding (``inf``
-    distance and position, index -1) and contribute zero weight
-    downstream.  ``neighbor_positions`` is (n, k, 3) and ``indices``
-    (n, k) holds the neighbor's atom index.  Distinct periodic images of
-    the same atom count as distinct neighbors; only the zero-distance
-    self-image is excluded.
+    Row ``i`` belongs to atom ``i``.  ``distances`` (n, v) is ascending
+    along each row, ``neighbor_positions`` is (n, v, 3) and ``indices``
+    (n, v) holds the neighbor's atom index.  Every atom of a structure
+    searches the same images, so all rows have the same width
+    ``v = min(k, images - 1)``.  Distinct periodic images of the same atom
+    count as distinct neighbors; only the zero-distance self-image is
+    excluded.
     """
 
     distances: np.ndarray
     neighbor_positions: np.ndarray
     indices: np.ndarray
-    valid_count: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -274,7 +270,7 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     atom are valid neighbors.  Neighbors are sorted by distance, with
     exact ties broken by (atom index, image offset lexicographic) so the
     ordering is deterministic.  If fewer than ``k`` images exist in the
-    replicated search volume the remaining slots are padded.
+    replicated search volume, each row holds all of them.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
@@ -297,18 +293,9 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     key = np.where(is_self, -1.0, dists)
     order = np.lexsort((offs[..., 2], offs[..., 1], offs[..., 0], atoms, key), axis=1)
     order = order[:, 1 : k + 1]
-    valid = order.shape[1]
-
-    distances = np.full((n, k), PADDING_DISTANCE)
-    positions = np.full((n, k, 3), PADDING_DISTANCE)
-    indices = np.full((n, k), -1, dtype=int)
     chosen = np.take_along_axis(cand, order, axis=1)
-    distances[:, :valid] = np.take_along_axis(dists, order, axis=1)
-    positions[:, :valid] = rep.positions[chosen]
-    indices[:, :valid] = rep.atom_indices[chosen]
     return NeighborSet(
-        distances=_freeze(distances),
-        neighbor_positions=_freeze(positions),
-        indices=_freeze(indices),
-        valid_count=_freeze(np.full(n, valid)),
+        distances=_freeze(np.take_along_axis(dists, order, axis=1)),
+        neighbor_positions=_freeze(rep.positions[chosen]),
+        indices=_freeze(rep.atom_indices[chosen]),
     )

@@ -137,7 +137,7 @@ def naive_weight(r, cutoff):
 def naive_x1(nbrs, i, k, cutoff):
     """Two-body block of atom i, from row i of a NeighborSet."""
     out = [0.0] * k
-    for slot in range(nbrs.valid_count[i]):
+    for slot in range(nbrs.distances.shape[1]):
         r = nbrs.distances[i, slot]
         out[slot] = naive_weight(r, cutoff) / r
     return np.array(out)
@@ -145,7 +145,7 @@ def naive_x1(nbrs, i, k, cutoff):
 
 def naive_x2(nbrs, i, k, cutoff):
     """Three-body block of atom i, from row i of a NeighborSet."""
-    v = nbrs.valid_count[i]
+    v = nbrs.distances.shape[1]
     out = np.zeros(k - 1)
     if v <= 1:
         return out

@@ -162,15 +162,19 @@ class TestBatchedBlocks:
         for i in range(len(s)):
             assert np.allclose(x1[i], naive_x1(nbrs, i, k, cutoff), atol=1e-12)
             assert np.allclose(x2[i], naive_x2(nbrs, i, k, cutoff), atol=1e-12)
-        return nbrs
+        return nbrs, x1, x2
 
     def test_clusters_smaller_than_k(self):
-        # v = n_atoms - 1 < k, down to v = 0: padding must not leak into a block
+        # v = n_atoms - 1 < k, down to v = 0: the tail past v neighbors is 0
         rng = np.random.default_rng(40)
+        k = 8
         for n_atoms in (1, 2, 3, 5, 9):
             s = molecule(rng.random((n_atoms, 3)) * 3.0 + np.arange(n_atoms)[:, None])
-            nbrs = self._assert_rows_match_naive(s, k=8, cutoff=5.0)
-            assert list(nbrs.valid_count) == [n_atoms - 1] * n_atoms
+            nbrs, x1, x2 = self._assert_rows_match_naive(s, k=k, cutoff=5.0)
+            v = min(n_atoms - 1, k)
+            assert nbrs.distances.shape == (n_atoms, v)
+            assert np.all(x1[:, v:] == 0.0)
+            assert np.all(x2[:, max(v - 1, 0):] == 0.0)
 
     def test_structure_larger_than_one_chunk(self):
         rng = np.random.default_rng(41)

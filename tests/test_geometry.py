@@ -90,18 +90,16 @@ class TestNearestNeighbors:
     def test_dimer(self):
         s = molecule([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         nbrs = nearest_neighbors(s, 4, search_radius=5.0)
-        assert nbrs.distances.shape == (2, 4)
-        assert nbrs.neighbor_positions.shape == (2, 4, 3)
-        assert list(nbrs.valid_count) == [1, 1]
+        assert nbrs.distances.shape == (2, 1)
+        assert nbrs.neighbor_positions.shape == (2, 1, 3)
+        assert nbrs.indices.shape == (2, 1)
         assert nbrs.distances[0, 0] == pytest.approx(2.0, abs=1e-12)
-        assert np.isinf(nbrs.distances[0, 1:]).all()
         assert nbrs.indices[0, 0] == 1
-        assert list(nbrs.indices[0, 1:]) == [-1, -1, -1]
 
     def test_simple_cubic_shell(self):
         s = crystal(np.eye(3) * 3.0, [[0.0, 0.0, 0.0]])
         nbrs = nearest_neighbors(s, 6, search_radius=4.0)
-        assert nbrs.valid_count[0] == 6
+        assert nbrs.distances.shape[1] == 6
         assert np.allclose(nbrs.distances[0], 3.0, atol=1e-10)
         # all six neighbors are periodic images of atom 0 itself
         assert np.all(nbrs.indices[0] == 0)
@@ -111,7 +109,7 @@ class TestNearestNeighbors:
         cell = np.array([[0, a / 2, a / 2], [a / 2, 0, a / 2], [a / 2, a / 2, 0]])
         s = crystal(cell, [[0.0, 0.0, 0.0]])
         nbrs = nearest_neighbors(s, 12, search_radius=a)
-        assert nbrs.valid_count[0] == 12
+        assert nbrs.distances.shape[1] == 12
         assert np.allclose(nbrs.distances[0], a / np.sqrt(2), atol=1e-10)
 
     def test_matches_brute_force_on_random_cells(self):
@@ -129,8 +127,7 @@ class TestNearestNeighbors:
             nbrs = nearest_neighbors(s, 40, search_radius=radius)
             for i in range(len(s)):
                 want = [d for d, _, _ in brute_force_neighbors(s, i, radius)]
-                v = nbrs.valid_count[i]
-                got = nbrs.distances[i, :v]
+                got = nbrs.distances[i]
                 got = got[got <= radius]  # beyond-radius finds are best-effort
                 assert len(got) == min(len(want), 40)
                 assert np.allclose(got, want[: len(got)], atol=1e-10)
@@ -143,17 +140,15 @@ class TestNearestNeighbors:
         center = (frac - np.floor(frac)) @ s.cell
         nbrs = nearest_neighbors(s, 10, search_radius=4.0)
         for i in range(len(s)):
-            v = nbrs.valid_count[i]
-            recomputed = np.linalg.norm(nbrs.neighbor_positions[i, :v] - center[i], axis=1)
-            assert np.allclose(recomputed, nbrs.distances[i, :v], atol=1e-10)
+            recomputed = np.linalg.norm(nbrs.neighbor_positions[i] - center[i], axis=1)
+            assert np.allclose(recomputed, nbrs.distances[i], atol=1e-10)
 
     def test_distances_sorted_ascending(self):
         rng = np.random.default_rng(4)
         s = perturbed_cubic(rng, n_side=2, a=3.2)
         nbrs = nearest_neighbors(s, 20, search_radius=5.0)
         for i in range(len(s)):
-            v = nbrs.valid_count[i]
-            assert np.all(np.diff(nbrs.distances[i, :v]) >= 0)
+            assert np.all(np.diff(nbrs.distances[i]) >= 0)
 
     def test_deterministic_under_repeat(self):
         rng = np.random.default_rng(5)
@@ -163,7 +158,6 @@ class TestNearestNeighbors:
         assert np.array_equal(first.distances, second.distances)
         assert np.array_equal(first.indices, second.indices)
         assert np.array_equal(first.neighbor_positions, second.neighbor_positions)
-        assert np.array_equal(first.valid_count, second.valid_count)
 
     def test_tie_break_is_stable_by_atom_then_offset(self):
         # two atoms equidistant from the center: lower atom index first
@@ -219,7 +213,7 @@ class TestNearestNeighbors:
                 if len(want) < k:
                     continue  # beyond-radius finds are best-effort
                 got = []
-                for slot in range(nbrs.valid_count[i]):
+                for slot in range(nbrs.distances.shape[1]):
                     atom = int(nbrs.indices[i, slot])
                     shift = nbrs.neighbor_positions[i, slot] - wrapped[atom]
                     offset = tuple(int(o) for o in np.rint(shift / np.diag(s.cell)))
@@ -234,5 +228,6 @@ class TestNearestNeighbors:
     def test_lone_aperiodic_atom_has_no_neighbors(self):
         s = molecule([[0.0, 0.0, 0.0]])
         nbrs = nearest_neighbors(s, 3, search_radius=2.0)
-        assert list(nbrs.valid_count) == [0]
-        assert np.isinf(nbrs.distances).all()
+        assert nbrs.distances.shape == (1, 0)
+        assert nbrs.neighbor_positions.shape == (1, 0, 3)
+        assert nbrs.indices.shape == (1, 0)
