@@ -228,8 +228,7 @@ def compare_methods(
     Fractions are sorted ascending; one row per (method, fraction).
     ``fps`` and ``msc`` run once, at the largest count, and each smaller
     fraction takes the prefix of that selection, which is what they pick
-    at that count.  A selection that recurs, such as two fractions that
-    round to one count, is evaluated once.
+    at that count.
     """
     if kernel is None:
         kernel = KernelParams()
@@ -244,7 +243,6 @@ def compare_methods(
         if m not in METHODS:
             raise InputError(f"unknown method {m!r}; expected one of {METHODS}")
 
-    figures = {}  # ordered selection -> (n_environments, EntropyResult, overlap)
     rows = []
     for method in methods:
         configs = [
@@ -257,23 +255,19 @@ def compare_methods(
         else:
             selections = [run_sampler(c, descs).selected for c in configs]
         for fraction, selected in zip(fractions, selections):
-            key = tuple(selected)
-            if key not in figures:
-                sub = descs.subset(selected)
-                kept = entropy(sub, kernel)
-                dh = delta_entropy(descs.values, sub.values, kernel)
-                figures[key] = (sub.n_environments, kept, contained_fraction(dh))
-            n_environments, kept, overlap = figures[key]
+            sub = descs.subset(selected)
+            kept = entropy(sub, kernel)
+            dh = delta_entropy(descs.values, sub.values, kernel)
             rows.append(
                 SweepRow(
                     method=method,
                     fraction=fraction,
                     count=len(selected),
-                    n_environments=n_environments,
+                    n_environments=sub.n_environments,
                     entropy_nats=kept.entropy_nats,
                     diversity_nats=kept.diversity_nats,
                     efficiency=0.0 if kept.efficiency is None else kept.efficiency,
-                    overlap_full_vs_compressed=overlap,
+                    overlap_full_vs_compressed=contained_fraction(dh),
                 )
             )
     return SweepResult(rows=tuple(rows))

@@ -322,19 +322,6 @@ class TestCompareMethods:
         assert sizes == [2] * descs.n_structures + [4, 8, 16]
         assert [r.n_environments for r in sweep.rows] == [4, 8, 16]
 
-    def test_repeated_selection_is_evaluated_once(self, monkeypatch):
-        rng = np.random.default_rng(15)
-        descs = synthetic_set([rng.normal(scale=0.05, size=(2, 8)) for _ in range(8)])
-        self_sizes = count_self_passes(monkeypatch)
-        cross_shapes = count_cross_passes(monkeypatch)
-        # 0.25 and 0.26 of 8 structures both round to 2
-        sweep = compare_methods(descs, [0.25, 0.26, 1.0], methods=["msc"], kernel=KP)
-        assert self_sizes == [2] * descs.n_structures + [4, 16]
-        assert cross_shapes == [(16, 2)] * 7 + [(16, 4), (16, 16)]
-        first, second, _ = sweep.to_table()
-        assert (first[1], second[1]) == (0.25, 0.26)
-        assert first[2:] == second[2:]
-
     def test_row_structure(self):
         rng = np.random.default_rng(8)
         descs = random_fixture(rng, n_structures=8)
