@@ -24,7 +24,6 @@ _EXPORTS = {
     "Structure": "geometry",
     "Dataset": "geometry",
     "NeighborSet": "geometry",
-    "ReplicatedPoints": "geometry",
     "replicate_for_search": "geometry",
     "nearest_neighbors": "geometry",
     # descriptor

@@ -45,13 +45,23 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_descriptor_flags(parser):
     parser.add_argument("--k", type=int, default=32, help="neighbors per environment (default 32)")
     parser.add_argument("--cutoff", type=float, default=5.0, help="radial cutoff in angstrom (default 5.0)")
     parser.add_argument("--bandwidth", type=float, default=0.015, help="kernel bandwidth (default 0.015)")
     parser.add_argument("--format", choices=["extxyz"], default="extxyz", help="input file format")
     parser.add_argument("--cache", default=None, metavar="DIR", help="descriptor cache directory")
-    parser.add_argument("--threads", type=int, default=None, help="BLAS/OpenMP thread count (speed only)")
+    parser.add_argument("--threads", type=_thread_count, default=None, help="BLAS/OpenMP thread count (speed only)")
 
 
 def build_parser() -> _Parser:

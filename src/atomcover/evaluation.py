@@ -131,7 +131,7 @@ def force_cdf(dataset: Dataset, selection=None, thresholds=None) -> ForceCdf:
 def compression_report(
     descs: DescriptorSet,
     selection,
-    kernel: KernelParams | None = None,
+    kernel: KernelParams = KernelParams(),
     parameters: dict | None = None,
 ) -> ReportDocument:
     """Information retention of a selection, as a serializable report.
@@ -142,8 +142,6 @@ def compression_report(
     is written without a kernel pass.  A histogram of per-environment
     delta entropy and the counts above 0 and 10 nats complete the report.
     """
-    if kernel is None:
-        kernel = KernelParams()
     selection = [int(i) for i in selection]
     if not selection:
         raise InputError("selection is empty")
@@ -221,7 +219,7 @@ def compare_methods(
     fractions,
     methods=METHODS,
     seed: int = 0,
-    kernel: KernelParams | None = None,
+    kernel: KernelParams = KernelParams(),
 ) -> SweepResult:
     """Run each sampler at each fraction and tabulate the figures of merit.
 
@@ -230,25 +228,18 @@ def compare_methods(
     fraction takes the prefix of that selection, which is what they pick
     at that count.
     """
-    if kernel is None:
-        kernel = KernelParams()
     fractions = sorted(float(f) for f in fractions)
     if not fractions:
         raise InputError("no fractions given")
-    for f in fractions:
-        if not 0 < f <= 1:
-            raise InputError(f"fraction must be in (0, 1], got {f}")
-    methods = list(methods)
-    for m in methods:
-        if m not in METHODS:
-            raise InputError(f"unknown method {m!r}; expected one of {METHODS}")
+    # Every config is built, and so checked, before any sampler runs.
+    sweep = [
+        [SamplerConfig(method=method, fraction=f, seed=seed, kernel=kernel) for f in fractions]
+        for method in methods
+    ]
 
     rows = []
-    for method in methods:
-        configs = [
-            SamplerConfig(method=method, fraction=f, seed=seed, kernel=kernel)
-            for f in fractions
-        ]
+    for configs in sweep:
+        method = configs[0].method
         if method in _NESTED_METHODS:
             largest = run_sampler(configs[-1], descs).selected
             selections = [largest[: c.resolve_count(descs.n_structures)] for c in configs]

@@ -26,7 +26,6 @@ __all__ = [
     "Structure",
     "Dataset",
     "NeighborSet",
-    "ReplicatedPoints",
     "replicate_for_search",
     "nearest_neighbors",
 ]
@@ -167,19 +166,6 @@ class NeighborSet:
     indices: np.ndarray
 
 
-@dataclass(frozen=True)
-class ReplicatedPoints:
-    """Expanded point set with image bookkeeping.
-
-    Entry order is fixed: image offsets in lexicographic order, atoms in
-    structure order within each image.
-    """
-
-    positions: np.ndarray  # (M, 3)
-    atom_indices: np.ndarray  # (M,)
-    image_offsets: np.ndarray  # (M, 3) integer lattice offsets
-
-
 def _wrap_positions(structure: Structure) -> np.ndarray:
     """Positions wrapped into the cell along periodic directions only."""
     if not structure.pbc.any():
@@ -199,20 +185,23 @@ def _cell_heights(cell: np.ndarray) -> np.ndarray:
     return np.array([volume / np.linalg.norm(cross) for cross in crosses])
 
 
-def replicate_for_search(structure: Structure, search_radius: float) -> ReplicatedPoints:
+def replicate_for_search(structure: Structure, search_radius: float) -> np.ndarray:
     """Replicate periodic images so that any point within ``search_radius``
     of the (wrapped) cell contents is present exactly once.
+
+    Returns the (M, 3) positions of ``M = n * n_images`` points, where ``n``
+    is the atom count.  Images come in lexicographic order of their integer
+    lattice offsets, each holding the wrapped atoms in structure order, so
+    point ``p`` is atom ``p % n`` of image ``p // n``.  The zero-offset image
+    is the middle one, ``n_images // 2``.  An aperiodic structure has one
+    image: its own positions.
     """
     if search_radius <= 0:
         raise InputError(f"search_radius must be positive, got {search_radius}")
     base = _wrap_positions(structure)
     n = len(structure)
     if not structure.pbc.any():
-        return ReplicatedPoints(
-            positions=base,
-            atom_indices=np.arange(n),
-            image_offsets=np.zeros((n, 3), dtype=int),
-        )
+        return base
     heights = _cell_heights(structure.cell)
     reach = [
         int(np.ceil(search_radius / heights[axis])) + 1 if structure.pbc[axis] else 0
@@ -236,10 +225,7 @@ def replicate_for_search(structure: Structure, search_radius: float) -> Replicat
         dtype=int,
     )
     shifts = offsets.astype(float) @ structure.cell
-    positions = (base[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
-    atom_indices = np.tile(np.arange(n), len(offsets))
-    image_offsets = np.repeat(offsets, n, axis=0)
-    return ReplicatedPoints(positions, atom_indices, image_offsets)
+    return (base[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
 
 
 def _nearest_candidates(points: np.ndarray, centers: np.ndarray, k: int):
@@ -274,28 +260,26 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    rep = replicate_for_search(structure, search_radius)
+    points = replicate_for_search(structure, search_radius)
     n = len(structure)
-    # Zero-offset image block holds the (wrapped) original atoms in order.
-    zero = np.flatnonzero(~rep.image_offsets[::n].any(axis=1))[0] * n
-    centers = rep.positions[zero : zero + n]
-    cand = _nearest_candidates(rep.positions, centers, k)
+    # The middle, zero-offset image holds the wrapped atoms in order.
+    own = len(points) // n // 2 * n + np.arange(n)
+    centers = points[own]
+    cand = _nearest_candidates(points, centers, k)
 
-    atoms = rep.atom_indices[cand]
-    offs = rep.image_offsets[cand]
-    diff = rep.positions[cand] - centers[:, None, :]
+    diff = points[cand] - centers[:, None, :]
     dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
     # Same bits as np.linalg.norm(diff, axis=-1), without its reduction overhead.
     dists = np.sqrt(dx * dx + dy * dy + dz * dz)
-    # Sort each row by (distance, atom, image offset); the self-image gets
-    # a key below every distance, so it sorts first and is dropped.
-    is_self = (atoms == np.arange(n)[:, None]) & ~offs.any(axis=2)
-    key = np.where(is_self, -1.0, dists)
-    order = np.lexsort((offs[..., 2], offs[..., 1], offs[..., 0], atoms, key), axis=1)
+    # Sort each row by (distance, atom, image offset): among points of one
+    # atom the point index runs in image order.  The self-image gets a key
+    # below every distance, so it sorts first and is dropped.
+    key = np.where(cand == own[:, None], -1.0, dists)
+    order = np.lexsort((cand, cand % n, key), axis=1)
     order = order[:, 1 : k + 1]
     chosen = np.take_along_axis(cand, order, axis=1)
     return NeighborSet(
         distances=_freeze(np.take_along_axis(dists, order, axis=1)),
-        neighbor_positions=_freeze(rep.positions[chosen]),
-        indices=_freeze(rep.atom_indices[chosen]),
+        neighbor_positions=_freeze(points[chosen]),
+        indices=_freeze(chosen % n),
     )

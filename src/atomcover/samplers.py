@@ -210,7 +210,7 @@ def sample_fps(descs: DescriptorSet, count: int, seed: int = 0) -> CompressionRe
 
 
 def sample_msc(
-    descs: DescriptorSet, count: int, kernel: KernelParams | None = None
+    descs: DescriptorSet, count: int, kernel: KernelParams = KernelParams()
 ) -> CompressionResult:
     """Greedy minimum-set-cover selection over per-atom environments.
 
@@ -224,8 +224,6 @@ def sample_msc(
     structure's own diversity as the tie-straightener.  Deterministic:
     no randomness, argmax ties break to the lowest structure index.
     """
-    if kernel is None:
-        kernel = KernelParams()
     n = descs.n_structures
     _check_count(count, n)
     own_entropy = per_structure_entropy(descs, kernel)

@@ -10,7 +10,7 @@ import pytest
 
 import atomcover
 from atomcover import load_descriptor_set, read_extxyz
-from atomcover.cli import main
+from atomcover.cli import _THREAD_VARS, main
 from helpers import count_self_passes
 
 
@@ -382,6 +382,17 @@ class TestCache:
 
 
 class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_thread_count_below_one_exits_3(self, tmp_path, capsys, monkeypatch, threads):
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        data = write_dataset(tmp_path / "d.xyz", n_frames=2)
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(data), "--threads", threads])
+        assert err.value.code == 3
+        assert "--threads" in capsys.readouterr().err
+        assert not any(var in os.environ for var in _THREAD_VARS)
+
     def test_thread_count_never_changes_reports(self, tmp_path):
         # the BLAS pool size is fixed when numpy loads, so each run needs
         # a fresh interpreter

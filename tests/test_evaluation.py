@@ -360,3 +360,14 @@ class TestCompareMethods:
             compare_methods(descs, [1.5], kernel=KP)
         with pytest.raises(InputError):
             compare_methods(descs, [0.5], methods=("bogus",), kernel=KP)
+
+    def test_bad_method_raises_before_any_sampler_runs(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        descs = random_fixture(rng, n_structures=4)
+
+        def no_run(config, descs):
+            raise AssertionError(f"{config.method} ran before the sweep was checked")
+
+        monkeypatch.setattr("atomcover.evaluation.run_sampler", no_run)
+        with pytest.raises(InputError, match="bogus"):
+            compare_methods(descs, [0.5], methods=("random", "bogus"), kernel=KP)

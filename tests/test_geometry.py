@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -50,10 +52,8 @@ class TestStructureValidation:
 class TestReplication:
     def test_aperiodic_is_identity(self):
         s = molecule([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
-        rep = replicate_for_search(s, 5.0)
-        assert np.array_equal(rep.positions, s.positions)
-        assert np.array_equal(rep.atom_indices, [0, 1])
-        assert np.all(rep.image_offsets == 0)
+        points = replicate_for_search(s, 5.0)
+        assert np.array_equal(points, s.positions)
 
     def test_requires_positive_radius(self):
         s = molecule([[0.0, 0.0, 0.0]])
@@ -63,27 +63,50 @@ class TestReplication:
     def test_covers_radius_in_small_cell(self):
         # 2 A cell, 5 A radius: need at least ceil(5/2)+1 = 4 images per side
         s = crystal(np.eye(3) * 2.0, [[0.0, 0.0, 0.0]])
-        rep = replicate_for_search(s, 5.0)
-        assert rep.image_offsets.max() >= 3
-        assert len(rep.positions) == len(rep.atom_indices) == len(rep.image_offsets)
+        points = replicate_for_search(s, 5.0)
+        assert points.shape == (9**3, 3)
+        assert np.allclose(points.max(axis=0), 8.0) and np.allclose(points.min(axis=0), -8.0)
 
     def test_partial_pbc_replicates_only_periodic_axes(self):
         s = crystal(np.eye(3) * 3.0, [[1.0, 1.0, 1.0]], pbc=(True, True, False))
-        rep = replicate_for_search(s, 4.0)
-        assert np.all(rep.image_offsets[:, 2] == 0)
-        assert rep.image_offsets[:, 0].max() > 0
+        points = replicate_for_search(s, 4.0)
+        assert np.all(points[:, 2] == 1.0)
+        assert points[:, 0].max() > 3.0
 
     def test_small_cell_stays_under_image_limit(self):
         # ceil(5 / 0.2) + 1 = 26 images each way: 53**3 points
-        rep = replicate_for_search(crystal(np.eye(3) * 0.2, [[0.0, 0.0, 0.0]]), 5.0)
-        assert len(rep.positions) == 53**3
+        points = replicate_for_search(crystal(np.eye(3) * 0.2, [[0.0, 0.0, 0.0]]), 5.0)
+        assert len(points) == 53**3
 
     def test_wraps_positions_outside_cell(self):
         inside = crystal(np.eye(3) * 4.0, [[1.0, 1.0, 1.0]])
         outside = crystal(np.eye(3) * 4.0, [[9.0, -3.0, 5.0]])  # same site mod 4
-        rep_in = replicate_for_search(inside, 3.0)
-        rep_out = replicate_for_search(outside, 3.0)
-        assert np.allclose(rep_in.positions, rep_out.positions, atol=1e-10)
+        points_in = replicate_for_search(inside, 3.0)
+        points_out = replicate_for_search(outside, 3.0)
+        assert np.allclose(points_in, points_out, atol=1e-10)
+
+    def test_point_index_names_atom_and_image(self):
+        cell = np.array([[3.1, 0.0, 0.0], [0.9, 2.7, 0.0], [0.4, -0.6, 3.3]])
+        frac = np.array([[0.1, 0.2, 0.3], [1.7, -0.4, 0.5], [0.5, 0.5, -0.2]])
+        s = crystal(cell, frac @ cell, pbc=(True, True, False))
+        points = replicate_for_search(s, 4.0)
+        n = len(s)
+        frac[:, :2] -= np.floor(frac[:, :2])  # wrap the periodic axes only
+        wrapped = frac @ cell
+        volume = abs(np.linalg.det(cell))
+        reach = [
+            int(np.ceil(4.0 * np.linalg.norm(np.cross(cell[b], cell[c])) / volume)) + 1
+            for b, c in ((1, 2), (2, 0))
+        ]
+        offsets = list(itertools.product(
+            range(-reach[0], reach[0] + 1), range(-reach[1], reach[1] + 1), [0]
+        ))
+        assert points.shape == (n * len(offsets), 3)
+        expected = [wrapped[p % n] + np.array(offsets[p // n]) @ cell for p in range(len(points))]
+        assert np.allclose(points, expected, rtol=0, atol=1e-12)
+        middle = len(offsets) // 2
+        assert offsets[middle] == (0, 0, 0)
+        assert np.allclose(points[middle * n : (middle + 1) * n], wrapped, rtol=0, atol=1e-12)
 
 
 class TestNearestNeighbors:
