@@ -59,7 +59,6 @@ def _add_descriptor_flags(parser):
     parser.add_argument("--k", type=int, default=32, help="neighbors per environment (default 32)")
     parser.add_argument("--cutoff", type=float, default=5.0, help="radial cutoff in angstrom (default 5.0)")
     parser.add_argument("--bandwidth", type=float, default=0.015, help="kernel bandwidth (default 0.015)")
-    parser.add_argument("--format", choices=["extxyz"], default="extxyz", help="input file format")
     parser.add_argument("--cache", default=None, metavar="DIR", help="descriptor cache directory")
     parser.add_argument("--threads", type=_thread_count, default=None, help="BLAS/OpenMP thread count (speed only)")
 
@@ -102,7 +101,6 @@ def build_parser() -> _Parser:
         default=None,
         help="comma-separated eV/A thresholds (default: 80th percentile to max)",
     )
-    p.add_argument("--format", choices=["extxyz"], default="extxyz")
     p.set_defaults(func=cmd_force_cdf)
 
     p = sub.add_parser("compare", help="sweep samplers over fractions")
@@ -160,7 +158,7 @@ def _load_descriptors(path, args):
 
 def _common_parameters(args, **extra):
     out = {"command": args.command, "k": args.k, "cutoff": args.cutoff,
-           "bandwidth": args.bandwidth, "format": args.format}
+           "bandwidth": args.bandwidth, "format": "extxyz"}
     out.update(extra)
     return out
 
@@ -273,7 +271,7 @@ def cmd_force_cdf(args):
     }
     doc = ReportDocument(
         kind="force_cdf",
-        parameters={"command": args.command, "input": args.input, "format": args.format},
+        parameters={"command": args.command, "input": args.input, "format": "extxyz"},
         metrics=metrics,
     )
     _emit(doc, args.output)

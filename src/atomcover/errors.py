@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "AtomcoverError",
+    "InputError",
+    "CellError",
+    "DegenerateGeometryError",
+    "ParseError",
+]
+
 
 class AtomcoverError(Exception):
     """Base class for all errors raised by this package."""

@@ -100,14 +100,14 @@ def pooled_force_magnitudes(dataset: Dataset, selection=None) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def default_threshold_grid(dataset: Dataset, n_points: int = 256) -> np.ndarray:
-    """Grid from the 80th percentile of the full dataset's |F| to the max."""
+def default_threshold_grid(dataset: Dataset) -> np.ndarray:
+    """256 points from the 80th percentile of the full dataset's |F| to the max."""
     mags = pooled_force_magnitudes(dataset)
     lo = float(np.percentile(mags, 80.0))
     hi = float(mags.max())
     if not hi > lo:  # all magnitudes in the tail identical
         return np.array([hi])
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(lo, hi, 256)
 
 
 def force_cdf(dataset: Dataset, selection=None, thresholds=None) -> ForceCdf:

@@ -128,7 +128,6 @@ class Dataset:
     """Ordered collection of structures."""
 
     structures: tuple[Structure, ...]
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "structures", tuple(self.structures))

@@ -13,6 +13,7 @@ back exactly ``d^2 / (2 h^2)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +42,21 @@ _REF_BLOCK = 4096
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Gaussian kernel bandwidth, in the units of the descriptor."""
+    """Gaussian kernel bandwidth, in the units of the descriptor.
+
+    The bandwidth must be finite and large enough that ``1 / (2 h^2)`` is
+    finite (h of about 5.3e-155 and up); below that the log kernel
+    overflows and the figures come out NaN.
+    """
 
     bandwidth: float = 0.015
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise InputError(f"bandwidth must be positive, got {self.bandwidth}")
+        two_h2 = 2.0 * self.bandwidth * self.bandwidth
+        if not (0 < self.bandwidth < math.inf and two_h2 > 0 and 1.0 / two_h2 < math.inf):
+            raise InputError(
+                f"bandwidth must be finite with a finite 1/(2h^2), got {self.bandwidth}"
+            )
 
 
 @dataclass(frozen=True)

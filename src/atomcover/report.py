@@ -18,20 +18,20 @@ import numpy as np
 __all__ = ["ReportDocument", "round_floats", "file_digest", "write_csv"]
 
 
-def round_floats(obj, sig: int = 12):
-    """Recursively convert to JSON-friendly types with floats at ``sig`` digits."""
+def round_floats(obj):
+    """Recursively convert to JSON-friendly types with floats at 12 significant digits."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (float, np.floating)):
-        return float(f"{float(obj):.{sig}g}")
+        return float(f"{float(obj):.12g}")
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [round_floats(v, sig) for v in obj.tolist()]
+        return [round_floats(v) for v in obj.tolist()]
     if isinstance(obj, dict):
-        return {str(k): round_floats(v, sig) for k, v in obj.items()}
+        return {str(k): round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, sig) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 

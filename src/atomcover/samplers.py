@@ -57,6 +57,8 @@ class SamplerConfig:
             raise InputError(f"count must be >= 1, got {self.count}")
         if self.fraction is not None and not 0 < self.fraction <= 1:
             raise InputError(f"fraction must be in (0, 1], got {self.fraction}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
 
     def resolve_count(self, n_structures: int) -> int:
         if self.count is not None:
@@ -139,10 +141,11 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def sample_kmeans(
-    descs: DescriptorSet, count: int, seed: int = 0, max_iter: int = 300, tol: float = 1e-6
-) -> CompressionResult:
+def sample_kmeans(descs: DescriptorSet, count: int, seed: int = 0) -> CompressionResult:
     """Lloyd's k-means over structure means; one random member per cluster.
+
+    Lloyd iterations stop once every center moves less than 1e-6, or
+    after 300 iterations.
 
     Clusters that end up empty are refilled by splitting the largest
     cluster at its member farthest from the cluster center, so exactly
@@ -154,7 +157,7 @@ def sample_kmeans(
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(means, count, rng)
     labels = _assign(means, centers)
-    for _ in range(max_iter):
+    for _ in range(300):
         new_centers = centers.copy()
         for c in range(count):
             members = np.flatnonzero(labels == c)
@@ -163,7 +166,7 @@ def sample_kmeans(
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         labels = _assign(means, centers)
-        if shift < tol:
+        if shift < 1e-6:
             break
     counts = np.bincount(labels, minlength=count)
     while np.any(counts == 0):

@@ -89,6 +89,60 @@ class TestExitCodes:
         assert main(["analyze", str(data), "--bandwidth", "0"]) == 3
         capsys.readouterr()
 
+    # 1e-300: 2h^2 underflows to 0; 1e-160: 1/(2h^2) overflows; inf: not
+    # finite.  Each used to end in a traceback, not a report.
+    @pytest.mark.parametrize("bandwidth", ["1e-300", "1e-160", "inf"])
+    def test_unusable_bandwidth_exits_3(self, tmp_path, capsys, bandwidth):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=2)
+        report = tmp_path / "report.json"
+        assert main(["analyze", str(data), "-o", str(report), "--bandwidth", bandwidth]) == 3
+        err = capsys.readouterr().err
+        assert "bandwidth" in err and "Traceback" not in err
+        assert not report.exists()
+
+    def test_smallest_usable_bandwidth_exits_0(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=3)
+        for argv in (["analyze", str(data)], ["overlap", str(data), str(data)]):
+            assert main([*argv, "--bandwidth", "1e-154"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["parameters"]["bandwidth"] == 1e-154
+
+    @pytest.mark.parametrize("method", ["random", "kmeans", "fps", "msc"])
+    def test_negative_seed_exits_3(self, tmp_path, capsys, method):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=4)
+        out = tmp_path / "o.xyz"
+        code = main([
+            "compress", str(data), "-o", str(out), "--count", "2",
+            "--method", method, "--seed", "-1",
+        ])
+        assert code == 3
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_in_compare_exits_3_before_any_sampler_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(config, descs):
+            raise AssertionError(f"{config.method} ran before the sweep was checked")
+
+        monkeypatch.setattr("atomcover.evaluation.run_sampler", no_run)
+        data = write_dataset(tmp_path / "d.xyz", n_frames=4)
+        assert main(["compare", str(data), "--seed", "-1"]) == 3
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "d.xyz", "-o", "o.xyz", "--count", "1"],
+        ["analyze", "d.xyz"],
+        ["overlap", "d.xyz", "d.xyz"],
+        ["force-cdf", "d.xyz"],
+        ["compare", "d.xyz"],
+    ])
+    def test_format_flag_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--format", "extxyz"])
+        assert err.value.code == 3
+        assert "--format" in capsys.readouterr().err
+
     def test_count_beyond_dataset_exits_3(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=3)
         code = main([

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -35,6 +36,16 @@ class TestKernelParams:
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             KernelParams(bandwidth=0.0)
+
+    # 2h^2 underflows to 0, 1/(2h^2) overflows, or h itself is not finite.
+    @pytest.mark.parametrize("bandwidth", [1e-300, 1e-160, math.inf, math.nan])
+    def test_rejects_bandwidth_without_finite_scale(self, bandwidth):
+        with pytest.raises(InputError, match="bandwidth"):
+            KernelParams(bandwidth=bandwidth)
+
+    def test_accepts_smallest_usable_bandwidths(self):
+        assert KernelParams(bandwidth=1e-154).bandwidth == 1e-154
+        assert KernelParams(bandwidth=1e200).bandwidth == 1e200
 
 
 class TestLimitingCases:

@@ -78,6 +78,12 @@ class TestSamplerConfig:
         with pytest.raises(InputError):
             SamplerConfig(method="random", fraction=1.5)
 
+    @pytest.mark.parametrize("method", ["random", "kmeans", "fps", "msc"])
+    def test_negative_seed(self, method):
+        with pytest.raises(InputError, match="seed"):
+            SamplerConfig(method=method, count=1, seed=-1)
+        assert SamplerConfig(method=method, count=1, seed=0).seed == 0
+
     def test_resolve_count_rounding(self):
         assert SamplerConfig(method="random", fraction=0.25).resolve_count(100) == 25
         # 0.5 * 3 = 1.5 rounds away from zero to 2
