@@ -128,15 +128,19 @@ def _kernel_params(args):
     return KernelParams(bandwidth=args.bandwidth)
 
 
-def _load_descriptors(path, args):
-    """Read a dataset and build (or reuse cached) descriptors for it."""
+def _load_descriptors(path, args, dataset=None):
+    """Descriptors of one input file, from the cache when it holds them.
+
+    A cache hit reads only the cache file: its key pins the input's exact
+    bytes, so the input is hashed, not parsed.  On a miss the input is
+    parsed, unless the caller passes its parsed ``dataset``.
+    """
     from .descriptor import build_descriptor_set, load_descriptor_set, save_descriptor_set
     from .errors import InputError
     from .extxyz import read_extxyz
     from .report import file_digest
 
     params = _descriptor_params(args)
-    dataset = read_extxyz(path)
     cache_file = None
     if args.cache:
         os.makedirs(args.cache, exist_ok=True)
@@ -148,12 +152,14 @@ def _load_descriptors(path, args):
             except (InputError, OSError):
                 pass  # truncated or unreadable: a miss, rebuilt below
             else:
-                if descs.params == params and descs.n_structures == len(dataset):
-                    return dataset, descs
+                if descs.params == params:
+                    return descs
+    if dataset is None:
+        dataset = read_extxyz(path)
     descs = build_descriptor_set(dataset, params)
     if cache_file:
         save_descriptor_set(descs, cache_file)
-    return dataset, descs
+    return descs
 
 
 def _common_parameters(args, **extra):
@@ -174,10 +180,11 @@ def cmd_compress(args):
     from dataclasses import asdict
 
     from .evaluation import compression_report
-    from .extxyz import write_extxyz
+    from .extxyz import read_extxyz, write_extxyz
     from .samplers import SamplerConfig, run_sampler
 
-    dataset, descs = _load_descriptors(args.input, args)
+    dataset = read_extxyz(args.input)
+    descs = _load_descriptors(args.input, args, dataset)
     config = SamplerConfig(
         method=args.method,
         count=args.count,
@@ -208,7 +215,7 @@ def cmd_analyze(args):
     from .information import entropy, per_structure_entropy
     from .report import ReportDocument
 
-    _, descs = _load_descriptors(args.input, args)
+    descs = _load_descriptors(args.input, args)
     kernel = _kernel_params(args)
     result = entropy(descs, kernel)
     metrics = {
@@ -236,8 +243,8 @@ def cmd_overlap(args):
     from .evaluation import delta_h_histogram
     from .report import ReportDocument
 
-    _, query_descs = _load_descriptors(args.query, args)
-    _, ref_descs = _load_descriptors(args.reference, args)
+    query_descs = _load_descriptors(args.query, args)
+    ref_descs = _load_descriptors(args.reference, args)
     kernel = _kernel_params(args)
     dh = delta_entropy(query_descs, ref_descs, kernel)
     metrics = {
@@ -284,7 +291,7 @@ def cmd_compare(args):
     from .samplers import METHODS
 
     methods = METHODS if args.methods == "all" else tuple(args.methods.split(","))
-    _, descs = _load_descriptors(args.input, args)
+    descs = _load_descriptors(args.input, args)
     sweep = compare_methods(
         descs, args.fractions, methods, seed=args.seed, kernel=_kernel_params(args)
     )

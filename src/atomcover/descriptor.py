@@ -34,9 +34,11 @@ __all__ = [
     "load_descriptor_set",
 ]
 
-#: Atoms per block in :func:`compute_x2`; its (rows, v, v) temporaries, with
-#: v <= k neighbors per atom, are at most about 4 MB each at k = 32.
+#: Atoms per block in :func:`compute_x2` for up to 32 neighbors per atom;
+#: blocks shrink as v grows, so the (rows, v, v) temporaries stay about 4 MB.
 _CHUNK_ROWS = 512
+#: Largest accepted neighbor count, 32 times the default.
+_MAX_NEIGHBORS = 1024
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,10 @@ class DescriptorParams:
     cutoff: float = 5.0
 
     def __post_init__(self):
-        if self.n_neighbors < 2:
-            raise InputError(f"n_neighbors must be >= 2, got {self.n_neighbors}")
+        if not 2 <= self.n_neighbors <= _MAX_NEIGHBORS:
+            raise InputError(
+                f"n_neighbors must be in [2, {_MAX_NEIGHBORS}], got {self.n_neighbors}"
+            )
         if not 0 < self.cutoff < np.inf:
             raise InputError(f"cutoff must be positive and finite, got {self.cutoff}")
 
@@ -180,15 +184,17 @@ def compute_x2(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
     For each neighbor j the terms ``sqrt(w(r_ij) w(r_il)) / r_jl`` over
     the other neighbors l are sorted descending; the block is the
     rank-wise mean over j, re-sorted descending, zero-padded to ``k - 1``.
-    Atoms go through in blocks of ``_CHUNK_ROWS`` rows, so the (rows, v, v)
-    temporaries stay small however large the structure.
+    Atoms go through in blocks of at most ``_CHUNK_ROWS`` rows, fewer past
+    v = 32, so the (rows, v, v) temporaries stay small however large the
+    structure; each row is independent of its block.
     """
     n, v = nbrs.distances.shape
     out = np.zeros((n, params.n_neighbors - 1))
     if v < 2:  # no pair of neighbors
         return out
-    for c0 in range(0, n, _CHUNK_ROWS):
-        rows = slice(c0, c0 + _CHUNK_ROWS)
+    chunk = min(_CHUNK_ROWS, max(1, _CHUNK_ROWS * 32**2 // v**2))
+    for c0 in range(0, n, chunk):
+        rows = slice(c0, c0 + chunk)
         out[rows, : v - 1] = _x2_rows(
             nbrs.neighbor_positions[rows], nbrs.distances[rows], c0, params
         )

@@ -10,6 +10,8 @@ per-atom columns.  Unrecognized comment keys are kept as raw strings on
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import InputError, ParseError
@@ -19,24 +21,9 @@ __all__ = ["read_extxyz", "write_extxyz"]
 
 _TRUE_TOKENS = {"T", "true", "True", "TRUE", "1"}
 _FALSE_TOKENS = {"F", "false", "False", "FALSE", "0"}
-
-
-def _split_comment(line: str) -> list[str]:
-    """Split a comment line into tokens, keeping quoted spans intact."""
-    items = []
-    i, n = 0, len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        in_quote = False
-        while i < n and (in_quote or not line[i].isspace()):
-            if line[i] == '"':
-                in_quote = not in_quote
-            i += 1
-        items.append(line[start:i])
-    return items
+# One comment-line token: a run of non-space characters in which quoted spans
+# may hold spaces.  An unclosed quote runs to the end of the line.
+_COMMENT_TOKEN = re.compile(r'(?:"[^"]*(?:"|$)|[^\s"])+')
 
 
 def _unquote(raw: str) -> str:
@@ -56,7 +43,7 @@ def _parse_comment(line: str, lineno: int):
     energy = None
     columns = None
     info: dict[str, str | None] = {}
-    for item in _split_comment(line):
+    for item in _COMMENT_TOKEN.findall(line):
         key, sep, raw = item.partition("=")
         if not sep:
             info[key] = None
@@ -123,6 +110,30 @@ def _parse_properties(text: str, lineno: int) -> list[tuple[str, str, int]]:
 _DEFAULT_COLUMNS = [("species", "S", 1), ("pos", "R", 3)]
 
 
+def _column_layout(columns, lineno: int):
+    """Where a frame's species, pos and forces tokens are, read once per frame.
+
+    Returns (species start, numeric, row width in tokens), where ``numeric``
+    holds (start, name, key) for the pos column and any forces column, in
+    column order.  Names match case-insensitively, ``force`` is an alias of
+    ``forces`` and a repeated column overrides the earlier one.
+    """
+    starts = {}
+    width = 0
+    for name, _, w in columns:
+        key = name.lower()
+        key = "forces" if key == "force" else key
+        if key in ("pos", "forces") and w != 3:
+            raise ParseError(f"{name} must have 3 columns", line=lineno)
+        starts[key] = (width, name)
+        width += w
+    for key in ("pos", "species"):
+        if key not in starts:
+            raise ParseError(f"Properties has no {key} column", line=lineno)
+    numeric = sorted(starts[key] + (key,) for key in ("pos", "forces") if key in starts)
+    return starts["species"][0], numeric, width
+
+
 def read_extxyz(path) -> Dataset:
     """Parse every frame of an extended-XYZ file into a Dataset.
 
@@ -157,59 +168,30 @@ def read_extxyz(path) -> Dataset:
         if lineno + 1 >= len(lines):
             raise ParseError("missing comment line", line=lineno + 2)
         cell, pbc, energy, columns, info = _parse_comment(lines[lineno + 1], lineno + 2)
-        if columns is None:
-            columns = list(_DEFAULT_COLUMNS)
+        species_at, numeric, width = _column_layout(columns or _DEFAULT_COLUMNS, lineno + 2)
         if lineno + 1 + natoms >= len(lines):
             raise ParseError(
                 f"frame declares {natoms} atoms but the file ends early",
                 line=len(lines) + 1,
             )
 
-        total_width = sum(width for _, _, width in columns)
         species = []
-        positions = np.empty((natoms, 3))
-        forces = None
-        for a in range(natoms):
-            row_line = lineno + 2 + a
-            fields = lines[row_line].split()
-            if len(fields) != total_width:
+        rows = {"pos": [], "forces": []}
+        for row in range(lineno + 2, lineno + 2 + natoms):
+            fields = lines[row].split()
+            if len(fields) != width:
                 raise ParseError(
-                    f"expected {total_width} columns, got {len(fields)}",
-                    line=row_line + 1,
+                    f"expected {width} columns, got {len(fields)}", line=row + 1
                 )
-            col = 0
-            for name, kind, width in columns:
-                chunk = fields[col : col + width]
-                col += width
-                lower = name.lower()
-                if lower == "species":
-                    species.append(chunk[0])
-                    continue
-                if lower not in ("pos", "forces", "force"):
-                    continue  # consume unrecognized columns, keep alignment
+            species.append(fields[species_at])
+            for start, name, key in numeric:
                 try:
-                    numbers = [float(f) for f in chunk]
+                    rows[key].append([float(f) for f in fields[start : start + 3]])
                 except ValueError:
                     raise ParseError(
-                        f"bad numeric value in column {name!r}", line=row_line + 1
+                        f"bad numeric value in column {name!r}", line=row + 1
                     ) from None
-                if lower == "pos":
-                    if width != 3:
-                        raise ParseError("pos must have 3 columns", line=row_line + 1)
-                    positions[a] = numbers
-                else:
-                    if width != 3:
-                        raise ParseError(
-                            f"{name} must have 3 columns", line=row_line + 1
-                        )
-                    if forces is None:
-                        forces = np.empty((natoms, 3))
-                    forces[a] = numbers
 
-        if not any(name.lower() == "pos" for name, _, _ in columns):
-            raise ParseError("Properties has no pos column", line=lineno + 2)
-        if not any(name.lower() == "species" for name, _, _ in columns):
-            raise ParseError("Properties has no species column", line=lineno + 2)
         if cell is None:
             cell = np.zeros((3, 3))
             if pbc is None:
@@ -220,9 +202,9 @@ def read_extxyz(path) -> Dataset:
             structure = Structure(
                 cell=cell,
                 pbc=pbc,
-                positions=positions,
-                species=tuple(species),
-                forces=forces,
+                positions=rows["pos"],
+                species=species,
+                forces=rows["forces"] or None,
                 energy=energy,
                 info=info,
             )

@@ -85,6 +85,9 @@ def _as_rows(x) -> np.ndarray:
     return arr
 
 
+# A log kernel that overflows to -inf for a whole block of references gives
+# its query rows NaN (-inf - -inf); that is an InputError, not a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _neg_log_kernel_sums(queries: np.ndarray, refs: np.ndarray, bandwidth: float) -> np.ndarray:
     """-log sum_j K_h(q_i, X_j) for every query row, streamed in blocks."""
     if refs.shape[0] == 0:
@@ -135,6 +138,8 @@ def _neg_log_kernel_sums(queries: np.ndarray, refs: np.ndarray, bandwidth: float
             )
             run_max = new_max
         out[q0 : q0 + len(qb)] = -(run_max + np.log(run_sum))
+    if np.isnan(out).any():
+        raise InputError(f"bandwidth {bandwidth}: the log kernel overflows for a whole block")
     return out
 
 

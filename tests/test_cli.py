@@ -143,6 +143,14 @@ class TestExitCodes:
         assert err.value.code == 3
         assert "--format" in capsys.readouterr().err
 
+    def test_huge_neighbor_count_exits_3_before_allocating(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=2)
+        start = time.perf_counter()
+        assert main(["analyze", str(data), "--k", "100000"]) == 3
+        assert time.perf_counter() - start < 2.0
+        err = capsys.readouterr().err
+        assert "n_neighbors" in err and "Traceback" not in err
+
     def test_count_beyond_dataset_exits_3(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=3)
         code = main([
@@ -325,6 +333,20 @@ class TestOverlap:
             == doc["metrics"]["n_query_environments"]
         )
 
+    def test_overflowing_log_kernel_exits_3(self, tmp_path, capsys):
+        # the middle atom of a 0.4 A chain is so far, in descriptor space,
+        # from every row of the 1.2 A chains that d^2 / (2h^2) overflows
+        query = tmp_path / "q.xyz"
+        query.write_text(frame_text([[1.0, 1.0, 1.0], [1.4, 1.0, 1.0], [1.8, 1.0, 1.0]],
+                                    np.zeros((3, 3))))
+        ref = write_dataset(tmp_path / "r.xyz", n_frames=3, seed=2, spread=0.02)
+        report = tmp_path / "overlap.json"
+        argv = ["overlap", str(query), str(ref), "-o", str(report), "--bandwidth", "1e-154"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "bandwidth 1e-154" in err and "Traceback" not in err
+        assert not report.exists()
+
 
 class TestForceCdf:
     def test_hand_counted_thresholds(self, tmp_path, capsys):
@@ -433,6 +455,45 @@ class TestCache:
         assert main(["analyze", str(data), "--cache", str(cache), "-o", str(out)]) == 0
         assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
         assert cached.read_bytes() == full  # rebuilt in place
+
+    @pytest.mark.parametrize("command", ["analyze", "overlap", "compare"])
+    def test_cache_hit_reads_only_the_cache(self, tmp_path, capsys, monkeypatch, command):
+        inputs = [str(write_dataset(tmp_path / "d.xyz", n_frames=6))]
+        if command == "overlap":
+            inputs.append(str(write_dataset(tmp_path / "r.xyz", n_frames=4, seed=1)))
+        cache = ["--cache", str(tmp_path / "cache")]
+        assert main([command, *inputs, "-o", str(tmp_path / "uncached.json")]) == 0
+        assert main([command, *inputs, "-o", str(tmp_path / "warm.json"), *cache]) == 0
+
+        def no_parse(path):
+            raise AssertionError(f"{path} parsed on a cache hit")
+
+        monkeypatch.setattr("atomcover.extxyz.read_extxyz", no_parse)
+        out = tmp_path / "cached.json"
+        assert main([command, *inputs, "-o", str(out), *cache]) == 0
+        assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
+
+    def test_compress_parses_once_on_a_miss_and_on_a_hit(self, tmp_path, capsys, monkeypatch):
+        import atomcover.descriptor
+        import atomcover.extxyz
+
+        data = write_dataset(tmp_path / "d.xyz", n_frames=6)
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: calls.append(name) or real(*a))
+
+        counting(atomcover.extxyz, "read_extxyz")
+        counting(atomcover.descriptor, "build_descriptor_set")
+        argv = ["compress", str(data), "-o", str(tmp_path / "kept.xyz"), "--count", "2",
+                "--cache", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        assert calls == ["read_extxyz", "build_descriptor_set"]  # a miss
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == ["read_extxyz"]  # a hit: parsed for the kept frames only
+        capsys.readouterr()
 
 
 class TestThreads:

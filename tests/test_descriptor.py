@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,9 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(InputError):
             DescriptorParams(n_neighbors=1)
+        assert DescriptorParams(n_neighbors=1024).width == 2047
+        with pytest.raises(InputError, match="1024"):
+            DescriptorParams(n_neighbors=1025)
         with pytest.raises(InputError):
             DescriptorParams(cutoff=-2.0)
         for cutoff in (np.nan, np.inf):
@@ -181,6 +186,27 @@ class TestBatchedBlocks:
         s = perturbed_cubic(rng, n_side=9, a=2.6, jitter=0.1)
         assert len(s) > descriptor._CHUNK_ROWS
         self._assert_rows_match_naive(s, k=6, cutoff=3.5)
+
+    def test_many_neighbors_take_smaller_blocks(self, monkeypatch):
+        # at k = 100 a block holds 52 atoms, so these 125 atoms span three
+        rng = np.random.default_rng(42)
+        s = perturbed_cubic(rng, n_side=5, a=2.6, jitter=0.1)
+        k, cutoff = 100, 8.0
+        assert len(s) > 2 * (descriptor._CHUNK_ROWS * 32**2 // k**2)
+        params = DescriptorParams(n_neighbors=k, cutoff=cutoff)
+        nbrs = nearest_neighbors(s, k, search_radius=cutoff)
+        assert nbrs.distances.shape == (len(s), k)
+        tracemalloc.start()
+        x2 = compute_x2(nbrs, params)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # five (rows, v, v) temporaries at a time: about 21 MB, as at k = 32;
+        # all 125 atoms in one block would take about 52 MB
+        assert peak < 30e6
+        for i in (0, 51, 52, 103, 104, 124):  # both sides of each block edge
+            assert np.allclose(x2[i], naive_x2(nbrs, i, k, cutoff), atol=1e-12)
+        monkeypatch.setattr(descriptor, "_CHUNK_ROWS", 1)
+        assert np.array_equal(compute_x2(nbrs, params), x2)  # rows never see their block
 
 
 class TestInvariances:

@@ -48,6 +48,24 @@ class TestKernelParams:
         assert KernelParams(bandwidth=1e200).bandwidth == 1e200
 
 
+class TestOverflowingLogKernel:
+    """At the smallest bandwidths d^2 / (2h^2) overflows to an infinite log kernel."""
+
+    def test_whole_block_overflow_raises(self):
+        # every reference's log kernel is -inf, so the row would come out NaN
+        with pytest.raises(InputError, match="bandwidth 1e-154"):
+            delta_entropy(np.zeros((1, 3)), np.full((2, 3), 10.0), KernelParams(1e-154))
+
+    def test_overflow_beside_a_self_match_keeps_exact_figures(self):
+        # pytest turns RuntimeWarnings into errors, so this also checks that
+        # the overflowing far pair warns no more
+        result = entropy(np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]]), KernelParams(1e-154))
+        assert result.per_point.tolist() == [0.0, 0.0]
+        assert np.signbit(result.per_point).all()  # -0: a kernel sum of exactly 1
+        assert result.entropy_nats == result.diversity_nats == np.log(2)
+        assert result.efficiency == 1.0
+
+
 class TestLimitingCases:
     def test_identical_rows_have_zero_entropy(self):
         rows = np.tile(np.random.default_rng(0).random(63), (100, 1))

@@ -222,6 +222,16 @@ class TestParseErrors:
     def test_bad_properties(self, tmp_path):
         self.check("1\nProperties=species:S:1:pos\nH 0 0 0\n", 2, tmp_path)
 
+    @pytest.mark.parametrize("text", [
+        "1\nProperties=species:S:1:pos:R:2\nH 0 0\n",
+        "1\nProperties=species:S:1:pos:R:3:force:R:2\nH 0 0 0 1 1\n",
+        "1\nProperties=pos:R:3\nH 0 0 0\n",  # the row is also one token too wide
+        "1\nProperties=species:S:1:xyz:R:3\nH 0 0 0\n",
+    ])
+    def test_column_layout_errors_name_the_comment_line(self, tmp_path, text):
+        # the layout is a fact of the frame, checked before any atom row
+        self.check(text, 2, tmp_path)
+
     def test_bad_energy(self, tmp_path):
         self.check("1\nenergy=low\nH 0 0 0\n", 2, tmp_path)
 
