@@ -4,11 +4,14 @@ All quantities are in nats and reduce to a Gaussian kernel sum
 
     K_h(x, y) = exp(-|x - y|^2 / (2 h^2))
 
-evaluated in the log domain.  The core loop streams over fixed-size
-blocks with a running max-shifted log-sum-exp, so results are
-deterministic for a given input ordering and never underflow to
-``log(0)`` for far-away queries: a lone reference at distance d gives
-back exactly ``d^2 / (2 h^2)``.
+evaluated in the log domain, over fixed 256 x 256 tiles visited in a
+fixed order, so results are deterministic for a given input ordering.
+
+A self pass (the set against itself) computes each pair once: every log
+kernel is <= 0 and the diagonal is exactly 0, so it sums the kernels with
+no shift.  A cross pass keeps a running max-shifted log-sum-exp per query,
+so it never underflows to ``log(0)`` for far-away queries: a lone reference
+at distance d gives back exactly ``d^2 / (2 h^2)``.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ __all__ = [
     "per_structure_entropy",
 ]
 
-# Block sizes for the streaming reduction.  Fixed constants keep the
-# floating-point summation order and the bits of each block's GEMM (and
-# hence every digit of the result) independent of memory pressure or
-# input size.
-_QUERY_BLOCK = 256
-_REF_BLOCK = 4096
+# Tile edge of every kernel pass.  A fixed constant keeps the floating-point
+# summation order and the bits of each tile's GEMM (and hence every digit of
+# the result) independent of memory pressure or input size.  At 256 the
+# three tile buffers of a pass (about 1.1 MiB) stay in a 4 MiB L2 cache.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,85 @@ def _as_rows(x) -> np.ndarray:
     return arr
 
 
-# A log kernel that overflows to -inf for a whole block of references gives
-# its query rows NaN (-inf - -inf); that is an InputError, not a warning.
-@np.errstate(over="ignore", invalid="ignore")
+def _log_kernel_tile(a, a_sq, b, b_sq, inv_two_h2, buffers) -> np.ndarray:
+    """Write log K_h(a_i, b_j) of one (a, b) tile into views of the buffers.
+
+    Returns the view of the first buffer that holds it; the tile is valid
+    until the next call with the same buffers.
+    """
+    d2_buf, scale_buf, snap_buf = buffers
+    d2 = d2_buf[: len(a), : len(b)]
+    norm_scale = scale_buf[: len(a), : len(b)]
+    snap = snap_buf[: len(a), : len(b)]
+    np.add(a_sq[:, None], b_sq[None, :], out=norm_scale)
+    # The views keep a unit inner stride, so matmul(out=) still goes
+    # through BLAS and gives the same bits as a fresh product.
+    np.matmul(a, b.T, out=d2)
+    # -2G + s is exactly s - 2G: scaling by 2 and negating are exact.
+    d2 *= -2.0
+    d2 += norm_scale
+    # The norm expansion leaves O(eps * |a||b|) residue on coincident rows;
+    # snap those to exactly zero, so every log kernel is <= 0 and a member
+    # of the reference set always gets kernel sum >= 1 (delta entropy <= 0).
+    norm_scale *= 1e-12
+    np.less_equal(d2, norm_scale, out=snap)
+    np.copyto(d2, 0.0, where=snap)
+    d2 *= -inv_two_h2  # now the log kernel
+    return d2
+
+
+def _tile_buffers(n_a: int, n_b: int):
+    """The squared-distance, snap-threshold and snap-mask buffers of one pass.
+
+    A pass allocates them once and works in views of them, so it allocates
+    O(n) memory on top of them whatever its size.
+    """
+    shape = (min(_BLOCK, n_a), min(_BLOCK, n_b))
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+
+
+# At tiny bandwidths the log kernel of a far pair overflows to -inf, whose
+# exp is an exact 0; every row sum holds its own exp(0) = 1, so no NaN or
+# log(0) can follow.
+@np.errstate(over="ignore")
+def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float) -> np.ndarray:
+    """-log sum_j K_h(x_i, x_j) over the set itself, each pair computed once.
+
+    Every log kernel is <= 0 and the diagonal is exactly 0, so the sums need
+    no max shift.  Tiles I <= J add their row sums to the I rows and their
+    column sums to the J rows, in a fixed (I, J) order.
+    """
+    n = rows.shape[0]
+    if n == 0:
+        raise InputError("reference set is empty")
+    inv_two_h2 = 1.0 / (2.0 * bandwidth * bandwidth)
+    sq = np.einsum("ij,ij->i", rows, rows)
+    sums = np.zeros(n)
+    buffers = _tile_buffers(n, n)
+    for i0 in range(0, n, _BLOCK):
+        i1 = i0 + _BLOCK
+        a, a_sq = rows[i0:i1], sq[i0:i1]
+        for j0 in range(i0, n, _BLOCK):
+            j1 = j0 + _BLOCK
+            tile = _log_kernel_tile(a, a_sq, rows[j0:j1], sq[j0:j1], inv_two_h2, buffers)
+            np.exp(tile, out=tile)
+            sums[i0:i1] += tile.sum(axis=1)
+            if j0 != i0:
+                sums[j0:j1] += tile.sum(axis=0)
+    return -np.log(sums)
+
+
+# A query whose log kernel overflows to -inf against every reference has a
+# kernel sum of 0 and an infinite delta entropy; that is an InputError, not
+# a warning.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _neg_log_kernel_sums(queries: np.ndarray, refs: np.ndarray, bandwidth: float) -> np.ndarray:
-    """-log sum_j K_h(q_i, X_j) for every query row, streamed in blocks."""
+    """-log sum_j K_h(q_i, X_j) for every query row, streamed in tiles.
+
+    Each query keeps a running max and a sum of exp(log kernel - max); each
+    tile is shifted by the running max before its exp, so a tile that
+    overflows for a query adds exactly 0 to its sum.
+    """
     if refs.shape[0] == 0:
         raise InputError("reference set is empty")
     if queries.shape[1] != refs.shape[1]:
@@ -97,49 +173,28 @@ def _neg_log_kernel_sums(queries: np.ndarray, refs: np.ndarray, bandwidth: float
             f"query width {queries.shape[1]} != reference width {refs.shape[1]}"
         )
     inv_two_h2 = 1.0 / (2.0 * bandwidth * bandwidth)
+    q_sq = np.einsum("ij,ij->i", queries, queries)
     ref_sq = np.einsum("ij,ij->i", refs, refs)
     out = np.empty(queries.shape[0])
-    # One set of block buffers per call; every block works in views of them,
-    # so a pass allocates O(n) memory on top of them whatever its size.
-    # The views keep a unit inner stride, so matmul(out=) still goes
-    # through BLAS and gives the same bits as a fresh product.
-    shape = (min(_QUERY_BLOCK, queries.shape[0]), min(_REF_BLOCK, refs.shape[0]))
-    d2_buf = np.empty(shape)
-    scale_buf = np.empty(shape)
-    snap_buf = np.empty(shape, dtype=bool)
-    for q0 in range(0, queries.shape[0], _QUERY_BLOCK):
-        qb = queries[q0 : q0 + _QUERY_BLOCK]
-        q_sq = np.einsum("ij,ij->i", qb, qb)
-        run_max = np.full(len(qb), -np.inf)
+    buffers = _tile_buffers(queries.shape[0], refs.shape[0])
+    for q0 in range(0, queries.shape[0], _BLOCK):
+        q1 = q0 + _BLOCK
+        qb, qb_sq = queries[q0:q1], q_sq[q0:q1]
+        # the lowest finite float, so run_max - new_max is never -inf - -inf
+        run_max = np.full(len(qb), -np.finfo(float).max)
         run_sum = np.zeros(len(qb))
-        for r0 in range(0, refs.shape[0], _REF_BLOCK):
-            rb = refs[r0 : r0 + _REF_BLOCK]
-            d2 = d2_buf[: len(qb), : len(rb)]
-            norm_scale = scale_buf[: len(qb), : len(rb)]
-            snap = snap_buf[: len(qb), : len(rb)]
-            np.add(q_sq[:, None], ref_sq[r0 : r0 + len(rb)][None, :], out=norm_scale)
-            np.matmul(qb, rb.T, out=d2)
-            # -2G + s is exactly s - 2G: scaling by 2 and negating are exact.
-            d2 *= -2.0
-            d2 += norm_scale
-            # The norm expansion leaves O(eps * |q||r|) residue on coincident
-            # rows; snap those to exactly zero so that a member of the
-            # reference set always gets kernel sum >= 1 (delta entropy <= 0).
-            norm_scale *= 1e-12
-            np.less_equal(d2, norm_scale, out=snap)
-            np.copyto(d2, 0.0, where=snap)
-            d2 *= -inv_two_h2  # now the log kernel
-            block_max = d2.max(axis=1)
-            d2 -= block_max[:, None]
-            block_sum = np.exp(d2, out=d2).sum(axis=1)
-            new_max = np.maximum(run_max, block_max)
-            run_sum = run_sum * np.exp(run_max - new_max) + block_sum * np.exp(
-                block_max - new_max
-            )
+        for r0 in range(0, refs.shape[0], _BLOCK):
+            r1 = r0 + _BLOCK
+            tile = _log_kernel_tile(qb, qb_sq, refs[r0:r1], ref_sq[r0:r1], inv_two_h2, buffers)
+            new_max = np.maximum(run_max, tile.max(axis=1))
+            tile -= new_max[:, None]
+            run_sum = run_sum * np.exp(run_max - new_max) + np.exp(tile, out=tile).sum(axis=1)
             run_max = new_max
-        out[q0 : q0 + len(qb)] = -(run_max + np.log(run_sum))
-    if np.isnan(out).any():
-        raise InputError(f"bandwidth {bandwidth}: the log kernel overflows for a whole block")
+        out[q0:q1] = -(run_max + np.log(run_sum))
+    if not np.isfinite(out).all():
+        raise InputError(
+            f"bandwidth {bandwidth}: the log kernel overflows against every reference"
+        )
     return out
 
 
@@ -179,7 +234,7 @@ def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
     """
     rows = _as_rows(descs)
     n = rows.shape[0]
-    dh = _neg_log_kernel_sums(rows, rows, kernel.bandwidth)
+    dh = _self_neg_log_kernel_sums(rows, kernel.bandwidth)
     value = max(float(np.mean(dh) + np.log(n)), 0.0)  # self-match: negatives are roundoff
     m = float(dh.max())
     div = max(m + float(np.log(np.exp(dh - m).sum())), 0.0)

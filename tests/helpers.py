@@ -73,7 +73,7 @@ def dataset(*structures):
 
 
 def count_self_passes(monkeypatch):
-    """Record the size of every self kernel pass (queries are the references).
+    """Record the size of every self kernel pass (a set against itself).
 
     Returns a list that grows by one row count per pass made while the
     monkeypatch is active.
@@ -81,22 +81,21 @@ def count_self_passes(monkeypatch):
     from atomcover import information
 
     sizes = []
-    real = information._neg_log_kernel_sums
+    real = information._self_neg_log_kernel_sums
 
-    def counting(queries, refs, bandwidth):
-        if queries is refs:
-            sizes.append(refs.shape[0])
-        return real(queries, refs, bandwidth)
+    def counting(rows, bandwidth):
+        sizes.append(rows.shape[0])
+        return real(rows, bandwidth)
 
-    monkeypatch.setattr(information, "_neg_log_kernel_sums", counting)
+    monkeypatch.setattr(information, "_self_neg_log_kernel_sums", counting)
     return sizes
 
 
 def count_cross_passes(monkeypatch):
     """Record (query rows, reference rows) of every cross kernel pass.
 
-    Returns a list that grows by one pair per pass, whose queries are not
-    the references, made while the monkeypatch is active.
+    Returns a list that grows by one pair per pass made while the
+    monkeypatch is active.
     """
     from atomcover import information
 
@@ -104,8 +103,7 @@ def count_cross_passes(monkeypatch):
     real = information._neg_log_kernel_sums
 
     def counting(queries, refs, bandwidth):
-        if queries is not refs:
-            shapes.append((queries.shape[0], refs.shape[0]))
+        shapes.append((queries.shape[0], refs.shape[0]))
         return real(queries, refs, bandwidth)
 
     monkeypatch.setattr(information, "_neg_log_kernel_sums", counting)

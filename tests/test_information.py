@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,20 @@ class TestOverflowingLogKernel:
         assert result.entropy_nats == result.diversity_nats == np.log(2)
         assert result.efficiency == 1.0
 
+    def test_overflowing_tile_beside_a_near_reference(self):
+        # the first 4096 references overflow for the query, the last one is
+        # the query itself: a kernel sum of exactly 1
+        refs = np.vstack([np.full((4096, 3), 10.0), np.zeros((1, 3))])
+        got = delta_entropy(np.zeros((1, 3)), refs, KernelParams(1e-154))
+        assert got.tolist() == [0.0] and np.signbit(got).all()
+
+    def test_self_pass_with_overflowing_tiles_is_finite(self):
+        # every row overflows against each row of the other group
+        rows = np.vstack([np.zeros((4096, 3)), np.full((1, 3), 10.0)])
+        result = entropy(rows, KernelParams(1e-154))
+        assert np.array_equal(result.per_point[:4096], np.full(4096, -np.log(4096)))
+        assert result.per_point[4096] == 0.0 and np.signbit(result.per_point[4096])
+
 
 class TestLimitingCases:
     def test_identical_rows_have_zero_entropy(self):
@@ -120,7 +135,7 @@ class TestOracleEquivalence:
         assert time.perf_counter() - start < 10.0
 
     def test_blocked_path_crosses_boundaries(self):
-        # larger than both block sizes to force multi-block accumulation
+        # more than one tile of queries and of references
         rng = np.random.default_rng(5)
         refs = rng.normal(scale=0.02, size=(5000, 4))
         queries = rng.normal(scale=0.02, size=(300, 4))
@@ -128,13 +143,30 @@ class TestOracleEquivalence:
         want = naive_delta_entropy(queries, refs, H)
         assert np.allclose(got, want, atol=1e-8)
 
+    # One 256-row tile, a partial second tile, exactly two tiles, and more.
+    @pytest.mark.parametrize("n", [255, 256, 257, 513, 700])
+    @pytest.mark.parametrize("scale", [0.003, 0.01, 0.05])
+    def test_multi_tile_self_pass(self, n, scale):
+        rows = np.random.default_rng(n).normal(scale=scale, size=(n, 63))
+        result = entropy(rows, KP)
+        assert np.all(result.per_point <= 0)  # every row is its own reference
+        assert np.allclose(result.per_point, naive_delta_entropy(rows, rows, H), atol=1e-8)
+        assert result.entropy_nats == pytest.approx(naive_entropy(rows, H), abs=1e-8)
+        assert result.diversity_nats == pytest.approx(naive_diversity(rows, H), abs=1e-8)
+        cross = delta_entropy(rows, rows, KP)
+        if n <= 256:
+            assert np.array_equal(result.per_point, cross)
+        else:
+            assert np.allclose(result.per_point, cross, rtol=0.0, atol=1e-12)
+        assert np.array_equal(entropy(rows, KP).per_point, result.per_point)
+
 
 class TestBlockBuffers:
     @pytest.mark.parametrize("near", [4500, 1000])
     def test_lone_near_reference_among_far_blocks(self, near):
-        # 300 queries and 5000 references: both last blocks are partial.  The
-        # near reference sits in the partial second block behind an all-far
-        # first block, or in the first block ahead of an all-far second one.
+        # 300 queries and 5000 references: the last tile of each is partial.
+        # The near reference sits behind 17 all-far tiles (row 4500), or
+        # ahead of 16 of them (row 1000).
         rng = np.random.default_rng(21)
         d = 5.0 * H
         directions = rng.normal(size=(300, 63))
@@ -152,14 +184,15 @@ class TestBlockBuffers:
         rng = np.random.default_rng(22)
         queries = rng.normal(scale=0.02, size=(1000, 63))
         refs = rng.normal(scale=0.02, size=(5000, 63))
-        tracemalloc.start()
-        try:
-            delta_entropy(queries, refs, KP)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # two float64 and one bool 256 x 4096 block, plus O(n) vectors
-        assert peak < 20 * 2**20
+        for run in (lambda: delta_entropy(queries, refs, KP), lambda: entropy(refs, KP)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # two float64 and one bool 256 x 256 tile, plus O(n) vectors
+            assert peak < 4 * 2**20
 
 
 class TestEntropyProperties:
@@ -186,6 +219,13 @@ class TestEntropyProperties:
         result = entropy(np.zeros((1, 4)), KP)
         assert result.efficiency is None
         assert result.entropy_nats == 0.0 and result.diversity_nats == 0.0
+        assert result.per_point.tolist() == [0.0] and np.signbit(result.per_point).all()
+
+    def test_empty_set_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="empty"):
+                entropy(np.zeros((0, 3)), KP)
 
     def test_bounds(self):
         rng = np.random.default_rng(4)
