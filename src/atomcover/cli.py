@@ -199,7 +199,8 @@ def cmd_compress(args):
         args, input=args.input, output=args.output, method=args.method,
         fraction=args.fraction, count=args.count, seed=args.seed,
     )
-    doc = compression_report(descs, result.selected, config.kernel, parameters)
+    delta_h = result.delta_h[len(result)] if result.delta_h else None
+    doc = compression_report(descs, result.selected, config.kernel, parameters, delta_h)
     if result.per_step is not None:
         doc.metrics["steps"] = [asdict(s) for s in result.per_step]
     report_path = args.report or args.output + ".report.json"

@@ -14,11 +14,11 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .descriptor import DescriptorSet
-from .information import KernelParams, contained_fraction, delta_entropy, entropy
+from .information import Coverage, KernelParams, contained_fraction, delta_entropy, entropy
 from .errors import InputError
 from .geometry import Dataset
 from .report import ReportDocument
-from .samplers import METHODS, SamplerConfig, run_sampler
+from .samplers import METHODS, SamplerConfig, run_sampler, sample_msc
 
 __all__ = [
     "ForceCdf",
@@ -31,9 +31,6 @@ __all__ = [
     "compression_report",
     "compare_methods",
 ]
-
-#: Samplers whose first c picks at any count C >= c are their picks at count c.
-_NESTED_METHODS = ("fps", "msc")
 
 _HIST_RANGE = (-20.0, 20.0)
 _HIST_BIN_WIDTH = 0.5
@@ -133,6 +130,7 @@ def compression_report(
     selection,
     kernel: KernelParams = KernelParams(),
     parameters: dict | None = None,
+    delta_h=None,
 ) -> ReportDocument:
     """Information retention of a selection, as a serializable report.
 
@@ -141,6 +139,10 @@ def compression_report(
     a subset.  The reverse is 1.0 for every subset by construction, so it
     is written without a kernel pass.  A histogram of per-environment
     delta entropy and the counts above 0 and 10 nats complete the report.
+
+    ``delta_h``, delta_entropy(full | selection) of every full-set row,
+    skips the full x selection cross pass when the caller already has it
+    (as ``msc`` does, in its result's ``delta_h``).
     """
     selection = [int(i) for i in selection]
     if not selection:
@@ -157,7 +159,7 @@ def compression_report(
         "efficiency": compressed.efficiency,
     }
 
-    dh = delta_entropy(descs.values, sub.values, kernel)
+    dh = delta_entropy(descs.values, sub.values, kernel) if delta_h is None else delta_h
     overlap_block = {
         "parameters": kernel_params,
         "full_vs_compressed": contained_fraction(dh),
@@ -226,11 +228,17 @@ def compare_methods(
     Fractions are sorted ascending; one row per (method, fraction).
     ``fps`` and ``msc`` run once, at the largest count, and each smaller
     fraction takes the prefix of that selection, which is what they pick
-    at that count.
+    at that count.  Their overlaps come from one :class:`Coverage` of the
+    full set per method, grown by each prefix: ``msc``'s own, and for
+    ``fps`` one extended by each prefix's new structures.
     """
     fractions = sorted(float(f) for f in fractions)
     if not fractions:
         raise InputError("no fractions given")
+    methods = tuple(methods)
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise InputError(f"methods given more than once: {', '.join(repeated)}")
     # Every config is built, and so checked, before any sampler runs.
     sweep = [
         [SamplerConfig(method=method, fraction=f, seed=seed, kernel=kernel) for f in fractions]
@@ -240,15 +248,28 @@ def compare_methods(
     rows = []
     for configs in sweep:
         method = configs[0].method
-        if method in _NESTED_METHODS:
+        counts = [c.resolve_count(descs.n_structures) for c in configs]
+        if method == "msc":
+            result = sample_msc(descs, counts[-1], kernel, prefix_counts=counts)
+            selections = [result.selected[:c] for c in counts]
+            dhs = [result.delta_h[c] for c in counts]
+        elif method == "fps":
             largest = run_sampler(configs[-1], descs).selected
-            selections = [largest[: c.resolve_count(descs.n_structures)] for c in configs]
+            selections = [largest[:c] for c in counts]
+            coverage, done, dhs = Coverage(descs, kernel), 0, []
+            for c in counts:
+                if c > done:
+                    coverage.extend(descs.subset(largest[done:c]))
+                    done = c
+                dhs.append(coverage.delta_entropy())
         else:
             selections = [run_sampler(c, descs).selected for c in configs]
-        for fraction, selected in zip(fractions, selections):
+            dhs = [None] * len(configs)
+        for fraction, selected, dh in zip(fractions, selections, dhs):
             sub = descs.subset(selected)
             kept = entropy(sub, kernel)
-            dh = delta_entropy(descs.values, sub.values, kernel)
+            if dh is None:
+                dh = delta_entropy(descs.values, sub.values, kernel)
             rows.append(
                 SweepRow(
                     method=method,

@@ -4,14 +4,17 @@ All quantities are in nats and reduce to a Gaussian kernel sum
 
     K_h(x, y) = exp(-|x - y|^2 / (2 h^2))
 
-evaluated in the log domain, over fixed 256 x 256 tiles visited in a
+evaluated in the log domain, over tiles of fixed shapes visited in a
 fixed order, so results are deterministic for a given input ordering.
 
-A self pass (the set against itself) computes each pair once: every log
-kernel is <= 0 and the diagonal is exactly 0, so it sums the kernels with
-no shift.  A cross pass keeps a running max-shifted log-sum-exp per query,
-so it never underflows to ``log(0)`` for far-away queries: a lone reference
-at distance d gives back exactly ``d^2 / (2 h^2)``.
+A self pass (the set against itself) computes each pair once on 256 x 256
+tiles: every log kernel is <= 0 and the diagonal is exactly 0, so it sums
+the kernels with no shift.  A cross pass is a :class:`Coverage` of the
+query rows: it keeps a running max-shifted log-sum-exp per query and can
+be extended by any number of reference blocks, so a growing reference set
+costs each (query, reference) pair once.  It never underflows to
+``log(0)`` for far-away queries: a lone reference at distance d gives
+back exactly ``d^2 / (2 h^2)``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import InputError
 __all__ = [
     "KernelParams",
     "EntropyResult",
+    "Coverage",
     "delta_entropy",
     "contained_fraction",
     "entropy",
@@ -35,11 +39,13 @@ __all__ = [
     "per_structure_entropy",
 ]
 
-# Tile edge of every kernel pass.  A fixed constant keeps the floating-point
-# summation order and the bits of each tile's GEMM (and hence every digit of
-# the result) independent of memory pressure or input size.  At 256 the
-# three tile buffers of a pass (about 1.1 MiB) stay in a 4 MiB L2 cache.
+# Tile edge of every kernel pass, and the element count of every tile.  Fixed
+# constants keep the floating-point summation order and the bits of each
+# tile's GEMM (and hence every digit of the result) independent of memory
+# pressure or input size.  At 256 x 256 the three tile buffers of a pass
+# (about 1.1 MiB) stay in a 4 MiB L2 cache.
 _BLOCK = 256
+_TILE = _BLOCK * _BLOCK
 
 
 @dataclass(frozen=True)
@@ -90,16 +96,14 @@ def _as_rows(x) -> np.ndarray:
 def _log_kernel_tile(a, a_sq, b, b_sq, inv_two_h2, buffers) -> np.ndarray:
     """Write log K_h(a_i, b_j) of one (a, b) tile into views of the buffers.
 
-    Returns the view of the first buffer that holds it; the tile is valid
-    until the next call with the same buffers.
+    Returns the (len(a), len(b)) view of the first buffer that holds it;
+    the tile is valid until the next call with the same buffers.
     """
-    d2_buf, scale_buf, snap_buf = buffers
-    d2 = d2_buf[: len(a), : len(b)]
-    norm_scale = scale_buf[: len(a), : len(b)]
-    snap = snap_buf[: len(a), : len(b)]
+    size = len(a) * len(b)
+    d2, norm_scale, snap = (buf[:size].reshape(len(a), len(b)) for buf in buffers)
     np.add(a_sq[:, None], b_sq[None, :], out=norm_scale)
-    # The views keep a unit inner stride, so matmul(out=) still goes
-    # through BLAS and gives the same bits as a fresh product.
+    # The views are contiguous, so matmul(out=) still goes through BLAS
+    # and gives the same bits as a fresh product.
     np.matmul(a, b.T, out=d2)
     # -2G + s is exactly s - 2G: scaling by 2 and negating are exact.
     d2 *= -2.0
@@ -114,26 +118,30 @@ def _log_kernel_tile(a, a_sq, b, b_sq, inv_two_h2, buffers) -> np.ndarray:
     return d2
 
 
-def _tile_buffers(n_a: int, n_b: int):
-    """The squared-distance, snap-threshold and snap-mask buffers of one pass.
+def _tile_buffers(size: int):
+    """The squared-distance, snap-threshold and snap-mask buffers of a pass.
 
-    A pass allocates them once and works in views of them, so it allocates
-    O(n) memory on top of them whatever its size.
+    Each holds ``size`` elements, the largest tile the pass makes.  A pass
+    allocates them once and works in views of them, so it allocates O(n)
+    memory on top of them whatever its size.
     """
-    shape = (min(_BLOCK, n_a), min(_BLOCK, n_b))
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    return np.empty(size), np.empty(size), np.empty(size, dtype=bool)
 
 
 # At tiny bandwidths the log kernel of a far pair overflows to -inf, whose
 # exp is an exact 0; every row sum holds its own exp(0) = 1, so no NaN or
 # log(0) can follow.
 @np.errstate(over="ignore")
-def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float) -> np.ndarray:
+def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float, buffers=None) -> np.ndarray:
     """-log sum_j K_h(x_i, x_j) over the set itself, each pair computed once.
 
     Every log kernel is <= 0 and the diagonal is exactly 0, so the sums need
-    no max shift.  Tiles I <= J add their row sums to the I rows and their
-    column sums to the J rows, in a fixed (I, J) order.
+    no max shift.  Tiles I <= J are visited in a fixed (I, J) order.  Each
+    adds its column sums to the J rows, and an off-diagonal tile also adds
+    its row sums to the I rows, so a set of one tile gets the bits of a
+    :class:`Coverage` of the set by itself.  ``buffers`` (from
+    :func:`_tile_buffers`, large enough for one tile) lets many small
+    passes share one allocation.
     """
     n = rows.shape[0]
     if n == 0:
@@ -141,7 +149,8 @@ def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float) -> np.ndarray:
     inv_two_h2 = 1.0 / (2.0 * bandwidth * bandwidth)
     sq = np.einsum("ij,ij->i", rows, rows)
     sums = np.zeros(n)
-    buffers = _tile_buffers(n, n)
+    if buffers is None:
+        buffers = _tile_buffers(min(_BLOCK, n) ** 2)
     for i0 in range(0, n, _BLOCK):
         i1 = i0 + _BLOCK
         a, a_sq = rows[i0:i1], sq[i0:i1]
@@ -149,53 +158,83 @@ def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float) -> np.ndarray:
             j1 = j0 + _BLOCK
             tile = _log_kernel_tile(a, a_sq, rows[j0:j1], sq[j0:j1], inv_two_h2, buffers)
             np.exp(tile, out=tile)
-            sums[i0:i1] += tile.sum(axis=1)
+            sums[j0:j1] += tile.sum(axis=0)
             if j0 != i0:
-                sums[j0:j1] += tile.sum(axis=0)
+                sums[i0:i1] += tile.sum(axis=1)
     return -np.log(sums)
 
 
-# A query whose log kernel overflows to -inf against every reference has a
-# kernel sum of 0 and an infinite delta entropy; that is an InputError, not
-# a warning.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _neg_log_kernel_sums(queries: np.ndarray, refs: np.ndarray, bandwidth: float) -> np.ndarray:
-    """-log sum_j K_h(q_i, X_j) for every query row, streamed in tiles.
+class Coverage:
+    """Kernel sums of fixed query rows against a growing reference set.
 
-    Each query keeps a running max and a sum of exp(log kernel - max); each
-    tile is shifted by the running max before its exp, so a tile that
+    Each query keeps a running max of its log kernels and the sum of
+    exp(log kernel - max).  :meth:`extend` folds in any block of
+    references, and :meth:`delta_entropy` reads ``-(max + log sum)`` =
+    ``-log sum_j K_h(q_i, X_j)`` over every reference added so far, so a
+    selection that grows by chunks costs each (query, reference) pair
+    once.
+
+    Each tile is a reference tile of up to 256 rows against a query slab
+    of ``65536 // rows`` columns, reduced over the references (axis 0):
+    a thin block of a few references makes a few wide tiles.  Each tile
+    is shifted by the running max before its exp, so a tile that
     overflows for a query adds exactly 0 to its sum.
     """
-    if refs.shape[0] == 0:
-        raise InputError("reference set is empty")
-    if queries.shape[1] != refs.shape[1]:
-        raise InputError(
-            f"query width {queries.shape[1]} != reference width {refs.shape[1]}"
-        )
-    inv_two_h2 = 1.0 / (2.0 * bandwidth * bandwidth)
-    q_sq = np.einsum("ij,ij->i", queries, queries)
-    ref_sq = np.einsum("ij,ij->i", refs, refs)
-    out = np.empty(queries.shape[0])
-    buffers = _tile_buffers(queries.shape[0], refs.shape[0])
-    for q0 in range(0, queries.shape[0], _BLOCK):
-        q1 = q0 + _BLOCK
-        qb, qb_sq = queries[q0:q1], q_sq[q0:q1]
+
+    def __init__(self, queries, kernel: KernelParams = KernelParams()):
+        self._queries = _as_rows(queries)
+        n = self._queries.shape[0]
+        self._bandwidth = kernel.bandwidth
+        self._inv_two_h2 = 1.0 / (2.0 * kernel.bandwidth * kernel.bandwidth)
+        self._sq = np.einsum("ij,ij->i", self._queries, self._queries)
         # the lowest finite float, so run_max - new_max is never -inf - -inf
-        run_max = np.full(len(qb), -np.finfo(float).max)
-        run_sum = np.zeros(len(qb))
+        self._max = np.full(n, -np.finfo(float).max)
+        self._sum = np.zeros(n)
+        self._buffers = _tile_buffers(min(_TILE, max(n, 1) * _BLOCK))
+        self.n_references = 0
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def extend(self, refs) -> None:
+        """Add a block of reference rows to every query's kernel sum."""
+        refs = _as_rows(refs)
+        queries, q_sq = self._queries, self._sq
+        if queries.shape[1] != refs.shape[1]:
+            raise InputError(
+                f"query width {queries.shape[1]} != reference width {refs.shape[1]}"
+            )
+        ref_sq = np.einsum("ij,ij->i", refs, refs)
         for r0 in range(0, refs.shape[0], _BLOCK):
-            r1 = r0 + _BLOCK
-            tile = _log_kernel_tile(qb, qb_sq, refs[r0:r1], ref_sq[r0:r1], inv_two_h2, buffers)
-            new_max = np.maximum(run_max, tile.max(axis=1))
-            tile -= new_max[:, None]
-            run_sum = run_sum * np.exp(run_max - new_max) + np.exp(tile, out=tile).sum(axis=1)
-            run_max = new_max
-        out[q0:q1] = -(run_max + np.log(run_sum))
-    if not np.isfinite(out).all():
-        raise InputError(
-            f"bandwidth {bandwidth}: the log kernel overflows against every reference"
-        )
-    return out
+            a, a_sq = refs[r0 : r0 + _BLOCK], ref_sq[r0 : r0 + _BLOCK]
+            slab = _TILE // len(a)
+            for q0 in range(0, queries.shape[0], slab):
+                q1 = q0 + slab
+                tile = _log_kernel_tile(
+                    a, a_sq, queries[q0:q1], q_sq[q0:q1], self._inv_two_h2, self._buffers
+                )
+                run_max = self._max[q0:q1]
+                new_max = np.maximum(run_max, tile.max(axis=0))
+                tile -= new_max
+                self._sum[q0:q1] = (
+                    self._sum[q0:q1] * np.exp(run_max - new_max)
+                    + np.exp(tile, out=tile).sum(axis=0)
+                )
+                run_max[...] = new_max
+        self.n_references += refs.shape[0]
+
+    # A query whose log kernel overflows to -inf against every reference has
+    # a kernel sum of 0 and an infinite delta entropy; that is an
+    # InputError, not a warning.
+    @np.errstate(divide="ignore", invalid="ignore")
+    def delta_entropy(self) -> np.ndarray:
+        """-log sum_j K_h(q_i, X_j) of each query over the references so far."""
+        if self.n_references == 0:
+            raise InputError("reference set is empty")
+        out = -(self._max + np.log(self._sum))
+        if not np.isfinite(out).all():
+            raise InputError(
+                f"bandwidth {self._bandwidth}: the log kernel overflows against every reference"
+            )
+        return out
 
 
 def delta_entropy(queries, refs, kernel: KernelParams = KernelParams()) -> np.ndarray:
@@ -206,9 +245,9 @@ def delta_entropy(queries, refs, kernel: KernelParams = KernelParams()) -> np.nd
     within roughly one bandwidth); large positive values measure novelty
     and grow quadratically with distance.
     """
-    q = _as_rows(queries)
-    r = _as_rows(refs)
-    return _neg_log_kernel_sums(q, r, kernel.bandwidth)
+    coverage = Coverage(queries, kernel)
+    coverage.extend(refs)
+    return coverage.delta_entropy()
 
 
 def contained_fraction(dh) -> float:
@@ -219,6 +258,11 @@ def contained_fraction(dh) -> float:
     """
     dh = np.asarray(dh)
     return float(np.count_nonzero(dh <= 0.0) / dh.shape[0])
+
+
+def _entropy_nats(dh: np.ndarray) -> float:
+    """``mean(dh) + log n`` of a self-pass vector, clipped at 0."""
+    return max(float(np.mean(dh) + np.log(dh.shape[0])), 0.0)  # self-match: negatives are roundoff
 
 
 def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
@@ -235,7 +279,7 @@ def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
     rows = _as_rows(descs)
     n = rows.shape[0]
     dh = _self_neg_log_kernel_sums(rows, kernel.bandwidth)
-    value = max(float(np.mean(dh) + np.log(n)), 0.0)  # self-match: negatives are roundoff
+    value = _entropy_nats(dh)
     m = float(dh.max())
     div = max(m + float(np.log(np.exp(dh - m).sum())), 0.0)
     return EntropyResult(
@@ -266,8 +310,13 @@ def efficiency(descs, kernel: KernelParams = KernelParams()) -> float:
 
 
 def per_structure_entropy(descs, kernel: KernelParams = KernelParams()) -> np.ndarray:
-    """Entropy of each structure's own environments, taken in isolation."""
+    """Entropy of each structure's own environments, taken in isolation.
+
+    Every structure's self pass works in one shared set of tile buffers.
+    """
+    buffers = _tile_buffers(min(_BLOCK, int(descs.offsets[:, 1].max(initial=1))) ** 2)
     out = np.empty(descs.n_structures)
     for i in range(descs.n_structures):
-        out[i] = entropy(descs.rows_for(i), kernel).entropy_nats
+        dh = _self_neg_log_kernel_sums(descs.rows_for(i), kernel.bandwidth, buffers)
+        out[i] = _entropy_nats(dh)
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .descriptor import DescriptorSet
-from .information import KernelParams, delta_entropy, per_structure_entropy
+from .information import Coverage, KernelParams, per_structure_entropy
 from .errors import InputError
 
 __all__ = [
@@ -82,8 +82,16 @@ class StepDiagnostics:
 
 @dataclass(frozen=True)
 class CompressionResult:
+    """The picks, in order, and what the sampler learned on the way.
+
+    ``delta_h`` (msc only) maps a count c to the delta entropy of every
+    full-set row against the first c picks, read off the greedy's own
+    kernel sums; it always holds ``c = len(selected)``.
+    """
+
     selected: tuple[int, ...]
     per_step: tuple[StepDiagnostics, ...] | None = None
+    delta_h: dict[int, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         selected = tuple(int(i) for i in self.selected)
@@ -213,7 +221,7 @@ def sample_fps(descs: DescriptorSet, count: int, seed: int = 0) -> CompressionRe
 
 
 def sample_msc(
-    descs: DescriptorSet, count: int, kernel: KernelParams = KernelParams()
+    descs: DescriptorSet, count: int, kernel: KernelParams = KernelParams(), prefix_counts=()
 ) -> CompressionResult:
     """Greedy minimum-set-cover selection over per-atom environments.
 
@@ -226,6 +234,11 @@ def sample_msc(
     i.e. the one contributing the least-covered environment, with the
     structure's own diversity as the tie-straightener.  Deterministic:
     no randomness, argmax ties break to the lowest structure index.
+
+    One :class:`Coverage` of every row grows by each pick, the last one
+    included, so the result's ``delta_h`` holds delta_entropy(full |
+    kept) at no further kernel cost, and also at each of
+    ``prefix_counts`` (counts up to ``count``).
     """
     n = descs.n_structures
     _check_count(count, n)
@@ -244,12 +257,17 @@ def sample_msc(
     taken = np.zeros(n, dtype=bool)
     taken[first] = True
     starts = descs.offsets[:, 0]
+    readings = {int(c) for c in prefix_counts} | {count}
+    delta_h = {}
 
-    # log of the running kernel sum of every environment against the
-    # selected environments; grows by one logaddexp per added structure.
-    log_acc = -delta_entropy(descs.values, descs.rows_for(first), kernel)
-    while len(selected) < count:
-        env_dh = -log_acc
+    coverage = Coverage(descs.values, kernel)
+    coverage.extend(descs.rows_for(first))
+    while True:
+        env_dh = coverage.delta_entropy()
+        if len(selected) in readings:
+            delta_h[len(selected)] = env_dh
+        if len(selected) == count:
+            break
         per_structure_max = np.maximum.reduceat(env_dh, starts)
         scores = per_structure_max + own_entropy
         scores[taken] = -np.inf
@@ -264,10 +282,8 @@ def sample_msc(
                 structure_entropy=float(own_entropy[pick]),
             )
         )
-        if len(selected) < count:
-            block = -delta_entropy(descs.values, descs.rows_for(pick), kernel)
-            log_acc = np.logaddexp(log_acc, block)
-    return CompressionResult(selected=tuple(selected), per_step=tuple(steps))
+        coverage.extend(descs.rows_for(pick))
+    return CompressionResult(selected=tuple(selected), per_step=tuple(steps), delta_h=delta_h)
 
 
 def run_sampler(config: SamplerConfig, descs: DescriptorSet) -> CompressionResult:

@@ -83,9 +83,9 @@ def count_self_passes(monkeypatch):
     sizes = []
     real = information._self_neg_log_kernel_sums
 
-    def counting(rows, bandwidth):
+    def counting(rows, bandwidth, buffers=None):
         sizes.append(rows.shape[0])
-        return real(rows, bandwidth)
+        return real(rows, bandwidth, buffers)
 
     monkeypatch.setattr(information, "_self_neg_log_kernel_sums", counting)
     return sizes
@@ -94,19 +94,21 @@ def count_self_passes(monkeypatch):
 def count_cross_passes(monkeypatch):
     """Record (query rows, reference rows) of every cross kernel pass.
 
-    Returns a list that grows by one pair per pass made while the
-    monkeypatch is active.
+    Each ``Coverage.extend`` is one pass over its block of references, so
+    a coverage grown by k blocks records k pairs.  Returns a list that
+    grows by one pair per pass made while the monkeypatch is active.
     """
     from atomcover import information
 
     shapes = []
-    real = information._neg_log_kernel_sums
+    real = information.Coverage.extend
 
-    def counting(queries, refs, bandwidth):
-        shapes.append((queries.shape[0], refs.shape[0]))
-        return real(queries, refs, bandwidth)
+    def counting(self, refs):
+        n_refs = np.atleast_2d(getattr(refs, "values", refs)).shape[0]
+        shapes.append((self._queries.shape[0], n_refs))
+        return real(self, refs)
 
-    monkeypatch.setattr(information, "_neg_log_kernel_sums", counting)
+    monkeypatch.setattr(information.Coverage, "extend", counting)
     return shapes
 
 

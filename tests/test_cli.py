@@ -11,7 +11,7 @@ import pytest
 import atomcover
 from atomcover import load_descriptor_set, read_extxyz
 from atomcover.cli import _THREAD_VARS, main
-from helpers import count_self_passes
+from helpers import count_cross_passes, count_self_passes
 
 
 def frame_text(positions, forces, cell=6.0):
@@ -218,6 +218,21 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    def test_repeated_method_in_compare_exits_3_before_any_sampler_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a sampler ran before the sweep was checked")
+
+        monkeypatch.setattr("atomcover.evaluation.run_sampler", no_run)
+        monkeypatch.setattr("atomcover.evaluation.sample_msc", no_run)
+        data = write_dataset(tmp_path / "d.xyz", n_frames=4)
+        out = tmp_path / "sweep.json"
+        assert main(["compare", str(data), "--methods", "msc,fps,msc", "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "more than once: msc" in err
+        assert not out.exists()
+
 
 class TestCompress:
     def test_fraction_rounds_to_three_of_twelve(self, tmp_path, capsys):
@@ -264,6 +279,15 @@ class TestCompress:
         assert report["metrics"]["sizes"]["n_structures_compressed"] == 3
         assert len(report["metrics"]["steps"]) == 3  # msc is the default
         assert report["parameters"]["seed"] == 0
+
+    def test_msc_makes_no_full_by_kept_cross_pass(self, tmp_path, capsys, monkeypatch):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=8)
+        shapes = count_cross_passes(monkeypatch)
+        assert main(["compress", str(data), "-o", str(tmp_path / "out.xyz"), "--count", "3"]) == 0
+        capsys.readouterr()
+        # the greedy's coverage of all 24 rows, grown by each three-atom
+        # pick; the report reads delta H from it instead of a 24 x 9 pass
+        assert shapes == [(24, 3)] * 3
 
     def test_random_method_report_has_no_steps(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=6)

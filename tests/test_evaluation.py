@@ -11,6 +11,7 @@ from atomcover import (
     compare_methods,
     compression_report,
     default_threshold_grid,
+    delta_entropy,
     delta_h_histogram,
     diversity,
     entropy,
@@ -18,12 +19,30 @@ from atomcover import (
     overlap,
     pooled_force_magnitudes,
     run_sampler,
+    sample_fps,
+    sample_msc,
 )
 from helpers import count_cross_passes, count_self_passes, molecule, synthetic_set
 from test_samplers import random_fixture, redundant_fixture
 
 H = 0.015
 KP = KernelParams(bandwidth=H)
+
+
+def assert_documents_close(a, b, atol):
+    """Same keys, lengths and integers; floats within atol."""
+    if isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            assert_documents_close(a[key], b[key], atol)
+    elif isinstance(a, (list, tuple, np.ndarray)):
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            assert_documents_close(u, v, atol)
+    elif isinstance(a, (float, np.floating)):
+        assert abs(a - b) <= atol
+    else:
+        assert a == b and type(a) is type(b)
 
 
 def forces_dataset(magnitudes):
@@ -231,6 +250,24 @@ class TestCompressionReport:
         assert shapes == [(descs.n_environments, n_sub)]
         assert doc.metrics["overlap"]["compressed_vs_full"] == 1.0
 
+    def test_msc_delta_h_gives_the_recomputed_report(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        descs = random_fixture(rng, n_structures=30)
+        result = sample_msc(descs, 8, KP)
+        sub = descs.subset(result.selected)
+        given = result.delta_h[8]
+        assert np.allclose(
+            given, delta_entropy(descs.values, sub.values, KP), rtol=0.0, atol=1e-12
+        )
+        shapes = count_cross_passes(monkeypatch)
+        from_msc = compression_report(descs, result.selected, KP, delta_h=given)
+        assert shapes == []
+        recomputed = compression_report(descs, result.selected, KP)
+        assert shapes == [(descs.n_environments, sub.n_environments)]
+        overlap_block = recomputed.metrics["overlap"]
+        assert 0 < overlap_block["n_delta_h_positive"] < descs.n_environments
+        assert_documents_close(from_msc.metrics, recomputed.metrics, 1e-12)
+
     def test_subset_always_inside_full_set(self):
         # the report writes compressed_vs_full = 1.0 without a kernel pass;
         # this is the pass it skips, on rows near, far from and at the origin
@@ -321,6 +358,31 @@ class TestCompareMethods:
         # one per-structure self pass per structure, then one per row
         assert sizes == [2] * descs.n_structures + [4, 8, 16]
         assert [r.n_environments for r in sweep.rows] == [4, 8, 16]
+
+    def test_msc_rows_add_no_cross_pass(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        descs = random_fixture(rng, n_structures=20)
+        shapes = count_cross_passes(monkeypatch)
+        selected = sample_msc(descs, 10, KP).selected
+        greedy = list(shapes)
+        assert greedy == [(descs.n_environments, len(descs.rows_for(i))) for i in selected]
+        shapes.clear()
+        sweep = compare_methods(descs, [0.1, 0.12, 0.25, 0.5], methods=["msc"], kernel=KP)
+        assert [r.count for r in sweep.rows] == [2, 2, 5, 10]
+        assert shapes == greedy
+
+    def test_fps_rows_extend_one_coverage_by_each_prefix(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        descs = random_fixture(rng, n_structures=20)
+        largest = sample_fps(descs, 10, seed=3).selected
+        shapes = count_cross_passes(monkeypatch)
+        compare_methods(descs, [0.1, 0.12, 0.25, 0.5], methods=["fps"], seed=3, kernel=KP)
+        # counts 2, 2, 5 and 10: the repeated count adds no pass
+        chunks = [largest[0:2], largest[2:5], largest[5:10]]
+        assert shapes == [(descs.n_environments, descs.subset(c).n_environments) for c in chunks]
+        assert sum(q * r for q, r in shapes) == (
+            descs.n_environments * descs.subset(largest).n_environments
+        )
 
     def test_row_structure(self):
         rng = np.random.default_rng(8)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from atomcover import (
+    Coverage,
     InputError,
     KernelParams,
     contained_fraction,
@@ -193,6 +194,56 @@ class TestBlockBuffers:
                 tracemalloc.stop()
             # two float64 and one bool 256 x 256 tile, plus O(n) vectors
             assert peak < 4 * 2**20
+
+
+class TestCoverage:
+    # One chunk; two chunks split on and off a 256-row tile edge; seven
+    # chunks of 1, 254, 1, 1, 43, 211 and 89 rows.
+    @pytest.mark.parametrize("edges", [[], [256], [100], [1, 255, 256, 257, 300, 511]])
+    def test_chunked_extends_match_one_pass(self, edges):
+        rng = np.random.default_rng(31)
+        queries = rng.normal(scale=0.02, size=(1000, 16))
+        refs = rng.normal(scale=0.02, size=(600, 16))
+        coverage = Coverage(queries, KP)
+        for chunk in np.split(refs, edges):
+            coverage.extend(chunk)
+        assert coverage.n_references == 600
+        want = delta_entropy(queries, refs, KP)
+        assert np.allclose(coverage.delta_entropy(), want, rtol=0.0, atol=1e-12)
+        assert np.allclose(want, naive_delta_entropy(queries, refs, H), atol=1e-8)
+
+    def test_lone_near_reference_in_the_last_chunk(self):
+        rng = np.random.default_rng(32)
+        d = 5.0 * H
+        directions = rng.normal(size=(300, 63))
+        queries = d * directions / np.linalg.norm(directions, axis=1, keepdims=True)
+        far = rng.normal(scale=0.01, size=(700, 63))
+        far[:, 0] += 2.0
+        # |q - r| >= |r| - d for every query q and far reference r
+        assert (np.linalg.norm(far, axis=1).min() - d) ** 2 / (2 * H * H) > 1000.0
+        near = np.zeros((1, 63))
+        coverage = Coverage(queries, KP)
+        for chunk in (far[:256], far[256:600], np.vstack([far[600:], near])):
+            coverage.extend(chunk)
+        got = coverage.delta_entropy()
+        # every far kernel is exp(< -1000) = 0 once shifted by the near max
+        assert np.array_equal(got, delta_entropy(queries, near, KP))
+        assert np.allclose(got, d * d / (2 * H * H), rtol=0.0, atol=1e-9)
+
+    def test_overflow_against_every_chunk_raises(self):
+        coverage = Coverage(np.zeros((2, 3)), KernelParams(1e-154))
+        coverage.extend(np.full((3, 3), 10.0))
+        coverage.extend(np.full((300, 3), -10.0))
+        with pytest.raises(InputError, match="bandwidth 1e-154"):
+            coverage.delta_entropy()
+
+    def test_no_references_rejected(self):
+        coverage = Coverage(np.zeros((2, 3)), KP)
+        with pytest.raises(InputError, match="reference set is empty"):
+            coverage.delta_entropy()
+        coverage.extend(np.zeros((0, 3)))
+        with pytest.raises(InputError, match="reference set is empty"):
+            coverage.delta_entropy()
 
 
 class TestEntropyProperties:
