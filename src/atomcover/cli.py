@@ -133,7 +133,8 @@ def _load_descriptors(path, args, dataset=None):
 
     A cache hit reads only the cache file: its key pins the input's exact
     bytes, so the input is hashed, not parsed.  On a miss the input is
-    parsed, unless the caller passes its parsed ``dataset``.
+    parsed, unless the caller passes its parsed ``dataset``.  A cache entry
+    that cannot be written costs a warning on stderr, not the command.
     """
     from .descriptor import build_descriptor_set, load_descriptor_set, save_descriptor_set
     from .errors import InputError
@@ -158,7 +159,12 @@ def _load_descriptors(path, args, dataset=None):
         dataset = read_extxyz(path)
     descs = build_descriptor_set(dataset, params)
     if cache_file:
-        save_descriptor_set(descs, cache_file)
+        try:
+            save_descriptor_set(descs, cache_file)
+        except OSError as exc:
+            # The descriptors are built; a cache that cannot take them
+            # only costs the next run a rebuild.
+            print(f"atomcover: warning: descriptor cache not written: {exc}", file=sys.stderr)
     return descs
 
 

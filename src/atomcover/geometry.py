@@ -4,12 +4,16 @@ Conventions match pymatgen/ASE: rows of the cell matrix are lattice
 vectors, Cartesian positions are in angstrom, ``r = s @ cell`` maps
 fractional to Cartesian coordinates.
 
-Neighbor queries replicate periodic images explicitly (out to
-``ceil(search_radius / cell_height) + 1`` images per periodic direction)
-and search them with a k-d tree.  Minimum-image shortcuts are
-deliberately avoided: they are wrong for cells smaller than the search
-radius, which occur routinely in the datasets this package targets.
-All atoms of a structure are searched in one batch.
+Neighbor queries replicate periodic images explicitly and search them
+with a k-d tree.  The reference set is ``replicate_for_search``'s, out to
+``ceil(search_radius / cell_height) + 1`` images per periodic direction.
+The search first tries one image less per side, which already holds
+every point within ``ceil(search_radius / cell_height)`` cell heights,
+and keeps that result only when it provably equals the full search's.
+Minimum-image shortcuts are deliberately avoided: they are wrong for
+cells smaller than the search radius, which occur routinely in the
+datasets this package targets.  All atoms of a structure are searched
+in one batch.
 """
 
 from __future__ import annotations
@@ -184,67 +188,88 @@ def _cell_heights(cell: np.ndarray) -> np.ndarray:
     return np.array([volume / np.linalg.norm(cross) for cross in crosses])
 
 
-def replicate_for_search(structure: Structure, search_radius: float) -> np.ndarray:
-    """Replicate periodic images so that any point within ``search_radius``
-    of the (wrapped) cell contents is present exactly once.
+def _image_reach(structure: Structure, search_radius: float):
+    """Cell heights and the images per side, ``ceil(search_radius / h) + 1``
+    on each periodic axis, that :func:`replicate_for_search` lays out.
 
-    Returns the (M, 3) positions of ``M = n * n_images`` points, where ``n``
-    is the atom count.  Images come in lexicographic order of their integer
-    lattice offsets, each holding the wrapped atoms in structure order, so
-    point ``p`` is atom ``p % n`` of image ``p // n``.  The zero-offset image
-    is the middle one, ``n_images // 2``.  An aperiodic structure has one
-    image: its own positions.
+    Raises CellError, before anything is allocated, when those images would
+    hold more than ``_MAX_IMAGE_POINTS`` points.  An aperiodic structure
+    has no heights and a reach of zero.
     """
     if search_radius <= 0:
         raise InputError(f"search_radius must be positive, got {search_radius}")
-    base = _wrap_positions(structure)
-    n = len(structure)
     if not structure.pbc.any():
-        return base
+        return None, (0, 0, 0)
     heights = _cell_heights(structure.cell)
-    reach = [
+    reach = tuple(
         int(np.ceil(search_radius / heights[axis])) + 1 if structure.pbc[axis] else 0
         for axis in range(3)
-    ]
-    n_points = n * (2 * reach[0] + 1) * (2 * reach[1] + 1) * (2 * reach[2] + 1)
+    )
+    n_points = len(structure) * (2 * reach[0] + 1) * (2 * reach[1] + 1) * (2 * reach[2] + 1)
     if n_points > _MAX_IMAGE_POINTS:
         raise CellError(
             f"cell heights {np.array2string(heights, precision=4)} angstrom need "
             f"{n_points} periodic image points within {search_radius:g} angstrom, "
             f"more than the limit of {_MAX_IMAGE_POINTS}"
         )
-    offsets = np.array(
-        list(
-            itertools.product(
-                range(-reach[0], reach[0] + 1),
-                range(-reach[1], reach[1] + 1),
-                range(-reach[2], reach[2] + 1),
-            )
-        ),
-        dtype=int,
-    )
-    shifts = offsets.astype(float) @ structure.cell
+    return heights, reach
+
+
+def _image_shifts(cell: np.ndarray, reach) -> tuple[np.ndarray, np.ndarray]:
+    """Integer offsets (n_images, 3) of the images out to ``reach`` per side,
+    in lexicographic order, and their Cartesian shifts."""
+    offsets = np.array(list(itertools.product(*(range(-r, r + 1) for r in reach))), dtype=int)
+    return offsets, offsets.astype(float) @ cell
+
+
+def _image_points(base: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Point ``p`` is atom ``p % n`` of ``base`` moved by shift ``p // n``."""
     return (base[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
 
 
-def _nearest_candidates(points: np.ndarray, centers: np.ndarray, k: int):
-    """Indices into ``points``, (n, m), of each center's m nearest points.
+def replicate_for_search(structure: Structure, search_radius: float) -> np.ndarray:
+    """Replicate periodic images so that any point within ``search_radius``
+    of the (wrapped) cell contents is present exactly once.
 
-    ``m >= min(k + 2, len(points))`` covers the k nearest neighbors plus the
-    self-image, and grows until the last point lies clearly beyond the
-    (k + 1)-th: every point tied with the k-th neighbor is then a candidate,
-    so the tree's own order of tied points never decides which are kept.
+    Returns the (M, 3) positions of ``M = n * n_images`` points, where ``n``
+    is the atom count.  Images come in lexicographic order of their integer
+    lattice offsets, out to ``ceil(search_radius / cell_height) + 1`` per
+    periodic side, each holding the wrapped atoms in structure order, so
+    point ``p`` is atom ``p % n`` of image ``p // n``.  The zero-offset
+    image is the middle one, ``n_images // 2``.  An aperiodic structure has
+    one image: its own positions.
     """
+    _, reach = _image_reach(structure, search_radius)
+    if not structure.pbc.any():
+        return structure.positions
+    _, shifts = _image_shifts(structure.cell, reach)
+    return _image_points(_wrap_positions(structure), shifts)
+
+
+def _nearest_candidates(points: np.ndarray, n: int, k: int):
+    """Candidate neighbors of the ``n`` atoms of the zero-offset image.
+
+    ``points`` is laid out as :func:`replicate_for_search` lays it out.
+    Returns the atoms' own point indices (n,), each atom's m nearest points
+    as indices into ``points`` (n, m), and the distance (n,) of the farthest
+    of them.  ``m >= min(k + 2, len(points))`` covers the k nearest
+    neighbors plus the self-image, and grows until the last point lies
+    clearly beyond the (k + 1)-th: every point tied with the k-th neighbor
+    is then a candidate, so the tree's own order of tied points never
+    decides which are kept.
+    """
+    # The middle, zero-offset image holds the wrapped atoms in order.
+    own = len(points) // n // 2 * n + np.arange(n)
     # Query results do not depend on the tree's shape, and skipping the
     # balancing halves the build time on replicated cells.
     tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
     n_points = points.shape[0]
     n_query = min(k + 2, n_points)
     while True:
-        dists, cand = tree.query(centers, k=n_query)
-        dists = dists.reshape(len(centers), n_query)
+        dists, cand = tree.query(points[own], k=n_query)
+        dists = dists.reshape(n, n_query)
         if n_query == n_points or np.all(dists[:, -1] > dists[:, k] + _TIE_SLACK):
-            return cand.reshape(len(centers), n_query)
+            return own, cand.reshape(n, n_query), dists[:, -1]
         n_query = min(2 * n_query, n_points)
 
 
@@ -254,18 +279,37 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     The zero-distance self-image is excluded; other images of the same
     atom are valid neighbors.  Neighbors are sorted by distance, with
     exact ties broken by (atom index, image offset lexicographic) so the
-    ordering is deterministic.  If fewer than ``k`` images exist in the
-    replicated search volume, each row holds all of them.
+    ordering is deterministic.  The result is bit for bit that of a search
+    over all points of :func:`replicate_for_search`; if fewer than ``k``
+    other points exist there, each row holds all of them.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    points = replicate_for_search(structure, search_radius)
     n = len(structure)
-    # The middle, zero-offset image holds the wrapped atoms in order.
-    own = len(points) // n // 2 * n + np.arange(n)
+    heights, reach = _image_reach(structure, search_radius)
+    if not structure.pbc.any():
+        points = structure.positions
+        own, cand, _ = _nearest_candidates(points, n, k)
+    else:
+        offsets, shifts = _image_shifts(structure.cell, reach)
+        base = _wrap_positions(structure)
+        # Wrapped atoms lie inside the cell, so an image offset by more than
+        # j cells along a periodic axis lies at least j cell heights from
+        # every atom.  The images one less per side than the full reach thus
+        # hold every point closer than ``covered``.  Candidates that all stay
+        # inside it by the tie slack are those of the full search, whose
+        # extra points are all farther away; otherwise search in full.  An
+        # accepted search never used up the smaller set: each atom's own
+        # image ``inner`` cells along the axis that sets ``covered`` lies
+        # at least ``covered`` away, so it was left out.
+        inner = np.maximum(np.array(reach) - 1, 0)
+        covered = (inner * heights)[structure.pbc].min()
+        points = _image_points(base, shifts[np.all(np.abs(offsets) <= inner, axis=1)])
+        own, cand, farthest = _nearest_candidates(points, n, k)
+        if not np.all(farthest < covered - _TIE_SLACK):
+            points = _image_points(base, shifts)
+            own, cand, _ = _nearest_candidates(points, n, k)
     centers = points[own]
-    cand = _nearest_candidates(points, centers, k)
-
     diff = points[cand] - centers[:, None, :]
     dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
     # Same bits as np.linalg.norm(diff, axis=-1), without its reduction overhead.

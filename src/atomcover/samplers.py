@@ -149,6 +149,21 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
+def _cluster_means(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Mean of each cluster's points; an empty cluster keeps its center.
+
+    ``np.add.at`` adds each cluster's rows in row order, as
+    ``points[members].mean(axis=0)`` does, so the means have its bits.
+    """
+    sums = np.zeros_like(centers)
+    np.add.at(sums, labels, points)
+    counts = np.bincount(labels, minlength=len(centers))
+    new_centers = centers.copy()
+    filled = counts > 0
+    new_centers[filled] = sums[filled] / counts[filled, None]
+    return new_centers
+
+
 def sample_kmeans(descs: DescriptorSet, count: int, seed: int = 0) -> CompressionResult:
     """Lloyd's k-means over structure means; one random member per cluster.
 
@@ -166,11 +181,7 @@ def sample_kmeans(descs: DescriptorSet, count: int, seed: int = 0) -> Compressio
     centers = _kmeans_pp_init(means, count, rng)
     labels = _assign(means, centers)
     for _ in range(300):
-        new_centers = centers.copy()
-        for c in range(count):
-            members = np.flatnonzero(labels == c)
-            if len(members):
-                new_centers[c] = means[members].mean(axis=0)
+        new_centers = _cluster_means(means, labels, centers)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         labels = _assign(means, centers)

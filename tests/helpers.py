@@ -225,3 +225,36 @@ def brute_force_neighbors(structure, center, search_radius, extra_reach=2):
                         found.append((d, a, (na, nb, nc)))
     found.sort()
     return found
+
+
+def full_reach_search(structure, k, search_radius):
+    """The neighbor search over every point of ``replicate_for_search``.
+
+    Candidates come from a k-d tree over the whole replication, grown until
+    the farthest lies beyond the (k + 1)-th nearest by the tie slack, and
+    are sorted by (distance, atom, point index) with the self-image first.
+    Returns (distances, neighbor positions, atom indices).
+    """
+    from scipy.spatial import cKDTree
+
+    from atomcover import geometry
+
+    points = geometry.replicate_for_search(structure, search_radius)
+    n = len(structure)
+    own = len(points) // n // 2 * n + np.arange(n)
+    centers = points[own]
+    tree = cKDTree(points)
+    m = min(k + 2, len(points))
+    while True:
+        dists, cand = tree.query(centers, k=m)
+        dists, cand = dists.reshape(n, m), cand.reshape(n, m)
+        if m == len(points) or np.all(dists[:, -1] > dists[:, k] + geometry._TIE_SLACK):
+            break
+        m = min(2 * m, len(points))
+    diff = points[cand] - centers[:, None, :]
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    dists = np.sqrt(dx * dx + dy * dy + dz * dz)
+    key = np.where(cand == own[:, None], -1.0, dists)
+    order = np.lexsort((cand, cand % n, key), axis=1)[:, 1 : k + 1]
+    chosen = np.take_along_axis(cand, order, axis=1)
+    return np.take_along_axis(dists, order, axis=1), points[chosen], chosen % n

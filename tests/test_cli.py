@@ -195,6 +195,21 @@ class TestExitCodes:
         assert "0.02" in err and "image points" in err
         assert not out.exists()
 
+    def test_image_limit_counts_the_full_reach(self, tmp_path, capsys):
+        # ceil(5 / 0.047) = 107 images per side hold 215**3 < 1e7 points, but
+        # the full reach of 108 holds 217**3: the limit still trips.
+        tiny = tmp_path / "tiny.xyz"
+        tiny.write_text(
+            "1\n"
+            'Lattice="0.047 0 0 0 0.047 0 0 0 0.047" Properties=species:S:1:pos:R:3 pbc="T T T"\n'
+            "Cu 0.0 0.0 0.0\n"
+        )
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(tiny), "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "10218313 periodic image points" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["analyze", "force-cdf"])
     @pytest.mark.parametrize("field", ["force", "energy", "position"])
     def test_nonfinite_input_exits_2(self, tmp_path, capsys, command, field):
@@ -479,6 +494,25 @@ class TestCache:
         assert main(["analyze", str(data), "--cache", str(cache), "-o", str(out)]) == 0
         assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
         assert cached.read_bytes() == full  # rebuilt in place
+
+    def test_unwritable_cache_entry_only_warns(self, tmp_path, capsys):
+        # a directory at the entry's path can be neither read nor replaced
+        data = write_dataset(tmp_path / "d.xyz", n_frames=5)
+        cache = tmp_path / "cache"
+        main(["analyze", str(data), "-o", str(tmp_path / "uncached.json")])
+        main(["analyze", str(data), "--cache", str(cache)])
+        (cached,) = cache.glob("*.acds")
+        cached.unlink()
+        cached.mkdir()
+        capsys.readouterr()
+        for run in range(2):
+            out = tmp_path / f"cached{run}.json"
+            assert main(["analyze", str(data), "--cache", str(cache), "-o", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
+            err = capsys.readouterr().err
+            assert err.count("atomcover: warning:") == 1 and "Traceback" not in err
+            assert [p.name for p in cache.iterdir()] == [cached.name]
+            assert cached.is_dir()
 
     @pytest.mark.parametrize("command", ["analyze", "overlap", "compare"])
     def test_cache_hit_reads_only_the_cache(self, tmp_path, capsys, monkeypatch, command):

@@ -11,7 +11,41 @@ from atomcover import (
     nearest_neighbors,
     replicate_for_search,
 )
-from helpers import brute_force_neighbors, crystal, molecule, perturbed_cubic
+from helpers import brute_force_neighbors, crystal, full_reach_search, molecule, perturbed_cubic
+
+
+# Exact-tie lattices, as (cell, atoms, pbc, search radius).
+LATTICE_TIES = [
+    # perfect simple-cubic cell on an integer grid: every shell is
+    # an exact tie, and k cuts through the second and third shells
+    (
+        np.eye(3) * 4.0,
+        [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)],
+        (1, 1, 1),
+        4.0,
+    ),
+    # pbc = T T F: nothing confines atoms to [0, c) along z, so
+    # atoms below, above and on both sides of the cell count too
+    (
+        np.diag([4.0, 4.0, 8.0]),
+        [[0, 0, -2], [2, 2, -2], [-2, 0, 0], [5, 2, 1], [0, 2, 8], [2, 0, 9]],
+        (1, 1, 0),
+        6.0,
+    ),
+    (
+        np.diag([4.0, 4.0, 8.0]),
+        [[0, 0, -3], [2, 2, -3], [0, 2, -1], [2, 0, -1]],
+        (1, 1, 0),
+        6.0,
+    ),
+    (
+        np.diag([4.0, 4.0, 8.0]),
+        [[0, 0, 9], [2, 2, 9], [0, 2, 11], [2, 0, 11]],
+        (1, 1, 0),
+        6.0,
+    ),
+]
+LATTICE_TIE_IDS = ["sc", "slab-both-sides", "slab-below", "slab-above"]
 
 
 class TestStructureValidation:
@@ -189,40 +223,7 @@ class TestNearestNeighbors:
         assert np.allclose(nbrs.distances[0], [1.0, 1.0])
         assert list(nbrs.indices[0]) == [1, 2]
 
-    @pytest.mark.parametrize(
-        "cell, grid, pbc, radius",
-        [
-            # perfect simple-cubic cell on an integer grid: every shell is
-            # an exact tie, and k cuts through the second and third shells
-            (
-                np.eye(3) * 4.0,
-                [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)],
-                (1, 1, 1),
-                4.0,
-            ),
-            # pbc = T T F: nothing confines atoms to [0, c) along z, so
-            # atoms below, above and on both sides of the cell count too
-            (
-                np.diag([4.0, 4.0, 8.0]),
-                [[0, 0, -2], [2, 2, -2], [-2, 0, 0], [5, 2, 1], [0, 2, 8], [2, 0, 9]],
-                (1, 1, 0),
-                6.0,
-            ),
-            (
-                np.diag([4.0, 4.0, 8.0]),
-                [[0, 0, -3], [2, 2, -3], [0, 2, -1], [2, 0, -1]],
-                (1, 1, 0),
-                6.0,
-            ),
-            (
-                np.diag([4.0, 4.0, 8.0]),
-                [[0, 0, 9], [2, 2, 9], [0, 2, 11], [2, 0, 11]],
-                (1, 1, 0),
-                6.0,
-            ),
-        ],
-        ids=["sc", "slab-both-sides", "slab-below", "slab-above"],
-    )
+    @pytest.mark.parametrize("cell, grid, pbc, radius", LATTICE_TIES, ids=LATTICE_TIE_IDS)
     def test_lattice_ties_follow_brute_force_order(self, cell, grid, pbc, radius):
         # dyadic coordinates keep the ties exact
         s = crystal(cell, np.array(grid, dtype=float), pbc=pbc)
@@ -243,6 +244,23 @@ class TestNearestNeighbors:
                     got.append((nbrs.distances[i, slot], atom, offset))
                 assert got == want
 
+    def test_image_limit_counts_the_full_reach(self):
+        import tracemalloc
+
+        # At a 5 angstrom radius, ceil(r / h) = 107 images per side of this
+        # cell hold 215**3 < 1e7 points; the full reach of 108 holds 217**3.
+        assert int(np.ceil(5.0 / 0.047)) == 107
+        assert 215**3 < geometry._MAX_IMAGE_POINTS < 217**3
+        tiny = crystal(np.eye(3) * 0.047, [[0.0, 0.0, 0.0]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CellError, match="10218313 periodic image points"):
+                nearest_neighbors(tiny, 32, search_radius=5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # raised before any image was built
+
     def test_k_must_be_positive(self):
         s = molecule([[0.0, 0.0, 0.0]])
         with pytest.raises(InputError):
@@ -254,3 +272,47 @@ class TestNearestNeighbors:
         assert nbrs.distances.shape == (1, 0)
         assert nbrs.neighbor_positions.shape == (1, 0, 3)
         assert nbrs.indices.shape == (1, 0)
+
+
+class TestFullReachEquivalence:
+    """``nearest_neighbors`` first searches one image less per side than
+    ``replicate_for_search`` lays out; its result must still be that of the
+    full replication, bit for bit, on the path that keeps the smaller search
+    and on the one that falls back."""
+
+    @staticmethod
+    def assert_same_bits(got, structure, k, radius):
+        distances, positions, indices = full_reach_search(structure, k, radius)
+        assert got.distances.tobytes() == distances.tobytes()
+        assert got.neighbor_positions.tobytes() == positions.tobytes()
+        assert np.array_equal(got.indices, indices)
+
+    def test_random_triclinic_cells(self, monkeypatch):
+        searches = []
+        inner = geometry._nearest_candidates
+        monkeypatch.setattr(
+            geometry, "_nearest_candidates", lambda *args: searches.append(args) or inner(*args)
+        )
+        searches_per_call = set()
+        rng = np.random.default_rng(23)
+        radius = 5.0
+        for ratio, pbc, _ in itertools.product(
+            (0.3, 0.8, 1.0, 1.5, 3.0), ((1, 1, 1), (1, 1, 0)), range(3)
+        ):
+            cell = np.eye(3) + rng.uniform(-0.2, 0.2, size=(3, 3))
+            cell *= ratio * radius / geometry._cell_heights(cell).min()
+            n = int(rng.integers(2, 7))
+            positions = rng.uniform(-0.5, 1.5, size=(n, 3)) @ cell
+            s = crystal(cell, positions, pbc=pbc)
+            for k in (1, 8, 32, 60):
+                before = len(searches)
+                self.assert_same_bits(nearest_neighbors(s, k, radius), s, k, radius)
+                searches_per_call.add(len(searches) - before)
+        # both the smaller search and the fallback to the full one ran
+        assert searches_per_call == {1, 2}
+
+    @pytest.mark.parametrize("cell, grid, pbc, radius", LATTICE_TIES, ids=LATTICE_TIE_IDS)
+    def test_lattice_ties(self, cell, grid, pbc, radius):
+        s = crystal(cell, np.array(grid, dtype=float), pbc=pbc)
+        for k in (1, 6, 8, 10, 20, 32, 60):
+            self.assert_same_bits(nearest_neighbors(s, k, radius), s, k, radius)

@@ -180,6 +180,24 @@ class TestKmeans:
         runs = {sample_kmeans(descs, 5, seed=11).selected for _ in range(10)}
         assert len(runs) == 1
 
+    def test_center_update_matches_per_cluster_mean(self):
+        from atomcover.samplers import _cluster_means
+
+        rng = np.random.default_rng(8)
+        points = rng.normal(size=(2000, 63)) * rng.uniform(0.01, 10.0, size=63)
+        # uneven clusters of up to several hundred members; 3, 7 and 12 empty
+        share = [0.3, 0.2, 0.1, 0, 0.15, 0.1, 0.05, 0, 0.04, 0.03, 0.02, 0.005, 0, 0.003, 0.001, 0.001]
+        labels = rng.choice(16, size=2000, p=share)
+        centers = rng.normal(size=(16, 63))
+        want = centers.copy()
+        for c in range(16):
+            members = np.flatnonzero(labels == c)
+            if len(members):
+                want[c] = points[members].mean(axis=0)
+        got = _cluster_means(points, labels, centers)
+        assert np.bincount(labels).max() > 500 and np.bincount(labels, minlength=16)[3] == 0
+        assert got.tobytes() == want.tobytes()
+
 
 class TestFps:
     def test_sum_of_distances_order(self):
