@@ -133,8 +133,9 @@ def _load_descriptors(path, args, dataset=None):
 
     A cache hit reads only the cache file: its key pins the input's exact
     bytes, so the input is hashed, not parsed.  On a miss the input is
-    parsed, unless the caller passes its parsed ``dataset``.  A cache entry
-    that cannot be written costs a warning on stderr, not the command.
+    parsed, unless the caller passes its parsed ``dataset``.  A cache
+    directory that cannot be made, or an entry that cannot be written, costs
+    a warning on stderr, not the command.
     """
     from .descriptor import build_descriptor_set, load_descriptor_set, save_descriptor_set
     from .errors import InputError
@@ -144,17 +145,22 @@ def _load_descriptors(path, args, dataset=None):
     params = _descriptor_params(args)
     cache_file = None
     if args.cache:
-        os.makedirs(args.cache, exist_ok=True)
-        key = f"{file_digest(path)[:16]}_k{params.n_neighbors}_rc{params.cutoff!r}"
-        cache_file = os.path.join(args.cache, f"{key}.acds")
-        if os.path.exists(cache_file):
-            try:
-                descs = load_descriptor_set(cache_file)
-            except (InputError, OSError):
-                pass  # truncated or unreadable: a miss, rebuilt below
-            else:
-                if descs.params == params:
-                    return descs
+        try:
+            os.makedirs(args.cache, exist_ok=True)
+        except OSError as exc:
+            # A cache directory that cannot be made is a miss on every run.
+            print(f"atomcover: warning: descriptor cache not used: {exc}", file=sys.stderr)
+        else:
+            key = f"{file_digest(path)[:16]}_k{params.n_neighbors}_rc{params.cutoff!r}"
+            cache_file = os.path.join(args.cache, f"{key}.acds")
+    if cache_file and os.path.exists(cache_file):
+        try:
+            descs = load_descriptor_set(cache_file)
+        except (InputError, OSError):
+            pass  # truncated or unreadable: a miss, rebuilt below
+        else:
+            if descs.params == params:
+                return descs
     if dataset is None:
         dataset = read_extxyz(path)
     descs = build_descriptor_set(dataset, params)

@@ -26,7 +26,6 @@ from .geometry import Dataset, NeighborSet, nearest_neighbors
 __all__ = [
     "DescriptorParams",
     "DescriptorSet",
-    "cutoff_weight",
     "compute_x1",
     "compute_x2",
     "build_descriptor_set",
@@ -143,7 +142,7 @@ class DescriptorSet:
         )
 
 
-def cutoff_weight(r, cutoff: float):
+def _cutoff_weight(r, cutoff: float):
     """Smooth cutoff weight ``(1 - (r/cutoff)^2)^2`` for ``r <= cutoff``, else 0.
 
     Continuous with continuous first derivative at the cutoff.  Accepts
@@ -174,7 +173,7 @@ def compute_x1(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
             f"atom {bad[0]}: coincident atoms, zero distance to a neighbor"
         )
     out = np.zeros((r.shape[0], params.n_neighbors))
-    out[:, : r.shape[1]] = cutoff_weight(r, params.cutoff) / r
+    out[:, : r.shape[1]] = _cutoff_weight(r, params.cutoff) / r
     return out
 
 
@@ -207,7 +206,7 @@ def _x2_rows(pos, distances, first_atom, params) -> np.ndarray:
     Returns the v - 1 ranks, (rows, v - 1), for v neighbors per atom.
     """
     m, v = distances.shape
-    w = cutoff_weight(distances, params.cutoff)
+    w = _cutoff_weight(distances, params.cutoff)
     p = np.ascontiguousarray(pos.transpose(2, 0, 1))  # (3, m, v)
     # The diagonal distance is 0, so its terms are inf, or nan for a
     # neighbor beyond the cutoff; they are overwritten below.

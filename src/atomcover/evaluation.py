@@ -24,8 +24,6 @@ __all__ = [
     "ForceCdf",
     "SweepRow",
     "SweepResult",
-    "pooled_force_magnitudes",
-    "default_threshold_grid",
     "force_cdf",
     "delta_h_histogram",
     "compression_report",
@@ -83,7 +81,7 @@ class ForceCdf:
         object.__setattr__(self, "cdf", cdf)
 
 
-def pooled_force_magnitudes(dataset: Dataset, selection=None) -> np.ndarray:
+def _pooled_force_magnitudes(dataset: Dataset, selection=None) -> np.ndarray:
     """All per-atom |F| over the selected structures, pooled into one array."""
     indices = range(len(dataset)) if selection is None else selection
     chunks = []
@@ -97,9 +95,9 @@ def pooled_force_magnitudes(dataset: Dataset, selection=None) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def default_threshold_grid(dataset: Dataset) -> np.ndarray:
+def _default_threshold_grid(dataset: Dataset) -> np.ndarray:
     """256 points from the 80th percentile of the full dataset's |F| to the max."""
-    mags = pooled_force_magnitudes(dataset)
+    mags = _pooled_force_magnitudes(dataset)
     lo = float(np.percentile(mags, 80.0))
     hi = float(mags.max())
     if not hi > lo:  # all magnitudes in the tail identical
@@ -110,13 +108,13 @@ def default_threshold_grid(dataset: Dataset) -> np.ndarray:
 def force_cdf(dataset: Dataset, selection=None, thresholds=None) -> ForceCdf:
     """Fraction of environments with |F| strictly below each threshold.
 
-    Defaults to the tail grid from :func:`default_threshold_grid` over
+    Defaults to the tail grid from :func:`_default_threshold_grid` over
     the full dataset, so subset CDFs stay comparable.
     """
     if thresholds is None:
-        thresholds = default_threshold_grid(dataset)
+        thresholds = _default_threshold_grid(dataset)
     thresholds = np.asarray(thresholds, dtype=float)
-    mags = np.sort(pooled_force_magnitudes(dataset, selection))
+    mags = np.sort(_pooled_force_magnitudes(dataset, selection))
     below = np.searchsorted(mags, thresholds, side="left")
     return ForceCdf(
         thresholds=thresholds,

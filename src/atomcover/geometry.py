@@ -5,20 +5,22 @@ vectors, Cartesian positions are in angstrom, ``r = s @ cell`` maps
 fractional to Cartesian coordinates.
 
 Neighbor queries replicate periodic images explicitly and search them
-with a k-d tree.  The reference set is ``replicate_for_search``'s, out to
-``ceil(search_radius / cell_height) + 1`` images per periodic direction.
-The search first tries one image less per side, which already holds
-every point within ``ceil(search_radius / cell_height)`` cell heights,
-and keeps that result only when it provably equals the full search's.
-Minimum-image shortcuts are deliberately avoided: they are wrong for
-cells smaller than the search radius, which occur routinely in the
-datasets this package targets.  All atoms of a structure are searched
-in one batch.
+with one k-d tree per structure.  The reference set is
+``replicate_for_search``'s, out to ``ceil(search_radius / cell_height) + 1``
+images per periodic direction.  The search lays out one image less per
+side, which already holds every point within the search radius, or the
+reference set when that would hold no more than k points.  Within the
+search radius its result is bit for bit the reference set's; beyond it,
+where the descriptor weight is 0, it is best effort.  Minimum-image
+shortcuts are deliberately avoided: they are wrong for cells smaller than
+the search radius, which occur routinely in the datasets this package
+targets.  All atoms of a structure are searched in one batch.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +161,8 @@ class NeighborSet:
     along each row, ``neighbor_positions`` is (n, v, 3) and ``indices``
     (n, v) holds the neighbor's atom index.  Every atom of a structure
     searches the same images, so all rows have the same width
-    ``v = min(k, images - 1)``.  Distinct periodic images of the same atom
+    ``v = min(k, M - 1)`` for the ``M`` points of
+    :func:`replicate_for_search`.  Distinct periodic images of the same atom
     count as distinct neighbors; only the zero-distance self-image is
     excluded.
     """
@@ -188,43 +191,46 @@ def _cell_heights(cell: np.ndarray) -> np.ndarray:
     return np.array([volume / np.linalg.norm(cross) for cross in crosses])
 
 
-def _image_reach(structure: Structure, search_radius: float):
-    """Cell heights and the images per side, ``ceil(search_radius / h) + 1``
-    on each periodic axis, that :func:`replicate_for_search` lays out.
+def _image_reach(structure: Structure, search_radius: float) -> tuple[int, int, int]:
+    """Images per side that :func:`replicate_for_search` lays out:
+    ``ceil(search_radius / h) + 1`` on each periodic axis of cell height
+    ``h``, 0 on the others.
 
     Raises CellError, before anything is allocated, when those images would
-    hold more than ``_MAX_IMAGE_POINTS`` points.  An aperiodic structure
-    has no heights and a reach of zero.
+    hold more than ``_MAX_IMAGE_POINTS`` points.
     """
     if search_radius <= 0:
         raise InputError(f"search_radius must be positive, got {search_radius}")
     if not structure.pbc.any():
-        return None, (0, 0, 0)
+        return (0, 0, 0)
     heights = _cell_heights(structure.cell)
     reach = tuple(
         int(np.ceil(search_radius / heights[axis])) + 1 if structure.pbc[axis] else 0
         for axis in range(3)
     )
-    n_points = len(structure) * (2 * reach[0] + 1) * (2 * reach[1] + 1) * (2 * reach[2] + 1)
+    n_points = len(structure) * math.prod(2 * r + 1 for r in reach)
     if n_points > _MAX_IMAGE_POINTS:
         raise CellError(
             f"cell heights {np.array2string(heights, precision=4)} angstrom need "
             f"{n_points} periodic image points within {search_radius:g} angstrom, "
             f"more than the limit of {_MAX_IMAGE_POINTS}"
         )
-    return heights, reach
+    return reach
 
 
-def _image_shifts(cell: np.ndarray, reach) -> tuple[np.ndarray, np.ndarray]:
-    """Integer offsets (n_images, 3) of the images out to ``reach`` per side,
-    in lexicographic order, and their Cartesian shifts."""
+def _image_points(structure: Structure, reach) -> np.ndarray:
+    """The wrapped atoms in every image out to ``reach`` per side.
+
+    Images come in lexicographic order of their integer lattice offsets,
+    each holding the atoms in structure order, so point ``p`` is atom
+    ``p % n`` of image ``p // n`` and the zero-offset image is the middle
+    one.  An aperiodic structure is one image, its own positions.
+    """
+    if not structure.pbc.any():
+        return structure.positions
     offsets = np.array(list(itertools.product(*(range(-r, r + 1) for r in reach))), dtype=int)
-    return offsets, offsets.astype(float) @ cell
-
-
-def _image_points(base: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Point ``p`` is atom ``p % n`` of ``base`` moved by shift ``p // n``."""
-    return (base[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
+    shifts = offsets.astype(float) @ structure.cell
+    return (_wrap_positions(structure)[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
 
 
 def replicate_for_search(structure: Structure, search_radius: float) -> np.ndarray:
@@ -239,24 +245,19 @@ def replicate_for_search(structure: Structure, search_radius: float) -> np.ndarr
     image is the middle one, ``n_images // 2``.  An aperiodic structure has
     one image: its own positions.
     """
-    _, reach = _image_reach(structure, search_radius)
-    if not structure.pbc.any():
-        return structure.positions
-    _, shifts = _image_shifts(structure.cell, reach)
-    return _image_points(_wrap_positions(structure), shifts)
+    return _image_points(structure, _image_reach(structure, search_radius))
 
 
 def _nearest_candidates(points: np.ndarray, n: int, k: int):
     """Candidate neighbors of the ``n`` atoms of the zero-offset image.
 
-    ``points`` is laid out as :func:`replicate_for_search` lays it out.
-    Returns the atoms' own point indices (n,), each atom's m nearest points
-    as indices into ``points`` (n, m), and the distance (n,) of the farthest
-    of them.  ``m >= min(k + 2, len(points))`` covers the k nearest
-    neighbors plus the self-image, and grows until the last point lies
-    clearly beyond the (k + 1)-th: every point tied with the k-th neighbor
-    is then a candidate, so the tree's own order of tied points never
-    decides which are kept.
+    ``points`` is laid out as :func:`_image_points` lays it out.  Returns
+    the atoms' own point indices (n,) and each atom's m nearest points as
+    indices into ``points`` (n, m).  ``m >= min(k + 2, len(points))``
+    covers the k nearest neighbors plus the self-image, and grows until the
+    last point lies clearly beyond the (k + 1)-th: every point tied with
+    the k-th neighbor is then a candidate, so the tree's own order of tied
+    points never decides which are kept.
     """
     # The middle, zero-offset image holds the wrapped atoms in order.
     own = len(points) // n // 2 * n + np.arange(n)
@@ -269,7 +270,7 @@ def _nearest_candidates(points: np.ndarray, n: int, k: int):
         dists, cand = tree.query(points[own], k=n_query)
         dists = dists.reshape(n, n_query)
         if n_query == n_points or np.all(dists[:, -1] > dists[:, k] + _TIE_SLACK):
-            return own, cand.reshape(n, n_query), dists[:, -1]
+            return own, cand.reshape(n, n_query)
         n_query = min(2 * n_query, n_points)
 
 
@@ -279,36 +280,30 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     The zero-distance self-image is excluded; other images of the same
     atom are valid neighbors.  Neighbors are sorted by distance, with
     exact ties broken by (atom index, image offset lexicographic) so the
-    ordering is deterministic.  The result is bit for bit that of a search
-    over all points of :func:`replicate_for_search`; if fewer than ``k``
-    other points exist there, each row holds all of them.
+    ordering is deterministic.  One layout of images is searched, once:
+    ``ceil(search_radius / cell_height)`` images per periodic side, or
+    :func:`replicate_for_search`'s layout when those hold no more than
+    ``k`` points.  Within ``search_radius`` the result is bit for bit that
+    of a search over all points of :func:`replicate_for_search`, and so is
+    the row width ``v``; neighbors beyond it, where the descriptor's cutoff
+    weight is 0, may be other points at least as far.  If fewer than ``k``
+    other points exist, each row holds all of them.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     n = len(structure)
-    heights, reach = _image_reach(structure, search_radius)
-    if not structure.pbc.any():
-        points = structure.positions
-        own, cand, _ = _nearest_candidates(points, n, k)
-    else:
-        offsets, shifts = _image_shifts(structure.cell, reach)
-        base = _wrap_positions(structure)
-        # Wrapped atoms lie inside the cell, so an image offset by more than
-        # j cells along a periodic axis lies at least j cell heights from
-        # every atom.  The images one less per side than the full reach thus
-        # hold every point closer than ``covered``.  Candidates that all stay
-        # inside it by the tie slack are those of the full search, whose
-        # extra points are all farther away; otherwise search in full.  An
-        # accepted search never used up the smaller set: each atom's own
-        # image ``inner`` cells along the axis that sets ``covered`` lies
-        # at least ``covered`` away, so it was left out.
-        inner = np.maximum(np.array(reach) - 1, 0)
-        covered = (inner * heights)[structure.pbc].min()
-        points = _image_points(base, shifts[np.all(np.abs(offsets) <= inner, axis=1)])
-        own, cand, farthest = _nearest_candidates(points, n, k)
-        if not np.all(farthest < covered - _TIE_SLACK):
-            points = _image_points(base, shifts)
-            own, cand, _ = _nearest_candidates(points, n, k)
+    reach = _image_reach(structure, search_radius)
+    # Wrapped atoms lie inside the cell, so an image offset by j cells along
+    # a periodic axis lies more than j - 1 cell heights from every atom: the
+    # ceil(search_radius / h) images per side, one less than the full reach,
+    # hold every point within the search radius.  compute_x2 divides by the
+    # row width v = min(k, points - 1); when those images hold no more than
+    # k points, the full reach is searched instead, so v is the full reach's.
+    inner = tuple(max(r - 1, 0) for r in reach)
+    if n * math.prod(2 * r + 1 for r in inner) <= k:
+        inner = reach
+    points = _image_points(structure, inner)
+    own, cand = _nearest_candidates(points, n, k)
     centers = points[own]
     diff = points[cand] - centers[:, None, :]
     dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ReportDocument", "round_floats", "file_digest", "write_csv"]
+__all__ = ["ReportDocument", "file_digest", "write_csv"]
 
 
-def round_floats(obj):
+def _round_floats(obj):
     """Recursively convert to JSON-friendly types with floats at 12 significant digits."""
     if isinstance(obj, bool):
         return obj
@@ -27,11 +27,11 @@ def round_floats(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return [round_floats(v) for v in obj.tolist()]
+        return [_round_floats(v) for v in obj.tolist()]
     if isinstance(obj, dict):
-        return {str(k): round_floats(v) for k, v in obj.items()}
+        return {str(k): _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -46,8 +46,8 @@ class ReportDocument:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "parameters": round_floats(self.parameters),
-            "metrics": round_floats(self.metrics),
+            "parameters": _round_floats(self.parameters),
+            "metrics": _round_floats(self.metrics),
         }
 
     def to_json(self) -> str:
@@ -75,4 +75,4 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else round_floats(v) for v in row])
+            writer.writerow([v if isinstance(v, str) else _round_floats(v) for v in row])

@@ -23,7 +23,6 @@ __all__ = [
     "StepDiagnostics",
     "CompressionResult",
     "sample_random",
-    "structure_means",
     "sample_kmeans",
     "sample_fps",
     "sample_msc",
@@ -116,7 +115,7 @@ def sample_random(n_structures: int, count: int, seed: int = 0) -> CompressionRe
     return CompressionResult(selected=tuple(int(i) for i in picks))
 
 
-def structure_means(descs: DescriptorSet) -> np.ndarray:
+def _structure_means(descs: DescriptorSet) -> np.ndarray:
     """Arithmetic mean descriptor of each structure, shape (n_structures, width)."""
     out = np.empty((descs.n_structures, descs.width))
     for i in range(descs.n_structures):
@@ -176,7 +175,7 @@ def sample_kmeans(descs: DescriptorSet, count: int, seed: int = 0) -> Compressio
     """
     n = descs.n_structures
     _check_count(count, n)
-    means = structure_means(descs)
+    means = _structure_means(descs)
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(means, count, rng)
     labels = _assign(means, centers)
@@ -215,7 +214,7 @@ def sample_fps(descs: DescriptorSet, count: int, seed: int = 0) -> CompressionRe
     """
     n = descs.n_structures
     _check_count(count, n)
-    means = structure_means(descs)
+    means = _structure_means(descs)
     rng = np.random.default_rng(seed)
     first = int(rng.integers(n))
     selected = [first]

@@ -514,6 +514,20 @@ class TestCache:
             assert [p.name for p in cache.iterdir()] == [cached.name]
             assert cached.is_dir()
 
+    def test_cache_path_that_is_a_file_only_warns(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=5)
+        main(["analyze", str(data), "-o", str(tmp_path / "uncached.json")])
+        cache = tmp_path / "cache"
+        cache.write_bytes(b"not a directory")
+        capsys.readouterr()
+        for run in range(2):
+            out = tmp_path / f"cached{run}.json"
+            assert main(["analyze", str(data), "--cache", str(cache), "-o", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
+            err = capsys.readouterr().err
+            assert err.count("atomcover: warning:") == 1 and "Traceback" not in err
+            assert cache.read_bytes() == b"not a directory"
+
     @pytest.mark.parametrize("command", ["analyze", "overlap", "compare"])
     def test_cache_hit_reads_only_the_cache(self, tmp_path, capsys, monkeypatch, command):
         inputs = [str(write_dataset(tmp_path / "d.xyz", n_frames=6))]

@@ -13,11 +13,11 @@ from atomcover import (
     build_descriptor_set,
     compute_x1,
     compute_x2,
-    cutoff_weight,
     load_descriptor_set,
     nearest_neighbors,
     save_descriptor_set,
 )
+from atomcover.descriptor import _cutoff_weight
 from helpers import (
     assert_row_multisets_close,
     crystal,
@@ -32,35 +32,35 @@ from helpers import (
 
 class TestCutoffWeight:
     def test_reference_values(self):
-        assert cutoff_weight(0.0, 5.0) == 1.0
-        assert cutoff_weight(5.0, 5.0) == 0.0
-        assert cutoff_weight(6.0, 5.0) == 0.0
-        assert cutoff_weight(2.5, 5.0) == pytest.approx(0.5625, abs=0)
+        assert _cutoff_weight(0.0, 5.0) == 1.0
+        assert _cutoff_weight(5.0, 5.0) == 0.0
+        assert _cutoff_weight(6.0, 5.0) == 0.0
+        assert _cutoff_weight(2.5, 5.0) == pytest.approx(0.5625, abs=0)
 
     def test_smooth_at_cutoff(self):
         # value and slope both vanish at the cutoff
         eps = 1e-6
-        assert cutoff_weight(5.0 - eps, 5.0) < 1e-11
-        slope = (cutoff_weight(5.0, 5.0) - cutoff_weight(5.0 - eps, 5.0)) / eps
+        assert _cutoff_weight(5.0 - eps, 5.0) < 1e-11
+        slope = (_cutoff_weight(5.0, 5.0) - _cutoff_weight(5.0 - eps, 5.0)) / eps
         assert abs(slope) < 1e-5
 
     def test_monotone_decreasing(self):
         r = np.linspace(0, 5, 200)
-        w = cutoff_weight(r, 5.0)
+        w = _cutoff_weight(r, 5.0)
         assert np.all(np.diff(w) <= 0)
         assert np.all((w >= 0) & (w <= 1))
 
     def test_array_input(self):
-        w = cutoff_weight(np.array([0.0, 2.5, 5.0, np.inf]), 5.0)
+        w = _cutoff_weight(np.array([0.0, 2.5, 5.0, np.inf]), 5.0)
         assert np.allclose(w, [1.0, 0.5625, 0.0, 0.0])
 
     def test_rejects_negative_distance(self):
         with pytest.raises(InputError):
-            cutoff_weight(-1.0, 5.0)
+            _cutoff_weight(-1.0, 5.0)
 
     def test_rejects_bad_cutoff(self):
         with pytest.raises(InputError):
-            cutoff_weight(1.0, 0.0)
+            _cutoff_weight(1.0, 0.0)
 
 
 class TestParams:

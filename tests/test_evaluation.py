@@ -10,18 +10,17 @@ from atomcover import (
     SamplerConfig,
     compare_methods,
     compression_report,
-    default_threshold_grid,
     delta_entropy,
     delta_h_histogram,
     diversity,
     entropy,
     force_cdf,
     overlap,
-    pooled_force_magnitudes,
     run_sampler,
     sample_fps,
     sample_msc,
 )
+from atomcover.evaluation import _default_threshold_grid, _pooled_force_magnitudes
 from helpers import count_cross_passes, count_self_passes, molecule, synthetic_set
 from test_samplers import random_fixture, redundant_fixture
 
@@ -80,12 +79,12 @@ class TestForceCdfType:
 class TestForceMagnitudes:
     def test_pooling(self):
         ds = forces_dataset([1.0, 2.0])
-        mags = pooled_force_magnitudes(ds)
+        mags = _pooled_force_magnitudes(ds)
         assert sorted(mags) == [0.0, 0.0, 1.0, 2.0]
 
     def test_selection_subset(self):
         ds = forces_dataset([1.0, 2.0, 3.0])
-        mags = pooled_force_magnitudes(ds, [2])
+        mags = _pooled_force_magnitudes(ds, [2])
         assert sorted(mags) == [0.0, 3.0]
 
     def test_missing_forces_names_structure(self):
@@ -93,7 +92,7 @@ class TestForceMagnitudes:
 
         ds = Dataset(structures=(molecule([[0.0, 0.0, 0.0]]),))
         with pytest.raises(InputError, match="structure 0"):
-            pooled_force_magnitudes(ds)
+            _pooled_force_magnitudes(ds)
 
 
 class TestForceCdf:
@@ -161,15 +160,15 @@ class TestForceCdf:
 
     def test_default_grid(self):
         ds = forces_dataset([1.0, 2.0, 3.0, 4.0])
-        grid = default_threshold_grid(ds)
+        grid = _default_threshold_grid(ds)
         assert len(grid) == 256
-        mags = pooled_force_magnitudes(ds)
+        mags = _pooled_force_magnitudes(ds)
         assert grid[0] == pytest.approx(np.percentile(mags, 80))
         assert grid[-1] == pytest.approx(4.0)
 
     def test_default_grid_degenerate(self):
         ds = forces_dataset([0.0, 0.0])
-        grid = default_threshold_grid(ds)
+        grid = _default_threshold_grid(ds)
         assert grid.tolist() == [0.0]
 
 

@@ -6,8 +6,14 @@ import pytest
 from atomcover import geometry
 from atomcover import (
     CellError,
+    Dataset,
+    DescriptorParams,
     InputError,
+    NeighborSet,
     Structure,
+    build_descriptor_set,
+    compute_x1,
+    compute_x2,
     nearest_neighbors,
     replicate_for_search,
 )
@@ -275,44 +281,67 @@ class TestNearestNeighbors:
 
 
 class TestFullReachEquivalence:
-    """``nearest_neighbors`` first searches one image less per side than
-    ``replicate_for_search`` lays out; its result must still be that of the
-    full replication, bit for bit, on the path that keeps the smaller search
-    and on the one that falls back."""
+    """``nearest_neighbors`` builds one tree over ``ceil(r / h)`` images per
+    periodic side, one less than ``replicate_for_search`` lays out, or over
+    that whole set when the smaller one holds no more than k points.  Within
+    the search radius its neighbors, its row width and the descriptor rows
+    must still be those of the whole set, bit for bit."""
+
+    @pytest.fixture
+    def tree_sizes(self, monkeypatch):
+        sizes = []
+        tree = geometry.cKDTree
+        monkeypatch.setattr(
+            geometry, "cKDTree", lambda points, **kw: sizes.append(len(points)) or tree(points, **kw)
+        )
+        return sizes
 
     @staticmethod
-    def assert_same_bits(got, structure, k, radius):
+    def assert_same_within_radius(tree_sizes, structure, k, radius):
+        """Checks one call against the whole set; returns the points it searched."""
+        before = len(tree_sizes)
+        got = nearest_neighbors(structure, k, radius)
+        assert len(tree_sizes) == before + 1
         distances, positions, indices = full_reach_search(structure, k, radius)
-        assert got.distances.tobytes() == distances.tobytes()
-        assert got.neighbor_positions.tobytes() == positions.tobytes()
-        assert np.array_equal(got.indices, indices)
+        assert got.distances.shape == distances.shape  # the same row width v
+        inside = distances < radius
+        assert np.array_equal(got.distances < radius, inside)
+        assert got.distances[inside].tobytes() == distances[inside].tobytes()
+        assert got.neighbor_positions[inside].tobytes() == positions[inside].tobytes()
+        assert np.array_equal(got.indices[inside], indices[inside])
+        # Beyond the radius the cutoff weight is 0, so other neighbors there
+        # leave the descriptor rows unchanged.
+        params = DescriptorParams(k, radius)
+        whole = NeighborSet(distances, positions, indices)
+        want = np.hstack([compute_x1(whole, params), compute_x2(whole, params)])
+        rows = build_descriptor_set(Dataset([structure]), params).values
+        assert rows.tobytes() == want.tobytes()
+        return tree_sizes[before]
 
-    def test_random_triclinic_cells(self, monkeypatch):
-        searches = []
-        inner = geometry._nearest_candidates
-        monkeypatch.setattr(
-            geometry, "_nearest_candidates", lambda *args: searches.append(args) or inner(*args)
-        )
-        searches_per_call = set()
+    def test_random_triclinic_cells(self, tree_sizes):
+        layouts = set()
         rng = np.random.default_rng(23)
         radius = 5.0
         for ratio, pbc, _ in itertools.product(
-            (0.3, 0.8, 1.0, 1.5, 3.0), ((1, 1, 1), (1, 1, 0)), range(3)
+            (0.3, 0.8, 1.0, 1.5, 3.0), ((1, 1, 1), (1, 1, 0), (1, 0, 0)), range(3)
         ):
             cell = np.eye(3) + rng.uniform(-0.2, 0.2, size=(3, 3))
             cell *= ratio * radius / geometry._cell_heights(cell).min()
             n = int(rng.integers(2, 7))
             positions = rng.uniform(-0.5, 1.5, size=(n, 3)) @ cell
             s = crystal(cell, positions, pbc=pbc)
-            for k in (1, 8, 32, 60):
-                before = len(searches)
-                self.assert_same_bits(nearest_neighbors(s, k, radius), s, k, radius)
-                searches_per_call.add(len(searches) - before)
-        # both the smaller search and the fallback to the full one ran
-        assert searches_per_call == {1, 2}
+            reach = np.ceil(radius / geometry._cell_heights(cell)).astype(int) * pbc
+            inner = n * np.prod(2 * reach + 1)
+            for k in (2, 8, 32, 60):
+                searched = self.assert_same_within_radius(tree_sizes, s, k, radius)
+                sparse = inner <= k
+                assert searched == (len(replicate_for_search(s, radius)) if sparse else inner)
+                layouts.add(sparse)
+        # both the ceil(r / h) layout and the whole set on sparse cells ran
+        assert layouts == {False, True}
 
     @pytest.mark.parametrize("cell, grid, pbc, radius", LATTICE_TIES, ids=LATTICE_TIE_IDS)
-    def test_lattice_ties(self, cell, grid, pbc, radius):
+    def test_lattice_ties(self, tree_sizes, cell, grid, pbc, radius):
         s = crystal(cell, np.array(grid, dtype=float), pbc=pbc)
-        for k in (1, 6, 8, 10, 20, 32, 60):
-            self.assert_same_bits(nearest_neighbors(s, k, radius), s, k, radius)
+        for k in (2, 6, 8, 10, 20, 32, 60):
+            self.assert_same_within_radius(tree_sizes, s, k, radius)

@@ -10,10 +10,10 @@ from atomcover import (
     ReportDocument,
     file_digest,
     read_extxyz,
-    round_floats,
     write_csv,
     write_extxyz,
 )
+from atomcover.report import _round_floats
 from helpers import crystal, dataset, molecule
 
 
@@ -258,11 +258,11 @@ class TestParseErrors:
 
 class TestRoundFloats:
     def test_12_significant_digits(self):
-        assert round_floats(1.0 / 3.0) == 0.333333333333
-        assert round_floats(123456789.123456789) == 123456789.123
+        assert _round_floats(1.0 / 3.0) == 0.333333333333
+        assert _round_floats(123456789.123456789) == 123456789.123
 
     def test_preserves_types(self):
-        out = round_floats(
+        out = _round_floats(
             {"a": np.float64(0.1), "b": np.int32(3), "c": [True, None, "x"], "d": (1.5,)}
         )
         assert out == {"a": 0.1, "b": 3, "c": [True, None, "x"], "d": [1.5]}
@@ -270,7 +270,7 @@ class TestRoundFloats:
         assert out["c"][0] is True
 
     def test_arrays_become_lists(self):
-        out = round_floats(np.array([[1.0, 2.0]]))
+        out = _round_floats(np.array([[1.0, 2.0]]))
         assert out == [[1.0, 2.0]]
 
 

@@ -12,8 +12,8 @@ from atomcover import (
     sample_kmeans,
     sample_msc,
     sample_random,
-    structure_means,
 )
+from atomcover.samplers import _structure_means
 from helpers import naive_delta_entropy, naive_entropy, synthetic_set
 
 H = 0.015
@@ -137,18 +137,18 @@ class TestRandom:
 class TestStructureMeans:
     def test_single_row_structures(self):
         descs = synthetic_set([np.full((1, 4), 0.3), np.full((1, 4), 0.7)])
-        means = structure_means(descs)
+        means = _structure_means(descs)
         assert np.allclose(means, [[0.3] * 4, [0.7] * 4])
 
     def test_identical_rows_collapse(self):
         descs = synthetic_set([np.tile([1.0, 2.0], (5, 1))])
-        assert np.allclose(structure_means(descs), [[1.0, 2.0]])
+        assert np.allclose(_structure_means(descs), [[1.0, 2.0]])
 
     def test_supercell_aliases_to_primitive(self):
         rng = np.random.default_rng(4)
         rows = rng.random((3, 6))
         descs = synthetic_set([rows, np.tile(rows, (8, 1))])
-        means = structure_means(descs)
+        means = _structure_means(descs)
         assert np.allclose(means[0], means[1], atol=1e-8)
 
 
