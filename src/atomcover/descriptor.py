@@ -83,15 +83,12 @@ class DescriptorSet:
         offsets = np.asarray(self.offsets, dtype=int)
         if offsets.ndim != 2 or offsets.shape[1] != 2:
             raise InputError(f"offsets must be (n, 2), got shape {offsets.shape}")
-        expected_start = 0
-        for start, length in offsets:
-            if start != expected_start or length < 1:
-                raise InputError("offsets must form a contiguous partition of the rows")
-            expected_start = start + length
-        if expected_start != values.shape[0]:
-            raise InputError(
-                f"offsets cover {expected_start} rows but values has {values.shape[0]}"
-            )
+        ends = offsets.sum(axis=1)
+        if np.any(offsets[:, 1] < 1) or np.any(offsets[:, 0] != np.append(0, ends[:-1])):
+            raise InputError("offsets must form a contiguous partition of the rows")
+        covered = int(ends[-1]) if len(ends) else 0
+        if covered != values.shape[0]:
+            raise InputError(f"offsets cover {covered} rows but values has {values.shape[0]}")
         if self.params is not None and values.shape[1] != self.params.width:
             raise InputError(
                 f"row width {values.shape[1]} does not match params width {self.params.width}"
@@ -120,24 +117,20 @@ class DescriptorSet:
 
     def subset(self, structure_indices) -> "DescriptorSet":
         """New set holding only the given structures, in the given order."""
-        indices = [int(i) for i in structure_indices]
-        if len(set(indices)) != len(indices):
+        indices = np.array(list(structure_indices), dtype=int)
+        if np.unique(indices).size != indices.size:
             raise InputError("structure indices must be unique")
-        blocks = []
-        offsets = []
-        pos = 0
-        for i in indices:
-            if not 0 <= i < self.n_structures:
-                raise InputError(f"structure index {i} out of range")
-            block = self.rows_for(i)
-            blocks.append(block)
-            offsets.append((pos, len(block)))
-            pos += len(block)
-        if not blocks:
+        bad = np.flatnonzero((indices < 0) | (indices >= self.n_structures))
+        if bad.size:
+            raise InputError(f"structure index {indices[bad[0]]} out of range")
+        if not indices.size:
             raise InputError("subset selection is empty")
+        starts, lengths = self.offsets[indices].T
+        new_starts = np.cumsum(lengths) - lengths
+        rows = np.repeat(starts - new_starts, lengths) + np.arange(new_starts[-1] + lengths[-1])
         return DescriptorSet(
-            values=np.concatenate(blocks, axis=0),
-            offsets=np.asarray(offsets, dtype=int),
+            values=self.values[rows],
+            offsets=np.stack([new_starts, lengths], axis=1),
             params=self.params,
         )
 

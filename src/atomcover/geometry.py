@@ -4,17 +4,16 @@ Conventions match pymatgen/ASE: rows of the cell matrix are lattice
 vectors, Cartesian positions are in angstrom, ``r = s @ cell`` maps
 fractional to Cartesian coordinates.
 
-Neighbor queries replicate periodic images explicitly and search them
-with one k-d tree per structure.  The reference set is
-``replicate_for_search``'s, out to ``ceil(search_radius / cell_height) + 1``
-images per periodic direction.  The search lays out one image less per
-side, which already holds every point within the search radius, or the
-reference set when that would hold no more than k points.  Within the
-search radius its result is bit for bit the reference set's; beyond it,
-where the descriptor weight is 0, it is best effort.  Minimum-image
-shortcuts are deliberately avoided: they are wrong for cells smaller than
-the search radius, which occur routinely in the datasets this package
-targets.  All atoms of a structure are searched in one batch.
+Neighbor queries lay out periodic images explicitly and search them with
+one k-d tree per structure.  Each structure gets one layout:
+``ceil(search_radius / cell_height)`` images per periodic side, which holds
+every point within the search radius, widened by one image per periodic
+side while it holds no more than k points.  So every atom of a periodic
+structure gets exactly k neighbors, and an atom of an n-atom aperiodic one
+``min(k, n - 1)``.  Minimum-image shortcuts are deliberately avoided: they
+are wrong for cells smaller than the search radius, which occur routinely
+in the datasets this package targets.  All atoms of a structure are
+searched in one batch.
 """
 
 from __future__ import annotations
@@ -32,15 +31,14 @@ __all__ = [
     "Structure",
     "Dataset",
     "NeighborSet",
-    "replicate_for_search",
     "nearest_neighbors",
 ]
 
 #: Cell determinants below this (in cubic angstrom) are treated as singular.
 _SINGULAR_VOLUME = 1e-12
 
-#: Most replicated points one structure may need.  A 1-atom 0.2 angstrom
-#: cell at a 5 angstrom cutoff needs 148,877; this limit only stops cells
+#: Most image points one structure may lay out.  A 1-atom 0.2 angstrom cell
+#: at a 5 angstrom cutoff needs 51**3 = 132,651; this limit only stops cells
 #: far too small to be physical before they exhaust memory.
 _MAX_IMAGE_POINTS = 10**7
 
@@ -160,11 +158,10 @@ class NeighborSet:
     Row ``i`` belongs to atom ``i``.  ``distances`` (n, v) is ascending
     along each row, ``neighbor_positions`` is (n, v, 3) and ``indices``
     (n, v) holds the neighbor's atom index.  Every atom of a structure
-    searches the same images, so all rows have the same width
-    ``v = min(k, M - 1)`` for the ``M`` points of
-    :func:`replicate_for_search`.  Distinct periodic images of the same atom
-    count as distinct neighbors; only the zero-distance self-image is
-    excluded.
+    searches the same images, so all rows have the same width ``v``: ``k``
+    for a periodic structure, ``min(k, n - 1)`` for an aperiodic one.
+    Distinct periodic images of the same atom count as distinct neighbors;
+    only the zero-distance self-image is excluded.
     """
 
     distances: np.ndarray
@@ -191,12 +188,16 @@ def _cell_heights(cell: np.ndarray) -> np.ndarray:
     return np.array([volume / np.linalg.norm(cross) for cross in crosses])
 
 
-def _image_reach(structure: Structure, search_radius: float) -> tuple[int, int, int]:
-    """Images per side that :func:`replicate_for_search` lays out:
-    ``ceil(search_radius / h) + 1`` on each periodic axis of cell height
-    ``h``, 0 on the others.
+def _image_reach(structure: Structure, search_radius: float, k: int) -> tuple[int, int, int]:
+    """Images per side to lay out for a ``k``-nearest-neighbor search:
+    ``ceil(search_radius / h)`` on each periodic axis of cell height ``h``,
+    0 on the others, widened by one image per periodic side while the
+    layout holds no more than ``k`` points.
 
-    Raises CellError, before anything is allocated, when those images would
+    Wrapped atoms lie inside the cell, so an image offset by j cells along a
+    periodic axis lies more than j - 1 cell heights from every atom: the
+    layout holds every point within the search radius, and more than ``k``
+    points.  Raises CellError, before anything is allocated, when it would
     hold more than ``_MAX_IMAGE_POINTS`` points.
     """
     if search_radius <= 0:
@@ -204,18 +205,19 @@ def _image_reach(structure: Structure, search_radius: float) -> tuple[int, int, 
     if not structure.pbc.any():
         return (0, 0, 0)
     heights = _cell_heights(structure.cell)
-    reach = tuple(
-        int(np.ceil(search_radius / heights[axis])) + 1 if structure.pbc[axis] else 0
-        for axis in range(3)
-    )
+    periodic = [int(p) for p in structure.pbc]
+    reach = [math.ceil(search_radius / h) * p for h, p in zip(heights, periodic)]
     n_points = len(structure) * math.prod(2 * r + 1 for r in reach)
+    while n_points <= min(k, _MAX_IMAGE_POINTS):
+        reach = [r + p for r, p in zip(reach, periodic)]
+        n_points = len(structure) * math.prod(2 * r + 1 for r in reach)
     if n_points > _MAX_IMAGE_POINTS:
         raise CellError(
             f"cell heights {np.array2string(heights, precision=4)} angstrom need "
             f"{n_points} periodic image points within {search_radius:g} angstrom, "
             f"more than the limit of {_MAX_IMAGE_POINTS}"
         )
-    return reach
+    return tuple(reach)
 
 
 def _image_points(structure: Structure, reach) -> np.ndarray:
@@ -231,21 +233,6 @@ def _image_points(structure: Structure, reach) -> np.ndarray:
     offsets = np.array(list(itertools.product(*(range(-r, r + 1) for r in reach))), dtype=int)
     shifts = offsets.astype(float) @ structure.cell
     return (_wrap_positions(structure)[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
-
-
-def replicate_for_search(structure: Structure, search_radius: float) -> np.ndarray:
-    """Replicate periodic images so that any point within ``search_radius``
-    of the (wrapped) cell contents is present exactly once.
-
-    Returns the (M, 3) positions of ``M = n * n_images`` points, where ``n``
-    is the atom count.  Images come in lexicographic order of their integer
-    lattice offsets, out to ``ceil(search_radius / cell_height) + 1`` per
-    periodic side, each holding the wrapped atoms in structure order, so
-    point ``p`` is atom ``p % n`` of image ``p // n``.  The zero-offset
-    image is the middle one, ``n_images // 2``.  An aperiodic structure has
-    one image: its own positions.
-    """
-    return _image_points(structure, _image_reach(structure, search_radius))
 
 
 def _nearest_candidates(points: np.ndarray, n: int, k: int):
@@ -280,29 +267,17 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     The zero-distance self-image is excluded; other images of the same
     atom are valid neighbors.  Neighbors are sorted by distance, with
     exact ties broken by (atom index, image offset lexicographic) so the
-    ordering is deterministic.  One layout of images is searched, once:
-    ``ceil(search_radius / cell_height)`` images per periodic side, or
-    :func:`replicate_for_search`'s layout when those hold no more than
-    ``k`` points.  Within ``search_radius`` the result is bit for bit that
-    of a search over all points of :func:`replicate_for_search`, and so is
-    the row width ``v``; neighbors beyond it, where the descriptor's cutoff
-    weight is 0, may be other points at least as far.  If fewer than ``k``
-    other points exist, each row holds all of them.
+    ordering is deterministic.  The images of :func:`_image_reach` are
+    searched, once.  Within ``search_radius`` the neighbors are the nearest
+    points of the infinite crystal; past it, where the descriptor's cutoff
+    weight is 0, they are the nearest remaining points of the layout.  A
+    periodic structure's rows hold exactly ``k`` neighbors; an aperiodic
+    structure with fewer than ``k`` other atoms holds all of them.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     n = len(structure)
-    reach = _image_reach(structure, search_radius)
-    # Wrapped atoms lie inside the cell, so an image offset by j cells along
-    # a periodic axis lies more than j - 1 cell heights from every atom: the
-    # ceil(search_radius / h) images per side, one less than the full reach,
-    # hold every point within the search radius.  compute_x2 divides by the
-    # row width v = min(k, points - 1); when those images hold no more than
-    # k points, the full reach is searched instead, so v is the full reach's.
-    inner = tuple(max(r - 1, 0) for r in reach)
-    if n * math.prod(2 * r + 1 for r in inner) <= k:
-        inner = reach
-    points = _image_points(structure, inner)
+    points = _image_points(structure, _image_reach(structure, search_radius, k))
     own, cand = _nearest_candidates(points, n, k)
     centers = points[own]
     diff = points[cand] - centers[:, None, :]

@@ -228,19 +228,40 @@ def brute_force_neighbors(structure, center, search_radius, extra_reach=2):
 
 
 def full_reach_search(structure, k, search_radius):
-    """The neighbor search over every point of ``replicate_for_search``.
+    """The neighbor search over a layout one image per periodic side wider
+    than the one ``nearest_neighbors`` lays out.
 
-    Candidates come from a k-d tree over the whole replication, grown until
-    the farthest lies beyond the (k + 1)-th nearest by the tie slack, and
-    are sorted by (distance, atom, point index) with the self-image first.
+    That layout is ``ceil(search_radius / h)`` images per periodic side, for
+    cell height h, widened while it holds no more than k points.  Here it is
+    built from the definition, with images in lexicographic order of their
+    lattice offsets, each holding the wrapped atoms in structure order.
+    Candidates come from a k-d tree over the whole layout, grown until the
+    farthest lies beyond the (k + 1)-th nearest by the tie slack, and are
+    sorted by (distance, atom, point index) with the self-image first.
     Returns (distances, neighbor positions, atom indices).
     """
+    import itertools
+
     from scipy.spatial import cKDTree
 
     from atomcover import geometry
 
-    points = geometry.replicate_for_search(structure, search_radius)
     n = len(structure)
+    cell, pbc = structure.cell, structure.pbc.astype(int)
+    volume = abs(np.linalg.det(cell))
+    heights = [
+        volume / np.linalg.norm(np.cross(cell[(a + 1) % 3], cell[(a + 2) % 3])) for a in range(3)
+    ]
+    reach = [int(np.ceil(search_radius / h)) * p for h, p in zip(heights, pbc)]
+    while n * np.prod([2 * r + 1 for r in reach]) <= k:
+        reach = [r + p for r, p in zip(reach, pbc)]
+    reach = [r + p for r, p in zip(reach, pbc)]
+    frac = structure.positions @ np.linalg.inv(cell)
+    for axis in range(3):
+        if pbc[axis]:
+            frac[:, axis] -= np.floor(frac[:, axis])
+    offsets = np.array(list(itertools.product(*(range(-r, r + 1) for r in reach))), dtype=float)
+    points = ((frac @ cell)[None, :, :] + (offsets @ cell)[:, None, :]).reshape(-1, 3)
     own = len(points) // n // 2 * n + np.arange(n)
     centers = points[own]
     tree = cKDTree(points)

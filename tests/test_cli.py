@@ -195,19 +195,18 @@ class TestExitCodes:
         assert "0.02" in err and "image points" in err
         assert not out.exists()
 
-    def test_image_limit_counts_the_full_reach(self, tmp_path, capsys):
-        # ceil(5 / 0.047) = 107 images per side hold 215**3 < 1e7 points, but
-        # the full reach of 108 holds 217**3: the limit still trips.
+    def test_image_limit_counts_the_laid_out_images(self, tmp_path, capsys):
+        # ceil(5 / 0.046) = 109 images per side hold 219**3 > 1e7 points.
         tiny = tmp_path / "tiny.xyz"
         tiny.write_text(
             "1\n"
-            'Lattice="0.047 0 0 0 0.047 0 0 0 0.047" Properties=species:S:1:pos:R:3 pbc="T T T"\n'
+            'Lattice="0.046 0 0 0 0.046 0 0 0 0.046" Properties=species:S:1:pos:R:3 pbc="T T T"\n'
             "Cu 0.0 0.0 0.0\n"
         )
         out = tmp_path / "report.json"
         assert main(["analyze", str(tiny), "-o", str(out)]) == 4
         err = capsys.readouterr().err
-        assert "10218313 periodic image points" in err and "Traceback" not in err
+        assert "10503459 periodic image points" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "force-cdf"])

@@ -262,6 +262,27 @@ class TestInvariances:
         assert_row_multisets_close(super_rows, np.tile(prim_rows, (8, 1)), atol=1e-8)
 
 
+    @pytest.mark.parametrize(
+        "lengths, pbc, k",
+        [((2.0, 10.0, 10.0), (1, 0, 0), 32), ((3.0, 10.0, 10.0), (1, 0, 0), 32),
+         ((3.0, 6.0, 10.0), (1, 1, 0), 60)],
+        ids=["chain-2A", "chain-3A", "sheet-3x6A"],
+    )
+    def test_sparse_low_dimensional_supercell(self, lengths, pbc, k):
+        # One atom per cell holds fewer than k points within the cutoff, so
+        # the rows' width must not depend on how many cells the layout spans.
+        params = DescriptorParams(n_neighbors=k, cutoff=5.0)
+        cell = np.diag(lengths)
+        site = np.array([0.3, 0.4, 0.5])
+        primitive = crystal(cell, [site], pbc=pbc)
+        supercell = crystal(cell * [[2], [1], [1]], [site, site + cell[0]], pbc=pbc)
+        for s in (primitive, supercell):
+            assert nearest_neighbors(s, k, params.cutoff).distances.shape == (len(s), k)
+        prim_rows = build_descriptor_set(dataset(primitive), params).values
+        super_rows = build_descriptor_set(dataset(supercell), params).values
+        assert_row_multisets_close(super_rows, np.tile(prim_rows, (2, 1)), atol=1e-12)
+
+
 class TestBuildErrors:
     def test_coincident_atoms_name_the_place(self):
         params = DescriptorParams(n_neighbors=4, cutoff=5.0)
@@ -330,6 +351,20 @@ class TestDescriptorSet:
             descs.subset([5])
         with pytest.raises(InputError):
             descs.subset([])
+
+
+    def test_errors_name_the_first_bad_entry(self):
+        descs = self._make([2, 3, 1, 4])
+        with pytest.raises(InputError, match="structure index 7 out of range"):
+            descs.subset(np.array([1, 7, -1, 9]))
+        with pytest.raises(InputError, match="must be unique"):
+            descs.subset([7, 1, 1])
+        with pytest.raises(InputError, match="offsets cover 3 rows but values has 4"):
+            DescriptorSet(values=np.zeros((4, 3)), offsets=np.array([(0, 2), (2, 1)]))
+        with pytest.raises(InputError, match="offsets cover 0 rows"):
+            DescriptorSet(values=np.zeros((1, 3)), offsets=np.zeros((0, 2)))
+        with pytest.raises(InputError, match="contiguous partition"):
+            DescriptorSet(values=np.zeros((4, 3)), offsets=np.array([(0, 2), (2, 0), (2, 2)]))
 
 
 class TestCache:

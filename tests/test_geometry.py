@@ -15,7 +15,6 @@ from atomcover import (
     compute_x1,
     compute_x2,
     nearest_neighbors,
-    replicate_for_search,
 )
 from helpers import brute_force_neighbors, crystal, full_reach_search, molecule, perturbed_cubic
 
@@ -89,64 +88,79 @@ class TestStructureValidation:
             s.positions[0, 0] = 5.0
 
 
+def laid_out(structure, radius, k=32):
+    """The image points that ``nearest_neighbors`` searches for k neighbors."""
+    return geometry._image_points(structure, geometry._image_reach(structure, radius, k))
+
+
 class TestReplication:
     def test_aperiodic_is_identity(self):
         s = molecule([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
-        points = replicate_for_search(s, 5.0)
+        points = laid_out(s, 5.0)
         assert np.array_equal(points, s.positions)
 
     def test_requires_positive_radius(self):
         s = molecule([[0.0, 0.0, 0.0]])
         with pytest.raises(InputError):
-            replicate_for_search(s, 0.0)
+            laid_out(s, 0.0)
 
     def test_covers_radius_in_small_cell(self):
-        # 2 A cell, 5 A radius: need at least ceil(5/2)+1 = 4 images per side
+        # 2 A cell, 5 A radius: ceil(5/2) = 3 images per side hold 343 > k points
         s = crystal(np.eye(3) * 2.0, [[0.0, 0.0, 0.0]])
-        points = replicate_for_search(s, 5.0)
-        assert points.shape == (9**3, 3)
-        assert np.allclose(points.max(axis=0), 8.0) and np.allclose(points.min(axis=0), -8.0)
+        points = laid_out(s, 5.0)
+        assert points.shape == (7**3, 3)
+        assert np.allclose(points.max(axis=0), 6.0) and np.allclose(points.min(axis=0), -6.0)
 
     def test_partial_pbc_replicates_only_periodic_axes(self):
         s = crystal(np.eye(3) * 3.0, [[1.0, 1.0, 1.0]], pbc=(True, True, False))
-        points = replicate_for_search(s, 4.0)
+        points = laid_out(s, 4.0)
         assert np.all(points[:, 2] == 1.0)
         assert points[:, 0].max() > 3.0
 
     def test_small_cell_stays_under_image_limit(self):
-        # ceil(5 / 0.2) + 1 = 26 images each way: 53**3 points
-        points = replicate_for_search(crystal(np.eye(3) * 0.2, [[0.0, 0.0, 0.0]]), 5.0)
-        assert len(points) == 53**3
+        # ceil(5 / 0.2) = 25 images each way: 51**3 points
+        points = laid_out(crystal(np.eye(3) * 0.2, [[0.0, 0.0, 0.0]]), 5.0)
+        assert len(points) == 51**3
 
     def test_wraps_positions_outside_cell(self):
         inside = crystal(np.eye(3) * 4.0, [[1.0, 1.0, 1.0]])
         outside = crystal(np.eye(3) * 4.0, [[9.0, -3.0, 5.0]])  # same site mod 4
-        points_in = replicate_for_search(inside, 3.0)
-        points_out = replicate_for_search(outside, 3.0)
+        points_in = laid_out(inside, 3.0)
+        points_out = laid_out(outside, 3.0)
         assert np.allclose(points_in, points_out, atol=1e-10)
 
     def test_point_index_names_atom_and_image(self):
         cell = np.array([[3.1, 0.0, 0.0], [0.9, 2.7, 0.0], [0.4, -0.6, 3.3]])
         frac = np.array([[0.1, 0.2, 0.3], [1.7, -0.4, 0.5], [0.5, 0.5, -0.2]])
         s = crystal(cell, frac @ cell, pbc=(True, True, False))
-        points = replicate_for_search(s, 4.0)
+        points = laid_out(s, 4.0)
         n = len(s)
         frac[:, :2] -= np.floor(frac[:, :2])  # wrap the periodic axes only
         wrapped = frac @ cell
         volume = abs(np.linalg.det(cell))
         reach = [
-            int(np.ceil(4.0 * np.linalg.norm(np.cross(cell[b], cell[c])) / volume)) + 1
+            int(np.ceil(4.0 * np.linalg.norm(np.cross(cell[b], cell[c])) / volume))
             for b, c in ((1, 2), (2, 0))
         ]
         offsets = list(itertools.product(
             range(-reach[0], reach[0] + 1), range(-reach[1], reach[1] + 1), [0]
         ))
+        assert len(offsets) * n > 32  # no widening for k = 32
         assert points.shape == (n * len(offsets), 3)
         expected = [wrapped[p % n] + np.array(offsets[p // n]) @ cell for p in range(len(points))]
         assert np.allclose(points, expected, rtol=0, atol=1e-12)
         middle = len(offsets) // 2
         assert offsets[middle] == (0, 0, 0)
         assert np.allclose(points[middle * n : (middle + 1) * n], wrapped, rtol=0, atol=1e-12)
+
+    def test_sparse_cell_widens_past_k_points(self):
+        # a 1-atom chain of 2 A cells at a 5 A radius: ceil(5/2) = 3 images
+        # per side hold 7 points; 32 neighbors need 16 per side (33 points)
+        s = crystal(np.eye(3) * 2.0, [[0.0, 0.0, 0.0]], pbc=(True, False, False))
+        assert geometry._image_reach(s, 5.0, 6) == (3, 0, 0)
+        assert geometry._image_reach(s, 5.0, 7) == (4, 0, 0)
+        assert geometry._image_reach(s, 5.0, 32) == (16, 0, 0)
+        assert nearest_neighbors(s, 32, 5.0).distances.shape == (1, 32)
 
 
 class TestNearestNeighbors:
@@ -191,7 +205,7 @@ class TestNearestNeighbors:
             for i in range(len(s)):
                 want = [d for d, _, _ in brute_force_neighbors(s, i, radius)]
                 got = nbrs.distances[i]
-                got = got[got <= radius]  # beyond-radius finds are best-effort
+                got = got[got <= radius]  # brute force lists only points within the radius
                 assert len(got) == min(len(want), 40)
                 assert np.allclose(got, want[: len(got)], atol=1e-10)
 
@@ -241,7 +255,7 @@ class TestNearestNeighbors:
             for i in range(len(s)):
                 want = brute_force_neighbors(s, i, radius)[:k]
                 if len(want) < k:
-                    continue  # beyond-radius finds are best-effort
+                    continue  # brute force lists only points within the radius
                 got = []
                 for slot in range(nbrs.distances.shape[1]):
                     atom = int(nbrs.indices[i, slot])
@@ -250,17 +264,17 @@ class TestNearestNeighbors:
                     got.append((nbrs.distances[i, slot], atom, offset))
                 assert got == want
 
-    def test_image_limit_counts_the_full_reach(self):
+    def test_image_limit_counts_the_laid_out_images(self):
         import tracemalloc
 
-        # At a 5 angstrom radius, ceil(r / h) = 107 images per side of this
-        # cell hold 215**3 < 1e7 points; the full reach of 108 holds 217**3.
-        assert int(np.ceil(5.0 / 0.047)) == 107
-        assert 215**3 < geometry._MAX_IMAGE_POINTS < 217**3
-        tiny = crystal(np.eye(3) * 0.047, [[0.0, 0.0, 0.0]])
+        # At a 5 angstrom radius, ceil(r / h) = 109 images per side of this
+        # cell hold 219**3 > 1e7 points.
+        assert int(np.ceil(5.0 / 0.046)) == 109
+        assert 219**3 > geometry._MAX_IMAGE_POINTS
+        tiny = crystal(np.eye(3) * 0.046, [[0.0, 0.0, 0.0]])
         tracemalloc.start()
         try:
-            with pytest.raises(CellError, match="10218313 periodic image points"):
+            with pytest.raises(CellError, match="10503459 periodic image points"):
                 nearest_neighbors(tiny, 32, search_radius=5.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -282,10 +296,10 @@ class TestNearestNeighbors:
 
 class TestFullReachEquivalence:
     """``nearest_neighbors`` builds one tree over ``ceil(r / h)`` images per
-    periodic side, one less than ``replicate_for_search`` lays out, or over
-    that whole set when the smaller one holds no more than k points.  Within
-    the search radius its neighbors, its row width and the descriptor rows
-    must still be those of the whole set, bit for bit."""
+    periodic side, widened while they hold no more than k points.  Within the
+    search radius its neighbors and the descriptor rows must be those of a
+    search over a wider layout, bit for bit, and every row of a periodic
+    structure must hold exactly k neighbors."""
 
     @pytest.fixture
     def tree_sizes(self, monkeypatch):
@@ -298,12 +312,12 @@ class TestFullReachEquivalence:
 
     @staticmethod
     def assert_same_within_radius(tree_sizes, structure, k, radius):
-        """Checks one call against the whole set; returns the points it searched."""
+        """Checks one call against a wider layout; returns the points it searched."""
         before = len(tree_sizes)
         got = nearest_neighbors(structure, k, radius)
         assert len(tree_sizes) == before + 1
         distances, positions, indices = full_reach_search(structure, k, radius)
-        assert got.distances.shape == distances.shape  # the same row width v
+        assert got.distances.shape == distances.shape == (len(structure), k)
         inside = distances < radius
         assert np.array_equal(got.distances < radius, inside)
         assert got.distances[inside].tobytes() == distances[inside].tobytes()
@@ -312,8 +326,8 @@ class TestFullReachEquivalence:
         # Beyond the radius the cutoff weight is 0, so other neighbors there
         # leave the descriptor rows unchanged.
         params = DescriptorParams(k, radius)
-        whole = NeighborSet(distances, positions, indices)
-        want = np.hstack([compute_x1(whole, params), compute_x2(whole, params)])
+        wide = NeighborSet(distances, positions, indices)
+        want = np.hstack([compute_x1(wide, params), compute_x2(wide, params)])
         rows = build_descriptor_set(Dataset([structure]), params).values
         assert rows.tobytes() == want.tobytes()
         return tree_sizes[before]
@@ -331,13 +345,14 @@ class TestFullReachEquivalence:
             positions = rng.uniform(-0.5, 1.5, size=(n, 3)) @ cell
             s = crystal(cell, positions, pbc=pbc)
             reach = np.ceil(radius / geometry._cell_heights(cell)).astype(int) * pbc
-            inner = n * np.prod(2 * reach + 1)
             for k in (2, 8, 32, 60):
                 searched = self.assert_same_within_radius(tree_sizes, s, k, radius)
-                sparse = inner <= k
-                assert searched == (len(replicate_for_search(s, radius)) if sparse else inner)
-                layouts.add(sparse)
-        # both the ceil(r / h) layout and the whole set on sparse cells ran
+                wide = reach.copy()
+                while n * np.prod(2 * wide + 1) <= k:
+                    wide += pbc
+                assert searched == n * np.prod(2 * wide + 1)
+                layouts.add(bool((wide > reach).any()))
+        # both the ceil(r / h) layout and widened sparse cells ran
         assert layouts == {False, True}
 
     @pytest.mark.parametrize("cell, grid, pbc, radius", LATTICE_TIES, ids=LATTICE_TIE_IDS)
