@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 unreadable/malformed input, 3 invalid flags,
 4 degenerate geometry (coincident atoms, singular cells).
 
 Heavy imports happen inside the command functions so that --threads can
-pin the BLAS/OpenMP pool sizes before numpy is loaded; the thread count
-never changes results, only speed.
+pin the BLAS/OpenMP pool sizes before numpy is loaded.  The thread count
+is a speed setting, but it can move the last bits of a kernel figure (a
+multi-threaded BLAS may split a GEMM's sums differently); reports, at 12
+significant digits, have not been seen to change.
 """
 
 from __future__ import annotations

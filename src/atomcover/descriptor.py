@@ -297,8 +297,10 @@ def load_descriptor_set(path) -> DescriptorSet:
     """Read a cache written by :func:`save_descriptor_set`.
 
     Raises InputError unless the magic, the header, the exact file length
-    and the checksum all match.  Files of the older checksum-free format
-    fail on the magic.
+    and the checksum all match, and on a short read (a file that shrinks
+    while it is read).  Files of the older checksum-free format fail on
+    the magic.  The offsets and the rows are read straight into their
+    arrays, with no intermediate bytes copy.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -309,22 +311,26 @@ def load_descriptor_set(path) -> DescriptorSet:
             raise InputError(f"{path}: descriptor cache header is truncated")
         n_neighbors, cutoff, n_env, n_structures = _CACHE_HEADER.unpack(header)
         params = DescriptorParams(n_neighbors=n_neighbors, cutoff=cutoff)
-        n_offsets, n_values = 16 * n_structures, 8 * n_env * params.width
         expected = (
-            len(_CACHE_MAGIC) + _CACHE_HEADER.size + n_offsets + n_values
-            + _CACHE_CHECKSUM.size
+            len(_CACHE_MAGIC) + _CACHE_HEADER.size + 16 * n_structures
+            + 8 * n_env * params.width + _CACHE_CHECKSUM.size
         )
         if size != expected:
             raise InputError(
                 f"{path}: descriptor cache is {size} bytes, its header implies {expected}"
             )
-        offsets = fh.read(n_offsets)
-        values = fh.read(n_values)
-        (checksum,) = _CACHE_CHECKSUM.unpack(fh.read(_CACHE_CHECKSUM.size))
-    if zlib.crc32(values, zlib.crc32(offsets)) != checksum:
+        offsets = np.empty((n_structures, 2), dtype="<i8")
+        values = np.empty((n_env, params.width), dtype="<f8")
+        for arr in (offsets, values):
+            if fh.readinto(arr) != arr.nbytes:
+                raise InputError(f"{path}: descriptor cache is truncated")
+        checksum = fh.read(_CACHE_CHECKSUM.size)
+        if len(checksum) != _CACHE_CHECKSUM.size:
+            raise InputError(f"{path}: descriptor cache is truncated")
+    if zlib.crc32(values, zlib.crc32(offsets)) != _CACHE_CHECKSUM.unpack(checksum)[0]:
         raise InputError(f"{path}: descriptor cache checksum does not match")
     return DescriptorSet(
-        values=np.frombuffer(values, dtype="<f8").reshape(n_env, params.width).astype(float),
-        offsets=np.frombuffer(offsets, dtype="<i8").reshape(n_structures, 2).astype(int),
+        values=values.astype(float, copy=False),
+        offsets=offsets.astype(int, copy=False),
         params=params,
     )

@@ -5,7 +5,10 @@ All quantities are in nats and reduce to a Gaussian kernel sum
     K_h(x, y) = exp(-|x - y|^2 / (2 h^2))
 
 evaluated in the log domain, over tiles of fixed shapes visited in a
-fixed order, so results are deterministic for a given input ordering.
+fixed order, so results are deterministic for a given input ordering and
+BLAS (a multi-threaded BLAS may move the last bits).  Each tile makes one
+GEMM of rows in augmented form (:func:`_augment`), which yields the
+squared distances directly; coincident rows snap to exactly 0.
 
 A self pass (the set against itself) computes each pair once on 256 x 256
 tiles: every log kernel is <= 0 and the diagonal is exactly 0, so it sums
@@ -42,8 +45,8 @@ __all__ = [
 # Tile edge of every kernel pass, and the element count of every tile.  Fixed
 # constants keep the floating-point summation order and the bits of each
 # tile's GEMM (and hence every digit of the result) independent of memory
-# pressure or input size.  At 256 x 256 the three tile buffers of a pass
-# (about 1.1 MiB) stay in a 4 MiB L2 cache.
+# pressure or input size.  At 256 x 256 the two tile buffers of a pass
+# (about 0.6 MiB) stay in a 4 MiB L2 cache.
 _BLOCK = 256
 _TILE = _BLOCK * _BLOCK
 
@@ -93,39 +96,64 @@ def _as_rows(x) -> np.ndarray:
     return arr
 
 
-def _log_kernel_tile(a, a_sq, b, b_sq, inv_two_h2, buffers) -> np.ndarray:
-    """Write log K_h(a_i, b_j) of one (a, b) tile into views of the buffers.
+def _augment(rows: np.ndarray, sq: np.ndarray, left: bool) -> np.ndarray:
+    """The left ``[-2x, |x|^2, 1]`` or right ``[y, 1, |y|^2]`` form of a row block.
 
-    Returns the (len(a), len(b)) view of the first buffer that holds it;
-    the tile is valid until the next call with the same buffers.
+    ``sq`` holds the rows' squared norms.  The product of a left block and
+    a transposed right block is ``|x|^2 + |y|^2 - 2 x.y``, the squared
+    distances, from one GEMM; the norm columns also serve the coincidence
+    snap.
     """
-    size = len(a) * len(b)
-    d2, norm_scale, snap = (buf[:size].reshape(len(a), len(b)) for buf in buffers)
-    np.add(a_sq[:, None], b_sq[None, :], out=norm_scale)
+    n, w = rows.shape
+    out = np.empty((n, w + 2))
+    if left:
+        np.multiply(rows, -2.0, out=out[:, :w])  # exact: scaling by 2 and negating
+        out[:, w], out[:, w + 1] = sq, 1.0
+    else:
+        out[:, :w] = rows
+        out[:, w], out[:, w + 1] = 1.0, sq
+    return out
+
+
+def _log_kernel_tile(left, right, inv_two_h2, buffers) -> np.ndarray:
+    """Write log K_h(x_i, y_j) of one tile into a view of the first buffer.
+
+    ``left`` and ``right`` are :func:`_augment` forms of the tile's rows.
+    Returns the (len(left), len(right)) view that holds the tile; it is
+    valid until the next call with the same buffers.
+    """
+    m, n = len(left), len(right)
+    d2, snap = buffers[0][: m * n], buffers[1][: m * n]
     # The views are contiguous, so matmul(out=) still goes through BLAS
     # and gives the same bits as a fresh product.
-    np.matmul(a, b.T, out=d2)
-    # -2G + s is exactly s - 2G: scaling by 2 and negating are exact.
-    d2 *= -2.0
-    d2 += norm_scale
-    # The norm expansion leaves O(eps * |a||b|) residue on coincident rows;
-    # snap those to exactly zero, so every log kernel is <= 0 and a member
-    # of the reference set always gets kernel sum >= 1 (delta entropy <= 0).
-    norm_scale *= 1e-12
-    np.less_equal(d2, norm_scale, out=snap)
-    np.copyto(d2, 0.0, where=snap)
+    np.matmul(left, right.T, out=d2.reshape(m, n))
+    # The GEMM leaves O(w * eps * |x|^2) residue on coincident rows; snap
+    # every pair with d2 <= 1e-12 (|x|^2 + |y|^2) to exactly zero, so
+    # every log kernel is <= 0 and a member of the reference set always gets
+    # kernel sum >= 1 (delta entropy <= 0).  One scalar per tile, at least
+    # every pair's threshold, screens the few candidates first; fmax skips
+    # NaN norms, whose pairs never snap.
+    x_sq, y_sq = left[:, -2], right[:, -1]
+    np.less_equal(d2, 1e-12 * (np.fmax.reduce(x_sq) + np.fmax.reduce(y_sq)), out=snap)
+    near = snap.nonzero()[0]
+    i, j = np.divmod(near, n)
+    d2[near[d2[near] <= (x_sq[i] + y_sq[j]) * 1e-12]] = 0.0
     d2 *= -inv_two_h2  # now the log kernel
-    return d2
+    return d2.reshape(m, n)
 
 
 def _tile_buffers(size: int):
-    """The squared-distance, snap-threshold and snap-mask buffers of a pass.
+    """The squared-distance and snap-screen buffers of a pass.
 
     Each holds ``size`` elements, the largest tile the pass makes.  A pass
     allocates them once and works in views of them, so it allocates O(n)
     memory on top of them whatever its size.
     """
-    return np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    return np.empty(size), np.empty(size, dtype=bool)
+
+
+# Tile row and column sums are GEMVs against a slice of this vector.
+_ONES = np.ones(_BLOCK)
 
 
 # At tiny bandwidths the log kernel of a far pair overflows to -inf, whose
@@ -136,12 +164,14 @@ def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float, buffers=None) 
     """-log sum_j K_h(x_i, x_j) over the set itself, each pair computed once.
 
     Every log kernel is <= 0 and the diagonal is exactly 0, so the sums need
-    no max shift.  Tiles I <= J are visited in a fixed (I, J) order.  Each
-    adds its column sums to the J rows, and an off-diagonal tile also adds
-    its row sums to the I rows, so a set of one tile gets the bits of a
-    :class:`Coverage` of the set by itself.  ``buffers`` (from
-    :func:`_tile_buffers`, large enough for one tile) lets many small
-    passes share one allocation.
+    no max shift.  Tiles I <= J are visited in a fixed (I, J) order, from
+    the left form of block I and the right form of block J, built per
+    tile, so working memory stays a few tiles.  Each tile adds its column
+    sums to the J rows, and an off-diagonal tile also adds its row sums to
+    the I rows; column sums are taken as in :class:`Coverage`, so a set of
+    one tile gets the bits of a Coverage of the set by itself.
+    ``buffers`` (from :func:`_tile_buffers`, large enough for one tile)
+    lets many small passes share one allocation.
     """
     n = rows.shape[0]
     if n == 0:
@@ -153,14 +183,16 @@ def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float, buffers=None) 
         buffers = _tile_buffers(min(_BLOCK, n) ** 2)
     for i0 in range(0, n, _BLOCK):
         i1 = i0 + _BLOCK
-        a, a_sq = rows[i0:i1], sq[i0:i1]
+        left = _augment(rows[i0:i1], sq[i0:i1], left=True)
         for j0 in range(i0, n, _BLOCK):
             j1 = j0 + _BLOCK
-            tile = _log_kernel_tile(a, a_sq, rows[j0:j1], sq[j0:j1], inv_two_h2, buffers)
+            tile = _log_kernel_tile(
+                left, _augment(rows[j0:j1], sq[j0:j1], left=False), inv_two_h2, buffers
+            )
             np.exp(tile, out=tile)
-            sums[j0:j1] += tile.sum(axis=0)
+            sums[j0:j1] += _ONES[: tile.shape[0]] @ tile
             if j0 != i0:
-                sums[i0:i1] += tile.sum(axis=1)
+                sums[i0:i1] += tile @ _ONES[: tile.shape[1]]
     return -np.log(sums)
 
 
@@ -178,15 +210,18 @@ class Coverage:
     of ``65536 // rows`` columns, reduced over the references (axis 0):
     a thin block of a few references makes a few wide tiles.  Each tile
     is shifted by the running max before its exp, so a tile that
-    overflows for a query adds exactly 0 to its sum.
+    overflows for a query adds exactly 0 to its sum.  The queries are
+    kept in their right form (:func:`_augment`), an n x (width + 2) copy,
+    and each 256-row reference block is put in its left form once per
+    :meth:`extend`.
     """
 
     def __init__(self, queries, kernel: KernelParams = KernelParams()):
-        self._queries = _as_rows(queries)
-        n = self._queries.shape[0]
+        rows = _as_rows(queries)
+        n = rows.shape[0]
         self._bandwidth = kernel.bandwidth
         self._inv_two_h2 = 1.0 / (2.0 * kernel.bandwidth * kernel.bandwidth)
-        self._sq = np.einsum("ij,ij->i", self._queries, self._queries)
+        self._queries = _augment(rows, np.einsum("ij,ij->i", rows, rows), left=False)
         # the lowest finite float, so run_max - new_max is never -inf - -inf
         self._max = np.full(n, -np.finfo(float).max)
         self._sum = np.zeros(n)
@@ -197,26 +232,24 @@ class Coverage:
     def extend(self, refs) -> None:
         """Add a block of reference rows to every query's kernel sum."""
         refs = _as_rows(refs)
-        queries, q_sq = self._queries, self._sq
-        if queries.shape[1] != refs.shape[1]:
+        queries = self._queries
+        if queries.shape[1] - 2 != refs.shape[1]:
             raise InputError(
-                f"query width {queries.shape[1]} != reference width {refs.shape[1]}"
+                f"query width {queries.shape[1] - 2} != reference width {refs.shape[1]}"
             )
         ref_sq = np.einsum("ij,ij->i", refs, refs)
         for r0 in range(0, refs.shape[0], _BLOCK):
-            a, a_sq = refs[r0 : r0 + _BLOCK], ref_sq[r0 : r0 + _BLOCK]
-            slab = _TILE // len(a)
+            left = _augment(refs[r0 : r0 + _BLOCK], ref_sq[r0 : r0 + _BLOCK], left=True)
+            ones = _ONES[: len(left)]
+            slab = _TILE // len(left)
             for q0 in range(0, queries.shape[0], slab):
                 q1 = q0 + slab
-                tile = _log_kernel_tile(
-                    a, a_sq, queries[q0:q1], q_sq[q0:q1], self._inv_two_h2, self._buffers
-                )
+                tile = _log_kernel_tile(left, queries[q0:q1], self._inv_two_h2, self._buffers)
                 run_max = self._max[q0:q1]
                 new_max = np.maximum(run_max, tile.max(axis=0))
                 tile -= new_max
                 self._sum[q0:q1] = (
-                    self._sum[q0:q1] * np.exp(run_max - new_max)
-                    + np.exp(tile, out=tile).sum(axis=0)
+                    self._sum[q0:q1] * np.exp(run_max - new_max) + ones @ np.exp(tile, out=tile)
                 )
                 run_max[...] = new_max
         self.n_references += refs.shape[0]

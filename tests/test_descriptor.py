@@ -1,4 +1,6 @@
+import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -437,4 +439,20 @@ class TestCache:
         for cut in (full[:10], full[:40], full[:-8], full + b"\0" * 8):
             path.write_bytes(cut)
             with pytest.raises(InputError):
+                load_descriptor_set(path)
+
+    def test_short_read_is_an_input_error(self, tmp_path, monkeypatch):
+        # the file shrinks between the size check and the reads
+        rng = np.random.default_rng(34)
+        descs = build_descriptor_set(
+            dataset(perturbed_cubic(rng, n_side=2, a=2.8)),
+            DescriptorParams(n_neighbors=4, cutoff=3.5),
+        )
+        path = tmp_path / "cache.acds"
+        save_descriptor_set(descs, path)
+        full = path.read_bytes()
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=len(full)))
+        for cut in (8 + 28 + 8, len(full) - 100, len(full) - 2):
+            path.write_bytes(full[:cut])
+            with pytest.raises(InputError, match="truncated"):
                 load_descriptor_set(path)

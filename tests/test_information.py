@@ -192,8 +192,45 @@ class TestBlockBuffers:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # two float64 and one bool 256 x 256 tile, plus O(n) vectors
+            # one float64 and one bool 256 x 256 tile, a few 256-row blocks
+            # in (width + 2)-column form, the queries' (n, width + 2) copy
+            # and O(n) vectors
             assert peak < 4 * 2**20
+
+
+class TestCoincidenceSnap:
+    """Coincident rows snap to d^2 = 0 wherever they meet, screened per tile."""
+
+    @staticmethod
+    def duplicated(offset):
+        # 900 rows (four 256-row blocks); rows 3/700 and 255/512 are exact
+        # duplicates whose pairs fall in an off-diagonal tile.  Each row is
+        # moved out by its own fraction of the offset, so squared norms
+        # spread over each tile, and a large offset leaves the norm
+        # expansion a large residue on coincident rows.
+        rng = np.random.default_rng(40)
+        rows = rng.normal(scale=0.01, size=(900, 63)) + offset * rng.random((900, 1))
+        rows[700], rows[512] = rows[3], rows[255]
+        return rows
+
+    @pytest.mark.parametrize("offset", [1e-3, 1.0, 1e3])
+    def test_duplicates_across_tiles(self, offset):
+        rows = self.duplicated(offset)
+        for dh in (entropy(rows, KP).per_point, delta_entropy(rows, rows, KP)):
+            assert np.all(dh <= 0)
+            for i, j in ((3, 700), (255, 512)):
+                assert dh[i] == pytest.approx(dh[j], rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [1e-3, 1.0, 1e3])
+    def test_every_member_is_contained(self, offset):
+        rows = self.duplicated(offset)
+        assert np.all(delta_entropy(rows, rows[::7], KP)[::7] <= 0)
+
+    def test_per_structure_matches_multi_tile_entropy(self):
+        rng = np.random.default_rng(41)
+        blocks = [rng.normal(scale=0.01, size=(n, 63)) + 1.0 for n in (300, 600)]
+        got = per_structure_entropy(synthetic_set(blocks), KP)
+        assert got.tolist() == [entropy(block, KP).entropy_nats for block in blocks]
 
 
 class TestCoverage:
