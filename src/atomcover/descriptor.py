@@ -117,6 +117,11 @@ class DescriptorSet:
 
     def subset(self, structure_indices) -> "DescriptorSet":
         """New set holding only the given structures, in the given order."""
+        rows, offsets = self._subset_rows(structure_indices)
+        return DescriptorSet(values=self.values[rows], offsets=offsets, params=self.params)
+
+    def _subset_rows(self, structure_indices):
+        """The rows of :meth:`subset` in this set, and the subset's offsets."""
         indices = np.array(list(structure_indices), dtype=int)
         if np.unique(indices).size != indices.size:
             raise InputError("structure indices must be unique")
@@ -128,11 +133,7 @@ class DescriptorSet:
         starts, lengths = self.offsets[indices].T
         new_starts = np.cumsum(lengths) - lengths
         rows = np.repeat(starts - new_starts, lengths) + np.arange(new_starts[-1] + lengths[-1])
-        return DescriptorSet(
-            values=self.values[rows],
-            offsets=np.stack([new_starts, lengths], axis=1),
-            params=self.params,
-        )
+        return rows, np.stack([new_starts, lengths], axis=1)
 
 
 def _cutoff_weight(r, cutoff: float):

@@ -14,7 +14,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .descriptor import DescriptorSet
-from .information import Coverage, KernelParams, contained_fraction, delta_entropy, entropy
+from .information import Coverage, EntropyResult, KernelParams, contained_fraction, delta_entropy
 from .errors import InputError
 from .geometry import Dataset
 from .report import ReportDocument
@@ -123,6 +123,24 @@ def force_cdf(dataset: Dataset, selection=None, thresholds=None) -> ForceCdf:
     )
 
 
+def _kept_figures(descs: DescriptorSet, selection, kernel: KernelParams, delta_h):
+    """delta_entropy(full | kept) of every full-set row, and the kept set's figures.
+
+    Every kept row is also a reference, so its entry of delta_entropy(full
+    | kept) is its own delta entropy within the kept set: the kept set's H,
+    D and efficiency are read off those entries, in the row order of
+    ``descs.subset(selection)``, with no self pass.  ``delta_h``, when the
+    caller already has that vector, stands in for the one cross pass.
+    """
+    rows, _ = descs._subset_rows(selection)
+    if delta_h is None:
+        delta_h = delta_entropy(descs.values, descs.values[rows], kernel)
+    delta_h = np.asarray(delta_h, dtype=float)
+    if delta_h.shape != (descs.n_environments,):
+        raise InputError(f"delta_h has shape {delta_h.shape}, not ({descs.n_environments},)")
+    return delta_h, EntropyResult.of(delta_h[rows])
+
+
 def compression_report(
     descs: DescriptorSet,
     selection,
@@ -136,28 +154,26 @@ def compression_report(
     the compressed references — the direction that can fall below 1 for
     a subset.  The reverse is 1.0 for every subset by construction, so it
     is written without a kernel pass.  A histogram of per-environment
-    delta entropy and the counts above 0 and 10 nats complete the report.
+    delta entropy, the counts above 0 and 10 nats and the kept set's H, D
+    and efficiency complete the report, all from the one
+    delta_entropy(full | selection) vector of :func:`_kept_figures`.
 
-    ``delta_h``, delta_entropy(full | selection) of every full-set row,
-    skips the full x selection cross pass when the caller already has it
-    (as ``msc`` does, in its result's ``delta_h``).
+    ``delta_h``, that vector with one value per full-set row, skips the
+    full x selection cross pass when the caller already has it (as
+    ``msc`` does, in its result's ``delta_h``).
     """
     selection = [int(i) for i in selection]
-    if not selection:
-        raise InputError("selection is empty")
-    sub = descs.subset(selection)
+    dh, kept = _kept_figures(descs, selection, kernel, delta_h)
     kernel_params = {"bandwidth": kernel.bandwidth}
 
-    compressed = entropy(sub, kernel)
     compressed_block = {
         "parameters": kernel_params,
-        "entropy_nats": compressed.entropy_nats,
-        "diversity_nats": compressed.diversity_nats,
-        "max_entropy_nats": float(np.log(sub.n_environments)),
-        "efficiency": compressed.efficiency,
+        "entropy_nats": kept.entropy_nats,
+        "diversity_nats": kept.diversity_nats,
+        "max_entropy_nats": float(np.log(kept.n_environments)),
+        "efficiency": kept.efficiency,
     }
 
-    dh = delta_entropy(descs.values, sub.values, kernel) if delta_h is None else delta_h
     overlap_block = {
         "parameters": kernel_params,
         "full_vs_compressed": contained_fraction(dh),
@@ -175,7 +191,7 @@ def compression_report(
             "n_structures_full": descs.n_structures,
             "n_structures_compressed": len(selection),
             "n_environments_full": descs.n_environments,
-            "n_environments_compressed": sub.n_environments,
+            "n_environments_compressed": kept.n_environments,
         },
         "selection": {"parameters": {}, "indices": list(selection)},
         "compressed": compressed_block,
@@ -226,9 +242,11 @@ def compare_methods(
     Fractions are sorted ascending; one row per (method, fraction).
     ``fps`` and ``msc`` run once, at the largest count, and each smaller
     fraction takes the prefix of that selection, which is what they pick
-    at that count.  Their overlaps come from one :class:`Coverage` of the
-    full set per method, grown by each prefix: ``msc``'s own, and for
-    ``fps`` one extended by each prefix's new structures.
+    at that count.  Each row's figures come from one delta_entropy(full |
+    kept) vector (:func:`_kept_figures`); for ``fps`` and ``msc`` it comes
+    from one :class:`Coverage` of the full set per method, grown by each
+    prefix: ``msc``'s own, and for ``fps`` one extended by each prefix's
+    new structures.
     """
     fractions = sorted(float(f) for f in fractions)
     if not fractions:
@@ -264,16 +282,13 @@ def compare_methods(
             selections = [run_sampler(c, descs).selected for c in configs]
             dhs = [None] * len(configs)
         for fraction, selected, dh in zip(fractions, selections, dhs):
-            sub = descs.subset(selected)
-            kept = entropy(sub, kernel)
-            if dh is None:
-                dh = delta_entropy(descs.values, sub.values, kernel)
+            dh, kept = _kept_figures(descs, selected, kernel, dh)
             rows.append(
                 SweepRow(
                     method=method,
                     fraction=fraction,
                     count=len(selected),
-                    n_environments=sub.n_environments,
+                    n_environments=kept.n_environments,
                     entropy_nats=kept.entropy_nats,
                     diversity_nats=kept.diversity_nats,
                     efficiency=0.0 if kept.efficiency is None else kept.efficiency,

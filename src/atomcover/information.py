@@ -84,6 +84,20 @@ class EntropyResult:
     n_environments: int
     per_point: np.ndarray
 
+    @classmethod
+    def of(cls, dh: np.ndarray) -> "EntropyResult":
+        """Every figure of a set from its self delta-H vector ``dh``."""
+        n = dh.shape[0]
+        value = _entropy_nats(dh)
+        m = float(dh.max())
+        return cls(
+            entropy_nats=value,
+            diversity_nats=max(m + float(np.log(np.exp(dh - m).sum())), 0.0),
+            efficiency=value / float(np.log(n)) if n >= 2 else None,
+            n_environments=n,
+            per_point=dh,
+        )
+
 
 def _as_rows(x) -> np.ndarray:
     """Accept a DescriptorSet or a plain (n, width) array."""
@@ -160,7 +174,7 @@ _ONES = np.ones(_BLOCK)
 # exp is an exact 0; every row sum holds its own exp(0) = 1, so no NaN or
 # log(0) can follow.
 @np.errstate(over="ignore")
-def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float, buffers=None) -> np.ndarray:
+def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float) -> np.ndarray:
     """-log sum_j K_h(x_i, x_j) over the set itself, each pair computed once.
 
     Every log kernel is <= 0 and the diagonal is exactly 0, so the sums need
@@ -170,8 +184,6 @@ def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float, buffers=None) 
     sums to the J rows, and an off-diagonal tile also adds its row sums to
     the I rows; column sums are taken as in :class:`Coverage`, so a set of
     one tile gets the bits of a Coverage of the set by itself.
-    ``buffers`` (from :func:`_tile_buffers`, large enough for one tile)
-    lets many small passes share one allocation.
     """
     n = rows.shape[0]
     if n == 0:
@@ -179,8 +191,7 @@ def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float, buffers=None) 
     inv_two_h2 = 1.0 / (2.0 * bandwidth * bandwidth)
     sq = np.einsum("ij,ij->i", rows, rows)
     sums = np.zeros(n)
-    if buffers is None:
-        buffers = _tile_buffers(min(_BLOCK, n) ** 2)
+    buffers = _tile_buffers(min(_BLOCK, n) ** 2)
     for i0 in range(0, n, _BLOCK):
         i1 = i0 + _BLOCK
         left = _augment(rows[i0:i1], sq[i0:i1], left=True)
@@ -309,19 +320,7 @@ def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
     environments, which weighs rare environments more than the entropy
     does and spans the same range.  The efficiency is ``H / log n``.
     """
-    rows = _as_rows(descs)
-    n = rows.shape[0]
-    dh = _self_neg_log_kernel_sums(rows, kernel.bandwidth)
-    value = _entropy_nats(dh)
-    m = float(dh.max())
-    div = max(m + float(np.log(np.exp(dh - m).sum())), 0.0)
-    return EntropyResult(
-        entropy_nats=value,
-        diversity_nats=div,
-        efficiency=value / float(np.log(n)) if n >= 2 else None,
-        n_environments=n,
-        per_point=dh,
-    )
+    return EntropyResult.of(_self_neg_log_kernel_sums(_as_rows(descs), kernel.bandwidth))
 
 
 def diversity(descs, kernel: KernelParams = KernelParams()) -> float:
@@ -343,13 +342,9 @@ def efficiency(descs, kernel: KernelParams = KernelParams()) -> float:
 
 
 def per_structure_entropy(descs, kernel: KernelParams = KernelParams()) -> np.ndarray:
-    """Entropy of each structure's own environments, taken in isolation.
-
-    Every structure's self pass works in one shared set of tile buffers.
-    """
-    buffers = _tile_buffers(min(_BLOCK, int(descs.offsets[:, 1].max(initial=1))) ** 2)
+    """Entropy of each structure's own environments, taken in isolation."""
     out = np.empty(descs.n_structures)
     for i in range(descs.n_structures):
-        dh = _self_neg_log_kernel_sums(descs.rows_for(i), kernel.bandwidth, buffers)
+        dh = _self_neg_log_kernel_sums(descs.rows_for(i), kernel.bandwidth)
         out[i] = _entropy_nats(dh)
     return out

@@ -83,9 +83,9 @@ def count_self_passes(monkeypatch):
     sizes = []
     real = information._self_neg_log_kernel_sums
 
-    def counting(rows, bandwidth, buffers=None):
+    def counting(rows, bandwidth):
         sizes.append(rows.shape[0])
-        return real(rows, bandwidth, buffers)
+        return real(rows, bandwidth)
 
     monkeypatch.setattr(information, "_self_neg_log_kernel_sums", counting)
     return sizes

@@ -226,6 +226,13 @@ class TestExitCodes:
         assert "line 6" in capsys.readouterr().err  # the frame's first line
         assert not report.exists()
 
+    def test_bad_fractions_token_exits_3(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=2)
+        with pytest.raises(SystemExit) as err:
+            main(["compare", str(data), "--fractions", "0.1,half"])
+        assert err.value.code == 3
+        assert "not a comma-separated float list" in capsys.readouterr().err
+
     def test_unknown_method_in_compare_exits_3(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=2)
         code = main(["compare", str(data), "--methods", "bogus"])
@@ -578,6 +585,14 @@ class TestThreads:
         assert err.value.code == 3
         assert "--threads" in capsys.readouterr().err
         assert not any(var in os.environ for var in _THREAD_VARS)
+
+    @pytest.mark.parametrize("threads", ["1.5", "two"])
+    def test_non_integer_thread_count_exits_3(self, tmp_path, capsys, threads):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=2)
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", str(data), "--threads", threads])
+        assert err.value.code == 3
+        assert "not an integer" in capsys.readouterr().err
 
     def test_thread_count_never_changes_reports(self, tmp_path):
         # the BLAS pool size is fixed when numpy loads, so each run needs

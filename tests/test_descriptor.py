@@ -12,6 +12,7 @@ from atomcover import (
     DescriptorParams,
     DescriptorSet,
     InputError,
+    NeighborSet,
     build_descriptor_set,
     compute_x1,
     compute_x2,
@@ -286,6 +287,21 @@ class TestInvariances:
 
 
 class TestBuildErrors:
+    def test_coincident_neighbors_name_the_atom_past_the_first_block(self):
+        # build_descriptor_set never gets here (compute_x1 rejects coincident
+        # atoms first), so the neighbor shells are built by hand
+        n, bad = descriptor._CHUNK_ROWS + 100, descriptor._CHUNK_ROWS + 88
+        shell = np.array([[1.0, 0.0, 0.0], [0.0, 1.2, 0.0], [0.0, 0.0, 1.4]])
+        positions = np.repeat(shell[None], n, axis=0)
+        positions[bad, 2] = positions[bad, 1]
+        nbrs = NeighborSet(
+            distances=np.linalg.norm(positions, axis=2),
+            neighbor_positions=positions,
+            indices=np.tile(np.arange(3), (n, 1)),
+        )
+        with pytest.raises(DegenerateGeometryError, match=f"^atom {bad}: coincident neighbors"):
+            compute_x2(nbrs, DescriptorParams(n_neighbors=4, cutoff=5.0))
+
     def test_coincident_atoms_name_the_place(self):
         params = DescriptorParams(n_neighbors=4, cutoff=5.0)
         good = molecule([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -328,6 +344,14 @@ class TestDescriptorSet:
         values[1, 1] = np.nan
         with pytest.raises(InputError):
             DescriptorSet(values=values, offsets=np.array([(0, 2)]))
+
+    def test_rejects_one_dimensional_values(self):
+        with pytest.raises(InputError, match="values must be 2-D"):
+            DescriptorSet(values=np.zeros(4), offsets=np.array([(0, 4)]))
+
+    def test_rejects_offsets_of_three_columns(self):
+        with pytest.raises(InputError, match=r"offsets must be \(n, 2\)"):
+            DescriptorSet(values=np.zeros((4, 3)), offsets=np.array([(0, 2, 0), (2, 2, 0)]))
 
     def test_rejects_width_param_mismatch(self):
         with pytest.raises(InputError):

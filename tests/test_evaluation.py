@@ -71,6 +71,12 @@ class TestForceCdfType:
         with pytest.raises(InputError):
             ForceCdf(thresholds=np.array([np.nan]), cdf=np.array([0.5]), max_force=1.0)
 
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(InputError, match="matching 1-D"):
+            ForceCdf(thresholds=np.array([1.0, 2.0]), cdf=np.array([0.5]), max_force=1.0)
+        with pytest.raises(InputError, match="matching 1-D"):
+            ForceCdf(thresholds=np.ones((2, 2)), cdf=np.ones((2, 2)), max_force=1.0)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(InputError):
             ForceCdf(thresholds=np.array([1.0]), cdf=np.array([1.2]), max_force=1.0)
@@ -152,6 +158,10 @@ class TestForceCdf:
         assert np.all(np.diff(result.cdf) >= 0)
         assert result.cdf[-1] <= 1.0
 
+    def test_empty_selection_rejected(self):
+        with pytest.raises(InputError, match="selection is empty"):
+            force_cdf(forces_dataset([1.0, 2.0]), [])
+
     def test_subset_max_never_exceeds_full(self):
         ds = forces_dataset([1.0, 5.0, 2.0])
         full = force_cdf(ds)
@@ -230,14 +240,42 @@ class TestCompressionReport:
         for block in doc.metrics.values():
             assert "parameters" in block
 
-    def test_one_self_pass_over_the_subset(self, monkeypatch):
+    def test_no_self_pass_and_one_cross_pass(self, monkeypatch):
         rng = np.random.default_rng(12)
         descs = random_fixture(rng, n_structures=9)
         selection = [1, 3, 8]
         n_sub = descs.subset(selection).n_environments
         sizes = count_self_passes(monkeypatch)
+        shapes = count_cross_passes(monkeypatch)
         compression_report(descs, selection, KP)
-        assert sizes == [n_sub]
+        assert sizes == []
+        assert shapes == [(descs.n_environments, n_sub)]
+
+    def test_kept_figures_match_a_self_pass_on_overlapping_rows(self):
+        # At scale 0.01 rows sit within a few bandwidths of each other, so
+        # the kept rows' delta H are far from 0 and H is far from log n.
+        rng = np.random.default_rng(20)
+        descs = random_fixture(rng, n_structures=30, scale=0.01)
+        result = sample_msc(descs, 8, KP)
+        kept = entropy(descs.subset(result.selected), KP)
+        assert kept.entropy_nats < 0.9 * np.log(kept.n_environments)
+        for delta_h in (result.delta_h[8], None):
+            block = compression_report(descs, result.selected, KP, delta_h=delta_h).metrics
+            assert block["compressed"]["entropy_nats"] == pytest.approx(
+                kept.entropy_nats, abs=1e-12
+            )
+            assert block["compressed"]["diversity_nats"] == pytest.approx(
+                kept.diversity_nats, abs=1e-12
+            )
+            assert block["compressed"]["efficiency"] == pytest.approx(kept.efficiency, abs=1e-12)
+
+    def test_mis_shaped_delta_h_rejected(self):
+        rng = np.random.default_rng(21)
+        descs = random_fixture(rng, n_structures=6)
+        n = descs.n_environments
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1)), np.zeros((1, n))):
+            with pytest.raises(InputError, match="delta_h has shape"):
+                compression_report(descs, [0, 2], KP, delta_h=bad)
 
     def test_one_cross_pass_full_vs_subset(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -317,12 +355,29 @@ class TestCompareMethods:
         assert len(entropies) == 1
         assert overlaps == {1.0}
 
-    def test_one_self_pass_per_row(self, monkeypatch):
+    def test_no_self_pass_per_row(self, monkeypatch):
         rng = np.random.default_rng(13)
         descs = random_fixture(rng, n_structures=8)
         sizes = count_self_passes(monkeypatch)
-        sweep = compare_methods(descs, [0.25, 0.5], methods=("random",), kernel=KP)
-        assert sizes == [row.n_environments for row in sweep.rows]
+        compare_methods(descs, [0.25, 0.5], methods=("random",), kernel=KP)
+        assert sizes == []
+
+    def test_rows_match_a_self_pass_on_overlapping_rows(self):
+        rng = np.random.default_rng(22)
+        descs = random_fixture(rng, n_structures=30, scale=0.01)
+        sweep = compare_methods(
+            descs, [0.1, 0.25, 0.5], methods=("random", "fps", "msc"), seed=1, kernel=KP
+        )
+        far_from_log_n = 0
+        for row in sweep.rows:
+            config = SamplerConfig(method=row.method, fraction=row.fraction, seed=1, kernel=KP)
+            kept = entropy(descs.subset(run_sampler(config, descs).selected), KP)
+            assert row.n_environments == kept.n_environments
+            assert row.entropy_nats == pytest.approx(kept.entropy_nats, abs=1e-12)
+            assert row.diversity_nats == pytest.approx(kept.diversity_nats, abs=1e-12)
+            assert row.efficiency == pytest.approx(kept.efficiency, abs=1e-12)
+            far_from_log_n += kept.entropy_nats < 0.9 * np.log(kept.n_environments)
+        assert far_from_log_n >= 6
 
     def test_nested_rows_match_per_fraction_runs(self):
         rng = np.random.default_rng(14)
@@ -354,8 +409,8 @@ class TestCompareMethods:
         descs = synthetic_set([rng.normal(scale=0.05, size=(2, 8)) for _ in range(8)])
         sizes = count_self_passes(monkeypatch)
         sweep = compare_methods(descs, [0.25, 0.5, 1.0], methods=["msc"], kernel=KP)
-        # one per-structure self pass per structure, then one per row
-        assert sizes == [2] * descs.n_structures + [4, 8, 16]
+        # one per-structure self pass per structure, and none per row
+        assert sizes == [2] * descs.n_structures
         assert [r.n_environments for r in sweep.rows] == [4, 8, 16]
 
     def test_msc_rows_add_no_cross_pass(self, monkeypatch):

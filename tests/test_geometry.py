@@ -70,6 +70,20 @@ class TestStructureValidation:
         with pytest.raises(CellError):
             crystal(np.zeros((3, 3)), [[0.0, 0.0, 0.0]])
 
+    def test_rejects_cell_of_two_rows(self):
+        with pytest.raises(InputError, match="cell must be 3x3"):
+            crystal(np.eye(3)[:2] * 4.0, [[0.0, 0.0, 0.0]])
+
+    def test_rejects_nan_in_cell(self):
+        cell = np.eye(3) * 4.0
+        cell[1, 2] = np.nan
+        with pytest.raises(InputError, match="cell contains non-finite"):
+            crystal(cell, [[0.0, 0.0, 0.0]])
+
+    def test_rejects_two_pbc_flags(self):
+        with pytest.raises(InputError, match="pbc must have 3 flags"):
+            crystal(np.eye(3) * 4.0, [[0.0, 0.0, 0.0]], pbc=(True, True))
+
     def test_singular_cell_fine_when_aperiodic(self):
         s = molecule([[0.0, 0.0, 0.0]])
         assert len(s) == 1

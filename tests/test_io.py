@@ -144,6 +144,14 @@ class TestReadFeatures:
         assert not s.pbc.any()
         assert np.all(s.cell == 0)
 
+    def test_single_pbc_flag_sets_all_three(self, tmp_path):
+        path = tmp_path / "t.xyz"
+        path.write_text(
+            '1\nLattice="4 0 0 0 4 0 0 0 4" pbc=F Properties=species:S:1:pos:R:3\nC 1 1 1\n'
+            '1\nLattice="4 0 0 0 4 0 0 0 4" pbc=T Properties=species:S:1:pos:R:3\nC 1 1 1\n'
+        )
+        assert [s.pbc.tolist() for s in read_extxyz(path)] == [[False] * 3, [True] * 3]
+
     def test_explicit_pbc_flags(self, tmp_path):
         path = tmp_path / "t.xyz"
         path.write_text(
@@ -193,10 +201,10 @@ class TestReadFeatures:
 
 
 class TestParseErrors:
-    def check(self, text, match_line, tmp_path):
+    def check(self, text, match_line, tmp_path, match=None):
         path = tmp_path / "bad.xyz"
         path.write_text(text)
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match=match) as err:
             read_extxyz(path)
         assert err.value.line == match_line
         assert f"line {match_line}" in str(err.value)
@@ -221,6 +229,20 @@ class TestParseErrors:
 
     def test_bad_properties(self, tmp_path):
         self.check("1\nProperties=species:S:1:pos\nH 0 0 0\n", 2, tmp_path)
+
+    def test_non_numeric_lattice(self, tmp_path):
+        text = '1\nLattice="4 0 0 0 four 0 0 0 4"\nH 0 0 0\n'
+        self.check(text, 2, tmp_path, "bad Lattice value")
+
+    def test_two_pbc_flags(self, tmp_path):
+        text = '1\nLattice="4 0 0 0 4 0 0 0 4" pbc="T T"\nH 0 0 0\n'
+        self.check(text, 2, tmp_path, "pbc needs 3 flags")
+
+    @pytest.mark.parametrize("width", ["x", "0"])
+    def test_bad_properties_width(self, tmp_path, width):
+        self.check(
+            f"1\nProperties=species:S:1:pos:R:{width}\nH 0 0 0\n", 2, tmp_path, "bad column width"
+        )
 
     @pytest.mark.parametrize("text", [
         "1\nProperties=species:S:1:pos:R:2\nH 0 0\n",

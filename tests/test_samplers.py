@@ -72,6 +72,10 @@ class TestSamplerConfig:
         with pytest.raises(InputError):
             SamplerConfig(method="bogus", count=3)
 
+    def test_count_below_one(self):
+        with pytest.raises(InputError, match="count must be >= 1"):
+            SamplerConfig(method="random", count=0)
+
     def test_fraction_range(self):
         with pytest.raises(InputError):
             SamplerConfig(method="random", fraction=0.0)
