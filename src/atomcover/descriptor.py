@@ -8,6 +8,11 @@ rotation, atom-index permutation and species relabeling (species never
 enter it), and a supercell produces exactly the same rows as its
 primitive cell repeated.
 
+:func:`build_descriptor_set` searches and describes small structures in
+batches of one atom count and image reach, where per-structure overhead
+would dominate, and every other structure on its own with a k-d tree.  A
+row's bits do not depend on the route its structure took.
+
 Units: entries are in inverse angstrom.
 """
 
@@ -20,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, InputError
-from .geometry import Dataset, NeighborSet, nearest_neighbors
+from .errors import CellError, DegenerateGeometryError, InputError
+from .geometry import Dataset, NeighborSet, _batched_neighbors, _image_reaches, nearest_neighbors
 
 __all__ = [
     "DescriptorParams",
@@ -34,8 +39,18 @@ __all__ = [
 ]
 
 #: Atoms per block in :func:`compute_x2` for up to 32 neighbors per atom;
-#: blocks shrink as v grows, so the (rows, v, v) temporaries stay about 4 MB.
+#: blocks shrink as v grows, so its two (rows, v, v) buffers stay 4 MB each.
 _CHUNK_ROWS = 512
+#: A structure of at most ``_BATCH_ATOMS`` atoms, whose n atoms and P
+#: search layout points make at most ``_BATCH_MAX_PAIRS`` pairs, is searched
+#: in a batch; past either size the k-d tree is as fast or faster (see
+#: ``_build``).
+_BATCH_ATOMS = 32
+_BATCH_MAX_PAIRS = 2**14
+#: Most atoms, and most atom-point pairs, in one batch: its (rows, points)
+#: arrays stay within 256 kB.
+_BATCH_ROWS = 128
+_BATCH_PAIRS = 2**15
 #: Largest accepted neighbor count, 32 times the default.
 _MAX_NEIGHBORS = 1024
 
@@ -178,7 +193,7 @@ def compute_x2(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
     the other neighbors l are sorted descending; the block is the
     rank-wise mean over j, re-sorted descending, zero-padded to ``k - 1``.
     Atoms go through in blocks of at most ``_CHUNK_ROWS`` rows, fewer past
-    v = 32, so the (rows, v, v) temporaries stay small however large the
+    v = 32, so the two (rows, v, v) buffers stay small however large the
     structure; each row is independent of its block.
     """
     n, v = nbrs.distances.shape
@@ -186,18 +201,21 @@ def compute_x2(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
     if v < 2:  # no pair of neighbors
         return out
     chunk = min(_CHUNK_ROWS, max(1, _CHUNK_ROWS * 32**2 // v**2))
+    dist, terms = np.empty((2, min(chunk, n), v, v))
     for c0 in range(0, n, chunk):
         rows = slice(c0, c0 + chunk)
+        m = min(chunk, n - c0)
         out[rows, : v - 1] = _x2_rows(
-            nbrs.neighbor_positions[rows], nbrs.distances[rows], c0, params
+            nbrs.neighbor_positions[rows], nbrs.distances[rows], c0, params, dist[:m], terms[:m]
         )
     return out
 
 
-def _x2_rows(pos, distances, first_atom, params) -> np.ndarray:
+def _x2_rows(pos, distances, first_atom, params, dist, terms) -> np.ndarray:
     """:func:`compute_x2` for one block of atoms, the first being ``first_atom``.
 
     Returns the v - 1 ranks, (rows, v - 1), for v neighbors per atom.
+    ``dist`` and ``terms`` are (rows, v, v) buffers that are overwritten.
     """
     m, v = distances.shape
     w = _cutoff_weight(distances, params.cutoff)
@@ -205,13 +223,16 @@ def _x2_rows(pos, distances, first_atom, params) -> np.ndarray:
     # The diagonal distance is 0, so its terms are inf, or nan for a
     # neighbor beyond the cutoff; they are overwritten below.
     with np.errstate(invalid="ignore", divide="ignore"):
-        d = p[:, :, :, None] - p[:, :, None, :]
-        d *= d
-        # Same bits as the norm over the last axis of the (.., 3) differences.
-        dist = d[0] + d[1]
-        dist += d[2]
+        # Same bits as the norm over the last axis of the (.., 3)
+        # differences, one coordinate at a time.
+        np.subtract(p[0, :, :, None], p[0, :, None, :], out=dist)
+        dist *= dist
+        for axis in (1, 2):
+            np.subtract(p[axis, :, :, None], p[axis, :, None, :], out=terms)
+            terms *= terms
+            dist += terms
         np.sqrt(dist, out=dist)
-        terms = w[:, :, None] * w[:, None, :]
+        np.multiply(w[:, :, None], w[:, None, :], out=terms)
         np.sqrt(terms, out=terms)
         terms /= dist
     diag = np.arange(v)
@@ -233,24 +254,57 @@ def _x2_rows(pos, distances, first_atom, params) -> np.ndarray:
 def build_descriptor_set(dataset: Dataset, params: DescriptorParams) -> DescriptorSet:
     """Compute one descriptor row per atom over all structures.
 
-    Rows are ordered by (structure index, atom index).  Geometry errors
-    are re-raised with the offending structure and atom named.
+    Rows are ordered by (structure index, atom index).  A geometry error
+    names the first structure in dataset order that fails, and its atom.
     """
-    k = params.n_neighbors
-    values = np.empty((dataset.n_environments, params.width))
-    offsets = np.empty((len(dataset), 2), dtype=int)
-    pos = 0
+    try:
+        return _build(dataset.structures, params)
+    except (CellError, DegenerateGeometryError) as exc:
+        error = exc
+    # Batches do not run in dataset order, and a batch's error names its
+    # row, so the structures go through one at a time until one fails.
     for si, structure in enumerate(dataset):
-        nbrs = nearest_neighbors(structure, k, search_radius=params.cutoff)
-        rows = values[pos : pos + len(structure)]
         try:
-            rows[:, :k] = compute_x1(nbrs, params)
-            rows[:, k:] = compute_x2(nbrs, params)
-        except DegenerateGeometryError as exc:
-            raise DegenerateGeometryError(f"structure {si}, {exc}") from exc
-        offsets[si] = (pos, len(structure))
-        pos += len(structure)
-    return DescriptorSet(values=values, offsets=offsets, params=params)
+            _build((structure,), params)
+        except (CellError, DegenerateGeometryError) as exc:
+            raise type(exc)(f"structure {si}, {exc}") from exc
+    raise error
+
+
+def _build(structures, params: DescriptorParams) -> DescriptorSet:
+    """:func:`build_descriptor_set` over a sequence of structures.
+
+    A structure of at most ``_BATCH_ATOMS`` atoms, whose atoms and search
+    layout points make at most ``_BATCH_MAX_PAIRS`` pairs, is searched and
+    described with others of its atom count and image reach, in batches
+    (:func:`_batched_neighbors`).  Every other structure takes
+    :func:`nearest_neighbors`' k-d tree on its own.  Rows are the same bits
+    either way.
+    """
+    k, cutoff = params.n_neighbors, params.cutoff
+    lengths = np.array([len(s) for s in structures], dtype=int)
+    starts = np.cumsum(lengths) - lengths
+    reaches = _image_reaches(structures, cutoff, k)
+    pairs = lengths * lengths * np.prod(2 * reaches + 1, axis=1)
+    values = np.empty((int(lengths.sum()), params.width))
+
+    def describe(indices, nbrs):
+        rows = (starts[indices][:, None] + np.arange(lengths[indices[0]])).ravel()
+        values[rows, :k] = compute_x1(nbrs, params)
+        values[rows, k:] = compute_x2(nbrs, params)
+
+    small = (lengths <= _BATCH_ATOMS) & (pairs <= _BATCH_MAX_PAIRS)
+    for si in np.flatnonzero(~small):
+        describe([si], nearest_neighbors(structures[si], k, search_radius=cutoff))
+    groups = {}
+    for si in np.flatnonzero(small):
+        groups.setdefault((lengths[si], *reaches[si]), []).append(si)
+    for (n, *reach), indices in groups.items():
+        size = min(_BATCH_ROWS // n, _BATCH_PAIRS // pairs[indices[0]])
+        for c0 in range(0, len(indices), size):
+            batch = indices[c0 : c0 + size]
+            describe(batch, _batched_neighbors([structures[i] for i in batch], tuple(reach), k))
+    return DescriptorSet(values=values, offsets=np.stack([starts, lengths], axis=1), params=params)
 
 
 _CACHE_MAGIC = b"ACDS0002"

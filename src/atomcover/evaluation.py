@@ -213,7 +213,7 @@ class SweepRow:
     n_environments: int
     entropy_nats: float
     diversity_nats: float
-    efficiency: float
+    efficiency: float | None  # None below two kept rows, as in compression_report
     overlap_full_vs_compressed: float
 
 
@@ -291,7 +291,7 @@ def compare_methods(
                     n_environments=kept.n_environments,
                     entropy_nats=kept.entropy_nats,
                     diversity_nats=kept.diversity_nats,
-                    efficiency=0.0 if kept.efficiency is None else kept.efficiency,
+                    efficiency=kept.efficiency,
                     overlap_full_vs_compressed=contained_fraction(dh),
                 )
             )

@@ -4,8 +4,8 @@ Conventions match pymatgen/ASE: rows of the cell matrix are lattice
 vectors, Cartesian positions are in angstrom, ``r = s @ cell`` maps
 fractional to Cartesian coordinates.
 
-Neighbor queries lay out periodic images explicitly and search them with
-one k-d tree per structure.  Each structure gets one layout:
+Neighbor queries lay out periodic images explicitly and search them
+once.  Each structure gets one layout:
 ``ceil(search_radius / cell_height)`` images per periodic side, which holds
 every point within the search radius, widened by one image per periodic
 side while it holds no more than k points.  So every atom of a periodic
@@ -14,6 +14,17 @@ structure gets exactly k neighbors, and an atom of an n-atom aperiodic one
 are wrong for cells smaller than the search radius, which occur routinely
 in the datasets this package targets.  All atoms of a structure are
 searched in one batch.
+
+Two searches find the candidates, and one ranking step turns them into
+neighbors.  :func:`nearest_neighbors` builds one k-d tree per structure;
+scipy is imported there, on the first tree search, not when this module
+loads.  :func:`_batched_neighbors` stacks the layouts of several
+structures of one atom count and image reach and computes every distance,
+which costs less than a tree where the layouts are small.  Layouts are
+computed over stacked cells, with the same bits per cell as alone.  Both
+searches keep every point tied with the k-th neighbor as a candidate, and
+the ranking recomputes each candidate's distance with one formula and
+sorts by (distance, atom, point), so both give the same bits.
 """
 
 from __future__ import annotations
@@ -23,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CellError, InputError
 
@@ -45,6 +55,11 @@ _MAX_IMAGE_POINTS = 10**7
 #: Points within this many angstrom beyond the k-th nearest are candidates
 #: too, so exact ties are ranked by atom and image offset, never by the tree.
 _TIE_SLACK = 1e-8
+
+#: Candidates per atom that a batched search keeps beyond the k nearest
+#: points and the self-image; rows whose candidates end in a tie with the
+#: k-th neighbor fall back to every point.
+_BATCH_SPARE = 8
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -169,70 +184,87 @@ class NeighborSet:
     indices: np.ndarray
 
 
-def _wrap_positions(structure: Structure) -> np.ndarray:
-    """Positions wrapped into the cell along periodic directions only."""
-    if not structure.pbc.any():
-        return structure.positions
-    frac = structure.positions @ np.linalg.inv(structure.cell)
-    frac = frac.copy()
-    for axis in range(3):
-        if structure.pbc[axis]:
-            frac[:, axis] -= np.floor(frac[:, axis])
-    return frac @ structure.cell
+def _cell_heights(cells: np.ndarray) -> np.ndarray:
+    """Perpendicular spacing between opposite cell faces, per direction, of
+    one cell (3, 3) or of each cell of a stack (..., 3, 3)."""
+    volume = np.abs(np.linalg.det(cells))
+    a, b = cells[..., [1, 2, 0], :], cells[..., [2, 0, 1], :]
+    # np.cross's arithmetic, without its per-call overhead.
+    crosses = np.stack(
+        [
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+        ],
+        axis=-1,
+    )
+    # One dot product per cross product, as np.linalg.norm takes it on one
+    # vector, so a stack gives each cell's heights to the bit.
+    squares = (crosses[..., None, :] @ crosses[..., :, None])[..., 0, 0]
+    return volume[..., None] / np.sqrt(squares)
 
 
-def _cell_heights(cell: np.ndarray) -> np.ndarray:
-    """Perpendicular spacing between opposite cell faces, per direction."""
-    volume = abs(np.linalg.det(cell))
-    crosses = np.cross(cell[[1, 2, 0]], cell[[2, 0, 1]])
-    return np.array([volume / np.linalg.norm(cross) for cross in crosses])
-
-
-def _image_reach(structure: Structure, search_radius: float, k: int) -> tuple[int, int, int]:
-    """Images per side to lay out for a ``k``-nearest-neighbor search:
-    ``ceil(search_radius / h)`` on each periodic axis of cell height ``h``,
-    0 on the others, widened by one image per periodic side while the
-    layout holds no more than ``k`` points.
+def _image_reaches(structures, search_radius: float, k: int) -> np.ndarray:
+    """Images per side to lay out for a ``k``-nearest-neighbor search of
+    each structure, (S, 3): ``ceil(search_radius / h)`` on each periodic
+    axis of cell height ``h``, 0 on the others, widened by one image per
+    periodic side while the layout holds no more than ``k`` points.
 
     Wrapped atoms lie inside the cell, so an image offset by j cells along a
     periodic axis lies more than j - 1 cell heights from every atom: the
     layout holds every point within the search radius, and more than ``k``
-    points.  Raises CellError, before anything is allocated, when it would
-    hold more than ``_MAX_IMAGE_POINTS`` points.
+    points.  Raises CellError, before anything is allocated, when a layout
+    would hold more than ``_MAX_IMAGE_POINTS`` points.
     """
     if search_radius <= 0:
         raise InputError(f"search_radius must be positive, got {search_radius}")
-    if not structure.pbc.any():
-        return (0, 0, 0)
-    heights = _cell_heights(structure.cell)
-    periodic = [int(p) for p in structure.pbc]
-    reach = [math.ceil(search_radius / h) * p for h, p in zip(heights, periodic)]
-    n_points = len(structure) * math.prod(2 * r + 1 for r in reach)
-    while n_points <= min(k, _MAX_IMAGE_POINTS):
-        reach = [r + p for r, p in zip(reach, periodic)]
-        n_points = len(structure) * math.prod(2 * r + 1 for r in reach)
-    if n_points > _MAX_IMAGE_POINTS:
+    reach = np.zeros((len(structures), 3), dtype=int)
+    periodic = np.array([s.pbc for s in structures], dtype=float).reshape(-1, 3)
+    rows = np.flatnonzero(periodic.any(axis=1))
+    if not rows.size:
+        return reach
+    heights = _cell_heights(np.stack([structures[i].cell for i in rows]))
+    atoms = np.array([len(structures[i]) for i in rows])
+    periodic = periodic[rows]
+    # Counted in floats, which cannot overflow and are exact up to the limit.
+    wide = np.ceil(search_radius / heights) * periodic
+    n_points = atoms * np.prod(2 * wide + 1, axis=1)
+    while (sparse := n_points <= min(k, _MAX_IMAGE_POINTS)).any():
+        wide[sparse] += periodic[sparse]
+        n_points = atoms * np.prod(2 * wide + 1, axis=1)
+    over = np.flatnonzero(n_points > _MAX_IMAGE_POINTS)
+    if over.size:
+        i = over[0]
+        exact = atoms[i] * math.prod(2 * int(r) + 1 for r in wide[i])
         raise CellError(
-            f"cell heights {np.array2string(heights, precision=4)} angstrom need "
-            f"{n_points} periodic image points within {search_radius:g} angstrom, "
+            f"cell heights {np.array2string(heights[i], precision=4)} angstrom need "
+            f"{exact} periodic image points within {search_radius:g} angstrom, "
             f"more than the limit of {_MAX_IMAGE_POINTS}"
         )
-    return tuple(reach)
+    reach[rows] = wide
+    return reach
 
 
-def _image_points(structure: Structure, reach) -> np.ndarray:
-    """The wrapped atoms in every image out to ``reach`` per side.
+def _image_points(structures, reach) -> np.ndarray:
+    """The wrapped atoms of each structure in every image out to ``reach``
+    per side, (B, P, 3), for structures of one atom count n.
 
     Images come in lexicographic order of their integer lattice offsets,
     each holding the atoms in structure order, so point ``p`` is atom
     ``p % n`` of image ``p // n`` and the zero-offset image is the middle
-    one.  An aperiodic structure is one image, its own positions.
+    one.  An axis is periodic where its reach is not 0; a structure with no
+    periodic axis is one image, its own positions.
     """
-    if not structure.pbc.any():
-        return structure.positions
-    offsets = np.array(list(itertools.product(*(range(-r, r + 1) for r in reach))), dtype=int)
-    shifts = offsets.astype(float) @ structure.cell
-    return (_wrap_positions(structure)[None, :, :] + shifts[:, None, :]).reshape(-1, 3)
+    positions = np.stack([s.positions for s in structures])
+    if not any(reach):
+        return positions
+    cells = np.stack([s.cell for s in structures])
+    # Wrapped into the cell along periodic directions only.
+    frac = positions @ np.linalg.inv(cells)
+    frac = np.where(np.asarray(reach) > 0, frac - np.floor(frac), frac)
+    offsets = np.array(list(itertools.product(*(range(-r, r + 1) for r in reach))), dtype=float)
+    shifts = offsets @ cells  # (B, images, 3)
+    return ((frac @ cells)[:, None, :, :] + shifts[:, :, None, :]).reshape(len(cells), -1, 3)
 
 
 def _nearest_candidates(points: np.ndarray, n: int, k: int):
@@ -246,8 +278,11 @@ def _nearest_candidates(points: np.ndarray, n: int, k: int):
     the k-th neighbor is then a candidate, so the tree's own order of tied
     points never decides which are kept.
     """
-    # The middle, zero-offset image holds the wrapped atoms in order.
-    own = len(points) // n // 2 * n + np.arange(n)
+    # scipy takes longer to import than most commands take to run, and
+    # only this search needs it.
+    from scipy.spatial import cKDTree
+
+    own = _own_points(len(points), n)
     # Query results do not depend on the tree's shape, and skipping the
     # balancing halves the build time on replicated cells.
     tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
@@ -261,26 +296,24 @@ def _nearest_candidates(points: np.ndarray, n: int, k: int):
         n_query = min(2 * n_query, n_points)
 
 
-def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> NeighborSet:
-    """Find each atom's ``k`` nearest periodic images, for all atoms at once.
+def _own_points(n_points: int, n: int) -> np.ndarray:
+    """Indices of the ``n`` atoms in a layout of ``n_points`` points.
 
-    The zero-distance self-image is excluded; other images of the same
-    atom are valid neighbors.  Neighbors are sorted by distance, with
-    exact ties broken by (atom index, image offset lexicographic) so the
-    ordering is deterministic.  The images of :func:`_image_reach` are
-    searched, once.  Within ``search_radius`` the neighbors are the nearest
-    points of the infinite crystal; past it, where the descriptor's cutoff
-    weight is 0, they are the nearest remaining points of the layout.  A
-    periodic structure's rows hold exactly ``k`` neighbors; an aperiodic
-    structure with fewer than ``k`` other atoms holds all of them.
+    The middle, zero-offset image holds the wrapped atoms in order.
     """
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    n = len(structure)
-    points = _image_points(structure, _image_reach(structure, search_radius, k))
-    own, cand = _nearest_candidates(points, n, k)
-    centers = points[own]
-    diff = points[cand] - centers[:, None, :]
+    return n_points // n // 2 * n + np.arange(n)
+
+
+def _ranked(points: np.ndarray, own: np.ndarray, cand: np.ndarray, n: int, k: int) -> NeighborSet:
+    """The neighbors of the atoms at rows ``own`` of ``points``, from ``cand`` (rows, m).
+
+    ``points`` holds one or more layouts of :func:`_image_points`, each of a
+    multiple of ``n`` points, one after another, and ``cand`` indexes into
+    it.  Each row's candidates must include every point tied with its k-th
+    neighbor.  Each distance is recomputed with one formula, whatever search
+    found the candidate.
+    """
+    diff = points[cand] - points[own][:, None, :]
     dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
     # Same bits as np.linalg.norm(diff, axis=-1), without its reduction overhead.
     dists = np.sqrt(dx * dx + dy * dy + dz * dz)
@@ -296,3 +329,66 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
         neighbor_positions=_freeze(points[chosen]),
         indices=_freeze(chosen % n),
     )
+
+
+def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> NeighborSet:
+    """Find each atom's ``k`` nearest periodic images, for all atoms at once.
+
+    The zero-distance self-image is excluded; other images of the same
+    atom are valid neighbors.  Neighbors are sorted by distance, with
+    exact ties broken by (atom index, image offset lexicographic) so the
+    ordering is deterministic.  The images of :func:`_image_reaches` are
+    searched, once, with a k-d tree.  Within ``search_radius`` the neighbors
+    are the nearest points of the infinite crystal; past it, where the
+    descriptor's cutoff weight is 0, they are the nearest remaining points
+    of the layout.  A periodic structure's rows hold exactly ``k``
+    neighbors; an aperiodic structure with fewer than ``k`` other atoms
+    holds all of them.
+    """
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    n = len(structure)
+    reach = tuple(_image_reaches([structure], search_radius, k)[0])
+    points = _image_points([structure], reach)[0]
+    own, cand = _nearest_candidates(points, n, k)
+    return _ranked(points, own, cand, n, k)
+
+
+def _batched_neighbors(structures, reach, k: int) -> NeighborSet:
+    """:func:`nearest_neighbors` of several structures, without a tree.
+
+    The structures must share one atom count n and one ``reach`` of
+    :func:`_image_reaches`, so their layouts share one size P.  The rows of
+    the result are those of each structure in turn, with the same bits as
+    :func:`nearest_neighbors` gives.  Every distance from an atom to the
+    points of its layout is computed, (B, n, P) of them for B structures,
+    and the k + ``_BATCH_SPARE`` + 1 nearest are the candidates, or all P
+    points if the last of those ties with the k-th neighbor.
+    """
+    points = _image_points(structures, reach)
+    b, p, _ = points.shape
+    n = len(structures[0])
+    own = _own_points(p, n)
+    m = min(k + 1 + _BATCH_SPARE, p)
+    cand = np.broadcast_to(np.arange(p), (b, n, p))
+    if m < p:
+        # _ranked's arithmetic, one coordinate at a time into two buffers:
+        # faster than one (b, n, p, 3) difference array.
+        coords = points.transpose(2, 0, 1)[:, :, None, :]  # (3, b, 1, p)
+        centers = coords[..., own].transpose(0, 1, 3, 2)  # (3, b, n, 1)
+        dists = coords[0] - centers[0]
+        dists *= dists
+        term = np.empty_like(dists)
+        for axis in (1, 2):
+            np.subtract(coords[axis], centers[axis], out=term)
+            term *= term
+            dists += term
+        np.sqrt(dists, out=dists)
+        near = np.argpartition(dists, (k, m - 1), axis=2)[:, :, :m]
+        edge = np.take_along_axis(dists, near[:, :, [k, m - 1]], axis=2)
+        if np.all(edge[..., 1] > edge[..., 0] + _TIE_SLACK):
+            cand = near
+    # One flat layout: structure i's points start at i * p, a multiple of n.
+    base = np.arange(b)[:, None] * p
+    own, cand = (base + own).ravel(), (cand + base[:, :, None]).reshape(b * n, -1)
+    return _ranked(points.reshape(-1, 3), own, cand, n, k)

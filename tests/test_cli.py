@@ -622,6 +622,69 @@ class TestThreads:
         assert blobs[0] == blobs[1]
 
 
+def write_cells(path, n_frames=3, seed=0):
+    """n_frames jittered 64-atom simple-cubic cells of side 10 angstrom."""
+    rng = np.random.default_rng(seed)
+    grid = np.argwhere(np.ones((4, 4, 4))) * 2.5
+    chunks = []
+    for _ in range(n_frames):
+        pos = grid + rng.normal(scale=0.1, size=grid.shape)
+        chunks.append(frame_text(pos, np.zeros_like(pos), cell=10.0))
+    path.write_text("".join(chunks))
+    return path
+
+
+class TestScipyImport:
+    """scipy.spatial takes longer to import than most commands take to run,
+    so only the k-d tree search, for structures too large to batch, loads it."""
+
+    SCRIPT = (
+        "import importlib, json, pkgutil, sys\n"
+        "import atomcover\n"
+        "from atomcover.cli import main\n"
+        "for info in pkgutil.iter_modules(atomcover.__path__):\n"
+        "    importlib.import_module('atomcover.' + info.name)\n"
+        "loaded = {'import': 'scipy' in sys.modules}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded[argv[0]] = 'scipy' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
+    )
+
+    def loaded_after(self, tmp_path, commands):
+        """Whether scipy was loaded after importing atomcover and after each command."""
+        src = os.path.dirname(os.path.dirname(atomcover.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        run = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+            cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
+        )
+        return json.loads(run.stdout.splitlines()[-1])
+
+    def test_only_the_tree_search_loads_scipy(self, tmp_path, capsys):
+        small = write_dataset(tmp_path / "small.xyz", n_frames=6)
+        cells = write_cells(tmp_path / "cells.xyz")
+        forces = single_atom_forces_file(tmp_path / "forces.xyz", [0.1, 0.5, 2.0])
+        cache = ["--cache", str(tmp_path / "cache")]
+        main(["analyze", str(cells), "-o", str(tmp_path / "warm.json"), *cache])
+        capsys.readouterr()
+        assert self.loaded_after(tmp_path, [
+            ["compress", str(small), "-o", "kept.xyz", "--report", "compress.json",
+             "--fraction", "0.5", *cache],
+            ["analyze", str(cells), "-o", "analyze.json", *cache],
+            ["overlap", str(cells), str(cells), "-o", "overlap.json", *cache],
+            ["force-cdf", str(forces), "-o", "cdf.json"],
+        ]) == {"import": False, "compress": False, "analyze": False, "overlap": False,
+               "force-cdf": False}
+        # 64-atom cells are searched with the tree, which loads scipy
+        assert self.loaded_after(tmp_path, [
+            ["compress", str(cells), "-o", "kept.xyz", "--report", "compress.json",
+             "--fraction", "0.5"],
+        ]) == {"import": False, "compress": True}
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("atomcover")

@@ -5,8 +5,9 @@ import types
 import numpy as np
 import pytest
 
-from atomcover import descriptor
+from atomcover import descriptor, geometry
 from atomcover import (
+    CellError,
     Dataset,
     DegenerateGeometryError,
     DescriptorParams,
@@ -190,6 +191,26 @@ class TestBatchedBlocks:
         assert len(s) > descriptor._CHUNK_ROWS
         self._assert_rows_match_naive(s, k=6, cutoff=3.5)
 
+    def test_full_block_temporaries_stay_under_10_mb(self):
+        # Two (512, 32, 32) buffers of 4.2 MB each; a (3, rows, v, v)
+        # difference array would add 12.6 MB.
+        rng = np.random.default_rng(43)
+        n, v = descriptor._CHUNK_ROWS, 32
+        positions = rng.normal(scale=2.0, size=(n, v, 3))
+        nbrs = NeighborSet(
+            distances=np.linalg.norm(positions, axis=2),
+            neighbor_positions=positions,
+            indices=np.zeros((n, v), dtype=int),
+        )
+        params = DescriptorParams(n_neighbors=v, cutoff=5.0)
+        tracemalloc.start()
+        x2 = compute_x2(nbrs, params)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 10e6
+        for i in (0, n - 1):
+            assert np.allclose(x2[i], naive_x2(nbrs, i, v, 5.0), atol=1e-12)
+
     def test_many_neighbors_take_smaller_blocks(self, monkeypatch):
         # at k = 100 a block holds 52 atoms, so these 125 atoms span three
         rng = np.random.default_rng(42)
@@ -203,8 +224,8 @@ class TestBatchedBlocks:
         x2 = compute_x2(nbrs, params)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # five (rows, v, v) temporaries at a time: about 21 MB, as at k = 32;
-        # all 125 atoms in one block would take about 52 MB
+        # two (rows, v, v) buffers of 52 rows: about 8.5 MB, as at k = 32;
+        # all 125 atoms in one block would take about 21 MB
         assert peak < 30e6
         for i in (0, 51, 52, 103, 104, 124):  # both sides of each block edge
             assert np.allclose(x2[i], naive_x2(nbrs, i, k, cutoff), atol=1e-12)
@@ -308,6 +329,142 @@ class TestBuildErrors:
         bad = molecule([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(DegenerateGeometryError, match="structure 1, atom 0"):
             build_descriptor_set(dataset(good, bad), params)
+
+
+def tree_rows(structures, params):
+    """Rows of each structure from its own k-d tree search, one at a time."""
+    k = params.n_neighbors
+    blocks = []
+    for s in structures:
+        nbrs = nearest_neighbors(s, k, params.cutoff)
+        blocks.append(np.hstack([compute_x1(nbrs, params), compute_x2(nbrs, params)]))
+    return np.vstack(blocks)
+
+
+def random_cell(rng, n, side, pbc=(1, 1, 1)):
+    cell = np.eye(3) * side + rng.uniform(-0.3, 0.3, size=(3, 3)) * side
+    return crystal(cell, rng.uniform(-0.2, 1.2, size=(n, 3)) @ cell, pbc=pbc)
+
+
+def random_cluster(rng, n):
+    # one atom per 2 angstrom cube of a grid, jittered: never coincident
+    sites = rng.permutation(np.argwhere(np.ones((5, 5, 5))))[:n]
+    return molecule((sites + rng.uniform(-0.3, 0.3, size=(n, 3))) * 2.0)
+
+
+class TestBatchedPath:
+    """Small structures are searched and described in batches; every other
+    structure takes its own k-d tree.  Rows must be the tree's, bit for bit."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        calls = {"batches": [], "trees": 0}
+        batched, tree = descriptor._batched_neighbors, descriptor.nearest_neighbors
+
+        def batch_spy(structures, reach, k):
+            calls["batches"].append(len(structures))
+            return batched(structures, reach, k)
+
+        def tree_spy(*args, **kwargs):
+            calls["trees"] += 1
+            return tree(*args, **kwargs)
+
+        monkeypatch.setattr(descriptor, "_batched_neighbors", batch_spy)
+        monkeypatch.setattr(descriptor, "nearest_neighbors", tree_spy)
+        return calls
+
+    @staticmethod
+    def assert_tree_rows(structures, params):
+        got = build_descriptor_set(Dataset(structures), params)
+        assert got.values.tobytes() == tree_rows(structures, params).tobytes()
+        assert got.offsets[:, 1].tolist() == [len(s) for s in structures]
+
+    @pytest.mark.parametrize("k, cutoff", [(8, 4.0), (32, 5.0)])
+    def test_mixed_dataset(self, routes, k, cutoff):
+        rng = np.random.default_rng(50 + k)
+        structures = [random_cell(rng, n, rng.uniform(2.5, 6.0)) for n in range(1, 13)]
+        structures += [
+            random_cell(rng, n, rng.uniform(3.0, 6.0), pbc)
+            for pbc in ((1, 1, 0), (1, 0, 0), (0, 1, 1))
+            for n in (1, 3, 6)
+        ]
+        structures += [random_cluster(rng, n) for n in (1, 2, k, k + 1)]
+        structures += [random_cell(rng, 40, 7.0), random_cluster(rng, 40)]
+        rng.shuffle(structures)
+        self.assert_tree_rows(structures, DescriptorParams(k, cutoff))
+        # both sides of the routing crossover ran
+        assert routes["trees"] >= 2 and sum(routes["batches"]) + routes["trees"] == len(structures)
+
+    @pytest.mark.parametrize("spare", [None, 0])
+    def test_lattice_ties_fall_back_to_every_point(self, monkeypatch, routes, spare):
+        # With no spare candidate the tie check fails on every batch.
+        from test_geometry import LATTICE_TIES
+
+        if spare is not None:
+            monkeypatch.setattr(geometry, "_BATCH_SPARE", spare)
+        for cell, grid, pbc, radius in LATTICE_TIES:
+            s = crystal(cell, np.array(grid, dtype=float), pbc=pbc)
+            for k in (2, 6, 8, 10, 20, 32):
+                self.assert_tree_rows([s, s, s], DescriptorParams(k, radius))
+        assert routes["trees"] == 0
+
+    def test_groups_across_batch_boundaries(self, monkeypatch, routes):
+        rng = np.random.default_rng(51)
+        params = DescriptorParams(8, 4.0)
+        # three groups in turn, with structures of the tree route in between
+        structures = []
+        for i in range(40):
+            side = rng.uniform(4.1, 4.9)  # one image per side
+            structures.append(crystal(np.eye(3) * side, rng.random((3, 3)) * side))
+            structures.append(random_cluster(rng, 2 + i % 2))
+            if i % 10 == 0:
+                structures.append(random_cluster(rng, 40))
+        monkeypatch.setattr(descriptor, "_BATCH_ROWS", 9)
+        self.assert_tree_rows(structures, params)
+        assert routes["trees"] == 4
+        # 40 cells and 20 clusters of 3 atoms, 3 a batch; 20 clusters of 2, 4 a batch
+        assert sorted(routes["batches"]) == sorted([3] * 13 + [1] + [3] * 6 + [2] + [4] * 5)
+
+    def test_structure_with_too_many_pairs_takes_the_tree(self, routes):
+        # one atom in a 0.3 angstrom cell: 17 images per side lay out
+        # 35**3 > _BATCH_MAX_PAIRS points
+        tiny = crystal(np.eye(3) * 0.3, [[0.1, 0.2, 0.3]])
+        small = crystal(np.eye(3) * 2.0, [[0.1, 0.2, 0.3]])
+        assert geometry._image_reaches([tiny], 5.0, 32).tolist() == [[17, 17, 17]]
+        assert 35**3 > descriptor._BATCH_MAX_PAIRS
+        self.assert_tree_rows([tiny, small, tiny], DescriptorParams(32, 5.0))
+        assert routes == {"batches": [1], "trees": 2}
+
+    def test_coincident_pair_in_a_batch_names_structure_and_atom(self, routes):
+        rng = np.random.default_rng(52)
+        structures = [random_cell(rng, 4, 6.0) for _ in range(5)]
+        positions = structures[2].positions.copy()
+        positions[3] = positions[1]
+        structures[2] = crystal(structures[2].cell, positions)
+        with pytest.raises(DegenerateGeometryError, match="^structure 2, atom 1: coincident atoms"):
+            build_descriptor_set(Dataset(structures), DescriptorParams(8, 4.0))
+        assert routes["batches"][0] == 5  # all five in one batch first
+
+    def test_first_failure_in_dataset_order(self):
+        rng = np.random.default_rng(53)
+        params = DescriptorParams(8, 4.0)
+        good = random_cell(rng, 4, 6.0)
+        bad = crystal(good.cell, np.vstack([good.positions, good.positions[:1]]))
+        large_bad = random_cluster(rng, 40)
+        large_bad = molecule(np.vstack([large_bad.positions, large_bad.positions[5:6]]))
+        # ceil(4 / 0.03) = 134 images per side: more than 10**7 points
+        tiny = crystal(np.eye(3) * 0.03, [[0.0, 0.0, 0.0]])
+        cases = [
+            # the batch comes after the tree, which fails first
+            ([good, bad, good, large_bad], DegenerateGeometryError, "structure 1, atom 0"),
+            ([good, large_bad, bad], DegenerateGeometryError, "structure 1, atom 5"),
+            # the image limit is checked before anything is searched
+            ([good, bad, good, tiny], DegenerateGeometryError, "structure 1, atom 0"),
+            ([good, tiny, bad], CellError, "structure 1, cell heights"),
+        ]
+        for structures, error, message in cases:
+            with pytest.raises(error, match=f"^{message}"):
+                build_descriptor_set(Dataset(structures), params)
 
 
 class TestDescriptorSet:

@@ -362,6 +362,25 @@ class TestCompareMethods:
         compare_methods(descs, [0.25, 0.5], methods=("random",), kernel=KP)
         assert sizes == []
 
+    def test_one_kept_row_has_no_efficiency_as_in_the_report(self, tmp_path):
+        # Four one-row structures at fraction 0.25 keep one environment, whose
+        # efficiency (H / log 1) is undefined in the sweep as in the report.
+        from atomcover.report import ReportDocument, write_csv
+
+        descs = synthetic_set([[0.0, 0.1], [0.3, 0.0], [0.0, 0.7], [0.2, 0.2]])
+        sweep = compare_methods(descs, [0.25], methods=("random", "fps", "msc"), kernel=KP)
+        report = compression_report(descs, [0], kernel=KP).to_dict()["metrics"]
+        assert report["compressed"]["efficiency"] is None
+        for row in sweep.rows:
+            assert row.count == row.n_environments == 1
+            assert row.efficiency is None
+        doc = ReportDocument(kind="compare", parameters={}, metrics=sweep.to_metrics())
+        assert all(r["efficiency"] is None for r in json.loads(doc.to_json())["metrics"]["rows"])
+        write_csv(tmp_path / "sweep.csv", sweep.HEADER, sweep.to_table())
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        column = lines[0].split(",").index("efficiency")
+        assert [line.split(",")[column] for line in lines[1:]] == [""] * 3
+
     def test_rows_match_a_self_pass_on_overlapping_rows(self):
         rng = np.random.default_rng(22)
         descs = random_fixture(rng, n_structures=30, scale=0.01)

@@ -104,7 +104,8 @@ class TestStructureValidation:
 
 def laid_out(structure, radius, k=32):
     """The image points that ``nearest_neighbors`` searches for k neighbors."""
-    return geometry._image_points(structure, geometry._image_reach(structure, radius, k))
+    reach = tuple(geometry._image_reaches([structure], radius, k)[0])
+    return geometry._image_points([structure], reach)[0]
 
 
 class TestReplication:
@@ -171,9 +172,9 @@ class TestReplication:
         # a 1-atom chain of 2 A cells at a 5 A radius: ceil(5/2) = 3 images
         # per side hold 7 points; 32 neighbors need 16 per side (33 points)
         s = crystal(np.eye(3) * 2.0, [[0.0, 0.0, 0.0]], pbc=(True, False, False))
-        assert geometry._image_reach(s, 5.0, 6) == (3, 0, 0)
-        assert geometry._image_reach(s, 5.0, 7) == (4, 0, 0)
-        assert geometry._image_reach(s, 5.0, 32) == (16, 0, 0)
+        assert geometry._image_reaches([s] * 3, 5.0, 6).tolist() == [[3, 0, 0]] * 3
+        assert geometry._image_reaches([s], 5.0, 7).tolist() == [[4, 0, 0]]
+        assert geometry._image_reaches([s], 5.0, 32).tolist() == [[16, 0, 0]]
         assert nearest_neighbors(s, 32, 5.0).distances.shape == (1, 32)
 
 
@@ -317,10 +318,16 @@ class TestFullReachEquivalence:
 
     @pytest.fixture
     def tree_sizes(self, monkeypatch):
+        # nearest_neighbors imports the tree class from scipy.spatial on each
+        # search, so the spy goes there.
+        import scipy.spatial
+
         sizes = []
-        tree = geometry.cKDTree
+        tree = scipy.spatial.cKDTree
         monkeypatch.setattr(
-            geometry, "cKDTree", lambda points, **kw: sizes.append(len(points)) or tree(points, **kw)
+            scipy.spatial,
+            "cKDTree",
+            lambda points, **kw: sizes.append(len(points)) or tree(points, **kw),
         )
         return sizes
 
