@@ -62,7 +62,7 @@ def _add_descriptor_flags(parser):
     parser.add_argument("--cutoff", type=float, default=5.0, help="radial cutoff in angstrom (default 5.0)")
     parser.add_argument("--bandwidth", type=float, default=0.015, help="kernel bandwidth (default 0.015)")
     parser.add_argument("--cache", default=None, metavar="DIR", help="descriptor cache directory")
-    parser.add_argument("--threads", type=_thread_count, default=None, help="BLAS/OpenMP thread count (speed only)")
+    parser.add_argument("--threads", type=_thread_count, default=None, help="BLAS/OpenMP pool size, at least 1; reports at 12 digits do not change, but the last bits of a kernel figure can")
 
 
 def build_parser() -> _Parser:

@@ -8,10 +8,10 @@ rotation, atom-index permutation and species relabeling (species never
 enter it), and a supercell produces exactly the same rows as its
 primitive cell repeated.
 
-:func:`build_descriptor_set` searches and describes small structures in
-batches of one atom count and image reach, where per-structure overhead
-would dominate, and every other structure on its own with a k-d tree.  A
-row's bits do not depend on the route its structure took.
+:func:`build_descriptor_set` searches and describes structures of few
+atom-point pairs in batches of one atom count and image reach, where
+per-structure overhead would dominate, and every other structure on its
+own with a k-d tree.  A row's bits do not depend on the route it took.
 
 Units: entries are in inverse angstrom.
 """
@@ -39,17 +39,11 @@ __all__ = [
 ]
 
 #: Atoms per block in :func:`compute_x2` for up to 32 neighbors per atom;
-#: blocks shrink as v grows, so its two (rows, v, v) buffers stay 4 MB each.
-_CHUNK_ROWS = 512
-#: A structure of at most ``_BATCH_ATOMS`` atoms, whose n atoms and P
-#: search layout points make at most ``_BATCH_MAX_PAIRS`` pairs, is searched
-#: in a batch; past either size the k-d tree is as fast or faster (see
-#: ``_build``).
-_BATCH_ATOMS = 32
-_BATCH_MAX_PAIRS = 2**14
-#: Most atoms, and most atom-point pairs, in one batch: its (rows, points)
-#: arrays stay within 256 kB.
-_BATCH_ROWS = 128
+#: blocks shrink as v grows, so its two (rows, v, v) buffers stay 1 MB each.
+_CHUNK_ROWS = 128
+#: Most atom-point pairs in one batch, so its (rows, points) arrays stay
+#: within 256 kB.  A structure of n atoms and P layout points batches when
+#: two of it fit, 2 n P <= _BATCH_PAIRS; past that the tree is as fast.
 _BATCH_PAIRS = 2**15
 #: Largest accepted neighbor count, 32 times the default.
 _MAX_NEIGHBORS = 1024
@@ -193,8 +187,8 @@ def compute_x2(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
     the other neighbors l are sorted descending; the block is the
     rank-wise mean over j, re-sorted descending, zero-padded to ``k - 1``.
     Atoms go through in blocks of at most ``_CHUNK_ROWS`` rows, fewer past
-    v = 32, so the two (rows, v, v) buffers stay small however large the
-    structure; each row is independent of its block.
+    v = 32, so the two (rows, v, v) buffers stay small however many rows
+    come in; each row is independent of its block.
     """
     n, v = nbrs.distances.shape
     out = np.zeros((n, params.n_neighbors - 1))
@@ -274,9 +268,9 @@ def build_descriptor_set(dataset: Dataset, params: DescriptorParams) -> Descript
 def _build(structures, params: DescriptorParams) -> DescriptorSet:
     """:func:`build_descriptor_set` over a sequence of structures.
 
-    A structure of at most ``_BATCH_ATOMS`` atoms, whose atoms and search
-    layout points make at most ``_BATCH_MAX_PAIRS`` pairs, is searched and
-    described with others of its atom count and image reach, in batches
+    A structure whose n atoms and P search layout points make at most
+    ``_BATCH_PAIRS // 2`` pairs is searched and described with others of
+    its atom count and image reach, ``_BATCH_PAIRS // (n * P)`` to a batch
     (:func:`_batched_neighbors`).  Every other structure takes
     :func:`nearest_neighbors`' k-d tree on its own.  Rows are the same bits
     either way.
@@ -293,14 +287,14 @@ def _build(structures, params: DescriptorParams) -> DescriptorSet:
         values[rows, :k] = compute_x1(nbrs, params)
         values[rows, k:] = compute_x2(nbrs, params)
 
-    small = (lengths <= _BATCH_ATOMS) & (pairs <= _BATCH_MAX_PAIRS)
+    small = 2 * pairs <= _BATCH_PAIRS
     for si in np.flatnonzero(~small):
         describe([si], nearest_neighbors(structures[si], k, search_radius=cutoff))
     groups = {}
     for si in np.flatnonzero(small):
         groups.setdefault((lengths[si], *reaches[si]), []).append(si)
     for (n, *reach), indices in groups.items():
-        size = min(_BATCH_ROWS // n, _BATCH_PAIRS // pairs[indices[0]])
+        size = _BATCH_PAIRS // pairs[indices[0]]
         for c0 in range(0, len(indices), size):
             batch = indices[c0 : c0 + size]
             describe(batch, _batched_neighbors([structures[i] for i in batch], tuple(reach), k))

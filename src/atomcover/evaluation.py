@@ -95,9 +95,8 @@ def _pooled_force_magnitudes(dataset: Dataset, selection=None) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _default_threshold_grid(dataset: Dataset) -> np.ndarray:
-    """256 points from the 80th percentile of the full dataset's |F| to the max."""
-    mags = _pooled_force_magnitudes(dataset)
+def _default_threshold_grid(mags: np.ndarray) -> np.ndarray:
+    """256 points from the 80th percentile of the full dataset's pooled |F| to the max."""
     lo = float(np.percentile(mags, 80.0))
     hi = float(mags.max())
     if not hi > lo:  # all magnitudes in the tail identical
@@ -111,10 +110,14 @@ def force_cdf(dataset: Dataset, selection=None, thresholds=None) -> ForceCdf:
     Defaults to the tail grid from :func:`_default_threshold_grid` over
     the full dataset, so subset CDFs stay comparable.
     """
+    mags = None
     if thresholds is None:
-        thresholds = _default_threshold_grid(dataset)
+        mags = _pooled_force_magnitudes(dataset)
+        thresholds = _default_threshold_grid(mags)
+    if mags is None or selection is not None:
+        mags = _pooled_force_magnitudes(dataset, selection)
     thresholds = np.asarray(thresholds, dtype=float)
-    mags = np.sort(_pooled_force_magnitudes(dataset, selection))
+    mags = np.sort(mags)
     below = np.searchsorted(mags, thresholds, side="left")
     return ForceCdf(
         thresholds=thresholds,

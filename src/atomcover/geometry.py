@@ -22,9 +22,9 @@ loads.  :func:`_batched_neighbors` stacks the layouts of several
 structures of one atom count and image reach and computes every distance,
 which costs less than a tree where the layouts are small.  Layouts are
 computed over stacked cells, with the same bits per cell as alone.  Both
-searches keep every point tied with the k-th neighbor as a candidate, and
-the ranking recomputes each candidate's distance with one formula and
-sorts by (distance, atom, point), so both give the same bits.
+searches widen their candidates in one loop until every point tied with
+the k-th neighbor is one; the ranking recomputes each distance with one
+formula and sorts by (distance, atom, point), so both give the same bits.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ _MAX_IMAGE_POINTS = 10**7
 #: too, so exact ties are ranked by atom and image offset, never by the tree.
 _TIE_SLACK = 1e-8
 
-#: Candidates per atom that a batched search keeps beyond the k nearest
-#: points and the self-image; rows whose candidates end in a tie with the
-#: k-th neighbor fall back to every point.
+#: Candidates per atom that a batched search takes first beyond the k
+#: nearest points and the self-image (the tree takes one).
 _BATCH_SPARE = 8
 
 
@@ -267,33 +266,22 @@ def _image_points(structures, reach) -> np.ndarray:
     return ((frac @ cells)[:, None, :, :] + shifts[:, :, None, :]).reshape(len(cells), -1, 3)
 
 
-def _nearest_candidates(points: np.ndarray, n: int, k: int):
-    """Candidate neighbors of the ``n`` atoms of the zero-offset image.
+def _tie_closed(nearest, n_points: int, k: int, m: int, rows: tuple) -> np.ndarray:
+    """Candidate points of each of ``rows`` atoms, as indices into a layout.
 
-    ``points`` is laid out as :func:`_image_points` lays it out.  Returns
-    the atoms' own point indices (n,) and each atom's m nearest points as
-    indices into ``points`` (n, m).  ``m >= min(k + 2, len(points))``
-    covers the k nearest neighbors plus the self-image, and grows until the
-    last point lies clearly beyond the (k + 1)-th: every point tied with
-    the k-th neighbor is then a candidate, so the tree's own order of tied
-    points never decides which are kept.
+    ``nearest(m)`` gives each atom's distances (*rows, 2) to its k-th
+    neighbor, past the self-image, and to its m-th nearest point, and its m
+    nearest points (*rows, m).  m starts at the given count and doubles
+    until the m-th point lies clearly beyond the k-th neighbor, so every
+    point tied with the k-th neighbor is a candidate, whatever the search's
+    order of ties; from ``n_points`` on, every point is one.
     """
-    # scipy takes longer to import than most commands take to run, and
-    # only this search needs it.
-    from scipy.spatial import cKDTree
-
-    own = _own_points(len(points), n)
-    # Query results do not depend on the tree's shape, and skipping the
-    # balancing halves the build time on replicated cells.
-    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
-    n_points = points.shape[0]
-    n_query = min(k + 2, n_points)
-    while True:
-        dists, cand = tree.query(points[own], k=n_query)
-        dists = dists.reshape(n, n_query)
-        if n_query == n_points or np.all(dists[:, -1] > dists[:, k] + _TIE_SLACK):
-            return own, cand.reshape(n, n_query)
-        n_query = min(2 * n_query, n_points)
+    while m < n_points:
+        edge, cand = nearest(m)
+        if np.all(edge[..., 1] > edge[..., 0] + _TIE_SLACK):
+            return cand
+        m *= 2
+    return np.broadcast_to(np.arange(n_points), (*rows, n_points))
 
 
 def _own_points(n_points: int, n: int) -> np.ndarray:
@@ -350,7 +338,19 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     n = len(structure)
     reach = tuple(_image_reaches([structure], search_radius, k)[0])
     points = _image_points([structure], reach)[0]
-    own, cand = _nearest_candidates(points, n, k)
+    own = _own_points(len(points), n)
+    # scipy takes longer to import than most commands take to run, and only
+    # this search needs it.  Query results do not depend on the tree's shape,
+    # and skipping the balancing halves the build time on replicated cells.
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+
+    def nearest(m):
+        dists, cand = tree.query(points[own], k=m)
+        return dists[:, [k, m - 1]], cand
+
+    cand = _tie_closed(nearest, len(points), k, k + 2, (n,))
     return _ranked(points, own, cand, n, k)
 
 
@@ -360,18 +360,17 @@ def _batched_neighbors(structures, reach, k: int) -> NeighborSet:
     The structures must share one atom count n and one ``reach`` of
     :func:`_image_reaches`, so their layouts share one size P.  The rows of
     the result are those of each structure in turn, with the same bits as
-    :func:`nearest_neighbors` gives.  Every distance from an atom to the
-    points of its layout is computed, (B, n, P) of them for B structures,
-    and the k + ``_BATCH_SPARE`` + 1 nearest are the candidates, or all P
-    points if the last of those ties with the k-th neighbor.
+    :func:`nearest_neighbors` gives.  Unless the first k + 1 +
+    ``_BATCH_SPARE`` candidates already cover the layout, every distance
+    from an atom to the points of its layout is computed, (B, n, P) of them
+    for B structures, and :func:`_tie_closed` partitions them.
     """
     points = _image_points(structures, reach)
     b, p, _ = points.shape
     n = len(structures[0])
     own = _own_points(p, n)
-    m = min(k + 1 + _BATCH_SPARE, p)
-    cand = np.broadcast_to(np.arange(p), (b, n, p))
-    if m < p:
+    first = k + 1 + _BATCH_SPARE
+    if first < p:  # else _tie_closed takes every point without a search
         # _ranked's arithmetic, one coordinate at a time into two buffers:
         # faster than one (b, n, p, 3) difference array.
         coords = points.transpose(2, 0, 1)[:, :, None, :]  # (3, b, 1, p)
@@ -384,10 +383,12 @@ def _batched_neighbors(structures, reach, k: int) -> NeighborSet:
             term *= term
             dists += term
         np.sqrt(dists, out=dists)
+
+    def nearest(m):
         near = np.argpartition(dists, (k, m - 1), axis=2)[:, :, :m]
-        edge = np.take_along_axis(dists, near[:, :, [k, m - 1]], axis=2)
-        if np.all(edge[..., 1] > edge[..., 0] + _TIE_SLACK):
-            cand = near
+        return np.take_along_axis(dists, near[:, :, [k, m - 1]], axis=2), near
+
+    cand = _tie_closed(nearest, p, k, first, (b, n))
     # One flat layout: structure i's points start at i * p, a multiple of n.
     base = np.arange(b)[:, None] * p
     own, cand = (base + own).ravel(), (cand + base[:, :, None]).reshape(b * n, -1)

@@ -256,6 +256,16 @@ class TestExitCodes:
 
 
 class TestCompress:
+    def test_method_choices_are_the_samplers(self):
+        # cli lists them by hand, since it must not import samplers (and so
+        # numpy) before --threads is read
+        from atomcover.cli import build_parser
+        from atomcover.samplers import METHODS
+
+        compress = build_parser()._subparsers._group_actions[0].choices["compress"]
+        (method,) = [a for a in compress._actions if a.dest == "method"]
+        assert tuple(method.choices) == METHODS
+
     def test_fraction_rounds_to_three_of_twelve(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=12)
         out = tmp_path / "out.xyz"

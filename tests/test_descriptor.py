@@ -191,9 +191,9 @@ class TestBatchedBlocks:
         assert len(s) > descriptor._CHUNK_ROWS
         self._assert_rows_match_naive(s, k=6, cutoff=3.5)
 
-    def test_full_block_temporaries_stay_under_10_mb(self):
-        # Two (512, 32, 32) buffers of 4.2 MB each; a (3, rows, v, v)
-        # difference array would add 12.6 MB.
+    def test_full_block_temporaries_stay_under_3_mb(self):
+        # Two (128, 32, 32) buffers of 1.05 MB each, about 2.4 MB in all; a
+        # (3, rows, v, v) difference array would add 3.1 MB.
         rng = np.random.default_rng(43)
         n, v = descriptor._CHUNK_ROWS, 32
         positions = rng.normal(scale=2.0, size=(n, v, 3))
@@ -207,12 +207,13 @@ class TestBatchedBlocks:
         x2 = compute_x2(nbrs, params)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 10e6
+        assert peak < 3e6
         for i in (0, n - 1):
             assert np.allclose(x2[i], naive_x2(nbrs, i, v, 5.0), atol=1e-12)
 
     def test_many_neighbors_take_smaller_blocks(self, monkeypatch):
-        # at k = 100 a block holds 52 atoms, so these 125 atoms span three
+        # at k = 100 a block holds 128 * 32**2 // 100**2 = 13 atoms, so these
+        # 125 atoms span ten blocks, the last of 8
         rng = np.random.default_rng(42)
         s = perturbed_cubic(rng, n_side=5, a=2.6, jitter=0.1)
         k, cutoff = 100, 8.0
@@ -224,10 +225,10 @@ class TestBatchedBlocks:
         x2 = compute_x2(nbrs, params)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # two (rows, v, v) buffers of 52 rows: about 8.5 MB, as at k = 32;
-        # all 125 atoms in one block would take about 21 MB
-        assert peak < 30e6
-        for i in (0, 51, 52, 103, 104, 124):  # both sides of each block edge
+        # two (rows, v, v) buffers of 13 rows: about 2.4 MB, as at k = 32;
+        # all 125 atoms in one block would take about 20 MB
+        assert peak < 3e6
+        for i in (0, 12, 13, 25, 26, 116, 117, 124):  # both sides of block edges
             assert np.allclose(x2[i], naive_x2(nbrs, i, k, cutoff), atol=1e-12)
         monkeypatch.setattr(descriptor, "_CHUNK_ROWS", 1)
         assert np.array_equal(compute_x2(nbrs, params), x2)  # rows never see their block
@@ -346,9 +347,9 @@ def random_cell(rng, n, side, pbc=(1, 1, 1)):
     return crystal(cell, rng.uniform(-0.2, 1.2, size=(n, 3)) @ cell, pbc=pbc)
 
 
-def random_cluster(rng, n):
+def random_cluster(rng, n, side=5):
     # one atom per 2 angstrom cube of a grid, jittered: never coincident
-    sites = rng.permutation(np.argwhere(np.ones((5, 5, 5))))[:n]
+    sites = rng.permutation(np.argwhere(np.ones((side,) * 3)))[:n]
     return molecule((sites + rng.uniform(-0.3, 0.3, size=(n, 3))) * 2.0)
 
 
@@ -395,11 +396,40 @@ class TestBatchedPath:
         # both sides of the routing crossover ran
         assert routes["trees"] >= 2 and sum(routes["batches"]) + routes["trees"] == len(structures)
 
+    @pytest.mark.parametrize("k, cutoff", [(8, 4.0), (32, 5.0)])
+    def test_large_clusters_and_slabs_batch(self, routes, k, cutoff):
+        # a structure batches while 2 n P <= _BATCH_PAIRS: clusters of up to
+        # 128 atoms (P = n) and slabs of up to 42 atoms with one image per
+        # periodic side (P = 9 n)
+        rng = np.random.default_rng(54 + k)
+        structures = [random_cluster(rng, n, side=6) for n in (33, 40, 64, 100, 128, 128)]
+        for pbc in ((1, 1, 0), (0, 1, 1)):
+            for n in (33, 40, 42):
+                cell = np.diag([9.0, 9.0, 9.0]) + rng.uniform(-0.5, 0.5, size=(3, 3))
+                structures.append(crystal(cell, rng.random((n, 3)) @ cell, pbc=pbc))
+        assert geometry._image_reaches(structures[6:], cutoff, k).max() == 1
+        self.assert_tree_rows(structures, DescriptorParams(k, cutoff))
+        assert routes["trees"] == 0
+        assert sorted(routes["batches"]) == [1] * 10 + [2]
+        # one more atom than fits takes the tree
+        self.assert_tree_rows([random_cluster(rng, 129, side=6)], DescriptorParams(k, cutoff))
+        assert routes["trees"] == 1
+
     @pytest.mark.parametrize("spare", [None, 0])
-    def test_lattice_ties_fall_back_to_every_point(self, monkeypatch, routes, spare):
-        # With no spare candidate the tie check fails on every batch.
+    def test_lattice_ties_widen_the_candidates(self, monkeypatch, routes, spare):
+        # With no spare candidate the tie check fails on every batch's first
+        # count, so the candidates widen through the doubling loop.
         from test_geometry import LATTICE_TIES
 
+        counts, tie_closed = [], geometry._tie_closed
+
+        def count_spy(nearest, n_points, k, m, rows):
+            if len(rows) == 1:  # a tree search
+                return tie_closed(nearest, n_points, k, m, rows)
+            counts.append([])
+            return tie_closed(lambda m: counts[-1].append(m) or nearest(m), n_points, k, m, rows)
+
+        monkeypatch.setattr(geometry, "_tie_closed", count_spy)
         if spare is not None:
             monkeypatch.setattr(geometry, "_BATCH_SPARE", spare)
         for cell, grid, pbc, radius in LATTICE_TIES:
@@ -407,6 +437,11 @@ class TestBatchedPath:
             for k in (2, 6, 8, 10, 20, 32):
                 self.assert_tree_rows([s, s, s], DescriptorParams(k, radius))
         assert routes["trees"] == 0
+        # the first count falls short on some batches, and on every batch
+        # without a spare candidate
+        assert any(len(c) > 1 for c in counts)
+        if spare == 0:
+            assert all(len(c) > 1 for c in counts)
 
     def test_groups_across_batch_boundaries(self, monkeypatch, routes):
         rng = np.random.default_rng(51)
@@ -416,22 +451,23 @@ class TestBatchedPath:
         for i in range(40):
             side = rng.uniform(4.1, 4.9)  # one image per side
             structures.append(crystal(np.eye(3) * side, rng.random((3, 3)) * side))
-            structures.append(random_cluster(rng, 2 + i % 2))
+            structures.append(random_cluster(rng, 9 + i % 2))
             if i % 10 == 0:
                 structures.append(random_cluster(rng, 40))
-        monkeypatch.setattr(descriptor, "_BATCH_ROWS", 9)
+        monkeypatch.setattr(descriptor, "_BATCH_PAIRS", 729)
         self.assert_tree_rows(structures, params)
-        assert routes["trees"] == 4
-        # 40 cells and 20 clusters of 3 atoms, 3 a batch; 20 clusters of 2, 4 a batch
-        assert sorted(routes["batches"]) == sorted([3] * 13 + [1] + [3] * 6 + [2] + [4] * 5)
+        assert routes["trees"] == 4  # 2 * 40**2 pairs > 729
+        # 40 cells of 3 * 81 pairs, 3 a batch; 20 clusters of 9 atoms (81
+        # pairs), 9 a batch; 20 clusters of 10 (100 pairs), 7 a batch
+        assert sorted(routes["batches"]) == sorted([3] * 13 + [1] + [9, 9, 2] + [7, 7, 6])
 
     def test_structure_with_too_many_pairs_takes_the_tree(self, routes):
         # one atom in a 0.3 angstrom cell: 17 images per side lay out
-        # 35**3 > _BATCH_MAX_PAIRS points
+        # 35**3 > _BATCH_PAIRS // 2 points
         tiny = crystal(np.eye(3) * 0.3, [[0.1, 0.2, 0.3]])
         small = crystal(np.eye(3) * 2.0, [[0.1, 0.2, 0.3]])
         assert geometry._image_reaches([tiny], 5.0, 32).tolist() == [[17, 17, 17]]
-        assert 35**3 > descriptor._BATCH_MAX_PAIRS
+        assert 35**3 > descriptor._BATCH_PAIRS // 2
         self.assert_tree_rows([tiny, small, tiny], DescriptorParams(32, 5.0))
         assert routes == {"batches": [1], "trees": 2}
 
@@ -450,8 +486,11 @@ class TestBatchedPath:
         params = DescriptorParams(8, 4.0)
         good = random_cell(rng, 4, 6.0)
         bad = crystal(good.cell, np.vstack([good.positions, good.positions[:1]]))
-        large_bad = random_cluster(rng, 40)
-        large_bad = molecule(np.vstack([large_bad.positions, large_bad.positions[5:6]]))
+        large = random_cell(rng, 40, 7.0)
+        large_bad = crystal(large.cell, np.vstack([large.positions, large.positions[5:6]]))
+        # 41 atoms in a layout of 27 images: too many pairs for a batch
+        assert geometry._image_reaches([large_bad], 4.0, 8).tolist() == [[1, 1, 1]]
+        assert 2 * 41 * 41 * 27 > descriptor._BATCH_PAIRS
         # ceil(4 / 0.03) = 134 images per side: more than 10**7 points
         tiny = crystal(np.eye(3) * 0.03, [[0.0, 0.0, 0.0]])
         cases = [

@@ -168,17 +168,38 @@ class TestForceCdf:
         sub = force_cdf(ds, selection=[0, 2])
         assert sub.max_force <= full.max_force
 
+    def test_pools_the_full_dataset_once(self, monkeypatch):
+        from atomcover import evaluation
+
+        ds = forces_dataset([1.0, 5.0, 2.0])
+        grid = _default_threshold_grid(_pooled_force_magnitudes(ds))
+        want = force_cdf(ds, thresholds=grid)
+        calls = []
+        pool = evaluation._pooled_force_magnitudes
+        monkeypatch.setattr(
+            evaluation,
+            "_pooled_force_magnitudes",
+            lambda *args: calls.append(args[1:]) or pool(*args),
+        )
+        got = force_cdf(ds)
+        assert calls == [()]
+        assert got.thresholds.tobytes() == grid.tobytes()
+        assert got.cdf.tobytes() == want.cdf.tobytes() and got.max_force == want.max_force
+        # a selection is pooled on its own, after the full dataset's grid
+        force_cdf(ds, [0, 2])
+        assert calls == [(), (), ([0, 2],)]
+
     def test_default_grid(self):
         ds = forces_dataset([1.0, 2.0, 3.0, 4.0])
-        grid = _default_threshold_grid(ds)
-        assert len(grid) == 256
         mags = _pooled_force_magnitudes(ds)
+        grid = _default_threshold_grid(mags)
+        assert len(grid) == 256
         assert grid[0] == pytest.approx(np.percentile(mags, 80))
         assert grid[-1] == pytest.approx(4.0)
 
     def test_default_grid_degenerate(self):
         ds = forces_dataset([0.0, 0.0])
-        grid = _default_threshold_grid(ds)
+        grid = _default_threshold_grid(_pooled_force_magnitudes(ds))
         assert grid.tolist() == [0.0]
 
 
