@@ -305,7 +305,8 @@ def cmd_compare(args):
     from .report import ReportDocument, write_csv
     from .samplers import METHODS
 
-    methods = METHODS if args.methods == "all" else tuple(args.methods.split(","))
+    names = [m.strip() for m in args.methods.split(",") if m.strip()]  # as _float_list does
+    methods = METHODS if names == ["all"] else tuple(names)
     descs = _load_descriptors(args.input, args)
     sweep = compare_methods(
         descs, args.fractions, methods, seed=args.seed, kernel=_kernel_params(args)

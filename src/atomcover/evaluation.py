@@ -14,7 +14,13 @@ from dataclasses import asdict, astuple, dataclass, fields
 import numpy as np
 
 from .descriptor import DescriptorSet
-from .information import Coverage, EntropyResult, KernelParams, contained_fraction, delta_entropy
+from .information import (
+    EntropyResult,
+    KernelParams,
+    _subset_delta_entropies,
+    contained_fraction,
+    delta_entropy,
+)
 from .errors import InputError
 from .geometry import Dataset
 from .report import ReportDocument
@@ -246,15 +252,17 @@ def compare_methods(
     ``fps`` and ``msc`` run once, at the largest count, and each smaller
     fraction takes the prefix of that selection, which is what they pick
     at that count.  Each row's figures come from one delta_entropy(full |
-    kept) vector (:func:`_kept_figures`); for ``fps`` and ``msc`` it comes
-    from one :class:`Coverage` of the full set per method, grown by each
-    prefix: ``msc``'s own, and for ``fps`` one extended by each prefix's
-    new structures.
+    kept) vector (:func:`_kept_figures`).  ``msc`` rows read the greedy's
+    own vectors; every other row's selection, counted once however many
+    rows share it, is a column of one :func:`_subset_delta_entropies` self
+    pass over the full set.
     """
     fractions = sorted(float(f) for f in fractions)
     if not fractions:
         raise InputError("no fractions given")
     methods = tuple(methods)
+    if not methods:
+        raise InputError("no methods given")
     repeated = sorted({m for m in methods if methods.count(m) > 1})
     if repeated:
         raise InputError(f"methods given more than once: {', '.join(repeated)}")
@@ -264,26 +272,31 @@ def compare_methods(
         for method in methods
     ]
 
-    rows = []
+    runs = []  # (method, selections, their delta H vectors or None)
     for configs in sweep:
         method = configs[0].method
         counts = [c.resolve_count(descs.n_structures) for c in configs]
         if method == "msc":
             result = sample_msc(descs, counts[-1], kernel, prefix_counts=counts)
-            selections = [result.selected[:c] for c in counts]
-            dhs = [result.delta_h[c] for c in counts]
+            runs.append((method, [result.selected[:c] for c in counts],
+                         [result.delta_h[c] for c in counts]))
         elif method == "fps":
             largest = run_sampler(configs[-1], descs).selected
-            selections = [largest[:c] for c in counts]
-            coverage, done, dhs = Coverage(descs, kernel), 0, []
-            for c in counts:
-                if c > done:
-                    coverage.extend(descs.subset(largest[done:c]))
-                    done = c
-                dhs.append(coverage.delta_entropy())
+            runs.append((method, [largest[:c] for c in counts], None))
         else:
-            selections = [run_sampler(c, descs).selected for c in configs]
-            dhs = [None] * len(configs)
+            runs.append((method, [run_sampler(c, descs).selected for c in configs], None))
+
+    shared = list(dict.fromkeys(
+        _selection_key(s) for _, selections, dhs in runs if dhs is None for s in selections
+    ))
+    shared_dh = dict(zip(shared, _subset_delta_entropies(
+        descs.values, [descs._subset_rows(key)[0] for key in shared], kernel
+    )))
+
+    rows = []
+    for method, selections, dhs in runs:
+        if dhs is None:
+            dhs = [shared_dh[_selection_key(s)] for s in selections]
         for fraction, selected, dh in zip(fractions, selections, dhs):
             dh, kept = _kept_figures(descs, selected, kernel, dh)
             rows.append(
@@ -299,3 +312,8 @@ def compare_methods(
                 )
             )
     return SweepResult(rows=tuple(rows))
+
+
+def _selection_key(selected) -> tuple:
+    """The structures of a selection, in a fixed order: equal for equal kept sets."""
+    return tuple(sorted(int(i) for i in selected))

@@ -12,12 +12,17 @@ squared distances directly; coincident rows snap to exactly 0.
 
 A self pass (the set against itself) computes each pair once on 256 x 256
 tiles: every log kernel is <= 0 and the diagonal is exactly 0, so it sums
-the kernels with no shift.  A cross pass is a :class:`Coverage` of the
-query rows: it keeps a running max-shifted log-sum-exp per query and can
-be extended by any number of reference blocks, so a growing reference set
-costs each (query, reference) pair once.  It never underflows to
-``log(0)`` for far-away queries: a lone reference at distance d gives
-back exactly ``d^2 / (2 h^2)``.
+the kernels with no shift.  It sums them against weights on the rows: a
+vector of ones for :func:`entropy`, or one 0/1 column per subset for
+:func:`_subset_delta_entropies`, which thus gets every subset's
+delta_entropy(set | subset) from one pass.  A cross pass is a
+:class:`Coverage` of the query rows: it keeps a running max-shifted
+log-sum-exp per query and can be extended by any number of reference
+blocks, so a growing reference set costs each (query, reference) pair
+once.  It never underflows to ``log(0)`` for far-away queries: a lone
+reference at distance d gives back exactly ``d^2 / (2 h^2)``, and
+:func:`_subset_delta_entropies` hands the rows whose weighted sums
+underflow to it.
 """
 
 from __future__ import annotations
@@ -166,31 +171,34 @@ def _tile_buffers(size: int):
     return np.empty(size), np.empty(size, dtype=bool)
 
 
-# Tile row and column sums are GEMVs against a slice of this vector.
+# A Coverage tile's column sums are GEMVs against a slice of this vector.
 _ONES = np.ones(_BLOCK)
 
 
 # At tiny bandwidths the log kernel of a far pair overflows to -inf, whose
-# exp is an exact 0; every row sum holds its own exp(0) = 1, so no NaN or
-# log(0) can follow.
+# exp is an exact 0.
 @np.errstate(over="ignore")
-def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float) -> np.ndarray:
-    """-log sum_j K_h(x_i, x_j) over the set itself, each pair computed once.
+def _self_kernel_sums(rows: np.ndarray, bandwidth: float, weights: np.ndarray) -> np.ndarray:
+    """sum_j K_h(x_i, x_j) w_j over the set itself, each pair computed once.
 
-    Every log kernel is <= 0 and the diagonal is exactly 0, so the sums need
-    no max shift.  Tiles I <= J are visited in a fixed (I, J) order, from
+    ``weights`` is (n,) or (n, c); the sums take its shape, one column per
+    weight column.  Tiles I <= J are visited in a fixed (I, J) order, from
     the left form of block I and the right form of block J, built per
-    tile, so working memory stays a few tiles.  Each tile adds its column
-    sums to the J rows, and an off-diagonal tile also adds its row sums to
-    the I rows; column sums are taken as in :class:`Coverage`, so a set of
-    one tile gets the bits of a Coverage of the set by itself.
+    tile, so working memory stays a few tiles.  Each tile adds W[I]^T tile
+    to the J rows, and an off-diagonal tile also adds tile W[J] to the I
+    rows: GEMVs for a weight vector, one GEMM against every column for a
+    matrix.  Every log kernel is <= 0 and the diagonal is exactly 0, so the
+    sums need no max shift, and with a weight of 1 on every row each sum
+    holds its own exp(0) = 1.  Column sums of a vector of ones are taken
+    as in :class:`Coverage`, so a set of one tile gets the bits of a
+    Coverage of the set by itself.
     """
     n = rows.shape[0]
     if n == 0:
         raise InputError("reference set is empty")
     inv_two_h2 = 1.0 / (2.0 * bandwidth * bandwidth)
     sq = np.einsum("ij,ij->i", rows, rows)
-    sums = np.zeros(n)
+    sums = np.zeros(weights.shape)
     buffers = _tile_buffers(min(_BLOCK, n) ** 2)
     for i0 in range(0, n, _BLOCK):
         i1 = i0 + _BLOCK
@@ -201,10 +209,15 @@ def _self_neg_log_kernel_sums(rows: np.ndarray, bandwidth: float) -> np.ndarray:
                 left, _augment(rows[j0:j1], sq[j0:j1], left=False), inv_two_h2, buffers
             )
             np.exp(tile, out=tile)
-            sums[j0:j1] += _ONES[: tile.shape[0]] @ tile
+            sums[j0:j1] += (weights[i0:i1].T @ tile).T
             if j0 != i0:
-                sums[i0:i1] += tile @ _ONES[: tile.shape[1]]
-    return -np.log(sums)
+                sums[i0:i1] += tile @ weights[j0:j1]
+    return sums
+
+
+def _self_delta_entropy(rows: np.ndarray, bandwidth: float) -> np.ndarray:
+    """-log sum_j K_h(x_i, x_j) over the set itself, from one self pass."""
+    return -np.log(_self_kernel_sums(rows, bandwidth, np.ones(rows.shape[0])))
 
 
 class Coverage:
@@ -294,6 +307,39 @@ def delta_entropy(queries, refs, kernel: KernelParams = KernelParams()) -> np.nd
     return coverage.delta_entropy()
 
 
+# A shared kernel sum below this floor (delta H above about 644.7 nats) may
+# hold terms that underflowed in the self pass; such rows are recomputed by a
+# Coverage, which max-shifts each query's sum.
+_SUM_FLOOR = 1e-280
+
+
+def _subset_delta_entropies(rows: np.ndarray, subsets, kernel: KernelParams) -> list:
+    """``delta_entropy(rows, rows[s])`` for each row-index array s in ``subsets``.
+
+    Every subset is a column of 0/1 weights on the rows, and one self pass
+    (:func:`_self_kernel_sums`) sums every column at once, so c subsets
+    cost the n^2 / 2 pairs of the set instead of c cross passes.  A row
+    whose sum falls below ``_SUM_FLOOR`` is recomputed exactly by
+    :func:`delta_entropy` against that subset, which keeps its guarantees:
+    a lone far reference gives d^2 / (2 h^2), and a row whose log kernel
+    overflows against every reference raises ``InputError``.
+    """
+    if not subsets:
+        return []
+    weights = np.zeros((rows.shape[0], len(subsets)))
+    for col, subset in enumerate(subsets):
+        weights[subset, col] = 1.0
+    sums = _self_kernel_sums(rows, kernel.bandwidth, weights)
+    out = []
+    for col, subset in enumerate(subsets):
+        dh = -np.log(np.maximum(sums[:, col], _SUM_FLOOR))
+        far = ~(sums[:, col] >= _SUM_FLOOR)  # NaN sums too
+        if far.any():
+            dh[far] = delta_entropy(rows[far], rows[subset], kernel)
+        out.append(dh)
+    return out
+
+
 def contained_fraction(dh) -> float:
     """Fraction of delta entropies <= 0: environments inside the references.
 
@@ -320,7 +366,7 @@ def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
     environments, which weighs rare environments more than the entropy
     does and spans the same range.  The efficiency is ``H / log n``.
     """
-    return EntropyResult.of(_self_neg_log_kernel_sums(_as_rows(descs), kernel.bandwidth))
+    return EntropyResult.of(_self_delta_entropy(_as_rows(descs), kernel.bandwidth))
 
 
 def diversity(descs, kernel: KernelParams = KernelParams()) -> float:
@@ -345,6 +391,6 @@ def per_structure_entropy(descs, kernel: KernelParams = KernelParams()) -> np.nd
     """Entropy of each structure's own environments, taken in isolation."""
     out = np.empty(descs.n_structures)
     for i in range(descs.n_structures):
-        dh = _self_neg_log_kernel_sums(descs.rows_for(i), kernel.bandwidth)
+        dh = _self_delta_entropy(descs.rows_for(i), kernel.bandwidth)
         out[i] = _entropy_nats(dh)
     return out

@@ -73,22 +73,23 @@ def dataset(*structures):
 
 
 def count_self_passes(monkeypatch):
-    """Record the size of every self kernel pass (a set against itself).
+    """Record (rows, weight columns) of every self kernel pass (a set against itself).
 
-    Returns a list that grows by one row count per pass made while the
+    A pass over a weight vector, as ``entropy`` makes, has one column.
+    Returns a list that grows by one pair per pass made while the
     monkeypatch is active.
     """
     from atomcover import information
 
-    sizes = []
-    real = information._self_neg_log_kernel_sums
+    shapes = []
+    real = information._self_kernel_sums
 
-    def counting(rows, bandwidth):
-        sizes.append(rows.shape[0])
-        return real(rows, bandwidth)
+    def counting(rows, bandwidth, weights):
+        shapes.append((rows.shape[0], 1 if weights.ndim == 1 else weights.shape[1]))
+        return real(rows, bandwidth, weights)
 
-    monkeypatch.setattr(information, "_self_neg_log_kernel_sums", counting)
-    return sizes
+    monkeypatch.setattr(information, "_self_kernel_sums", counting)
+    return shapes
 
 
 def count_cross_passes(monkeypatch):

@@ -239,6 +239,19 @@ class TestExitCodes:
         assert code == 3
         capsys.readouterr()
 
+    def test_method_list_with_spaces(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=4)
+        assert main(["compare", str(data), "--fractions", "0.5, 1.0",
+                     "--methods", " random, msc ,"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["parameters"]["methods"] == ["random", "msc"]
+        assert [r["method"] for r in doc["metrics"]["rows"]] == ["random"] * 2 + ["msc"] * 2
+        assert main(["compare", str(data), "--methods", " all "]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["parameters"]["methods"] == ["random", "kmeans", "fps", "msc"]
+        assert main(["compare", str(data), "--methods", " , "]) == 3
+        assert "no methods given" in capsys.readouterr().err
+
     def test_repeated_method_in_compare_exits_3_before_any_sampler_runs(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -351,7 +364,7 @@ class TestAnalyze:
         assert main(["analyze", str(data)]) == 0
         capsys.readouterr()
         # one pass over all 15 environments, then one per 3-atom structure
-        assert sizes == [15] + [3] * 5
+        assert sizes == [(15, 1)] + [(3, 1)] * 5
 
     def test_output_file(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=4)

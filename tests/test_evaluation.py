@@ -17,7 +17,6 @@ from atomcover import (
     force_cdf,
     overlap,
     run_sampler,
-    sample_fps,
     sample_msc,
 )
 from atomcover.evaluation import _default_threshold_grid, _pooled_force_magnitudes
@@ -380,8 +379,11 @@ class TestCompareMethods:
         rng = np.random.default_rng(13)
         descs = random_fixture(rng, n_structures=8)
         sizes = count_self_passes(monkeypatch)
+        shapes = count_cross_passes(monkeypatch)
         compare_methods(descs, [0.25, 0.5], methods=("random",), kernel=KP)
-        assert sizes == []
+        # one pass over every row, with one weight column per row's selection
+        assert sizes == [(descs.n_environments, 2)]
+        assert shapes == []
 
     def test_one_kept_row_has_no_efficiency_as_in_the_report(self, tmp_path):
         # Four one-row structures at fraction 0.25 keep one environment, whose
@@ -450,7 +452,7 @@ class TestCompareMethods:
         sizes = count_self_passes(monkeypatch)
         sweep = compare_methods(descs, [0.25, 0.5, 1.0], methods=["msc"], kernel=KP)
         # one per-structure self pass per structure, and none per row
-        assert sizes == [2] * descs.n_structures
+        assert sizes == [(2, 1)] * descs.n_structures
         assert [r.n_environments for r in sweep.rows] == [4, 8, 16]
 
     def test_msc_rows_add_no_cross_pass(self, monkeypatch):
@@ -465,18 +467,37 @@ class TestCompareMethods:
         assert [r.count for r in sweep.rows] == [2, 2, 5, 10]
         assert shapes == greedy
 
-    def test_fps_rows_extend_one_coverage_by_each_prefix(self, monkeypatch):
+    def test_fps_rows_share_the_sweep_pass_and_extend_no_coverage(self, monkeypatch):
         rng = np.random.default_rng(19)
         descs = random_fixture(rng, n_structures=20)
-        largest = sample_fps(descs, 10, seed=3).selected
+        sizes = count_self_passes(monkeypatch)
         shapes = count_cross_passes(monkeypatch)
-        compare_methods(descs, [0.1, 0.12, 0.25, 0.5], methods=["fps"], seed=3, kernel=KP)
-        # counts 2, 2, 5 and 10: the repeated count adds no pass
-        chunks = [largest[0:2], largest[2:5], largest[5:10]]
-        assert shapes == [(descs.n_environments, descs.subset(c).n_environments) for c in chunks]
-        assert sum(q * r for q, r in shapes) == (
-            descs.n_environments * descs.subset(largest).n_environments
+        sweep = compare_methods(
+            descs, [0.1, 0.12, 0.25, 0.5], methods=["random", "fps"], seed=3, kernel=KP
         )
+        # counts 2, 2, 5 and 10: three fps prefixes and the random selections
+        # at the three counts, all columns of one pass over every row
+        assert [r.count for r in sweep.rows] == [2, 2, 5, 10] * 2
+        assert shapes == []
+        assert sizes == [(descs.n_environments, 6)]
+
+    def test_repeated_selections_share_one_column(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        descs = random_fixture(rng, n_structures=20)
+        sizes = count_self_passes(monkeypatch)
+        # 0.1 and 0.12 of 20 structures both resolve to a count of 2, so each
+        # method's two rows keep the same structures
+        sweep = compare_methods(
+            descs, [0.1, 0.12], methods=("random", "kmeans", "fps"), seed=5, kernel=KP
+        )
+        rows = sweep.to_table()
+        assert [row[2:] for row in rows[0::2]] == [row[2:] for row in rows[1::2]]
+        keys = {
+            tuple(sorted(run_sampler(SamplerConfig(method=m, fraction=0.1, seed=5, kernel=KP),
+                                     descs).selected))
+            for m in ("random", "kmeans", "fps")
+        }
+        assert sizes == [(descs.n_environments, len(keys))]
 
     def test_row_structure(self):
         rng = np.random.default_rng(8)

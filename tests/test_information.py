@@ -18,7 +18,15 @@ from atomcover import (
     overlap,
     per_structure_entropy,
 )
-from helpers import naive_delta_entropy, naive_diversity, naive_entropy, synthetic_set
+from atomcover import information
+from atomcover.information import _subset_delta_entropies
+from helpers import (
+    count_cross_passes,
+    naive_delta_entropy,
+    naive_diversity,
+    naive_entropy,
+    synthetic_set,
+)
 
 H = 0.015
 KP = KernelParams(bandwidth=H)
@@ -160,6 +168,72 @@ class TestOracleEquivalence:
         else:
             assert np.allclose(result.per_point, cross, rtol=0.0, atol=1e-12)
         assert np.array_equal(entropy(rows, KP).per_point, result.per_point)
+
+
+class TestSubsetDeltaEntropies:
+    """Every subset's delta_entropy(rows, rows[s]) from one weighted self pass."""
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    def test_columns_match_cross_passes_and_the_oracle(self, n, c):
+        rng = np.random.default_rng(100 * n + c)
+        rows = rng.normal(scale=0.01, size=(n, 63))
+        subsets = [
+            np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            for _ in range(c)
+        ]
+        got = _subset_delta_entropies(rows, subsets, KP)
+        assert len(got) == c
+        for dh, subset in zip(got, subsets):
+            assert np.all(dh[subset] <= 0)  # every member is its own reference
+            want = delta_entropy(rows, rows[subset], KP)
+            np.testing.assert_allclose(dh, want, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(
+                dh, naive_delta_entropy(rows, rows[subset], H), rtol=0.0, atol=1e-8
+            )
+
+    @pytest.mark.parametrize("n", [7, 256, 600])
+    def test_entropy_takes_the_weight_vector_route(self, n, monkeypatch):
+        rows = np.random.default_rng(n).normal(scale=0.01, size=(n, 63))
+        passes = []
+        real = information._self_kernel_sums
+
+        def recording(rows, bandwidth, weights):
+            sums = real(rows, bandwidth, weights)
+            passes.append((weights, sums))
+            return sums
+
+        monkeypatch.setattr(information, "_self_kernel_sums", recording)
+        result = entropy(rows, KP)
+        ((weights, sums),) = passes
+        assert weights.shape == (n,) and np.all(weights == 1.0)
+        assert np.array_equal(result.per_point, -np.log(sums))
+        (all_rows,) = _subset_delta_entropies(rows, [np.arange(n)], KP)
+        np.testing.assert_allclose(all_rows, result.per_point, rtol=0.0, atol=1e-12)
+
+    def test_far_row_falls_back_to_the_closed_form(self, monkeypatch):
+        # row 1 sits 50 h from the lone kept row 0: exp(-1250) underflows in
+        # the shared pass, and the exact recomputation gives d^2 / (2 h^2)
+        d = 50.0 * H
+        rows = np.zeros((3, 63))
+        rows[1, 0], rows[2, 1] = d, 0.5 * H
+        shapes = count_cross_passes(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (dh,) = _subset_delta_entropies(rows, [np.array([0])], KP)
+        assert shapes == [(1, 1)]  # one row recomputed, against the one kept row
+        assert dh[1] == pytest.approx(d * d / (2 * H * H), abs=1e-9)
+        assert dh[1] == delta_entropy(rows[1:2], rows[:1], KP)[0]
+        near = rows[[0, 2]]  # the naive sum of row 1 underflows to log(0)
+        np.testing.assert_allclose(dh[[0, 2]], naive_delta_entropy(near, rows[:1], H), atol=1e-8)
+
+    def test_overflow_against_every_kept_row_raises(self):
+        rows = np.array([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]])
+        with pytest.raises(InputError, match="bandwidth 1e-154"):
+            _subset_delta_entropies(rows, [np.array([0])], KernelParams(1e-154))
+        # kept rows themselves are fine: each sum holds its own exp(0) = 1
+        (dh,) = _subset_delta_entropies(rows, [np.array([0, 1])], KernelParams(1e-154))
+        assert dh.tolist() == [0.0, 0.0]
 
 
 class TestBlockBuffers:
