@@ -116,6 +116,8 @@ def force_cdf(dataset: Dataset, selection=None, thresholds=None) -> ForceCdf:
     Defaults to the tail grid from :func:`_default_threshold_grid` over
     the full dataset, so subset CDFs stay comparable.
     """
+    if thresholds is not None and np.size(thresholds) == 0:
+        raise InputError("no thresholds given")
     mags = None
     if thresholds is None:
         mags = _pooled_force_magnitudes(dataset)
@@ -252,53 +254,51 @@ def compare_methods(
     ``fps`` and ``msc`` run once, at the largest count, and each smaller
     fraction takes the prefix of that selection, which is what they pick
     at that count.  Each row's figures come from one delta_entropy(full |
-    kept) vector (:func:`_kept_figures`).  ``msc`` rows read the greedy's
-    own vectors; every other row's selection, counted once however many
-    rows share it, is a column of one :func:`_subset_delta_entropies` self
-    pass over the full set.
+    kept) vector (:func:`_kept_figures`).  ``msc`` rows read it off the
+    greedy's own kernel sums; every other selection, counted once however
+    many rows share it, is a column of one :func:`_subset_delta_entropies`
+    self pass over the full set, which a sweep of ``msc`` alone skips.
     """
     fractions = sorted(float(f) for f in fractions)
     if not fractions:
         raise InputError("no fractions given")
+    _reject_repeats("fractions", fractions)
     methods = tuple(methods)
     if not methods:
         raise InputError("no methods given")
-    repeated = sorted({m for m in methods if methods.count(m) > 1})
-    if repeated:
-        raise InputError(f"methods given more than once: {', '.join(repeated)}")
+    _reject_repeats("methods", methods)
     # Every config is built, and so checked, before any sampler runs.
     sweep = [
         [SamplerConfig(method=method, fraction=f, seed=seed, kernel=kernel) for f in fractions]
         for method in methods
     ]
 
-    runs = []  # (method, selections, their delta H vectors or None)
+    runs = []  # (method, one selection per fraction)
+    dh_of = {}  # selection key -> its delta H vector
     for configs in sweep:
         method = configs[0].method
         counts = [c.resolve_count(descs.n_structures) for c in configs]
         if method == "msc":
             result = sample_msc(descs, counts[-1], kernel, prefix_counts=counts)
-            runs.append((method, [result.selected[:c] for c in counts],
-                         [result.delta_h[c] for c in counts]))
+            selections = [result.selected[:c] for c in counts]
+            dh_of.update((_selection_key(s), result.delta_h[len(s)]) for s in selections)
         elif method == "fps":
             largest = run_sampler(configs[-1], descs).selected
-            runs.append((method, [largest[:c] for c in counts], None))
+            selections = [largest[:c] for c in counts]
         else:
-            runs.append((method, [run_sampler(c, descs).selected for c in configs], None))
+            selections = [run_sampler(c, descs).selected for c in configs]
+        runs.append((method, selections))
 
-    shared = list(dict.fromkeys(
-        _selection_key(s) for _, selections, dhs in runs if dhs is None for s in selections
-    ))
-    shared_dh = dict(zip(shared, _subset_delta_entropies(
-        descs.values, [descs._subset_rows(key)[0] for key in shared], kernel
+    keys = [k for k in dict.fromkeys(_selection_key(s) for _, sel in runs for s in sel)
+            if k not in dh_of]
+    dh_of.update(zip(keys, _subset_delta_entropies(
+        descs.values, [descs._subset_rows(key)[0] for key in keys], kernel
     )))
 
     rows = []
-    for method, selections, dhs in runs:
-        if dhs is None:
-            dhs = [shared_dh[_selection_key(s)] for s in selections]
-        for fraction, selected, dh in zip(fractions, selections, dhs):
-            dh, kept = _kept_figures(descs, selected, kernel, dh)
+    for method, selections in runs:
+        for fraction, selected in zip(fractions, selections):
+            dh, kept = _kept_figures(descs, selected, kernel, dh_of[_selection_key(selected)])
             rows.append(
                 SweepRow(
                     method=method,
@@ -312,6 +312,12 @@ def compare_methods(
                 )
             )
     return SweepResult(rows=tuple(rows))
+
+
+def _reject_repeats(what: str, items) -> None:
+    repeated = sorted({str(x) for x in items if items.count(x) > 1})
+    if repeated:
+        raise InputError(f"{what} given more than once: {', '.join(repeated)}")
 
 
 def _selection_key(selected) -> tuple:

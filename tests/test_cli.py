@@ -267,6 +267,32 @@ class TestExitCodes:
         assert "more than once: msc" in err
         assert not out.exists()
 
+    def test_repeated_fraction_in_compare_exits_3_before_any_sampler_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a sampler ran before the sweep was checked")
+
+        monkeypatch.setattr("atomcover.evaluation.run_sampler", no_run)
+        monkeypatch.setattr("atomcover.evaluation.sample_msc", no_run)
+        data = write_dataset(tmp_path / "d.xyz", n_frames=4)
+        out = tmp_path / "sweep.json"
+        csv_path = tmp_path / "sweep.csv"
+        argv = ["compare", str(data), "--fractions", "0.1,0.1", "-o", str(out),
+                "--csv", str(csv_path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "fractions given more than once: 0.1" in err and "Traceback" not in err
+        assert not out.exists() and not csv_path.exists()
+
+    def test_empty_threshold_list_exits_3(self, tmp_path, capsys):
+        data = single_atom_forces_file(tmp_path / "f.xyz", [1.0, 2.0, 3.0])
+        out = tmp_path / "cdf.json"
+        assert main(["force-cdf", str(data), "--thresholds", ",", "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "no thresholds given" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestCompress:
     def test_method_choices_are_the_samplers(self):

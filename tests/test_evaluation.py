@@ -106,6 +106,12 @@ class TestForceCdf:
         result = force_cdf(ds, thresholds=[0.1])
         assert result.cdf.tolist() == [1.0]
 
+    def test_empty_threshold_list_rejected(self):
+        ds = forces_dataset([1.0, 2.0])
+        for selection in (None, [0]):
+            with pytest.raises(InputError, match="no thresholds given"):
+                force_cdf(ds, selection, thresholds=[])
+
     def test_hand_counted_two_thirds(self):
         # magnitudes {1, 2, 3} (ignore the zero-force partner atoms by
         # using single-atom structures)
@@ -467,6 +473,57 @@ class TestCompareMethods:
         assert [r.count for r in sweep.rows] == [2, 2, 5, 10]
         assert shapes == greedy
 
+    def test_one_pass_serves_every_selection_but_msc(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        descs = random_fixture(rng, n_structures=20)
+        fractions = [0.1, 0.12, 0.25, 0.5]
+        keys = {
+            tuple(sorted(run_sampler(SamplerConfig(method="random", fraction=f, seed=4,
+                                                   kernel=KP), descs).selected))
+            for f in fractions
+        }
+        greedy = sample_msc(descs, 10, KP).selected
+        sizes = count_self_passes(monkeypatch)
+        shapes = count_cross_passes(monkeypatch)
+        sweep = compare_methods(descs, fractions, methods=("random", "msc"), seed=4, kernel=KP)
+        assert [r.count for r in sweep.rows] == [2, 2, 5, 10] * 2
+        # msc's per-structure passes, then one pass over every row with one
+        # column per distinct random selection: msc rows read the greedy's sums
+        own = [(len(descs.rows_for(i)), 1) for i in range(descs.n_structures)]
+        assert sizes == own + [(descs.n_environments, len(keys))]
+        # the greedy's own extends, and no other cross pass
+        assert shapes == [(descs.n_environments, len(descs.rows_for(i))) for i in greedy]
+
+    @pytest.mark.parametrize("scale", [0.01, 0.2])
+    def test_rows_equal_the_compression_report(self, scale, monkeypatch):
+        # At scale 0.2 some rows lie so far from every kept row that their
+        # shared sums fall under _SUM_FLOOR and delta_entropy recomputes them.
+        rng = np.random.default_rng(24)
+        descs = random_fixture(rng, n_structures=20, scale=scale)
+        shapes = count_cross_passes(monkeypatch)
+        sweep = compare_methods(descs, [0.1, 0.25, 0.5], seed=6, kernel=KP)
+        fallbacks = [q for q, _ in shapes if q < descs.n_environments]
+        if scale == 0.2:
+            assert fallbacks
+        else:
+            assert fallbacks == []
+        rows = [r for r in sweep.rows if r.fraction == 0.25]
+        assert [r.method for r in rows] == ["random", "kmeans", "fps", "msc"]
+        for row in rows:
+            config = SamplerConfig(method=row.method, fraction=0.25, seed=6, kernel=KP)
+            result = run_sampler(config, descs)
+            assert (result.delta_h is None) == (row.method != "msc")
+            delta_h = result.delta_h[len(result)] if result.delta_h else None
+            report = compression_report(descs, result.selected, KP, delta_h=delta_h)
+            compressed = report.metrics["compressed"]
+            assert row.n_environments == report.metrics["sizes"]["n_environments_compressed"]
+            assert row.entropy_nats == pytest.approx(compressed["entropy_nats"], abs=1e-12)
+            assert row.diversity_nats == pytest.approx(compressed["diversity_nats"], abs=1e-12)
+            assert row.efficiency == pytest.approx(compressed["efficiency"], abs=1e-12)
+            assert row.overlap_full_vs_compressed == pytest.approx(
+                report.metrics["overlap"]["full_vs_compressed"], abs=1e-12
+            )
+
     def test_fps_rows_share_the_sweep_pass_and_extend_no_coverage(self, monkeypatch):
         rng = np.random.default_rng(19)
         descs = random_fixture(rng, n_structures=20)
@@ -537,6 +594,18 @@ class TestCompareMethods:
             compare_methods(descs, [1.5], kernel=KP)
         with pytest.raises(InputError):
             compare_methods(descs, [0.5], methods=("bogus",), kernel=KP)
+
+    def test_repeated_fraction_raises_before_any_sampler_runs(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        descs = random_fixture(rng, n_structures=20)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a sampler ran before the sweep was checked")
+
+        monkeypatch.setattr("atomcover.evaluation.run_sampler", no_run)
+        monkeypatch.setattr("atomcover.evaluation.sample_msc", no_run)
+        with pytest.raises(InputError, match=r"fractions given more than once: 0\.1$"):
+            compare_methods(descs, [0.5, 0.1, 0.1], kernel=KP)
 
     def test_bad_method_raises_before_any_sampler_runs(self, monkeypatch):
         rng = np.random.default_rng(16)
