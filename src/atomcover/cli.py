@@ -9,7 +9,8 @@ Subcommands:
   compare    sweep all samplers over multiple fractions
 
 Exit codes: 0 success, 2 unreadable/malformed input, 3 invalid flags,
-4 degenerate geometry (coincident atoms, singular cells).
+4 degenerate geometry (coincident atoms, singular cells, cells too small
+to lay out).
 
 Heavy imports happen inside the command functions so that --threads can
 pin the BLAS/OpenMP pool sizes before numpy is loaded.  The thread count
@@ -130,12 +131,12 @@ def _kernel_params(args):
     return KernelParams(bandwidth=args.bandwidth)
 
 
-def _load_descriptors(path, args, dataset=None):
+def _load_descriptors(path, args, structures=None):
     """Descriptors of one input file, from the cache when it holds them.
 
     A cache hit reads only the cache file: its key pins the input's exact
     bytes, so the input is hashed, not parsed.  On a miss the input is
-    parsed, unless the caller passes its parsed ``dataset``.  A cache
+    parsed, unless the caller passes its parsed ``structures``.  A cache
     directory that cannot be made, or an entry that cannot be written, costs
     a warning on stderr, not the command.
     """
@@ -163,9 +164,9 @@ def _load_descriptors(path, args, dataset=None):
         else:
             if descs.params == params:
                 return descs
-    if dataset is None:
-        dataset = read_extxyz(path)
-    descs = build_descriptor_set(dataset, params)
+    if structures is None:
+        structures = read_extxyz(path)
+    descs = build_descriptor_set(structures, params)
     if cache_file:
         try:
             save_descriptor_set(descs, cache_file)
@@ -197,8 +198,6 @@ def cmd_compress(args):
     from .extxyz import read_extxyz, write_extxyz
     from .samplers import SamplerConfig, run_sampler
 
-    dataset = read_extxyz(args.input)
-    descs = _load_descriptors(args.input, args, dataset)
     config = SamplerConfig(
         method=args.method,
         count=args.count,
@@ -206,8 +205,11 @@ def cmd_compress(args):
         seed=args.seed,
         kernel=_kernel_params(args),
     )
+    structures = read_extxyz(args.input)
+    config.resolve_count(len(structures))  # --count checked before anything is described
+    descs = _load_descriptors(args.input, args, structures)
     result = run_sampler(config, descs)
-    write_extxyz(dataset, args.output, result.selected)
+    write_extxyz(structures, args.output, result.selected)
 
     parameters = _common_parameters(
         args, input=args.input, output=args.output, method=args.method,
@@ -219,7 +221,7 @@ def cmd_compress(args):
         doc.metrics["steps"] = [asdict(s) for s in result.per_step]
     report_path = args.report or args.output + ".report.json"
     doc.write(report_path)
-    print(f"kept {len(result.selected)}/{len(dataset)} structures -> {args.output}")
+    print(f"kept {len(result.selected)}/{len(structures)} structures -> {args.output}")
     print(f"report -> {report_path}")
     return EXIT_OK
 
@@ -230,8 +232,8 @@ def cmd_analyze(args):
     from .information import entropy, per_structure_entropy
     from .report import ReportDocument
 
-    descs = _load_descriptors(args.input, args)
     kernel = _kernel_params(args)
+    descs = _load_descriptors(args.input, args)
     result = entropy(descs, kernel)
     metrics = {
         "n_structures": descs.n_structures,
@@ -258,9 +260,9 @@ def cmd_overlap(args):
     from .evaluation import delta_h_histogram
     from .report import ReportDocument
 
+    kernel = _kernel_params(args)
     query_descs = _load_descriptors(args.query, args)
     ref_descs = _load_descriptors(args.reference, args)
-    kernel = _kernel_params(args)
     dh = delta_entropy(query_descs, ref_descs, kernel)
     metrics = {
         "n_query_environments": query_descs.n_environments,
@@ -284,8 +286,7 @@ def cmd_force_cdf(args):
     from .extxyz import read_extxyz
     from .report import ReportDocument
 
-    dataset = read_extxyz(args.input)
-    result = force_cdf(dataset, None, args.thresholds)
+    result = force_cdf(read_extxyz(args.input), None, args.thresholds)
     metrics = {
         "thresholds": result.thresholds,
         "cdf": result.cdf,
@@ -301,16 +302,16 @@ def cmd_force_cdf(args):
 
 
 def cmd_compare(args):
-    from .evaluation import compare_methods
+    from .evaluation import _sweep_configs, compare_methods
     from .report import ReportDocument, write_csv
     from .samplers import METHODS
 
     names = [m.strip() for m in args.methods.split(",") if m.strip()]  # as _float_list does
     methods = METHODS if names == ["all"] else tuple(names)
+    kernel = _kernel_params(args)
+    _sweep_configs(args.fractions, methods, args.seed, kernel)  # checked before loading
     descs = _load_descriptors(args.input, args)
-    sweep = compare_methods(
-        descs, args.fractions, methods, seed=args.seed, kernel=_kernel_params(args)
-    )
+    sweep = compare_methods(descs, args.fractions, methods, seed=args.seed, kernel=kernel)
     doc = ReportDocument(
         kind="compare",
         parameters=_common_parameters(
@@ -332,14 +333,14 @@ def main(argv=None) -> int:
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
 
-    from .errors import CellError, DegenerateGeometryError, InputError, ParseError
+    from .errors import DegenerateGeometryError, InputError, ParseError
 
     try:
         return args.func(args)
     except ParseError as exc:
         print(f"atomcover: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (CellError, DegenerateGeometryError) as exc:
+    except DegenerateGeometryError as exc:
         print(f"atomcover: degenerate geometry: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
     except InputError as exc:

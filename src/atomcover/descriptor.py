@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CellError, DegenerateGeometryError, InputError
-from .geometry import Dataset, NeighborSet, _batched_neighbors, _image_reaches, nearest_neighbors
+from .errors import DegenerateGeometryError, InputError
+from .geometry import NeighborSet, _batched_neighbors, _image_reaches, nearest_neighbors
 
 __all__ = [
     "DescriptorParams",
@@ -245,23 +245,23 @@ def _x2_rows(pos, distances, first_atom, params, dist, terms) -> np.ndarray:
     return terms.sum(axis=1)[:, :0:-1] / v
 
 
-def build_descriptor_set(dataset: Dataset, params: DescriptorParams) -> DescriptorSet:
-    """Compute one descriptor row per atom over all structures.
+def build_descriptor_set(structures, params: DescriptorParams) -> DescriptorSet:
+    """Compute one descriptor row per atom over a sequence of Structures.
 
     Rows are ordered by (structure index, atom index).  A geometry error
-    names the first structure in dataset order that fails, and its atom.
+    names the first structure in sequence order that fails, and its atom.
     """
     try:
-        return _build(dataset.structures, params)
-    except (CellError, DegenerateGeometryError) as exc:
+        return _build(structures, params)
+    except DegenerateGeometryError as exc:
         error = exc
-    # Batches do not run in dataset order, and a batch's error names its
+    # Batches do not run in sequence order, and a batch's error names its
     # row, so the structures go through one at a time until one fails.
-    for si, structure in enumerate(dataset):
+    for si, structure in enumerate(structures):
         try:
             _build((structure,), params)
-        except (CellError, DegenerateGeometryError) as exc:
-            raise type(exc)(f"structure {si}, {exc}") from exc
+        except DegenerateGeometryError as exc:
+            raise DegenerateGeometryError(f"structure {si}, {exc}") from exc
     raise error
 
 

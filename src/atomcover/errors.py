@@ -3,7 +3,6 @@
 __all__ = [
     "AtomcoverError",
     "InputError",
-    "CellError",
     "DegenerateGeometryError",
     "ParseError",
 ]
@@ -17,12 +16,13 @@ class InputError(AtomcoverError, ValueError):
     """Invalid argument or malformed in-memory data."""
 
 
-class CellError(AtomcoverError, ValueError):
-    """Lattice matrix is unusable (e.g. singular with periodic flags set)."""
-
-
 class DegenerateGeometryError(AtomcoverError, ValueError):
-    """Coincident atoms or another geometry that poisons the descriptor."""
+    """A geometry that no descriptor can be built from.
+
+    Raised for coincident atoms, for a singular cell with periodic flags
+    set, and for a cell so small that its periodic image layout would hold
+    more than 10^7 points.
+    """
 
 
 class ParseError(AtomcoverError, ValueError):

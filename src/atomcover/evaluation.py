@@ -22,7 +22,6 @@ from .information import (
     delta_entropy,
 )
 from .errors import InputError
-from .geometry import Dataset
 from .report import ReportDocument
 from .samplers import METHODS, SamplerConfig, run_sampler, sample_msc
 
@@ -87,12 +86,12 @@ class ForceCdf:
         object.__setattr__(self, "cdf", cdf)
 
 
-def _pooled_force_magnitudes(dataset: Dataset, selection=None) -> np.ndarray:
+def _pooled_force_magnitudes(structures, selection=None) -> np.ndarray:
     """All per-atom |F| over the selected structures, pooled into one array."""
-    indices = range(len(dataset)) if selection is None else selection
+    indices = range(len(structures)) if selection is None else selection
     chunks = []
     for idx in indices:
-        s = dataset[int(idx)]
+        s = structures[int(idx)]
         if s.forces is None:
             raise InputError(f"structure {int(idx)} has no forces")
         chunks.append(np.sqrt((s.forces**2).sum(axis=1)))
@@ -110,20 +109,22 @@ def _default_threshold_grid(mags: np.ndarray) -> np.ndarray:
     return np.linspace(lo, hi, 256)
 
 
-def force_cdf(dataset: Dataset, selection=None, thresholds=None) -> ForceCdf:
+def force_cdf(structures, selection=None, thresholds=None) -> ForceCdf:
     """Fraction of environments with |F| strictly below each threshold.
 
-    Defaults to the tail grid from :func:`_default_threshold_grid` over
-    the full dataset, so subset CDFs stay comparable.
+    ``structures`` is any sequence of Structures; ``selection`` picks
+    indices into it.  Thresholds default to the tail grid from
+    :func:`_default_threshold_grid` over every structure, so subset CDFs
+    stay comparable.
     """
     if thresholds is not None and np.size(thresholds) == 0:
         raise InputError("no thresholds given")
     mags = None
     if thresholds is None:
-        mags = _pooled_force_magnitudes(dataset)
+        mags = _pooled_force_magnitudes(structures)
         thresholds = _default_threshold_grid(mags)
     if mags is None or selection is not None:
-        mags = _pooled_force_magnitudes(dataset, selection)
+        mags = _pooled_force_magnitudes(structures, selection)
     thresholds = np.asarray(thresholds, dtype=float)
     mags = np.sort(mags)
     below = np.searchsorted(mags, thresholds, side="left")
@@ -259,20 +260,7 @@ def compare_methods(
     many rows share it, is a column of one :func:`_subset_delta_entropies`
     self pass over the full set, which a sweep of ``msc`` alone skips.
     """
-    fractions = sorted(float(f) for f in fractions)
-    if not fractions:
-        raise InputError("no fractions given")
-    _reject_repeats("fractions", fractions)
-    methods = tuple(methods)
-    if not methods:
-        raise InputError("no methods given")
-    _reject_repeats("methods", methods)
-    # Every config is built, and so checked, before any sampler runs.
-    sweep = [
-        [SamplerConfig(method=method, fraction=f, seed=seed, kernel=kernel) for f in fractions]
-        for method in methods
-    ]
-
+    fractions, sweep = _sweep_configs(fractions, methods, seed, kernel)
     runs = []  # (method, one selection per fraction)
     dh_of = {}  # selection key -> its delta H vector
     for configs in sweep:
@@ -312,6 +300,28 @@ def compare_methods(
                 )
             )
     return SweepResult(rows=tuple(rows))
+
+
+def _sweep_configs(fractions, methods, seed: int, kernel: KernelParams):
+    """The ascending fractions of a sweep and its SamplerConfigs, one list
+    per method with one config per fraction.
+
+    Every config is built, and so checked, before any sampler runs or any
+    input is described: an empty or repeated fraction or method, a fraction
+    outside (0, 1], an unknown method or a negative seed raises InputError.
+    """
+    fractions = sorted(float(f) for f in fractions)
+    if not fractions:
+        raise InputError("no fractions given")
+    _reject_repeats("fractions", fractions)
+    methods = tuple(methods)
+    if not methods:
+        raise InputError("no methods given")
+    _reject_repeats("methods", methods)
+    return fractions, [
+        [SamplerConfig(method=method, fraction=f, seed=seed, kernel=kernel) for f in fractions]
+        for method in methods
+    ]
 
 
 def _reject_repeats(what: str, items) -> None:

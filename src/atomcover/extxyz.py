@@ -15,7 +15,7 @@ import re
 import numpy as np
 
 from .errors import InputError, ParseError
-from .geometry import Dataset, Structure
+from .geometry import Structure
 
 __all__ = ["read_extxyz", "write_extxyz"]
 
@@ -134,8 +134,9 @@ def _column_layout(columns, lineno: int):
     return starts["species"][0], numeric, width
 
 
-def read_extxyz(path) -> Dataset:
-    """Parse every frame of an extended-XYZ file into a Dataset.
+def read_extxyz(path) -> tuple[Structure, ...]:
+    """Parse every frame of an extended-XYZ file into a tuple of Structures,
+    in file order.
 
     Files without a Properties key fall back to plain xyz columns
     (species then x y z).  ``forces`` and ``force`` columns both map to
@@ -215,19 +216,20 @@ def read_extxyz(path) -> Dataset:
 
     if not structures:
         raise ParseError("no structures found", line=1)
-    return Dataset(structures=tuple(structures))
+    return tuple(structures)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_extxyz(dataset: Dataset, path, selection=None) -> None:
-    """Write structures (all, or the given indices in order) as extended-XYZ."""
-    indices = range(len(dataset)) if selection is None else selection
+def write_extxyz(structures, path, selection=None) -> None:
+    """Write a sequence of Structures (all, or the given indices in order)
+    as extended-XYZ."""
+    indices = range(len(structures)) if selection is None else selection
     with open(path, "w", encoding="utf-8") as fh:
         for idx in indices:
-            s = dataset[int(idx)]
+            s = structures[int(idx)]
             parts = []
             if s.pbc.any() or np.any(s.cell != 0):
                 flat = " ".join(_fmt(v) for v in s.cell.ravel())

@@ -35,11 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CellError, InputError
+from .errors import DegenerateGeometryError, InputError
 
 __all__ = [
     "Structure",
-    "Dataset",
     "NeighborSet",
     "nearest_neighbors",
 ]
@@ -114,7 +113,7 @@ class Structure:
         if pbc.shape != (3,):
             raise InputError(f"pbc must have 3 flags, got {pbc.shape}")
         if pbc.any() and abs(np.linalg.det(cell)) < _SINGULAR_VOLUME:
-            raise CellError("cell is singular but periodic flags are set")
+            raise DegenerateGeometryError("cell is singular but periodic flags are set")
         species = tuple(str(s) for s in self.species)
         if len(species) != len(positions):
             raise InputError(
@@ -139,30 +138,6 @@ class Structure:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Ordered collection of structures."""
-
-    structures: tuple[Structure, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "structures", tuple(self.structures))
-
-    def __len__(self) -> int:
-        return len(self.structures)
-
-    def __iter__(self):
-        return iter(self.structures)
-
-    def __getitem__(self, i: int) -> Structure:
-        return self.structures[i]
-
-    @property
-    def n_environments(self) -> int:
-        """Total atom count over all structures."""
-        return sum(len(s) for s in self.structures)
 
 
 @dataclass(frozen=True)
@@ -212,8 +187,8 @@ def _image_reaches(structures, search_radius: float, k: int) -> np.ndarray:
     Wrapped atoms lie inside the cell, so an image offset by j cells along a
     periodic axis lies more than j - 1 cell heights from every atom: the
     layout holds every point within the search radius, and more than ``k``
-    points.  Raises CellError, before anything is allocated, when a layout
-    would hold more than ``_MAX_IMAGE_POINTS`` points.
+    points.  Raises DegenerateGeometryError, before anything is allocated,
+    when a layout would hold more than ``_MAX_IMAGE_POINTS`` points.
     """
     if search_radius <= 0:
         raise InputError(f"search_radius must be positive, got {search_radius}")
@@ -235,7 +210,7 @@ def _image_reaches(structures, search_radius: float, k: int) -> np.ndarray:
     if over.size:
         i = over[0]
         exact = atoms[i] * math.prod(2 * int(r) + 1 for r in wide[i])
-        raise CellError(
+        raise DegenerateGeometryError(
             f"cell heights {np.array2string(heights[i], precision=4)} angstrom need "
             f"{exact} periodic image points within {search_radius:g} angstrom, "
             f"more than the limit of {_MAX_IMAGE_POINTS}"

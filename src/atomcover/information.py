@@ -344,9 +344,11 @@ def contained_fraction(dh) -> float:
     """Fraction of delta entropies <= 0: environments inside the references.
 
     The boundary ``dh == 0`` counts as inside, so a set is always fully
-    contained in itself.
+    contained in itself.  An empty vector has no fraction: InputError.
     """
     dh = np.asarray(dh)
+    if not dh.size:
+        raise InputError("no delta entropies given")
     return float(np.count_nonzero(dh <= 0.0) / dh.shape[0])
 
 

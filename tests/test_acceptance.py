@@ -232,7 +232,7 @@ def test_criterion_10_overlap_efficiency_bounds():
 
 
 def test_criterion_11_force_cdf():
-    from atomcover import Dataset, Structure
+    from atomcover import Structure
 
     structures = tuple(
         Structure(
@@ -244,7 +244,7 @@ def test_criterion_11_force_cdf():
         )
         for m in (1.0, 2.0, 3.0)
     )
-    ds = Dataset(structures=structures)
+    ds = structures
     assert force_cdf(ds, thresholds=[2.5]).cdf[0] == 2.0 / 3.0
 
     rng = np.random.default_rng(11)
@@ -252,7 +252,7 @@ def test_criterion_11_force_cdf():
         molecule(rng.random((3, 3)) * 4.0, forces=rng.normal(size=(3, 3)))
         for _ in range(6)
     )
-    result = force_cdf(Dataset(structures=noisy))
+    result = force_cdf(noisy)
     assert np.all(np.diff(result.cdf) >= 0)
     assert result.cdf[-1] <= 1.0
     _pass(11, "CDF monotone, endpoint <= 1, {1,2,3} at 2.5 -> 2/3 exact")

@@ -285,6 +285,33 @@ class TestExitCodes:
         assert "fractions given more than once: 0.1" in err and "Traceback" not in err
         assert not out.exists() and not csv_path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{data}", "-o", "{out}", "--bandwidth", "0"],
+        ["overlap", "{data}", "{data}", "-o", "{out}", "--bandwidth", "0"],
+        ["compress", "{data}", "-o", "{out}", "--fraction", "1.5"],
+        ["compress", "{data}", "-o", "{out}", "--count", "2", "--seed", "-1"],
+        ["compress", "{data}", "-o", "{out}", "--count", "99"],
+        ["compare", "{data}", "-o", "{out}", "--fractions", "0.5,2"],
+        ["compare", "{data}", "-o", "{out}", "--methods", "msc,bogus"],
+        ["compare", "{data}", "-o", "{out}", "--seed", "-1"],
+    ])
+    def test_bad_flag_exits_3_before_any_descriptor_is_built(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        def no_build(*args):
+            raise AssertionError("descriptors built before the flags were checked")
+
+        monkeypatch.setattr("atomcover.descriptor.build_descriptor_set", no_build)
+        data = write_dataset(tmp_path / "d.xyz", n_frames=3)
+        out = tmp_path / "out.json"
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        argv = [arg.format(data=data, out=out) for arg in argv]
+        assert main([*argv, "--cache", str(cache)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "d.xyz"]  # no report
+        assert list(cache.iterdir()) == []
+
     def test_empty_threshold_list_exits_3(self, tmp_path, capsys):
         data = single_atom_forces_file(tmp_path / "f.xyz", [1.0, 2.0, 3.0])
         out = tmp_path / "cdf.json"
@@ -319,8 +346,8 @@ class TestCompress:
         capsys.readouterr()
         full = read_extxyz(data)
         kept = read_extxyz(out)
-        originals = [s.positions.tobytes() for s in full.structures]
-        for s in kept.structures:
+        originals = [s.positions.tobytes() for s in full]
+        for s in kept:
             assert s.positions.tobytes() in originals
 
     def test_byte_identical_reruns(self, tmp_path, capsys, monkeypatch):
@@ -599,6 +626,30 @@ class TestCache:
         out = tmp_path / "cached.json"
         assert main([command, *inputs, "-o", str(out), *cache]) == 0
         assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
+
+    def test_cache_never_changes_what_compress_writes(self, tmp_path, capsys, monkeypatch):
+        data = write_dataset(tmp_path / "d.xyz", n_frames=6)
+        kept, report = tmp_path / "kept.xyz", tmp_path / "kept.json"
+        argv = ["compress", str(data), "-o", str(kept), "--report", str(report), "--count", "3"]
+        cache = ["--cache", str(tmp_path / "cache")]
+
+        def run(extra):
+            assert main([*argv, *extra]) == 0
+            written = kept.read_bytes(), report.read_bytes()
+            kept.unlink()
+            report.unlink()
+            return written
+
+        uncached = run([])
+        assert run(cache) == uncached  # cold: built, then saved
+        assert len(list((tmp_path / "cache").glob("*.acds"))) == 1
+
+        def no_build(*args):
+            raise AssertionError("descriptors built on a cache hit")
+
+        monkeypatch.setattr("atomcover.descriptor.build_descriptor_set", no_build)
+        assert run(cache) == uncached  # warm: read from the cache
+        capsys.readouterr()
 
     def test_compress_parses_once_on_a_miss_and_on_a_hit(self, tmp_path, capsys, monkeypatch):
         import atomcover.descriptor

@@ -7,8 +7,6 @@ import pytest
 
 from atomcover import descriptor, geometry
 from atomcover import (
-    CellError,
-    Dataset,
     DegenerateGeometryError,
     DescriptorParams,
     DescriptorSet,
@@ -376,7 +374,7 @@ class TestBatchedPath:
 
     @staticmethod
     def assert_tree_rows(structures, params):
-        got = build_descriptor_set(Dataset(structures), params)
+        got = build_descriptor_set(tuple(structures), params)
         assert got.values.tobytes() == tree_rows(structures, params).tobytes()
         assert got.offsets[:, 1].tolist() == [len(s) for s in structures]
 
@@ -478,7 +476,7 @@ class TestBatchedPath:
         positions[3] = positions[1]
         structures[2] = crystal(structures[2].cell, positions)
         with pytest.raises(DegenerateGeometryError, match="^structure 2, atom 1: coincident atoms"):
-            build_descriptor_set(Dataset(structures), DescriptorParams(8, 4.0))
+            build_descriptor_set(tuple(structures), DescriptorParams(8, 4.0))
         assert routes["batches"][0] == 5  # all five in one batch first
 
     def test_first_failure_in_dataset_order(self):
@@ -499,11 +497,11 @@ class TestBatchedPath:
             ([good, large_bad, bad], DegenerateGeometryError, "structure 1, atom 5"),
             # the image limit is checked before anything is searched
             ([good, bad, good, tiny], DegenerateGeometryError, "structure 1, atom 0"),
-            ([good, tiny, bad], CellError, "structure 1, cell heights"),
+            ([good, tiny, bad], DegenerateGeometryError, "structure 1, cell heights"),
         ]
         for structures, error, message in cases:
             with pytest.raises(error, match=f"^{message}"):
-                build_descriptor_set(Dataset(structures), params)
+                build_descriptor_set(tuple(structures), params)
 
 
 class TestDescriptorSet:

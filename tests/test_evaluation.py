@@ -45,8 +45,6 @@ def assert_documents_close(a, b, atol):
 
 def forces_dataset(magnitudes):
     """One two-atom structure per magnitude; |F| = magnitude on atom 0."""
-    from atomcover import Dataset
-
     structures = []
     for m in magnitudes:
         forces = np.zeros((2, 3))
@@ -54,7 +52,7 @@ def forces_dataset(magnitudes):
         structures.append(
             molecule([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]], forces=forces)
         )
-    return Dataset(structures=tuple(structures))
+    return tuple(structures)
 
 
 class TestForceCdfType:
@@ -93,9 +91,7 @@ class TestForceMagnitudes:
         assert sorted(mags) == [0.0, 3.0]
 
     def test_missing_forces_names_structure(self):
-        from atomcover import Dataset
-
-        ds = Dataset(structures=(molecule([[0.0, 0.0, 0.0]]),))
+        ds = (molecule([[0.0, 0.0, 0.0]]),)
         with pytest.raises(InputError, match="structure 0"):
             _pooled_force_magnitudes(ds)
 
@@ -115,7 +111,7 @@ class TestForceCdf:
     def test_hand_counted_two_thirds(self):
         # magnitudes {1, 2, 3} (ignore the zero-force partner atoms by
         # using single-atom structures)
-        from atomcover import Dataset, Structure
+        from atomcover import Structure
 
         structures = tuple(
             Structure(
@@ -127,12 +123,12 @@ class TestForceCdf:
             )
             for m in (1.0, 2.0, 3.0)
         )
-        result = force_cdf(Dataset(structures=structures), thresholds=[2.5])
+        result = force_cdf(structures, thresholds=[2.5])
         assert result.cdf[0] == pytest.approx(2.0 / 3.0, abs=0)
         assert result.max_force == 3.0
 
     def test_strictly_below_semantics(self):
-        from atomcover import Dataset, Structure
+        from atomcover import Structure
 
         structures = tuple(
             Structure(
@@ -144,7 +140,7 @@ class TestForceCdf:
             )
             for m in (1.0, 2.0, 3.0)
         )
-        ds = Dataset(structures=structures)
+        ds = structures
         # threshold exactly at a magnitude does not count that magnitude
         assert force_cdf(ds, thresholds=[2.0]).cdf[0] == pytest.approx(1.0 / 3.0)
         assert force_cdf(ds, thresholds=[3.0]).cdf[0] == pytest.approx(2.0 / 3.0)
@@ -152,13 +148,11 @@ class TestForceCdf:
 
     def test_monotone_and_bounded(self):
         rng = np.random.default_rng(1)
-        from atomcover import Dataset
-
         structures = tuple(
             molecule(rng.random((3, 3)) * 4.0, forces=rng.normal(size=(3, 3)))
             for _ in range(5)
         )
-        ds = Dataset(structures=structures)
+        ds = structures
         result = force_cdf(ds, thresholds=np.linspace(0, 5, 40))
         assert np.all(np.diff(result.cdf) >= 0)
         assert result.cdf[-1] <= 1.0

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from atomcover import Dataset, InputError, ParseError, Structure, read_extxyz, write_extxyz
+from atomcover import InputError, ParseError, Structure, read_extxyz, write_extxyz
 from atomcover.cli import main
 from atomcover.extxyz import _COMMENT_TOKEN
 
@@ -120,7 +120,7 @@ def relayout(text, order, force_alias):
 )
 def test_frames_read_back_exactly_in_any_column_layout(tmp_path, frames, order, force_alias):
     path = tmp_path / "frames.xyz"
-    write_extxyz(Dataset(structures=tuple(frames)), path)
+    write_extxyz(frames, path)
     path.write_text(relayout(path.read_text(), order, force_alias))
     got = read_extxyz(path)
     assert len(got) == len(frames)

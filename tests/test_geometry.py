@@ -5,8 +5,7 @@ import pytest
 
 from atomcover import geometry
 from atomcover import (
-    CellError,
-    Dataset,
+    DegenerateGeometryError,
     DescriptorParams,
     InputError,
     NeighborSet,
@@ -67,7 +66,7 @@ class TestStructureValidation:
             molecule([[0.0, 0.0, np.nan], [1.0, 0.0, 0.0]])
 
     def test_rejects_singular_periodic_cell(self):
-        with pytest.raises(CellError):
+        with pytest.raises(DegenerateGeometryError):
             crystal(np.zeros((3, 3)), [[0.0, 0.0, 0.0]])
 
     def test_rejects_cell_of_two_rows(self):
@@ -289,7 +288,7 @@ class TestNearestNeighbors:
         tiny = crystal(np.eye(3) * 0.046, [[0.0, 0.0, 0.0]])
         tracemalloc.start()
         try:
-            with pytest.raises(CellError, match="10503459 periodic image points"):
+            with pytest.raises(DegenerateGeometryError, match="10503459 periodic image points"):
                 nearest_neighbors(tiny, 32, search_radius=5.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -349,7 +348,7 @@ class TestFullReachEquivalence:
         params = DescriptorParams(k, radius)
         wide = NeighborSet(distances, positions, indices)
         want = np.hstack([compute_x1(wide, params), compute_x2(wide, params)])
-        rows = build_descriptor_set(Dataset([structure]), params).values
+        rows = build_descriptor_set((structure,), params).values
         assert rows.tobytes() == want.tobytes()
         return tree_sizes[before]
 

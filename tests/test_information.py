@@ -455,6 +455,18 @@ class TestOverlap:
     def test_contained_fraction_counts_boundary_inside(self):
         assert contained_fraction(np.array([-1.0, 0.0, 1e-300, 3.0])) == 0.5
 
+    def test_empty_delta_h_has_no_contained_fraction(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="no delta entropies"):
+                contained_fraction([])
+
+    def test_no_queries_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="no delta entropies"):
+                overlap(np.empty((0, 6)), np.zeros((3, 6)), KP)
+
     def test_half_contained(self):
         near = np.zeros((5, 6))
         far = np.full((5, 6), 100 * H)

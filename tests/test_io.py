@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from atomcover import (
-    Dataset,
     ParseError,
     ReportDocument,
     file_digest,
@@ -64,7 +63,7 @@ def demo_dataset():
             )
         )
     structures.append(molecule(rng.random((2, 3)) * 4.0, species=("H", "H")))
-    return Dataset(structures=tuple(structures))
+    return tuple(structures)
 
 
 class TestRoundTrip:
