@@ -131,8 +131,8 @@ def _kernel_params(args):
     return KernelParams(bandwidth=args.bandwidth)
 
 
-def _load_descriptors(path, args, structures=None):
-    """Descriptors of one input file, from the cache when it holds them.
+def _load_descriptors(path, args, params, structures=None):
+    """Descriptors of one input file with ``params``, from the cache when it holds them.
 
     A cache hit reads only the cache file: its key pins the input's exact
     bytes, so the input is hashed, not parsed.  On a miss the input is
@@ -145,7 +145,6 @@ def _load_descriptors(path, args, structures=None):
     from .extxyz import read_extxyz
     from .report import file_digest
 
-    params = _descriptor_params(args)
     cache_file = None
     if args.cache:
         try:
@@ -205,9 +204,10 @@ def cmd_compress(args):
         seed=args.seed,
         kernel=_kernel_params(args),
     )
+    params = _descriptor_params(args)  # --k and --cutoff checked before the input is read
     structures = read_extxyz(args.input)
     config.resolve_count(len(structures))  # --count checked before anything is described
-    descs = _load_descriptors(args.input, args, structures)
+    descs = _load_descriptors(args.input, args, params, structures)
     result = run_sampler(config, descs)
     write_extxyz(structures, args.output, result.selected)
 
@@ -233,7 +233,7 @@ def cmd_analyze(args):
     from .report import ReportDocument
 
     kernel = _kernel_params(args)
-    descs = _load_descriptors(args.input, args)
+    descs = _load_descriptors(args.input, args, _descriptor_params(args))
     result = entropy(descs, kernel)
     metrics = {
         "n_structures": descs.n_structures,
@@ -261,8 +261,9 @@ def cmd_overlap(args):
     from .report import ReportDocument
 
     kernel = _kernel_params(args)
-    query_descs = _load_descriptors(args.query, args)
-    ref_descs = _load_descriptors(args.reference, args)
+    params = _descriptor_params(args)
+    query_descs = _load_descriptors(args.query, args, params)
+    ref_descs = _load_descriptors(args.reference, args, params)
     dh = delta_entropy(query_descs, ref_descs, kernel)
     metrics = {
         "n_query_environments": query_descs.n_environments,
@@ -310,7 +311,7 @@ def cmd_compare(args):
     methods = METHODS if names == ["all"] else tuple(names)
     kernel = _kernel_params(args)
     _sweep_configs(args.fractions, methods, args.seed, kernel)  # checked before loading
-    descs = _load_descriptors(args.input, args)
+    descs = _load_descriptors(args.input, args, _descriptor_params(args))
     sweep = compare_methods(descs, args.fractions, methods, seed=args.seed, kernel=kernel)
     doc = ReportDocument(
         kind="compare",

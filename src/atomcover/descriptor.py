@@ -144,6 +144,23 @@ class DescriptorSet:
         rows = np.repeat(starts - new_starts, lengths) + np.arange(new_starts[-1] + lengths[-1])
         return rows, np.stack([new_starts, lengths], axis=1)
 
+    def _stacks(self, max_rows: int):
+        """Yield (structure indices, their rows as one (B, n, width) array).
+
+        Structures of equal row count n are stacked in index order, at most
+        ``max(1, max_rows // n)`` per stack, so every structure lands in
+        exactly one stack and a stack holds at most ``max(max_rows, n)``
+        rows.  Each stack is a copy of its rows.
+        """
+        starts, lengths = self.offsets[:, 0], self.offsets[:, 1]
+        sizes, counts = np.unique(lengths, return_counts=True)
+        groups = np.split(np.argsort(lengths, kind="stable"), np.cumsum(counts)[:-1])
+        for n, group in zip(sizes.tolist(), groups):
+            per = max(1, max_rows // n)
+            for b0 in range(0, len(group), per):
+                index = group[b0 : b0 + per]
+                yield index, self.values[starts[index, None] + np.arange(n)]
+
 
 def _cutoff_weight(r, cutoff: float):
     """Smooth cutoff weight ``(1 - (r/cutoff)^2)^2`` for ``r <= cutoff``, else 0.

@@ -15,14 +15,16 @@ tiles: every log kernel is <= 0 and the diagonal is exactly 0, so it sums
 the kernels with no shift.  It sums them against weights on the rows: a
 vector of ones for :func:`entropy`, or one 0/1 column per subset for
 :func:`_subset_delta_entropies`, which thus gets every subset's
-delta_entropy(set | subset) from one pass.  A cross pass is a
-:class:`Coverage` of the query rows: it keeps a running max-shifted
-log-sum-exp per query and can be extended by any number of reference
-blocks, so a growing reference set costs each (query, reference) pair
-once.  It never underflows to ``log(0)`` for far-away queries: a lone
-reference at distance d gives back exactly ``d^2 / (2 h^2)``, and
-:func:`_subset_delta_entropies` hands the rows whose weighted sums
-underflow to it.
+delta_entropy(set | subset) from one pass.  :func:`per_structure_entropy`
+stacks structures of up to 256 rows by row count and makes one stacked
+one-tile self pass per stack, with the bits of a pass per structure.  A
+cross pass is a :class:`Coverage` of the query rows: it keeps its queries
+column-major and a running max-shifted log-sum-exp per query, and can be
+extended by any number of reference blocks, so a growing reference set
+costs each (query, reference) pair once.  It never underflows to
+``log(0)`` for far-away queries: a lone reference at distance d gives back
+exactly ``d^2 / (2 h^2)``, and :func:`_subset_delta_entropies` hands the
+rows whose weighted sums underflow to it.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class EntropyResult:
     def of(cls, dh: np.ndarray) -> "EntropyResult":
         """Every figure of a set from its self delta-H vector ``dh``."""
         n = dh.shape[0]
-        value = _entropy_nats(dh)
+        value = float(_entropy_nats(dh))
         m = float(dh.max())
         return cls(
             entropy_nats=value,
@@ -115,50 +117,60 @@ def _as_rows(x) -> np.ndarray:
     return arr
 
 
-def _augment(rows: np.ndarray, sq: np.ndarray, left: bool) -> np.ndarray:
+def _augment(rows: np.ndarray, sq: np.ndarray, left: bool, out=None) -> np.ndarray:
     """The left ``[-2x, |x|^2, 1]`` or right ``[y, 1, |y|^2]`` form of a row block.
 
-    ``sq`` holds the rows' squared norms.  The product of a left block and
-    a transposed right block is ``|x|^2 + |y|^2 - 2 x.y``, the squared
-    distances, from one GEMM; the norm columns also serve the coincidence
-    snap.
+    ``rows`` is one (n, w) block or a (B, n, w) stack of them, and ``sq``
+    holds the rows' squared norms.  The product of a left block and a
+    right block in (w + 2, n) orientation is ``|x|^2 + |y|^2 - 2 x.y``, the
+    squared distances, from one GEMM; the norm columns also serve the
+    coincidence snap.  The form is written into ``out`` when it is given
+    (any (..., n, w + 2) view, such as the transpose of a column-major
+    store), else into a new row-major array.
     """
-    n, w = rows.shape
-    out = np.empty((n, w + 2))
+    w = rows.shape[-1]
+    if out is None:
+        out = np.empty(rows.shape[:-1] + (w + 2,))
     if left:
-        np.multiply(rows, -2.0, out=out[:, :w])  # exact: scaling by 2 and negating
-        out[:, w], out[:, w + 1] = sq, 1.0
+        np.multiply(rows, -2.0, out=out[..., :w])  # exact: scaling by 2 and negating
+        out[..., w], out[..., w + 1] = sq, 1.0
     else:
-        out[:, :w] = rows
-        out[:, w], out[:, w + 1] = 1.0, sq
+        out[..., :w] = rows
+        out[..., w], out[..., w + 1] = 1.0, sq
     return out
 
 
 def _log_kernel_tile(left, right, inv_two_h2, buffers) -> np.ndarray:
     """Write log K_h(x_i, y_j) of one tile into a view of the first buffer.
 
-    ``left`` and ``right`` are :func:`_augment` forms of the tile's rows.
-    Returns the (len(left), len(right)) view that holds the tile; it is
-    valid until the next call with the same buffers.
+    ``left`` is the left form (:func:`_augment`) of the tile's rows,
+    (m, w + 2), and ``right`` the right form of its columns in (w + 2, n)
+    orientation; a stack of B tiles passes (B, m, w + 2) and (B, w + 2, n)
+    and makes one stacked GEMM.  Returns the (m, n) or (B, m, n) view that
+    holds the tile; it is valid until the next call with the same buffers.
     """
-    m, n = len(left), len(right)
-    d2, snap = buffers[0][: m * n], buffers[1][: m * n]
+    shape = left.shape[:-1] + right.shape[-1:]
+    size = math.prod(shape)
+    d2, snap = buffers[0][:size], buffers[1][:size]
     # The views are contiguous, so matmul(out=) still goes through BLAS
     # and gives the same bits as a fresh product.
-    np.matmul(left, right.T, out=d2.reshape(m, n))
+    tile = d2.reshape(shape)
+    np.matmul(left, right, out=tile)
     # The GEMM leaves O(w * eps * |x|^2) residue on coincident rows; snap
     # every pair with d2 <= 1e-12 (|x|^2 + |y|^2) to exactly zero, so
     # every log kernel is <= 0 and a member of the reference set always gets
     # kernel sum >= 1 (delta entropy <= 0).  One scalar per tile, at least
     # every pair's threshold, screens the few candidates first; fmax skips
     # NaN norms, whose pairs never snap.
-    x_sq, y_sq = left[:, -2], right[:, -1]
-    np.less_equal(d2, 1e-12 * (np.fmax.reduce(x_sq) + np.fmax.reduce(y_sq)), out=snap)
+    x_sq, y_sq = left[..., -2], right[..., -1, :]
+    screen = 1e-12 * (np.fmax.reduce(x_sq, axis=-1) + np.fmax.reduce(y_sq, axis=-1))
+    np.less_equal(tile, screen[..., None, None], out=snap.reshape(shape))
     near = snap.nonzero()[0]
-    i, j = np.divmod(near, n)
-    d2[near[d2[near] <= (x_sq[i] + y_sq[j]) * 1e-12]] = 0.0
+    index = np.unravel_index(near, shape)  # (stack position,) row, column
+    pair_sq = x_sq[index[:-1]] + y_sq[index[:-2] + index[-1:]]
+    d2[near[d2[near] <= pair_sq * 1e-12]] = 0.0
     d2 *= -inv_two_h2  # now the log kernel
-    return d2.reshape(m, n)
+    return tile
 
 
 def _tile_buffers(size: int):
@@ -190,8 +202,11 @@ def _self_kernel_sums(rows: np.ndarray, bandwidth: float, weights: np.ndarray) -
     matrix.  Every log kernel is <= 0 and the diagonal is exactly 0, so the
     sums need no max shift, and with a weight of 1 on every row each sum
     holds its own exp(0) = 1.  Column sums of a vector of ones are taken
-    as in :class:`Coverage`, so a set of one tile gets the bits of a
-    Coverage of the set by itself.
+    as in :class:`Coverage`, but the right operand is a transposed
+    row-major block where a Coverage's is column-major: on GEMMs small
+    enough for OpenBLAS's small-matrix kernels the two can differ in the
+    last bit, so a set of one tile and a Coverage of the set by itself
+    agree to about 1e-16, not always bit for bit.
     """
     n = rows.shape[0]
     if n == 0:
@@ -206,7 +221,7 @@ def _self_kernel_sums(rows: np.ndarray, bandwidth: float, weights: np.ndarray) -
         for j0 in range(i0, n, _BLOCK):
             j1 = j0 + _BLOCK
             tile = _log_kernel_tile(
-                left, _augment(rows[j0:j1], sq[j0:j1], left=False), inv_two_h2, buffers
+                left, _augment(rows[j0:j1], sq[j0:j1], left=False).T, inv_two_h2, buffers
             )
             np.exp(tile, out=tile)
             sums[j0:j1] += (weights[i0:i1].T @ tile).T
@@ -218,6 +233,25 @@ def _self_kernel_sums(rows: np.ndarray, bandwidth: float, weights: np.ndarray) -
 def _self_delta_entropy(rows: np.ndarray, bandwidth: float) -> np.ndarray:
     """-log sum_j K_h(x_i, x_j) over the set itself, from one self pass."""
     return -np.log(_self_kernel_sums(rows, bandwidth, np.ones(rows.shape[0])))
+
+
+@np.errstate(over="ignore")
+def _stacked_self_delta_entropy(stack: np.ndarray, bandwidth: float, buffers) -> np.ndarray:
+    """:func:`_self_delta_entropy` of each block of a (B, n, w) stack, B n <= 256.
+
+    Each block is one self-pass tile, so the stack makes one stacked GEMM,
+    one snap screen, one ``exp`` and one stacked GEMV against ones.  numpy
+    runs a stacked product as one BLAS call per block with the operands of
+    a separate pass, so every row of the (B, n) result has that pass's bits.
+    """
+    b, n, w = stack.shape
+    flat = stack.reshape(b * n, w)
+    sq = np.einsum("ij,ij->i", flat, flat).reshape(b, n)
+    left = _augment(stack, sq, left=True)
+    right = _augment(stack, sq, left=False).swapaxes(-1, -2)
+    tile = _log_kernel_tile(left, right, 1.0 / (2.0 * bandwidth * bandwidth), buffers)
+    np.exp(tile, out=tile)
+    return -np.log(_ONES[:n] @ tile)
 
 
 class Coverage:
@@ -235,9 +269,10 @@ class Coverage:
     a thin block of a few references makes a few wide tiles.  Each tile
     is shifted by the running max before its exp, so a tile that
     overflows for a query adds exactly 0 to its sum.  The queries are
-    kept in their right form (:func:`_augment`), an n x (width + 2) copy,
-    and each 256-row reference block is put in its left form once per
-    :meth:`extend`.
+    kept in their right form (:func:`_augment`) as one column-major
+    (width + 2) x n array, written in place, so a query slab is a
+    row-major (width + 2) x slab operand of the GEMM.  Each 256-row
+    reference block is put in its left form once per :meth:`extend`.
     """
 
     def __init__(self, queries, kernel: KernelParams = KernelParams()):
@@ -245,30 +280,35 @@ class Coverage:
         n = rows.shape[0]
         self._bandwidth = kernel.bandwidth
         self._inv_two_h2 = 1.0 / (2.0 * kernel.bandwidth * kernel.bandwidth)
-        self._queries = _augment(rows, np.einsum("ij,ij->i", rows, rows), left=False)
+        self._queries = np.empty((rows.shape[1] + 2, n))
+        _augment(rows, np.einsum("ij,ij->i", rows, rows), left=False, out=self._queries.T)
         # the lowest finite float, so run_max - new_max is never -inf - -inf
         self._max = np.full(n, -np.finfo(float).max)
         self._sum = np.zeros(n)
         self._buffers = _tile_buffers(min(_TILE, max(n, 1) * _BLOCK))
         self.n_references = 0
 
+    @property
+    def n_queries(self) -> int:
+        return self._queries.shape[1]
+
     @np.errstate(over="ignore", invalid="ignore")
     def extend(self, refs) -> None:
         """Add a block of reference rows to every query's kernel sum."""
         refs = _as_rows(refs)
         queries = self._queries
-        if queries.shape[1] - 2 != refs.shape[1]:
+        if queries.shape[0] - 2 != refs.shape[1]:
             raise InputError(
-                f"query width {queries.shape[1] - 2} != reference width {refs.shape[1]}"
+                f"query width {queries.shape[0] - 2} != reference width {refs.shape[1]}"
             )
         ref_sq = np.einsum("ij,ij->i", refs, refs)
         for r0 in range(0, refs.shape[0], _BLOCK):
             left = _augment(refs[r0 : r0 + _BLOCK], ref_sq[r0 : r0 + _BLOCK], left=True)
             ones = _ONES[: len(left)]
             slab = _TILE // len(left)
-            for q0 in range(0, queries.shape[0], slab):
+            for q0 in range(0, queries.shape[1], slab):
                 q1 = q0 + slab
-                tile = _log_kernel_tile(left, queries[q0:q1], self._inv_two_h2, self._buffers)
+                tile = _log_kernel_tile(left, queries[:, q0:q1], self._inv_two_h2, self._buffers)
                 run_max = self._max[q0:q1]
                 new_max = np.maximum(run_max, tile.max(axis=0))
                 tile -= new_max
@@ -352,9 +392,12 @@ def contained_fraction(dh) -> float:
     return float(np.count_nonzero(dh <= 0.0) / dh.shape[0])
 
 
-def _entropy_nats(dh: np.ndarray) -> float:
-    """``mean(dh) + log n`` of a self-pass vector, clipped at 0."""
-    return max(float(np.mean(dh) + np.log(dh.shape[0])), 0.0)  # self-match: negatives are roundoff
+def _entropy_nats(dh: np.ndarray):
+    """``mean(dh) + log n`` of a self-pass vector, or of each row of a stack, clipped at 0.
+
+    Every row matches itself, so a negative value is roundoff.
+    """
+    return np.maximum(np.mean(dh, axis=-1) + np.log(dh.shape[-1]), 0.0)
 
 
 def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
@@ -390,9 +433,19 @@ def efficiency(descs, kernel: KernelParams = KernelParams()) -> float:
 
 
 def per_structure_entropy(descs, kernel: KernelParams = KernelParams()) -> np.ndarray:
-    """Entropy of each structure's own environments, taken in isolation."""
+    """Entropy of each structure's own environments, taken in isolation.
+
+    Structures of up to 256 rows are stacked by row count, up to 256 rows
+    a stack, and each stack makes one stacked self pass
+    (:func:`_stacked_self_delta_entropy`) with the bits of a separate
+    pass per structure; a larger structure makes its own self pass.
+    """
     out = np.empty(descs.n_structures)
-    for i in range(descs.n_structures):
-        dh = _self_delta_entropy(descs.rows_for(i), kernel.bandwidth)
-        out[i] = _entropy_nats(dh)
+    buffers = _tile_buffers(_TILE)
+    for index, stack in descs._stacks(_BLOCK):
+        if stack.shape[1] <= _BLOCK:
+            dh = _stacked_self_delta_entropy(stack, kernel.bandwidth, buffers)
+        else:
+            dh = _self_delta_entropy(stack[0], kernel.bandwidth)
+        out[index] = _entropy_nats(dh)
     return out

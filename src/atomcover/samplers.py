@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .descriptor import DescriptorSet
-from .information import Coverage, KernelParams, per_structure_entropy
+from .information import _BLOCK, Coverage, KernelParams, per_structure_entropy
 from .errors import InputError
 
 __all__ = [
@@ -116,10 +116,15 @@ def sample_random(n_structures: int, count: int, seed: int = 0) -> CompressionRe
 
 
 def _structure_means(descs: DescriptorSet) -> np.ndarray:
-    """Arithmetic mean descriptor of each structure, shape (n_structures, width)."""
+    """Arithmetic mean descriptor of each structure, shape (n_structures, width).
+
+    Structures are averaged a stack of equal row counts at a time; numpy
+    adds each block's rows in row order, as ``rows.mean(axis=0)`` does, so
+    the means have its bits.
+    """
     out = np.empty((descs.n_structures, descs.width))
-    for i in range(descs.n_structures):
-        out[i] = descs.rows_for(i).mean(axis=0)
+    for index, stack in descs._stacks(_BLOCK):
+        out[index] = stack.mean(axis=1)
     return out
 
 

@@ -68,6 +68,26 @@ def synthetic_set(values_per_structure, width=None):
     return DescriptorSet(values=np.vstack(blocks), offsets=np.asarray(offsets))
 
 
+def mixed_size_set(rng, width=15):
+    """DescriptorSet of structures of 1 to 257 rows, most sizes twice.
+
+    Sizes straddle the 256-row tile and the per-stack limits.  Every
+    structure of two or more rows holds a coincident pair (its rows 0 and 1,
+    whose squared distance snaps to 0), and every one of seven or more rows
+    a far last row, whose kernel with every other row underflows to 0.
+    """
+    sizes = (1, 2, 7, 8, 9, 63, 64, 255, 256, 257, 9, 1, 7, 64, 2, 255, 8)
+    blocks = []
+    for n in sizes:
+        rows = rng.normal(scale=0.02, size=(n, width)) + 0.5
+        if n >= 2:
+            rows[1] = rows[0]
+        if n >= 7:
+            rows[-1, 0] += 50.0
+        blocks.append(rows)
+    return synthetic_set(blocks)
+
+
 def dataset(*structures):
     return tuple(structures)
 
@@ -92,6 +112,27 @@ def count_self_passes(monkeypatch):
     return shapes
 
 
+def count_structure_passes(monkeypatch):
+    """Record (structures, rows each) of every stacked per-structure self pass.
+
+    ``per_structure_entropy`` passes structures of up to 256 rows in
+    stacks of equal row count; a larger structure makes a self pass that
+    :func:`count_self_passes` records.  Returns a list that grows by one
+    pair per stack passed while the monkeypatch is active.
+    """
+    from atomcover import information
+
+    shapes = []
+    real = information._stacked_self_delta_entropy
+
+    def counting(stack, bandwidth, buffers):
+        shapes.append(stack.shape[:2])
+        return real(stack, bandwidth, buffers)
+
+    monkeypatch.setattr(information, "_stacked_self_delta_entropy", counting)
+    return shapes
+
+
 def count_cross_passes(monkeypatch):
     """Record (query rows, reference rows) of every cross kernel pass.
 
@@ -106,7 +147,7 @@ def count_cross_passes(monkeypatch):
 
     def counting(self, refs):
         n_refs = np.atleast_2d(getattr(refs, "values", refs)).shape[0]
-        shapes.append((self._queries.shape[0], n_refs))
+        shapes.append((self.n_queries, n_refs))
         return real(self, refs)
 
     monkeypatch.setattr(information.Coverage, "extend", counting)

@@ -11,7 +11,7 @@ import pytest
 import atomcover
 from atomcover import load_descriptor_set, read_extxyz
 from atomcover.cli import _THREAD_VARS, main
-from helpers import count_cross_passes, count_self_passes
+from helpers import count_cross_passes, count_self_passes, count_structure_passes
 
 
 def frame_text(positions, forces, cell=6.0):
@@ -312,6 +312,20 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "d.xyz"]  # no report
         assert list(cache.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", [["--k", "100000"], ["--cutoff", "0"]])
+    def test_bad_descriptor_flag_exits_3_before_compress_reads_the_input(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("input read before the descriptor flags were checked")
+
+        monkeypatch.setattr("atomcover.extxyz.read_extxyz", no_read)
+        data = write_dataset(tmp_path / "d.xyz", n_frames=3)
+        out = tmp_path / "out.xyz"
+        assert main(["compress", str(data), "-o", str(out), "--count", "1", *flag]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.xyz"]  # no report
+
     def test_empty_threshold_list_exits_3(self, tmp_path, capsys):
         data = single_atom_forces_file(tmp_path / "f.xyz", [1.0, 2.0, 3.0])
         out = tmp_path / "cdf.json"
@@ -414,10 +428,13 @@ class TestAnalyze:
     def test_one_full_set_self_pass(self, tmp_path, capsys, monkeypatch):
         data = write_dataset(tmp_path / "d.xyz", n_frames=5)
         sizes = count_self_passes(monkeypatch)
+        stacks = count_structure_passes(monkeypatch)
         assert main(["analyze", str(data)]) == 0
         capsys.readouterr()
-        # one pass over all 15 environments, then one per 3-atom structure
-        assert sizes == [(15, 1)] + [(3, 1)] * 5
+        # one pass over all 15 environments, and the five 3-atom structures
+        # in one stacked per-structure pass
+        assert sizes == [(15, 1)]
+        assert stacks == [(5, 3)]
 
     def test_output_file(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=4)

@@ -20,7 +20,13 @@ from atomcover import (
     sample_msc,
 )
 from atomcover.evaluation import _default_threshold_grid, _pooled_force_magnitudes
-from helpers import count_cross_passes, count_self_passes, molecule, synthetic_set
+from helpers import (
+    count_cross_passes,
+    count_self_passes,
+    count_structure_passes,
+    molecule,
+    synthetic_set,
+)
 from test_samplers import random_fixture, redundant_fixture
 
 H = 0.015
@@ -450,9 +456,11 @@ class TestCompareMethods:
         rng = np.random.default_rng(15)
         descs = synthetic_set([rng.normal(scale=0.05, size=(2, 8)) for _ in range(8)])
         sizes = count_self_passes(monkeypatch)
+        stacks = count_structure_passes(monkeypatch)
         sweep = compare_methods(descs, [0.25, 0.5, 1.0], methods=["msc"], kernel=KP)
-        # one per-structure self pass per structure, and none per row
-        assert sizes == [(2, 1)] * descs.n_structures
+        # every structure's own pass once, all in one stack, and none per row
+        assert stacks == [(descs.n_structures, 2)]
+        assert sizes == []
         assert [r.n_environments for r in sweep.rows] == [4, 8, 16]
 
     def test_msc_rows_add_no_cross_pass(self, monkeypatch):
@@ -478,13 +486,17 @@ class TestCompareMethods:
         }
         greedy = sample_msc(descs, 10, KP).selected
         sizes = count_self_passes(monkeypatch)
+        stacks = count_structure_passes(monkeypatch)
         shapes = count_cross_passes(monkeypatch)
         sweep = compare_methods(descs, fractions, methods=("random", "msc"), seed=4, kernel=KP)
         assert [r.count for r in sweep.rows] == [2, 2, 5, 10] * 2
-        # msc's per-structure passes, then one pass over every row with one
-        # column per distinct random selection: msc rows read the greedy's sums
-        own = [(len(descs.rows_for(i)), 1) for i in range(descs.n_structures)]
-        assert sizes == own + [(descs.n_environments, len(keys))]
+        # msc's per-structure passes, one stack per row count that holds
+        # every structure of that count, then one pass over every row with
+        # one column per distinct random selection: msc rows read the
+        # greedy's sums
+        lengths, counts = np.unique(descs.offsets[:, 1], return_counts=True)
+        assert stacks == list(zip(counts.tolist(), lengths.tolist()))
+        assert sizes == [(descs.n_environments, len(keys))]
         # the greedy's own extends, and no other cross pass
         assert shapes == [(descs.n_environments, len(descs.rows_for(i))) for i in greedy]
 

@@ -22,6 +22,8 @@ from atomcover import information
 from atomcover.information import _subset_delta_entropies
 from helpers import (
     count_cross_passes,
+    count_structure_passes,
+    mixed_size_set,
     naive_delta_entropy,
     naive_diversity,
     naive_entropy,
@@ -500,3 +502,25 @@ class TestPerStructure:
     def test_singleton_structure_is_zero(self):
         descs = synthetic_set([np.full((1, 4), 0.2)])
         assert per_structure_entropy(descs, KP)[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_stacked_passes_have_the_bits_of_one_pass_per_structure(self, monkeypatch):
+        descs = mixed_size_set(np.random.default_rng(51))
+        own = [
+            information._self_delta_entropy(descs.rows_for(i), H)
+            for i in range(descs.n_structures)
+        ]
+        stacks = count_structure_passes(monkeypatch)
+        got = per_structure_entropy(descs, KP)
+        want = [information._entropy_nats(dh) for dh in own]
+        assert np.array_equal(got, want)
+        # every structure of up to 256 rows went through a stack, some
+        # stacks held several structures, and the far rows underflowed
+        lengths = descs.offsets[:, 1]
+        assert sum(b for b, _ in stacks) == np.count_nonzero(lengths <= 256)
+        assert max(b for b, _ in stacks) > 1
+        assert all(dh[-1] == 0.0 for dh in own if len(dh) >= 7)
+        buffers = information._tile_buffers(information._TILE)
+        for index, stack in descs._stacks(256):
+            if stack.shape[1] <= 256:
+                dh = information._stacked_self_delta_entropy(stack, H, buffers)
+                assert np.array_equal(dh, [own[i] for i in index])

@@ -14,7 +14,7 @@ from atomcover import (
     sample_random,
 )
 from atomcover.samplers import _structure_means
-from helpers import naive_delta_entropy, naive_entropy, synthetic_set
+from helpers import mixed_size_set, naive_delta_entropy, naive_entropy, synthetic_set
 
 H = 0.015
 KP = KernelParams(bandwidth=H)
@@ -147,6 +147,11 @@ class TestStructureMeans:
     def test_identical_rows_collapse(self):
         descs = synthetic_set([np.tile([1.0, 2.0], (5, 1))])
         assert np.allclose(_structure_means(descs), [[1.0, 2.0]])
+
+    def test_stacked_means_have_the_bits_of_one_mean_per_structure(self):
+        descs = mixed_size_set(np.random.default_rng(52))
+        want = [descs.rows_for(i).mean(axis=0) for i in range(descs.n_structures)]
+        assert np.array_equal(_structure_means(descs), want)
 
     def test_supercell_aliases_to_primitive(self):
         rng = np.random.default_rng(4)
