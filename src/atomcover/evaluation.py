@@ -23,7 +23,7 @@ from .information import (
 )
 from .errors import InputError
 from .report import ReportDocument
-from .samplers import METHODS, SamplerConfig, run_sampler, sample_msc
+from .samplers import METHODS, SamplerConfig, _kmeans_sweep, run_sampler, sample_msc
 
 __all__ = [
     "ForceCdf",
@@ -254,10 +254,13 @@ def compare_methods(
     Fractions are sorted ascending; one row per (method, fraction).
     ``fps`` and ``msc`` run once, at the largest count, and each smaller
     fraction takes the prefix of that selection, which is what they pick
-    at that count.  Each row's figures come from one delta_entropy(full |
-    kept) vector (:func:`_kept_figures`).  ``msc`` rows read it off the
-    greedy's own kernel sums; every other selection, counted once however
-    many rows share it, is a column of one :func:`_subset_delta_entropies`
+    at that count.  ``kmeans`` seeds once, to the largest count, and each
+    count runs its own Lloyd iterations from its prefix of the centers:
+    the picks are those of one ``sample_kmeans`` run per fraction.  Each
+    row's figures come from one delta_entropy(full | kept) vector
+    (:func:`_kept_figures`).  ``msc`` rows read it off the greedy's own
+    kernel sums; every other selection, counted once however many rows
+    share it, is a column of one :func:`_subset_delta_entropies`
     self pass over the full set, which a sweep of ``msc`` alone skips.
     """
     fractions, sweep = _sweep_configs(fractions, methods, seed, kernel)
@@ -273,6 +276,8 @@ def compare_methods(
         elif method == "fps":
             largest = run_sampler(configs[-1], descs).selected
             selections = [largest[:c] for c in counts]
+        elif method == "kmeans":
+            selections = _kmeans_sweep(descs, counts, seed)
         else:
             selections = [run_sampler(c, descs).selected for c in configs]
         runs.append((method, selections))

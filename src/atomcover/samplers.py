@@ -9,6 +9,7 @@ is already selected, balanced against the structure's own entropy.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,14 +129,24 @@ def _structure_means(descs: DescriptorSet) -> np.ndarray:
     return out
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centers by squared distance."""
+def _kmeans_pp_init(points: np.ndarray, counts, rng: np.random.Generator):
+    """k-means++ seeding to the largest of ``counts``: spread centers by squared distance.
+
+    Seeding is prefix-stable: the first c centers, and the generator state
+    left after them, do not depend on how many centers follow.  Returns the
+    centers and, for each c in ``counts``, the generator as it stood after
+    the c-th center (a copy, except for the largest c).
+    """
     n = points.shape[0]
+    k = max(counts)
     centers = np.empty((k, points.shape[1]))
+    generators = {}
     idx = int(rng.integers(n))
     centers[0] = points[idx]
     d2 = ((points - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
+        if j in counts:
+            generators[j] = copy.deepcopy(rng)
         total = float(d2.sum())
         if total > 0:
             idx = int(rng.choice(n, p=d2 / total))
@@ -143,52 +154,60 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             idx = int(rng.integers(n))
         centers[j] = points[idx]
         d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
-    return centers
+    generators[k] = rng
+    return centers, generators
+
+
+_ASSIGN_ELEMENTS = 1 << 20  # distances held at once by _assign: 8 MiB a float array
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest center, ties to the lowest.
+
+    Points are taken in row blocks of at most ``_ASSIGN_ELEMENTS``
+    point-center distances, so the temporaries stay two such blocks
+    however many points there are.
+    """
     p_sq = np.einsum("ij,ij->i", points, points)
     c_sq = np.einsum("ij,ij->i", centers, centers)
-    d2 = p_sq[:, None] + c_sq[None, :] - 2.0 * (points @ centers.T)
-    return np.argmin(d2, axis=1)
+    step = max(1, _ASSIGN_ELEMENTS // len(centers))
+    labels = np.empty(len(points), dtype=np.intp)
+    for r0 in range(0, len(points), step):
+        block = slice(r0, r0 + step)
+        cross = points[block] @ centers.T
+        cross *= 2.0
+        d2 = p_sq[block, None] + c_sq
+        d2 -= cross
+        labels[block] = np.argmin(d2, axis=1)
+    return labels
 
 
 def _cluster_means(points: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Mean of each cluster's points; an empty cluster keeps its center.
 
-    ``np.add.at`` adds each cluster's rows in row order, as
-    ``points[members].mean(axis=0)`` does, so the means have its bits.
+    One ``np.bincount`` over (label, column) bins adds each cluster's rows
+    in row order, as ``points[members].mean(axis=0)`` does, so the means
+    have its bits.
     """
-    sums = np.zeros_like(centers)
-    np.add.at(sums, labels, points)
-    counts = np.bincount(labels, minlength=len(centers))
+    k, width = centers.shape
+    bins = labels[:, None] * width + np.arange(width)
+    sums = np.bincount(bins.ravel(), weights=points.ravel(), minlength=k * width)
+    counts = np.bincount(labels, minlength=k)
     new_centers = centers.copy()
     filled = counts > 0
-    new_centers[filled] = sums[filled] / counts[filled, None]
+    new_centers[filled] = sums.reshape(k, width)[filled] / counts[filled, None]
     return new_centers
 
 
-def sample_kmeans(descs: DescriptorSet, count: int, seed: int = 0) -> CompressionResult:
-    """Lloyd's k-means over structure means; one random member per cluster.
-
-    Lloyd iterations stop once every center moves less than 1e-6, or
-    after 300 iterations.
-
-    Clusters that end up empty are refilled by splitting the largest
-    cluster at its member farthest from the cluster center, so exactly
-    ``count`` structures come back.
-    """
-    n = descs.n_structures
-    _check_count(count, n)
-    means = _structure_means(descs)
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(means, count, rng)
-    labels = _assign(means, centers)
+def _lloyd_picks(points: np.ndarray, centers: np.ndarray, rng: np.random.Generator) -> tuple:
+    """Lloyd's iterations from ``centers``, then one ``rng`` member per cluster."""
+    count = len(centers)
+    labels = _assign(points, centers)
     for _ in range(300):
-        new_centers = _cluster_means(means, labels, centers)
+        new_centers = _cluster_means(points, labels, centers)
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        labels = _assign(means, centers)
+        labels = _assign(points, centers)
         if shift < 1e-6:
             break
     counts = np.bincount(labels, minlength=count)
@@ -196,17 +215,53 @@ def sample_kmeans(descs: DescriptorSet, count: int, seed: int = 0) -> Compressio
         empty = int(np.argmin(counts))
         largest = int(np.argmax(counts))
         members = np.flatnonzero(labels == largest)
-        far = ((means[members] - centers[largest]) ** 2).sum(axis=1)
+        far = ((points[members] - centers[largest]) ** 2).sum(axis=1)
         moved = members[int(np.argmax(far))]
         labels[moved] = empty
-        centers[empty] = means[moved]
+        centers[empty] = points[moved]
         counts[largest] -= 1
         counts[empty] += 1
-    selected = []
-    for c in range(count):
-        members = np.flatnonzero(labels == c)
-        selected.append(int(rng.choice(members)))
-    return CompressionResult(selected=tuple(selected))
+    # Cluster c's members, ascending, are order[starts[c]:][:counts[c]].  One
+    # integers call with a bound per cluster draws what rng.choice(members)
+    # would, cluster by cluster.
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum(counts) - counts
+    return tuple(order[starts + rng.integers(0, counts)].tolist())
+
+
+def _kmeans_sweep(descs: DescriptorSet, counts, seed: int) -> list[tuple]:
+    """The picks of ``sample_kmeans(descs, c, seed)`` for each c in ``counts``.
+
+    One k-means++ seeding, to the largest count, serves every count: each
+    count runs Lloyd's iterations from its prefix of the centers and draws
+    its members from its own copy of the generator, so a count named twice
+    gets the same picks twice.
+    """
+    n = descs.n_structures
+    for count in counts:
+        _check_count(count, n)
+    means = _structure_means(descs)
+    centers, generators = _kmeans_pp_init(means, set(counts), np.random.default_rng(seed))
+    picks = {c: _lloyd_picks(means, centers[:c], rng) for c, rng in generators.items()}
+    return [picks[c] for c in counts]
+
+
+def sample_kmeans(descs: DescriptorSet, count: int, seed: int = 0) -> CompressionResult:
+    """Lloyd's k-means over structure means; one random member per cluster.
+
+    Centers are seeded by k-means++.  Lloyd iterations stop once every
+    center moves less than 1e-6, or after 300 iterations.  Assignment works
+    in row blocks, so memory stays bounded however many structures there
+    are.
+
+    Clusters that end up empty are refilled by splitting the largest
+    cluster at its member farthest from the cluster center, so exactly
+    ``count`` structures come back.
+
+    The seeding is prefix-stable, so ``compare`` seeds once per sweep, to
+    its largest count; each count still gets exactly these picks.
+    """
+    return CompressionResult(selected=_kmeans_sweep(descs, [count], seed)[0])
 
 
 def sample_fps(descs: DescriptorSet, count: int, seed: int = 0) -> CompressionResult:

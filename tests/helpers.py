@@ -228,6 +228,74 @@ def naive_diversity(rows, h):
     return float(np.log(np.exp(dh).sum()))
 
 
+def naive_kmeans(descs, count, seed):
+    """The picks of k-means at one count, as plain loops over structures and clusters.
+
+    k-means++ seeding from the structure means, Lloyd's iterations until no
+    center moves 1e-6 (at most 300), the refill of empty clusters from the
+    largest one's farthest member, and one ``rng.choice`` member per
+    cluster, in cluster order.  Ties go to the lowest index.
+
+    Distances are |p - c|^2 of the difference, where the library expands
+    |p|^2 + |c|^2 - 2 p.c; the two give the same labels except where two
+    centers tie to within rounding.  Repeated means, which make such ties,
+    should be exactly representable (0.5, not 0.1), so that every center
+    they give is exact too.
+    """
+    n = descs.n_structures
+    points = [descs.rows_for(i).mean(axis=0) for i in range(n)]
+    rng = np.random.default_rng(seed)
+
+    def sq(a, b):
+        return float(((a - b) ** 2).sum())
+
+    def nearest(centers):
+        labels = []
+        for p in points:
+            d = [sq(p, c) for c in centers]
+            labels.append(d.index(min(d)))
+        return labels
+
+    def members(labels, c):
+        return [i for i in range(n) if labels[i] == c]
+
+    centers = [points[int(rng.integers(n))]]
+    d2 = np.array([sq(p, centers[0]) for p in points])
+    while len(centers) < count:
+        total = float(d2.sum())
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        centers.append(points[idx])
+        d2 = np.array([min(d, sq(p, points[idx])) for d, p in zip(d2, points)])
+
+    labels = nearest(centers)
+    for _ in range(300):
+        moved = []
+        for c in range(count):
+            kept = members(labels, c)
+            moved.append(np.array([points[i] for i in kept]).mean(axis=0) if kept else centers[c])
+        shift = max(np.sqrt(sq(a, b)) for a, b in zip(moved, centers))
+        centers = moved
+        labels = nearest(centers)
+        if shift < 1e-6:
+            break
+
+    sizes = [labels.count(c) for c in range(count)]
+    while 0 in sizes:
+        empty = sizes.index(0)
+        largest = sizes.index(max(sizes))
+        group = members(labels, largest)
+        far = [sq(points[i], centers[largest]) for i in group]
+        pick = group[far.index(max(far))]
+        labels[pick] = empty
+        centers[empty] = points[pick]
+        sizes[largest] -= 1
+        sizes[empty] += 1
+    return tuple(int(rng.choice(members(labels, c))) for c in range(count))
+
+
 def brute_force_neighbors(structure, center, search_radius, extra_reach=2):
     """All (distance, atom, offset) within search_radius, by direct loops."""
     heights_ok = structure.pbc.any()

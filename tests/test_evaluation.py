@@ -25,6 +25,7 @@ from helpers import (
     count_self_passes,
     count_structure_passes,
     molecule,
+    naive_kmeans,
     synthetic_set,
 )
 from test_samplers import random_fixture, redundant_fixture
@@ -561,6 +562,28 @@ class TestCompareMethods:
             for m in ("random", "kmeans", "fps")
         }
         assert sizes == [(descs.n_environments, len(keys))]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_kmeans_rows_match_the_oracle(self, seed, monkeypatch):
+        from atomcover import evaluation
+
+        rng = np.random.default_rng(50 + seed)
+        descs = random_fixture(rng, n_structures=20)
+        kept = []
+        real = evaluation._kept_figures
+
+        def recording(descs, selection, kernel, delta_h):
+            kept.append(tuple(selection))
+            return real(descs, selection, kernel, delta_h)
+
+        monkeypatch.setattr(evaluation, "_kept_figures", recording)
+        # 0.1 and 0.12 of 20 structures both resolve to a count of 2; 1.0
+        # keeps every structure
+        sweep = compare_methods(
+            descs, [0.1, 0.12, 0.25, 0.5, 1.0], methods=("kmeans",), seed=seed, kernel=KP
+        )
+        assert [r.count for r in sweep.rows] == [2, 2, 5, 10, 20]
+        assert kept == [naive_kmeans(descs, r.count, seed) for r in sweep.rows]
 
     def test_row_structure(self):
         rng = np.random.default_rng(8)

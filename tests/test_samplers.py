@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,13 @@ from atomcover import (
     sample_random,
 )
 from atomcover.samplers import _structure_means
-from helpers import mixed_size_set, naive_delta_entropy, naive_entropy, synthetic_set
+from helpers import (
+    mixed_size_set,
+    naive_delta_entropy,
+    naive_entropy,
+    naive_kmeans,
+    synthetic_set,
+)
 
 H = 0.015
 KP = KernelParams(bandwidth=H)
@@ -188,6 +196,54 @@ class TestKmeans:
         descs = random_fixture(rng)
         runs = {sample_kmeans(descs, 5, seed=11).selected for _ in range(10)}
         assert len(runs) == 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_oracle(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        descs = random_fixture(rng, n_structures=30)
+        for count in (1, 3, 8, 15, 30):
+            assert sample_kmeans(descs, count, seed).selected == naive_kmeans(descs, count, seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeated_means_match_the_oracle(self, seed):
+        # One mean, repeated: every k-means++ draw after the first sees a
+        # zero total distance.  Two means, repeated, at more clusters than
+        # two: identical centers leave clusters empty, which the refill
+        # fills from the largest.  The values are exact, so the oracle's
+        # distances tie where the library's do.
+        one = synthetic_set([np.full((2, 3), 0.5)] * 6)
+        two = synthetic_set([np.full((1 + i % 3, 4), float(i % 2)) for i in range(11)])
+        for descs, count in ((one, 1), (one, 3), (one, 6), (two, 2), (two, 4), (two, 11)):
+            assert sample_kmeans(descs, count, seed).selected == naive_kmeans(descs, count, seed)
+
+    def test_assignment_memory_is_bounded(self, monkeypatch):
+        from atomcover import samplers
+
+        rng = np.random.default_rng(41)
+        descs = synthetic_set([rng.normal(size=(1, 4)) for _ in range(400)])
+        count = 200
+        full_bytes = descs.n_structures * count * 8
+        monkeypatch.setattr(samplers, "_ASSIGN_ELEMENTS", 2048)
+        tracemalloc.start()
+        try:
+            picks = sample_kmeans(descs, count, seed=3).selected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (structures, count) float array would be 640 kB
+        assert peak < full_bytes / 2
+        assert picks == naive_kmeans(descs, count, 3)
+
+    @pytest.mark.parametrize("budget", [1, 64, 200 * 7, 200 * 64])
+    def test_assignment_blocks_give_one_block_labels(self, budget, monkeypatch):
+        from atomcover import samplers
+
+        rng = np.random.default_rng(42)
+        points = rng.normal(size=(500, 9)) * rng.uniform(0.01, 10.0, size=9)
+        centers = points[rng.choice(500, size=200, replace=False)] + 1e-3
+        want = samplers._assign(points, centers)
+        monkeypatch.setattr(samplers, "_ASSIGN_ELEMENTS", budget)
+        assert np.array_equal(samplers._assign(points, centers), want)
 
     def test_center_update_matches_per_cluster_mean(self):
         from atomcover.samplers import _cluster_means
