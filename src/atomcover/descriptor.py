@@ -10,8 +10,10 @@ primitive cell repeated.
 
 :func:`build_descriptor_set` searches and describes structures of few
 atom-point pairs in batches of one atom count and image reach, where
-per-structure overhead would dominate, and every other structure on its
-own with a k-d tree.  A row's bits do not depend on the route it took.
+per-structure overhead would dominate, without a tree.  Every other
+structure gets its own k-d tree, but is grouped the same way, so that its
+neighbors are ranked and its rows described together with its group's.
+A row's bits do not depend on the route it took.
 
 Units: entries are in inverse angstrom.
 """
@@ -26,7 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError
-from .geometry import NeighborSet, _batched_neighbors, _image_reaches, nearest_neighbors
+from .geometry import NeighborSet, _batched_neighbors, _image_reaches, _tree_neighbors
+
+# Unused here, but bound: the benchmark's tracer (benchmarks/spans.py) wraps
+# every binding of nearest_neighbors, and its tests expect this one.
+from .geometry import nearest_neighbors  # noqa: F401
 
 __all__ = [
     "DescriptorParams",
@@ -45,6 +51,11 @@ _CHUNK_ROWS = 128
 #: within 256 kB.  A structure of n atoms and P layout points batches when
 #: two of it fit, 2 n P <= _BATCH_PAIRS; past that the tree is as fast.
 _BATCH_PAIRS = 2**15
+#: Most rows, and layout points, in one group of the k-d tree route: the
+#: group ranks and describes its rows at once, and holds every layout and
+#: tree at once.  A structure of more atoms or points goes alone.
+_TREE_ROWS = 256
+_TREE_POINTS = 2**16
 #: Largest accepted neighbor count, 32 times the default.
 _MAX_NEIGHBORS = 1024
 
@@ -243,7 +254,8 @@ def _x2_rows(pos, distances, first_atom, params, dist, terms) -> np.ndarray:
             terms *= terms
             dist += terms
         np.sqrt(dist, out=dist)
-        np.multiply(w[:, :, None], w[:, None, :], out=terms)
+        # One multiply per element, as np.multiply broadcasts it, but faster.
+        np.einsum("ij,ik->ijk", w, w, out=terms)
         np.sqrt(terms, out=terms)
         terms /= dist
     diag = np.arange(v)
@@ -272,7 +284,7 @@ def build_descriptor_set(structures, params: DescriptorParams) -> DescriptorSet:
         return _build(structures, params)
     except DegenerateGeometryError as exc:
         error = exc
-    # Batches do not run in sequence order, and a batch's error names its
+    # Groups do not run in sequence order, and a group's error names its
     # row, so the structures go through one at a time until one fails.
     for si, structure in enumerate(structures):
         try:
@@ -285,18 +297,21 @@ def build_descriptor_set(structures, params: DescriptorParams) -> DescriptorSet:
 def _build(structures, params: DescriptorParams) -> DescriptorSet:
     """:func:`build_descriptor_set` over a sequence of structures.
 
-    A structure whose n atoms and P search layout points make at most
-    ``_BATCH_PAIRS // 2`` pairs is searched and described with others of
-    its atom count and image reach, ``_BATCH_PAIRS // (n * P)`` to a batch
-    (:func:`_batched_neighbors`).  Every other structure takes
-    :func:`nearest_neighbors`' k-d tree on its own.  Rows are the same bits
-    either way.
+    Structures are grouped by atom count n and image reach, so a group's
+    search layouts share one size P.  Where n and P make at most
+    ``_BATCH_PAIRS // 2`` pairs, ``_BATCH_PAIRS // (n * P)`` structures are
+    searched at once without a tree (:func:`_batched_neighbors`); otherwise
+    each structure gets its own k-d tree, in groups of at most
+    ``_TREE_ROWS`` rows and ``_TREE_POINTS`` layout points, or of one
+    structure (:func:`_tree_neighbors`).  Either way the group's
+    candidates are ranked, and its rows described, in one call each.  Rows
+    are the same bits either way.
     """
     k, cutoff = params.n_neighbors, params.cutoff
     lengths = np.array([len(s) for s in structures], dtype=int)
     starts = np.cumsum(lengths) - lengths
     reaches = _image_reaches(structures, cutoff, k)
-    pairs = lengths * lengths * np.prod(2 * reaches + 1, axis=1)
+    points = lengths * np.prod(2 * reaches + 1, axis=1)
     values = np.empty((int(lengths.sum()), params.width))
 
     def describe(indices, nbrs):
@@ -304,17 +319,18 @@ def _build(structures, params: DescriptorParams) -> DescriptorSet:
         values[rows, :k] = compute_x1(nbrs, params)
         values[rows, k:] = compute_x2(nbrs, params)
 
-    small = 2 * pairs <= _BATCH_PAIRS
-    for si in np.flatnonzero(~small):
-        describe([si], nearest_neighbors(structures[si], k, search_radius=cutoff))
     groups = {}
-    for si in np.flatnonzero(small):
+    for si in range(len(structures)):
         groups.setdefault((lengths[si], *reaches[si]), []).append(si)
     for (n, *reach), indices in groups.items():
-        size = _BATCH_PAIRS // pairs[indices[0]]
+        p = points[indices[0]]
+        if 2 * n * p <= _BATCH_PAIRS:
+            search, size = _batched_neighbors, _BATCH_PAIRS // (n * p)
+        else:
+            search, size = _tree_neighbors, max(1, min(_TREE_ROWS // n, _TREE_POINTS // p))
         for c0 in range(0, len(indices), size):
             batch = indices[c0 : c0 + size]
-            describe(batch, _batched_neighbors([structures[i] for i in batch], tuple(reach), k))
+            describe(batch, search([structures[i] for i in batch], tuple(reach), k))
     return DescriptorSet(values=values, offsets=np.stack([starts, lengths], axis=1), params=params)
 
 

@@ -245,8 +245,7 @@ def write_extxyz(structures, path, selection=None) -> None:
                 parts.append(key if raw is None else f"{key}={raw}")
             fh.write(f"{len(s)}\n")
             fh.write(" ".join(parts) + "\n")
-            for a in range(len(s)):
-                row = [s.species[a]] + [_fmt(v) for v in s.positions[a]]
-                if s.forces is not None:
-                    row += [_fmt(v) for v in s.forces[a]]
-                fh.write(" ".join(row) + "\n")
+            values = s.positions if s.forces is None else np.hstack([s.positions, s.forces])
+            # One format per row; "%.17g" of a float is _fmt's text.
+            row = "%s" + " %.17g" * values.shape[1] + "\n"
+            fh.write("".join(row % (sym, *v) for sym, v in zip(s.species, values.tolist())))

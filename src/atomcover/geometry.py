@@ -15,16 +15,18 @@ are wrong for cells smaller than the search radius, which occur routinely
 in the datasets this package targets.  All atoms of a structure are
 searched in one batch.
 
-Two searches find the candidates, and one ranking step turns them into
-neighbors.  :func:`nearest_neighbors` builds one k-d tree per structure;
+Two searches find the candidates of a group of structures of one atom
+count and image reach, and one ranking step turns them into the group's
+neighbors.  :func:`_tree_neighbors` builds one k-d tree per structure;
 scipy is imported there, on the first tree search, not when this module
-loads.  :func:`_batched_neighbors` stacks the layouts of several
-structures of one atom count and image reach and computes every distance,
-which costs less than a tree where the layouts are small.  Layouts are
-computed over stacked cells, with the same bits per cell as alone.  Both
-searches widen their candidates in one loop until every point tied with
-the k-th neighbor is one; the ranking recomputes each distance with one
-formula and sorts by (distance, atom, point), so both give the same bits.
+loads.  :func:`nearest_neighbors` is its one-structure case.
+:func:`_batched_neighbors` stacks the layouts and computes every
+distance, which costs less than a tree where the layouts are small.
+Layouts are computed over stacked cells, with the same bits per cell as
+alone.  Both searches widen their candidates in one loop until every point
+tied with the k-th neighbor is one; the ranking recomputes each distance
+with one formula and sorts by (distance, atom, point), so both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -267,15 +269,23 @@ def _own_points(n_points: int, n: int) -> np.ndarray:
     return n_points // n // 2 * n + np.arange(n)
 
 
-def _ranked(points: np.ndarray, own: np.ndarray, cand: np.ndarray, n: int, k: int) -> NeighborSet:
-    """The neighbors of the atoms at rows ``own`` of ``points``, from ``cand`` (rows, m).
+def _ranked(points: np.ndarray, cand: np.ndarray, k: int) -> NeighborSet:
+    """The neighbors of the atoms of each layout in ``points`` (B, P, 3), from
+    ``cand`` (B, n, m), the candidates of each atom as indices into its layout.
 
-    ``points`` holds one or more layouts of :func:`_image_points`, each of a
-    multiple of ``n`` points, one after another, and ``cand`` indexes into
-    it.  Each row's candidates must include every point tied with its k-th
+    Each layout is one of :func:`_image_points`, of a multiple of the n atoms.
+    Each atom's candidates must include every point tied with its k-th
     neighbor.  Each distance is recomputed with one formula, whatever search
-    found the candidate.
+    found the candidate.  The rows of the result are those of each layout in
+    turn.
     """
+    b, p, _ = points.shape
+    n = cand.shape[1]
+    # One flat layout: structure i's points start at i * p, a multiple of n.
+    base = np.arange(b)[:, None] * p
+    own = (base + _own_points(p, n)).ravel()
+    cand = (cand + base[:, :, None]).reshape(b * n, -1)
+    points = points.reshape(-1, 3)
     diff = points[cand] - points[own][:, None, :]
     dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
     # Same bits as np.linalg.norm(diff, axis=-1), without its reduction overhead.
@@ -284,7 +294,15 @@ def _ranked(points: np.ndarray, own: np.ndarray, cand: np.ndarray, n: int, k: in
     # atom the point index runs in image order.  The self-image gets a key
     # below every distance, so it sorts first and is dropped.
     key = np.where(cand == own[:, None], -1.0, dists)
-    order = np.lexsort((cand, cand % n, key), axis=1)
+    # Where a row's k + 2 smallest keys are distinct, any sort by key alone
+    # puts them in that order, and only they are kept; rows with an exact
+    # repeat among them are sorted again by all three keys.
+    order = np.argsort(key, axis=1)
+    top = np.take_along_axis(key, order[:, : k + 2], axis=1)
+    tied = np.flatnonzero((top[:, 1:] == top[:, :-1]).any(axis=1))
+    if tied.size:
+        c = cand[tied]
+        order[tied] = np.lexsort((c, c % n, key[tied]), axis=1)
     order = order[:, 1 : k + 1]
     chosen = np.take_along_axis(cand, order, axis=1)
     return NeighborSet(
@@ -301,32 +319,54 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     atom are valid neighbors.  Neighbors are sorted by distance, with
     exact ties broken by (atom index, image offset lexicographic) so the
     ordering is deterministic.  The images of :func:`_image_reaches` are
-    searched, once, with a k-d tree.  Within ``search_radius`` the neighbors
-    are the nearest points of the infinite crystal; past it, where the
-    descriptor's cutoff weight is 0, they are the nearest remaining points
-    of the layout.  A periodic structure's rows hold exactly ``k``
-    neighbors; an aperiodic structure with fewer than ``k`` other atoms
-    holds all of them.
+    searched, once, with a k-d tree (:func:`_tree_neighbors`).  Within
+    ``search_radius`` the neighbors are the nearest points of the infinite
+    crystal; past it, where the descriptor's cutoff weight is 0, they are
+    the nearest remaining points of the layout.  A periodic structure's rows
+    hold exactly ``k`` neighbors; an aperiodic structure with fewer than
+    ``k`` other atoms holds all of them.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    n = len(structure)
     reach = tuple(_image_reaches([structure], search_radius, k)[0])
-    points = _image_points([structure], reach)[0]
-    own = _own_points(len(points), n)
+    return _tree_neighbors([structure], reach, k)
+
+
+def _tree_neighbors(structures, reach, k: int) -> NeighborSet:
+    """:func:`nearest_neighbors` of several structures, each searched with
+    its own k-d tree and all ranked together.
+
+    The structures must share one atom count n and one ``reach`` of
+    :func:`_image_reaches`, so their layouts share one size P.  The rows of
+    the result are those of each structure in turn.  Where the structures'
+    candidate counts differ, each with fewer is queried again at the
+    largest: more candidates rank to the same neighbors.
+    """
+    points = _image_points(structures, reach)
+    p, n = points.shape[1], len(structures[0])
+    own = _own_points(p, n)
     # scipy takes longer to import than most commands take to run, and only
-    # this search needs it.  Query results do not depend on the tree's shape,
-    # and skipping the balancing halves the build time on replicated cells.
+    # this search needs it.  The tie loop decides the candidates, so no
+    # result depends on the tree's shape: skipping the balancing halves the
+    # build time on replicated cells, and 32-point leaves query faster.
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+    searches = []
+    for layout in points:
+        tree = cKDTree(layout, leafsize=32, balanced_tree=False, compact_nodes=False)
+        centers = layout[own]
 
-    def nearest(m):
-        dists, cand = tree.query(points[own], k=m)
-        return dists[:, [k, m - 1]], cand
+        def nearest(m, tree=tree, centers=centers):
+            dists, cand = tree.query(centers, k=m)
+            return dists[:, [k, m - 1]], cand
 
-    cand = _tie_closed(nearest, len(points), k, k + 2, (n,))
-    return _ranked(points, own, cand, n, k)
+        searches.append((tree, centers, _tie_closed(nearest, p, k, k + 2, (n,))))
+    m = max(cand.shape[1] for _, _, cand in searches)
+    cands = [
+        cand if cand.shape[1] == m else tree.query(centers, k=m)[1]
+        for tree, centers, cand in searches
+    ]
+    return _ranked(points, np.stack(cands), k)
 
 
 def _batched_neighbors(structures, reach, k: int) -> NeighborSet:
@@ -363,8 +403,4 @@ def _batched_neighbors(structures, reach, k: int) -> NeighborSet:
         near = np.argpartition(dists, (k, m - 1), axis=2)[:, :, :m]
         return np.take_along_axis(dists, near[:, :, [k, m - 1]], axis=2), near
 
-    cand = _tie_closed(nearest, p, k, first, (b, n))
-    # One flat layout: structure i's points start at i * p, a multiple of n.
-    base = np.arange(b)[:, None] * p
-    own, cand = (base + own).ravel(), (cand + base[:, :, None]).reshape(b * n, -1)
-    return _ranked(points.reshape(-1, 3), own, cand, n, k)
+    return _ranked(points, _tie_closed(nearest, p, k, first, (b, n)), k)

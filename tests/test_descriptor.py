@@ -353,23 +353,21 @@ def random_cluster(rng, n, side=5):
 
 class TestBatchedPath:
     """Small structures are searched and described in batches; every other
-    structure takes its own k-d tree.  Rows must be the tree's, bit for bit."""
+    structure takes its own k-d tree, in groups.  Rows must be those of one
+    tree search per structure, bit for bit."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        calls = {"batches": [], "trees": 0}
-        batched, tree = descriptor._batched_neighbors, descriptor.nearest_neighbors
+        # structures per call of each route
+        calls = {"batches": [], "trees": []}
+        for name, route in (("batches", "_batched_neighbors"), ("trees", "_tree_neighbors")):
+            search = getattr(descriptor, route)
 
-        def batch_spy(structures, reach, k):
-            calls["batches"].append(len(structures))
-            return batched(structures, reach, k)
+            def spy(structures, reach, k, search=search, sizes=calls[name]):
+                sizes.append(len(structures))
+                return search(structures, reach, k)
 
-        def tree_spy(*args, **kwargs):
-            calls["trees"] += 1
-            return tree(*args, **kwargs)
-
-        monkeypatch.setattr(descriptor, "_batched_neighbors", batch_spy)
-        monkeypatch.setattr(descriptor, "nearest_neighbors", tree_spy)
+            monkeypatch.setattr(descriptor, route, spy)
         return calls
 
     @staticmethod
@@ -392,7 +390,8 @@ class TestBatchedPath:
         rng.shuffle(structures)
         self.assert_tree_rows(structures, DescriptorParams(k, cutoff))
         # both sides of the routing crossover ran
-        assert routes["trees"] >= 2 and sum(routes["batches"]) + routes["trees"] == len(structures)
+        trees = sum(routes["trees"])
+        assert trees >= 2 and sum(routes["batches"]) + trees == len(structures)
 
     @pytest.mark.parametrize("k, cutoff", [(8, 4.0), (32, 5.0)])
     def test_large_clusters_and_slabs_batch(self, routes, k, cutoff):
@@ -407,11 +406,11 @@ class TestBatchedPath:
                 structures.append(crystal(cell, rng.random((n, 3)) @ cell, pbc=pbc))
         assert geometry._image_reaches(structures[6:], cutoff, k).max() == 1
         self.assert_tree_rows(structures, DescriptorParams(k, cutoff))
-        assert routes["trees"] == 0
+        assert routes["trees"] == []
         assert sorted(routes["batches"]) == [1] * 10 + [2]
         # one more atom than fits takes the tree
         self.assert_tree_rows([random_cluster(rng, 129, side=6)], DescriptorParams(k, cutoff))
-        assert routes["trees"] == 1
+        assert routes["trees"] == [1]
 
     @pytest.mark.parametrize("spare", [None, 0])
     def test_lattice_ties_widen_the_candidates(self, monkeypatch, routes, spare):
@@ -434,7 +433,7 @@ class TestBatchedPath:
             s = crystal(cell, np.array(grid, dtype=float), pbc=pbc)
             for k in (2, 6, 8, 10, 20, 32):
                 self.assert_tree_rows([s, s, s], DescriptorParams(k, radius))
-        assert routes["trees"] == 0
+        assert routes["trees"] == []
         # the first count falls short on some batches, and on every batch
         # without a spare candidate
         assert any(len(c) > 1 for c in counts)
@@ -454,7 +453,7 @@ class TestBatchedPath:
                 structures.append(random_cluster(rng, 40))
         monkeypatch.setattr(descriptor, "_BATCH_PAIRS", 729)
         self.assert_tree_rows(structures, params)
-        assert routes["trees"] == 4  # 2 * 40**2 pairs > 729
+        assert routes["trees"] == [4]  # 2 * 40**2 pairs > 729, one group
         # 40 cells of 3 * 81 pairs, 3 a batch; 20 clusters of 9 atoms (81
         # pairs), 9 a batch; 20 clusters of 10 (100 pairs), 7 a batch
         assert sorted(routes["batches"]) == sorted([3] * 13 + [1] + [9, 9, 2] + [7, 7, 6])
@@ -467,7 +466,20 @@ class TestBatchedPath:
         assert geometry._image_reaches([tiny], 5.0, 32).tolist() == [[17, 17, 17]]
         assert 35**3 > descriptor._BATCH_PAIRS // 2
         self.assert_tree_rows([tiny, small, tiny], DescriptorParams(32, 5.0))
-        assert routes == {"batches": [1], "trees": 2}
+        # 2 * 35**3 points are more than one tree group holds
+        assert 2 * 35**3 > descriptor._TREE_POINTS
+        assert routes == {"batches": [1], "trees": [1, 1]}
+
+    def test_tree_groups_hold_at_most_256_rows(self, routes):
+        # 40-atom cells of 27 images: 256 // 40 = 6 cells to a group, with
+        # 6 * 1,080 points, far fewer than _TREE_POINTS
+        rng = np.random.default_rng(55)
+        structures = [random_cell(rng, 40, 7.0) for _ in range(8)]
+        structures += [random_cluster(rng, 129, side=6) for _ in range(2)]
+        rng.shuffle(structures)
+        assert geometry._image_reaches(structures, 4.0, 8).max() == 1
+        self.assert_tree_rows(structures, DescriptorParams(8, 4.0))
+        assert routes["batches"] == [] and sorted(routes["trees"]) == [1, 1, 2, 6]
 
     def test_coincident_pair_in_a_batch_names_structure_and_atom(self, routes):
         rng = np.random.default_rng(52)

@@ -107,6 +107,27 @@ def laid_out(structure, radius, k=32):
     return geometry._image_points([structure], reach)[0]
 
 
+def assert_brute_force_order(s, nbrs, radius):
+    """Each row of ``nbrs``, the neighbors of ``s`` in a diagonal cell, lists
+    (distance, atom, image offset) as brute force sorts them, where brute
+    force finds as many within ``radius``."""
+    frac = s.positions @ np.linalg.inv(s.cell)
+    frac -= np.floor(frac) * s.pbc
+    wrapped = frac @ s.cell
+    k = nbrs.distances.shape[1]
+    for i in range(len(s)):
+        want = brute_force_neighbors(s, i, radius)[:k]
+        if len(want) < k:
+            continue  # brute force lists only points within the radius
+        got = []
+        for slot in range(k):
+            atom = int(nbrs.indices[i, slot])
+            shift = nbrs.neighbor_positions[i, slot] - wrapped[atom]
+            offset = tuple(int(o) for o in np.rint(shift / np.diag(s.cell)))
+            got.append((nbrs.distances[i, slot], atom, offset))
+        assert got == want
+
+
 class TestReplication:
     def test_aperiodic_is_identity(self):
         s = molecule([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
@@ -261,22 +282,8 @@ class TestNearestNeighbors:
     def test_lattice_ties_follow_brute_force_order(self, cell, grid, pbc, radius):
         # dyadic coordinates keep the ties exact
         s = crystal(cell, np.array(grid, dtype=float), pbc=pbc)
-        frac = s.positions @ np.linalg.inv(s.cell)
-        frac -= np.floor(frac) * s.pbc
-        wrapped = frac @ s.cell
         for k in (6, 10, 20):
-            nbrs = nearest_neighbors(s, k, search_radius=radius)
-            for i in range(len(s)):
-                want = brute_force_neighbors(s, i, radius)[:k]
-                if len(want) < k:
-                    continue  # brute force lists only points within the radius
-                got = []
-                for slot in range(nbrs.distances.shape[1]):
-                    atom = int(nbrs.indices[i, slot])
-                    shift = nbrs.neighbor_positions[i, slot] - wrapped[atom]
-                    offset = tuple(int(o) for o in np.rint(shift / np.diag(s.cell)))
-                    got.append((nbrs.distances[i, slot], atom, offset))
-                assert got == want
+            assert_brute_force_order(s, nearest_neighbors(s, k, search_radius=radius), radius)
 
     def test_image_limit_counts_the_laid_out_images(self):
         import tracemalloc
@@ -380,3 +387,174 @@ class TestFullReachEquivalence:
         s = crystal(cell, np.array(grid, dtype=float), pbc=pbc)
         for k in (2, 6, 8, 10, 20, 32, 60):
             self.assert_same_within_radius(tree_sizes, s, k, radius)
+
+
+def lexsorted_neighbors(points, cand, k):
+    """``geometry._ranked`` by one three-key sort of every row: (distance,
+    atom, point), the self-image first and dropped."""
+    b, p, _ = points.shape
+    n = cand.shape[1]
+    base = np.arange(b)[:, None] * p
+    own = (base + geometry._own_points(p, n)).ravel()
+    cand = (cand + base[:, :, None]).reshape(b * n, -1)
+    points = points.reshape(-1, 3)
+    dists = np.linalg.norm(points[cand] - points[own][:, None, :], axis=-1)
+    key = np.where(cand == own[:, None], -1.0, dists)
+    order = np.lexsort((cand, cand % n, key), axis=1)[:, 1 : k + 1]
+    chosen = np.take_along_axis(cand, order, axis=1)
+    return np.take_along_axis(dists, order, axis=1), points[chosen], chosen % n
+
+
+class TestRanking:
+    """``_ranked`` sorts each row by distance alone, and again by (distance,
+    atom, point) only where a distance it keeps or the one after repeats
+    exactly.  Every row must come out in the three-key order."""
+
+    K = 6
+    # 4 atoms on integer sites in 27 images 2 apart: exact, repeated distances
+    SITES = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1]])
+
+    @classmethod
+    def layout(cls, shift):
+        offsets = np.array(list(itertools.product((-2, 0, 2), repeat=3)))
+        return ((cls.SITES + shift)[None, :, :] + offsets[:, None, :]).reshape(-1, 3).astype(float)
+
+    @classmethod
+    def row(cls, rng, points, own, tied_ranks):
+        """Candidates of the atom at ``own``: one point at each of 11
+        distinct distances, but two at the distance of each rank (counted
+        from 1 past the self-image) in ``tied_ranks``, and ``own`` itself,
+        shuffled."""
+        d2 = ((points - points[own]) ** 2).sum(axis=1)
+        values = np.unique(d2[d2 > 0])
+        picks, rank = [], 1
+        for value in values:
+            same = rng.permutation(np.flatnonzero(d2 == value))
+            take = 2 if rank in tied_ranks and len(same) >= 2 else 1
+            picks += same[:take].tolist()
+            rank += take
+            if len(picks) >= 11:
+                break
+        assert len(picks) == 11 and rank == 12  # every requested tie was made
+        return rng.permutation(picks + [own])
+
+    def test_order_matches_three_key_sort(self):
+        rng = np.random.default_rng(90)
+        k = self.K
+        points = np.stack([self.layout(0), self.layout([0, 0, 1])])  # two layouts
+        p, n = points.shape[1], len(self.SITES)
+        own = geometry._own_points(p, n)
+        ties = [
+            (),  # no ties
+            (2,),  # two points at ranks 2 and 3, inside the first k
+            (k,),  # ranks k and k + 1: the tie crosses the cut
+            (k + 1,),  # ranks k + 1 and k + 2: past the cut, no re-sort needed
+        ]
+        cand = np.array([[self.row(rng, points[b], own[i], ties[i]) for i in range(n)]
+                         for b in range(2)])
+        # the self-image in the last column of one row, the first of another
+        last = cand[0, 0].tolist().index(own[0])
+        cand[0, 0, [last, -1]] = cand[0, 0, [-1, last]]
+        first = cand[1, 3].tolist().index(own[3])
+        cand[1, 3, [first, 0]] = cand[1, 3, [0, first]]
+        got = geometry._ranked(points, cand, k)
+        distances, positions, indices = lexsorted_neighbors(points, cand, k)
+        assert got.distances.tobytes() == distances.tobytes()
+        assert got.neighbor_positions.tobytes() == positions.tobytes()
+        assert np.array_equal(got.indices, indices)
+        # the rows hold the ties asked for, exactly: rank r sorts to column r
+        ranks = np.sort(np.linalg.norm(points[0, cand[0]] - points[0, own, None], axis=-1))
+        assert np.all(np.diff(ranks[0, : k + 2]) > 0)
+        assert ranks[1, 2] == ranks[1, 3] and ranks[2, k] == ranks[2, k + 1]
+        assert ranks[3, k + 1] == ranks[3, k + 2]
+
+    def test_random_rows_with_many_ties(self):
+        # random candidate subsets of an integer grid: most rows hold ties
+        rng = np.random.default_rng(91)
+        points = self.layout(0)[None]
+        p, n = points.shape[1], len(self.SITES)
+        own = geometry._own_points(p, n)
+        for k, m in ((1, 3), (6, 8), (6, 30), (20, p)):
+            others = [rng.permutation(np.setdiff1d(np.arange(p), [o]))[: m - 1] for o in own]
+            cand = np.array([rng.permutation(np.append(c, o)) for c, o in zip(others, own)])[None]
+            got = geometry._ranked(points, cand, k)
+            distances, positions, indices = lexsorted_neighbors(points, cand, k)
+            assert got.distances.tobytes() == distances.tobytes()
+            assert got.neighbor_positions.tobytes() == positions.tobytes()
+            assert np.array_equal(got.indices, indices)
+
+
+class TestGroupedTreeRoute:
+    """Structures of one atom count and image reach share one
+    ``_tree_neighbors`` call: one tree each, one ranking for the group.  On
+    exact-tie lattices its rows must follow brute force and equal one tree
+    search per structure, also where the group's structures widen their
+    candidates to different counts."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        # candidates per atom that each tree search settles on
+        found, tie_closed = [], geometry._tie_closed
+
+        def spy(nearest, n_points, k, m, rows):
+            cand = tie_closed(nearest, n_points, k, m, rows)
+            found.append(cand.shape[-1])
+            return cand
+
+        monkeypatch.setattr(geometry, "_tie_closed", spy)
+        return found
+
+    @staticmethod
+    def group(cell, grid, pbc):
+        """The lattice, a jittered copy of it without ties, and the lattice again."""
+        grid = np.array(grid, dtype=float)
+        jitter = np.random.default_rng(92).uniform(-0.05, 0.05, size=grid.shape)
+        s = crystal(cell, grid, pbc=pbc)
+        return [s, crystal(cell, grid + jitter, pbc=pbc), s]
+
+    @pytest.mark.parametrize("cell, grid, pbc, radius", LATTICE_TIES, ids=LATTICE_TIE_IDS)
+    def test_lattice_ties_follow_brute_force_order(self, widths, cell, grid, pbc, radius):
+        structures = self.group(cell, grid, pbc)
+        n = len(grid)
+        reach = tuple(geometry._image_reaches(structures, radius, 1)[0])
+        spread = []
+        for k in (2, 6, 8, 10, 20, 32):
+            assert geometry._image_reaches(structures, radius, k).tolist() == [list(reach)] * 3
+            widths.clear()
+            nbrs = geometry._tree_neighbors(structures, reach, k)
+            spread.append(len(set(widths)) > 1)
+            for j, s in enumerate(structures):
+                rows = slice(j * n, (j + 1) * n)
+                part = NeighborSet(nbrs.distances[rows], nbrs.neighbor_positions[rows],
+                                   nbrs.indices[rows])
+                alone = nearest_neighbors(s, k, radius)
+                for got, want in zip(vars(part).values(), vars(alone).values()):
+                    assert got.tobytes() == want.tobytes()
+                if j != 1:  # the jittered copy's distances are not brute force's bits
+                    assert_brute_force_order(s, part, radius)
+        # some groups widened their candidates to different counts
+        assert any(spread)
+
+    @pytest.mark.parametrize("cell, grid, pbc, radius", LATTICE_TIES, ids=LATTICE_TIE_IDS)
+    def test_every_structure_takes_the_tree(self, monkeypatch, widths, cell, grid, pbc, radius):
+        from atomcover import descriptor
+        from test_descriptor import tree_rows
+
+        monkeypatch.setattr(descriptor, "_BATCH_PAIRS", 0)
+        groups, tree = [], descriptor._tree_neighbors
+
+        def spy(structures, reach, k):
+            groups.append(len(structures))
+            return tree(structures, reach, k)
+
+        monkeypatch.setattr(descriptor, "_tree_neighbors", spy)
+        structures = self.group(cell, grid, pbc)
+        spread = []
+        for k in (2, 6, 8, 10, 20, 32):
+            params = DescriptorParams(k, radius)
+            widths.clear()
+            got = build_descriptor_set(tuple(structures), params)
+            spread.append(len(set(widths)) > 1)
+            assert got.values.tobytes() == tree_rows(structures, params).tobytes()
+        assert groups == [3] * 6
+        assert any(spread)

@@ -126,6 +126,41 @@ class TestRoundTrip:
                 if s.forces is not None:
                     assert np.array_equal(numbers[3:6], s.forces[a])
 
+    @pytest.mark.parametrize("forces", [True, False])
+    def test_atom_rows_format_each_value_alone(self, tmp_path, forces):
+        # the writer formats a row at once; each value must be written as
+        # f"{v:.17g}" writes it alone, "-0" and subnormals included
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -42.0, 1e16, 0.1, 1 / 3]
+        rng = np.random.default_rng(78)
+        values = np.array(special + list(rng.normal(scale=10.0, size=13)))
+        positions = values[:12].reshape(4, 3)
+        s = crystal(
+            np.eye(3) * 4.0,
+            positions,
+            species=("Cu", "O", "H", "Xx"),
+            forces=values[12:].reshape(4, 3) if forces else None,
+        )
+        s.info["config_type"] = "mix"
+        s.info["flagged"] = None
+        path = tmp_path / "rows.xyz"
+        write_extxyz(dataset(s, s), path)
+        lines = path.read_text().splitlines()
+        props = ":forces:R:3" if forces else ""
+        header = (
+            'Lattice="4 0 0 0 4 0 0 0 4" '
+            f'Properties=species:S:1:pos:R:3{props} pbc="T T T" config_type=mix flagged'
+        )
+        rows = [
+            " ".join([sym] + [f"{v:.17g}" for v in np.concatenate(
+                [s.positions[a]] + ([s.forces[a]] if forces else [])
+            )])
+            for a, sym in enumerate(s.species)
+        ]
+        assert lines == (["4", header] + rows) * 2
+        assert "-0 0 4.9406564584124654e-324" in lines[2]
+        back = read_extxyz(path)[0]
+        assert back.positions.tobytes() == s.positions.tobytes()
+
 
 class TestReadFeatures:
     def test_pbc_defaults_true_with_lattice(self, tmp_path):
