@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 unreadable/malformed input, 3 invalid flags,
 4 degenerate geometry (coincident atoms, singular cells, cells too small
-to lay out).
+to lay out), 5 out of memory, 130 interrupted (Ctrl-C, the shell's code
+for SIGINT).  Each failure prints one line to stderr, never a traceback.
 
 Heavy imports happen inside the command functions so that --threads can
 pin the BLAS/OpenMP pool sizes before numpy is loaded.  The thread count
@@ -29,6 +30,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_FLAGS = 3
 EXIT_GEOMETRY = 4
+EXIT_MEMORY = 5
+EXIT_INTERRUPT = 130
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -350,6 +353,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"atomcover: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"atomcover: out of memory{detail}", file=sys.stderr)
+        return EXIT_MEMORY
+    except KeyboardInterrupt:
+        print("atomcover: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
 
 
 if __name__ == "__main__":

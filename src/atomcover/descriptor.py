@@ -351,8 +351,10 @@ def save_descriptor_set(descs: DescriptorSet, path) -> None:
     """
     if descs.params is None:
         raise InputError("cannot cache a descriptor set without params")
-    offsets = np.ascontiguousarray(descs.offsets, dtype="<i8").tobytes()
-    values = np.ascontiguousarray(descs.values, dtype="<f8").tobytes()
+    # Written and checksummed through their buffers: a C-contiguous array of
+    # the file's dtype is not copied.
+    offsets = np.ascontiguousarray(descs.offsets, dtype="<i8")
+    values = np.ascontiguousarray(descs.values, dtype="<f8")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:

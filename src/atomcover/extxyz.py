@@ -6,10 +6,17 @@ row-major, one lattice vector per row; ``Properties`` declares the
 per-atom columns.  Unrecognized comment keys are kept as raw strings on
 ``Structure.info`` and written back untouched.  Floats are emitted with
 17 significant digits so a write/read cycle reproduces values exactly.
+
+A frame's atom rows are read column by column: each row is split once, the
+rows' widths are checked together, and species, pos and forces each come
+from strided slices of the frame's tokens.  Only a frame that fails those
+checks is walked row by row, so a ParseError still names the first failing
+row, with the message a row-by-row read gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -134,13 +141,57 @@ def _column_layout(columns, lineno: int):
     return starts["species"][0], numeric, width
 
 
+def _atom_rows(body, first_line: int, width: int, species_at: int, numeric):
+    """Species and the (n, 3) pos and forces arrays of one frame's atom rows.
+
+    ``body`` holds the frame's n rows, the first on line ``first_line``.
+    Each row is split once, and the rows are read column by column from the
+    frame's flattened tokens: species is one strided slice, and each numeric
+    column one ``map(float, ...)`` over its three strided slices, zipped back
+    into row order.  Only a frame with a row of the wrong width or a bad
+    number walks its rows one by one, each checking its width and then pos
+    and forces in column order, so the first failing row's ParseError is
+    raised, as a row-by-row read raises it.
+    """
+    fields = [line.split() for line in body]
+    if set(map(len, fields)) == {width}:
+        tokens = list(itertools.chain.from_iterable(fields))
+        try:
+            arrays = {
+                key: np.fromiter(
+                    map(float, itertools.chain.from_iterable(zip(
+                        tokens[start::width], tokens[start + 1 :: width], tokens[start + 2 :: width]
+                    ))),
+                    float,
+                    3 * len(fields),
+                ).reshape(-1, 3)
+                for start, _, key in numeric
+            }
+        except ValueError:
+            pass
+        else:
+            return tokens[species_at::width], arrays
+    for lineno, row in enumerate(fields, first_line):
+        if len(row) != width:
+            raise ParseError(f"expected {width} columns, got {len(row)}", line=lineno)
+        for start, name, _ in numeric:
+            try:
+                [float(f) for f in row[start : start + 3]]
+            except ValueError:
+                raise ParseError(f"bad numeric value in column {name!r}", line=lineno) from None
+    raise AssertionError("a frame that fails its checks has a failing row")
+
+
 def read_extxyz(path) -> tuple[Structure, ...]:
     """Parse every frame of an extended-XYZ file into a tuple of Structures,
     in file order.
 
     Files without a Properties key fall back to plain xyz columns
     (species then x y z).  ``forces`` and ``force`` columns both map to
-    Structure.forces.  Malformed input raises ParseError naming the line.
+    Structure.forces.  Each frame's atom rows are read column by column
+    (see :func:`_atom_rows`).  Malformed input raises ParseError naming the
+    line: in atom rows, the first row that has the wrong width or a bad pos
+    or forces value, with its columns checked in order.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -176,23 +227,9 @@ def read_extxyz(path) -> tuple[Structure, ...]:
                 line=len(lines) + 1,
             )
 
-        species = []
-        rows = {"pos": [], "forces": []}
-        for row in range(lineno + 2, lineno + 2 + natoms):
-            fields = lines[row].split()
-            if len(fields) != width:
-                raise ParseError(
-                    f"expected {width} columns, got {len(fields)}", line=row + 1
-                )
-            species.append(fields[species_at])
-            for start, name, key in numeric:
-                try:
-                    rows[key].append([float(f) for f in fields[start : start + 3]])
-                except ValueError:
-                    raise ParseError(
-                        f"bad numeric value in column {name!r}", line=row + 1
-                    ) from None
-
+        species, arrays = _atom_rows(
+            lines[lineno + 2 : lineno + 2 + natoms], lineno + 3, width, species_at, numeric
+        )
         if cell is None:
             cell = np.zeros((3, 3))
             if pbc is None:
@@ -203,9 +240,9 @@ def read_extxyz(path) -> tuple[Structure, ...]:
             structure = Structure(
                 cell=cell,
                 pbc=pbc,
-                positions=rows["pos"],
+                positions=arrays["pos"],
                 species=species,
-                forces=rows["forces"] or None,
+                forces=arrays.get("forces"),
                 energy=energy,
                 info=info,
             )

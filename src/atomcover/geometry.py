@@ -116,7 +116,7 @@ class Structure:
             raise InputError(f"pbc must have 3 flags, got {pbc.shape}")
         if pbc.any() and abs(np.linalg.det(cell)) < _SINGULAR_VOLUME:
             raise DegenerateGeometryError("cell is singular but periodic flags are set")
-        species = tuple(str(s) for s in self.species)
+        species = tuple(map(str, self.species))
         if len(species) != len(positions):
             raise InputError(
                 f"species count {len(species)} does not match atom count {len(positions)}"
@@ -276,8 +276,12 @@ def _ranked(points: np.ndarray, cand: np.ndarray, k: int) -> NeighborSet:
     Each layout is one of :func:`_image_points`, of a multiple of the n atoms.
     Each atom's candidates must include every point tied with its k-th
     neighbor.  Each distance is recomputed with one formula, whatever search
-    found the candidate.  The rows of the result are those of each layout in
-    turn.
+    found the candidate: the differences are taken one coordinate at a time,
+    each gathered with a flat 1-D ``take`` from one (3, B * P) copy of the
+    layouts, and the neighbors' positions with one ``take`` of whole points.
+    These are the subtractions of the (B * n, m, 3) difference array, on the
+    same operands, so the bits are the same.  The rows of the result are
+    those of each layout in turn.
     """
     b, p, _ = points.shape
     n = cand.shape[1]
@@ -286,9 +290,9 @@ def _ranked(points: np.ndarray, cand: np.ndarray, k: int) -> NeighborSet:
     own = (base + _own_points(p, n)).ravel()
     cand = (cand + base[:, :, None]).reshape(b * n, -1)
     points = points.reshape(-1, 3)
-    diff = points[cand] - points[own][:, None, :]
-    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
-    # Same bits as np.linalg.norm(diff, axis=-1), without its reduction overhead.
+    dx, dy, dz = (axis.take(cand) - axis.take(own)[:, None] for axis in points.T.copy())
+    # Same bits as np.linalg.norm of the difference vectors, without its
+    # reduction overhead.
     dists = np.sqrt(dx * dx + dy * dy + dz * dz)
     # Sort each row by (distance, atom, image offset): among points of one
     # atom the point index runs in image order.  The self-image gets a key
@@ -307,7 +311,7 @@ def _ranked(points: np.ndarray, cand: np.ndarray, k: int) -> NeighborSet:
     chosen = np.take_along_axis(cand, order, axis=1)
     return NeighborSet(
         distances=_freeze(np.take_along_axis(dists, order, axis=1)),
-        neighbor_positions=_freeze(points[chosen]),
+        neighbor_positions=_freeze(points.take(chosen, axis=0)),
         indices=_freeze(chosen % n),
     )
 

@@ -389,3 +389,78 @@ def full_reach_search(structure, k, search_radius):
     order = np.lexsort((cand, cand % n, key), axis=1)[:, 1 : k + 1]
     chosen = np.take_along_axis(cand, order, axis=1)
     return np.take_along_axis(dists, order, axis=1), points[chosen], chosen % n
+
+
+def reference_parse(path):
+    """Minimal second-opinion extxyz reader: (count, lattice, rows) per frame.
+
+    Written independently of the library parser — shlex for the comment
+    line, no column metadata beyond species + xyz (+ trailing floats).
+    """
+    import shlex
+
+    frames = []
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh]
+    i = 0
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        n = int(lines[i])
+        keyvals = {}
+        for token in shlex.split(lines[i + 1]):
+            if "=" in token:
+                k, v = token.split("=", 1)
+                keyvals[k] = v
+        lattice = None
+        if "Lattice" in keyvals:
+            lattice = np.array([float(x) for x in keyvals["Lattice"].split()]).reshape(3, 3)
+        rows = []
+        for line in lines[i + 2 : i + 2 + n]:
+            fields = line.split()
+            rows.append((fields[0], [float(x) for x in fields[1:]]))
+        frames.append((n, lattice, keyvals, rows))
+        i += 2 + n
+    return frames
+
+
+def reference_row_error(path):
+    """(message, line) of the first atom row that a row-by-row reader
+    rejects, or None.
+
+    Walks every frame's rows in file order and checks each row alone: its
+    token count against the width its Properties declare, then each pos or
+    forces (alias force) token, in column order, with float().  Lines are
+    numbered as str.splitlines() numbers them.  Written for files whose
+    frames all have a Properties key and no error outside their atom rows.
+    """
+    import shlex
+
+    with open(path, "rb") as fh:
+        lines = fh.read().decode("utf-8").splitlines()
+    i = 0
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        n = int(lines[i])
+        keyvals = dict(t.split("=", 1) for t in shlex.split(lines[i + 1]) if "=" in t)
+        spec = keyvals["Properties"].split(":")
+        numeric, width = [], 0
+        for name, w in zip(spec[::3], spec[2::3]):
+            if name.lower() in ("pos", "forces", "force"):
+                numeric.append((width, name))
+            width += int(w)
+        for row in range(i + 2, i + 2 + n):
+            fields = lines[row].split()
+            if len(fields) != width:
+                return f"expected {width} columns, got {len(fields)}", row + 1
+            for start, name in numeric:
+                for token in fields[start : start + 3]:
+                    try:
+                        float(token)
+                    except ValueError:
+                        return f"bad numeric value in column {name!r}", row + 1
+        i += 2 + n
+    return None

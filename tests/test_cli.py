@@ -326,6 +326,27 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.xyz"]  # no report
 
+    @pytest.mark.parametrize("error, code, line", [
+        (KeyboardInterrupt(), 130, "atomcover: interrupted"),
+        (MemoryError(), 5, "atomcover: out of memory"),
+        (
+            MemoryError("Unable to allocate 7.45 GiB"),
+            5,
+            "atomcover: out of memory: Unable to allocate 7.45 GiB",
+        ),
+    ])
+    def test_interrupt_and_memory_exhaustion_exit_without_a_traceback(
+        self, tmp_path, capsys, monkeypatch, error, code, line
+    ):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr("atomcover.cli.cmd_analyze", fail)
+        data = write_dataset(tmp_path / "d.xyz", n_frames=2)
+        assert main(["analyze", str(data)]) == code
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", line + "\n")
+
     def test_empty_threshold_list_exits_3(self, tmp_path, capsys):
         data = single_atom_forces_file(tmp_path / "f.xyz", [1.0, 2.0, 3.0])
         out = tmp_path / "cdf.json"

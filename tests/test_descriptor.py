@@ -1,6 +1,8 @@
 import os
+import struct
 import tracemalloc
 import types
+import zlib
 
 import numpy as np
 import pytest
@@ -614,6 +616,39 @@ class TestCache:
         assert loaded.params == params
         assert np.array_equal(loaded.values, descs.values)
         assert np.array_equal(loaded.offsets, descs.offsets)
+
+    @staticmethod
+    def large_set(rows=20_000, structures=100):
+        rng = np.random.default_rng(35)
+        length = rows // structures
+        return DescriptorSet(
+            values=rng.random((rows, 63)),
+            offsets=np.array([(i * length, length) for i in range(structures)]),
+            params=DescriptorParams(n_neighbors=32, cutoff=5.0),
+        )
+
+    def test_file_bytes_match_a_tobytes_write(self, tmp_path):
+        descs = self.large_set(rows=210, structures=21)
+        path = tmp_path / "cache.acds"
+        save_descriptor_set(descs, path)
+        offsets = descs.offsets.astype("<i8").tobytes()
+        values = descs.values.astype("<f8").tobytes()
+        expected = (
+            b"ACDS0002"
+            + struct.pack("<IdQQ", 32, 5.0, 210, 21)
+            + offsets
+            + values
+            + struct.pack("<I", zlib.crc32(values, zlib.crc32(offsets)))
+        )
+        assert path.read_bytes() == expected
+
+    def test_save_makes_no_copy_of_the_rows(self, tmp_path):
+        descs = self.large_set()
+        tracemalloc.start()
+        save_descriptor_set(descs, tmp_path / "cache.acds")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < descs.values.nbytes
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.acds"

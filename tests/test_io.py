@@ -13,41 +13,7 @@ from atomcover import (
     write_extxyz,
 )
 from atomcover.report import _round_floats
-from helpers import crystal, dataset, molecule
-
-
-def reference_parse(path):
-    """Minimal second-opinion extxyz reader: (count, lattice, rows) per frame.
-
-    Written independently of the library parser — shlex for the comment
-    line, no column metadata beyond species + xyz (+ trailing floats).
-    """
-    import shlex
-
-    frames = []
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        n = int(lines[i])
-        keyvals = {}
-        for token in shlex.split(lines[i + 1]):
-            if "=" in token:
-                k, v = token.split("=", 1)
-                keyvals[k] = v
-        lattice = None
-        if "Lattice" in keyvals:
-            lattice = np.array([float(x) for x in keyvals["Lattice"].split()]).reshape(3, 3)
-        rows = []
-        for line in lines[i + 2 : i + 2 + n]:
-            fields = line.split()
-            rows.append((fields[0], [float(x) for x in fields[1:]]))
-        frames.append((n, lattice, keyvals, rows))
-        i += 2 + n
-    return frames
+from helpers import crystal, dataset, molecule, reference_parse, reference_row_error
 
 
 def demo_dataset():
@@ -64,6 +30,35 @@ def demo_dataset():
         )
     structures.append(molecule(rng.random((2, 3)) * 4.0, species=("H", "H")))
     return tuple(structures)
+
+
+def assert_reads_as_reference(path):
+    """read_extxyz(path) equals reference_parse(path), frame by frame: the
+    species column leads, and Properties place pos and forces (or force)
+    among the trailing floats."""
+    got = read_extxyz(path)
+    frames = reference_parse(path)
+    assert len(got) == len(frames)
+    for s, (n, lattice, keyvals, rows) in zip(got, frames):
+        assert len(s) == n
+        if lattice is not None:
+            assert s.cell.tobytes() == lattice.tobytes()
+        assert s.species == tuple(symbol for symbol, _ in rows)
+        spec = keyvals.get("Properties", "species:S:1:pos:R:3").split(":")
+        at, found = -1, {}
+        for name, width in zip(spec[::3], spec[2::3]):
+            key = name.lower()
+            found["forces" if key == "force" else key] = at
+            at += int(width)
+        expect = {
+            key: np.array([numbers[found[key] : found[key] + 3] for _, numbers in rows])
+            for key in ("pos", "forces") if key in found
+        }
+        assert s.positions.tobytes() == expect["pos"].tobytes()
+        if "forces" in expect:
+            assert s.forces.tobytes() == expect["forces"].tobytes()
+        else:
+            assert s.forces is None
 
 
 class TestRoundTrip:
@@ -216,6 +211,31 @@ class TestReadFeatures:
         s = read_extxyz(path)[0]
         assert np.array_equal(s.positions, [[1.0, 2.0, 3.0]])
 
+    def test_column_layouts_read_as_the_reference(self, tmp_path):
+        # forces before pos; an extra column between pos and the force
+        # alias; CRLF line endings; blank and whitespace-only padding
+        frames = [
+            "2",
+            'Lattice="5 0 0 0 5 0 0 0 5" Properties=species:S:1:forces:R:3:pos:R:3',
+            "Cu 0.5 -0.25 1e-3 1.0 2.0 3.0",
+            "Ag -0.0 5e-324 7 4.5 -1.5 0.125",
+            "",
+            "   ",
+            "3",
+            "Properties=species:S:1:pos:R:3:charge:R:1:force:R:3 energy=-1.5",
+            "H 0 0 0 0.1 1 2 3",
+            "H\t1.5  0 0 -0.2 4 5 6",
+            "O 0 1.25 0 0.3 7 8 9",
+            "",
+            "1",
+            "Properties=species:S:1:tag:I:2:pos:R:3",
+            "C 4 5 9.75 -8.5 0.0625",
+        ]
+        path = tmp_path / "t.xyz"
+        path.write_bytes("\r\n".join(frames).encode() + b"\r\n")
+        assert_reads_as_reference(path)
+        assert read_extxyz(path)[1].forces[2].tolist() == [7.0, 8.0, 9.0]
+
     def test_blank_lines_between_frames(self, tmp_path):
         path = tmp_path / "t.xyz"
         path.write_text("1\nc\nH 0 0 0\n\n\n1\nc\nHe 1 1 1\n")
@@ -257,6 +277,24 @@ class TestParseErrors:
 
     def test_bad_float(self, tmp_path):
         self.check("1\nProperties=species:S:1:pos:R:3\nH 0 zero 0\n", 3, tmp_path)
+
+    def test_short_and_long_rows_name_the_short_row(self, tmp_path):
+        # 3 + 5 tokens: the frame's total is 2 rows of 4, and every token a
+        # read of 4-token rows would take as a coordinate is a number
+        text = "2\nProperties=species:S:1:pos:R:3\nH 0 0\n1.5 2 3 4 5\n"
+        self.check(text, 3, tmp_path, "expected 4 columns, got 3")
+
+    def test_earlier_bad_float_beats_a_later_wrong_count(self, tmp_path):
+        text = "3\nProperties=species:S:1:pos:R:3\nH 0 0 0\nH 0 x 0\nH 1 1\n"
+        self.check(text, 4, tmp_path, "bad numeric value in column 'pos'")
+
+    def test_row_checks_columns_in_column_order(self, tmp_path):
+        # row 2 has bad values in both columns; forces comes first
+        text = (
+            "2\nProperties=species:S:1:force:R:3:pos:R:3\n"
+            "H 0 0 0 0 0 0\nH 0 0 y 0 x 0\n"
+        )
+        self.check(text, 4, tmp_path, "bad numeric value in column 'force'")
 
     def test_bad_lattice(self, tmp_path):
         self.check('1\nLattice="1 2 3"\nH 0 0 0\n', 2, tmp_path)
