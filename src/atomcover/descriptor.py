@@ -45,8 +45,9 @@ __all__ = [
 ]
 
 #: Atoms per block in :func:`compute_x2` for up to 32 neighbors per atom;
-#: blocks shrink as v grows, so its two (rows, v, v) buffers stay 1 MB each.
-_CHUNK_ROWS = 128
+#: blocks shrink as v grows, so its two (rows, v, v) buffers stay 512 kB
+#: each and fit in L2 together.
+_CHUNK_ROWS = 64
 #: Most atom-point pairs in one batch, so its (rows, points) arrays stay
 #: within 256 kB.  A structure of n atoms and P layout points batches when
 #: two of it fit, 2 n P <= _BATCH_PAIRS; past that the tree is as fast.
@@ -215,8 +216,9 @@ def compute_x2(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
     the other neighbors l are sorted descending; the block is the
     rank-wise mean over j, re-sorted descending, zero-padded to ``k - 1``.
     Atoms go through in blocks of at most ``_CHUNK_ROWS`` rows, fewer past
-    v = 32, so the two (rows, v, v) buffers stay small however many rows
-    come in; each row is independent of its block.
+    v = 32, so the two (rows, v, v) buffers stay 512 kB each however many
+    rows come in; each row is independent of its block, so the block size
+    moves no bit.
     """
     n, v = nbrs.distances.shape
     out = np.zeros((n, params.n_neighbors - 1))

@@ -29,6 +29,7 @@ rows whose weighted sums underflow to it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -195,24 +196,25 @@ def _self_kernel_sums(rows: np.ndarray, bandwidth: float, weights: np.ndarray) -
 
     ``weights`` is (n,) or (n, c); the sums take its shape, one column per
     weight column.  Tiles I <= J are visited in a fixed (I, J) order, from
-    the left form of block I and the right form of block J, built per
-    tile, so working memory stays a few tiles.  Each tile adds W[I]^T tile
-    to the J rows, and an off-diagonal tile also adds tile W[J] to the I
-    rows: GEMVs for a weight vector, one GEMM against every column for a
-    matrix.  Every log kernel is <= 0 and the diagonal is exactly 0, so the
-    sums need no max shift, and with a weight of 1 on every row each sum
-    holds its own exp(0) = 1.  Column sums of a vector of ones are taken
-    as in :class:`Coverage`, but the right operand is a transposed
-    row-major block where a Coverage's is column-major: on GEMMs small
-    enough for OpenBLAS's small-matrix kernels the two can differ in the
-    last bit, so a set of one tile and a Coverage of the set by itself
-    agree to about 1e-16, not always bit for bit.
+    the left form of block I, built per block, and a slice of one
+    column-major (w + 2) x n store of the right forms, filled in place as a
+    Coverage's queries are; beside that store, working memory stays a few
+    tiles.  Each tile adds W[I]^T tile to the J rows, and an off-diagonal
+    tile also adds tile W[J] to the I rows: GEMVs for a weight vector, one
+    GEMM against every column for a matrix.  Every log kernel is <= 0 and
+    the diagonal is exactly 0, so the sums need no max shift, and with a
+    weight of 1 on every row each sum holds its own exp(0) = 1.  Column
+    sums of a vector of ones are taken as in :class:`Coverage`, with
+    operands of the same layout, so a set of one tile gets the bits of a
+    Coverage of the set by itself.
     """
     n = rows.shape[0]
     if n == 0:
         raise InputError("reference set is empty")
     inv_two_h2 = 1.0 / (2.0 * bandwidth * bandwidth)
     sq = np.einsum("ij,ij->i", rows, rows)
+    right = np.empty((rows.shape[1] + 2, n))
+    _augment(rows, sq, left=False, out=right.T)
     sums = np.zeros(weights.shape)
     buffers = _tile_buffers(min(_BLOCK, n) ** 2)
     for i0 in range(0, n, _BLOCK):
@@ -220,9 +222,7 @@ def _self_kernel_sums(rows: np.ndarray, bandwidth: float, weights: np.ndarray) -
         left = _augment(rows[i0:i1], sq[i0:i1], left=True)
         for j0 in range(i0, n, _BLOCK):
             j1 = j0 + _BLOCK
-            tile = _log_kernel_tile(
-                left, _augment(rows[j0:j1], sq[j0:j1], left=False).T, inv_two_h2, buffers
-            )
+            tile = _log_kernel_tile(left, right[:, j0:j1], inv_two_h2, buffers)
             np.exp(tile, out=tile)
             sums[j0:j1] += (weights[i0:i1].T @ tile).T
             if j0 != i0:
@@ -240,15 +240,18 @@ def _stacked_self_delta_entropy(stack: np.ndarray, bandwidth: float, buffers) ->
     """:func:`_self_delta_entropy` of each block of a (B, n, w) stack, B n <= 256.
 
     Each block is one self-pass tile, so the stack makes one stacked GEMM,
-    one snap screen, one ``exp`` and one stacked GEMV against ones.  numpy
-    runs a stacked product as one BLAS call per block with the operands of
-    a separate pass, so every row of the (B, n) result has that pass's bits.
+    one snap screen, one ``exp`` and one stacked GEMV against ones.  The
+    right forms are one C-contiguous (B, w + 2, n) array, each block laid
+    out as a self pass lays out its store.  numpy runs a stacked product as
+    one BLAS call per block with the operands of a separate pass, so every
+    row of the (B, n) result has that pass's bits.
     """
     b, n, w = stack.shape
     flat = stack.reshape(b * n, w)
     sq = np.einsum("ij,ij->i", flat, flat).reshape(b, n)
     left = _augment(stack, sq, left=True)
-    right = _augment(stack, sq, left=False).swapaxes(-1, -2)
+    right = np.empty((b, w + 2, n))
+    _augment(stack, sq, left=False, out=right.swapaxes(-1, -2))
     tile = _log_kernel_tile(left, right, 1.0 / (2.0 * bandwidth * bandwidth), buffers)
     np.exp(tile, out=tile)
     return -np.log(_ONES[:n] @ tile)
@@ -292,31 +295,63 @@ class Coverage:
     def n_queries(self) -> int:
         return self._queries.shape[1]
 
-    @np.errstate(over="ignore", invalid="ignore")
+    def _part(self, columns) -> "Coverage":
+        """A Coverage of the queries at ``columns`` (an index array or a
+        slice), holding their kernel sums so far; the two then grow apart.
+
+        It shares the scratch buffers, and for a slice the query store.
+        """
+        part = copy.copy(self)
+        part._queries = self._queries[:, columns]
+        part._max = self._max[columns].copy()
+        part._sum = self._sum[columns].copy()
+        return part
+
     def extend(self, refs) -> None:
         """Add a block of reference rows to every query's kernel sum."""
         refs = _as_rows(refs)
-        queries = self._queries
-        if queries.shape[0] - 2 != refs.shape[1]:
+        if self._queries.shape[0] - 2 != refs.shape[1]:
             raise InputError(
-                f"query width {queries.shape[0] - 2} != reference width {refs.shape[1]}"
+                f"query width {self._queries.shape[0] - 2} != reference width {refs.shape[1]}"
             )
+        self._fold(refs)
+        self.n_references += refs.shape[0]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _fold(self, refs: np.ndarray) -> None:
+        """:meth:`extend` by a (rows, width) array, with no checks and no count."""
+        queries = self._queries
         ref_sq = np.einsum("ij,ij->i", refs, refs)
         for r0 in range(0, refs.shape[0], _BLOCK):
             left = _augment(refs[r0 : r0 + _BLOCK], ref_sq[r0 : r0 + _BLOCK], left=True)
-            ones = _ONES[: len(left)]
             slab = _TILE // len(left)
             for q0 in range(0, queries.shape[1], slab):
                 q1 = q0 + slab
                 tile = _log_kernel_tile(left, queries[:, q0:q1], self._inv_two_h2, self._buffers)
-                run_max = self._max[q0:q1]
-                new_max = np.maximum(run_max, tile.max(axis=0))
-                tile -= new_max
-                self._sum[q0:q1] = (
-                    self._sum[q0:q1] * np.exp(run_max - new_max) + ones @ np.exp(tile, out=tile)
-                )
-                run_max[...] = new_max
-        self.n_references += refs.shape[0]
+                self._add(tile, slice(q0, q1))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _add(self, tile: np.ndarray, columns=slice(None)) -> None:
+        """Fold one tile of log kernels, (up to 256 references, the queries at
+        ``columns``), into the running max and sum; the tile is overwritten."""
+        run_max = self._max[columns]
+        new_max = np.maximum(run_max, tile.max(axis=0))
+        tile -= new_max
+        self._sum[columns] = (
+            self._sum[columns] * np.exp(run_max - new_max)
+            + _ONES[: len(tile)] @ np.exp(tile, out=tile)
+        )
+        run_max[...] = new_max
+
+    @np.errstate(over="ignore")
+    def _own_log_kernels(self) -> np.ndarray:
+        """Log kernels of the queries against themselves as references, (n, n).
+
+        One tile, so n is at most 256 and n * n fits the scratch buffers.
+        """
+        queries = self._queries
+        left = _augment(queries[:-2].T, queries[-1], left=True)
+        return _log_kernel_tile(left, queries, self._inv_two_h2, self._buffers).copy()
 
     # A query whose log kernel overflows to -inf against every reference has
     # a kernel sum of 0 and an infinite delta entropy; that is an

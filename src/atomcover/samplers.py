@@ -290,6 +290,12 @@ def sample_fps(descs: DescriptorSet, count: int, seed: int = 0) -> CompressionRe
     return CompressionResult(selected=tuple(selected))
 
 
+#: Most rows of the candidate block that a round of :func:`sample_msc`
+#: rescores after each pick (one structure at least, however large).  A
+#: block of two structures or more is then one self tile.
+_CANDIDATE_ROWS = 128
+
+
 def sample_msc(
     descs: DescriptorSet, count: int, kernel: KernelParams = KernelParams(), prefix_counts=()
 ) -> CompressionResult:
@@ -305,54 +311,101 @@ def sample_msc(
     structure's own diversity as the tie-straightener.  Deterministic:
     no randomness, argmax ties break to the lowest structure index.
 
-    One :class:`Coverage` of every row grows by each pick, the last one
-    included, so the result's ``delta_h`` holds delta_entropy(full |
-    kept) at no further kernel cost, and also at each of
-    ``prefix_counts`` (counts up to ``count``).
+    The picks come in lazy rounds (Minoux's accelerated greedy).  A round
+    scores every structure from one :class:`Coverage` of every row and
+    takes the best.  The next untaken structures in score order, up to
+    ``_CANDIDATE_ROWS`` rows (one structure at least), are its candidates,
+    with a copy of their rows' running max and sum; the best score outside
+    them is the bound.  Each pick's log kernels against the candidate rows
+    are folded into the copy, and the best candidate is taken while its
+    score is strictly above the bound.  Scores only fall as picks are
+    added, so these are the picks of rescoring every structure after every
+    pick.  Then the round's picks extend the Coverage of every row as one
+    block, whose fat tiles cost less per pair than one thin block per pick.
+    The kernel sums are added in another order than a pick at a time,
+    which moves the last bits of the scores and of ``delta_h``.
+
+    The result's ``delta_h`` holds delta_entropy(full | kept) read off that
+    Coverage at no further kernel cost, at ``count`` and at each of
+    ``prefix_counts`` (counts in 1..``count``); a count inside a round
+    reads a copy extended by that round's picks so far.  Rounds do not
+    depend on ``count``, so ``sample_msc(descs, c)`` gives the first c
+    picks and the ``delta_h[c]`` of any longer run, bit for bit.
     """
     n = descs.n_structures
     _check_count(count, n)
+    readings = {int(c) for c in prefix_counts}
+    outside = sorted(c for c in readings if not 1 <= c <= count)
+    if outside:
+        raise InputError(f"prefix count {outside[0]} is outside [1, {count}]")
+    readings.add(count)
     own_entropy = per_structure_entropy(descs, kernel)
+    starts, sizes = descs.offsets[:, 0], descs.offsets[:, 1]
+    taken = np.zeros(n, dtype=bool)
+    selected, steps = [], []
+
+    def take(index, score, max_delta_h):
+        selected.append(int(index))
+        taken[index] = True
+        steps.append(
+            StepDiagnostics(
+                structure_index=int(index),
+                score=float(score),
+                max_delta_h=None if max_delta_h is None else float(max_delta_h),
+                structure_entropy=float(own_entropy[index]),
+            )
+        )
+
+    def extended(coverage, picks):
+        coverage.extend(descs.values[descs._subset_rows(picks)[0]])
+        return coverage
 
     first = int(np.argmax(own_entropy))
-    selected = [first]
-    steps = [
-        StepDiagnostics(
-            structure_index=first,
-            score=float(own_entropy[first]),
-            max_delta_h=None,
-            structure_entropy=float(own_entropy[first]),
-        )
-    ]
-    taken = np.zeros(n, dtype=bool)
-    taken[first] = True
-    starts = descs.offsets[:, 0]
-    readings = {int(c) for c in prefix_counts} | {count}
-    delta_h = {}
-
+    take(first, own_entropy[first], None)
     coverage = Coverage(descs.values, kernel)
-    coverage.extend(descs.rows_for(first))
+    delta_h = {}
+    done = 0  # picks already in the coverage
     while True:
+        extended(coverage, selected[done:])
+        done = len(selected)
         env_dh = coverage.delta_entropy()
-        if len(selected) in readings:
-            delta_h[len(selected)] = env_dh
-        if len(selected) == count:
+        if done in readings:
+            delta_h[done] = env_dh
+        if done == count:
             break
         per_structure_max = np.maximum.reduceat(env_dh, starts)
         scores = per_structure_max + own_entropy
         scores[taken] = -np.inf
-        pick = int(np.argmax(scores))
-        selected.append(pick)
-        taken[pick] = True
-        steps.append(
-            StepDiagnostics(
-                structure_index=pick,
-                score=float(scores[pick]),
-                max_delta_h=float(per_structure_max[pick]),
-                structure_entropy=float(own_entropy[pick]),
-            )
-        )
-        coverage.extend(descs.rows_for(pick))
+        order = np.argsort(-scores, kind="stable")[: n - done]
+        take(order[0], scores[order[0]], per_structure_max[order[0]])
+        rest = order[1:]
+        if not rest.size or len(selected) == count:
+            continue
+        fit = max(1, int(np.searchsorted(np.cumsum(sizes[rest]), _CANDIDATE_ROWS, "right")))
+        block = np.sort(rest[:fit])  # ascending, so argmax ties go to the lowest index
+        bound = scores[rest[fit]] if fit < rest.size else -np.inf
+        rows, offsets = descs._subset_rows(block)
+        candidates = coverage._part(rows)
+        candidates._fold(descs.rows_for(selected[-1]))
+        block_entropy = own_entropy[block]
+        within = None  # log kernels among the candidate rows
+        while True:
+            block_max = np.maximum.reduceat(candidates.delta_entropy(), offsets[:, 0])
+            block_scores = block_max + block_entropy
+            block_scores[taken[block]] = -np.inf
+            best = int(np.argmax(block_scores))
+            if not block_scores[best] > bound:
+                break
+            if len(selected) in readings:
+                reading = extended(coverage._part(slice(None)), selected[done:])
+                delta_h[len(selected)] = reading.delta_entropy()
+            take(block[best], block_scores[best], block_max[best])
+            if len(selected) == count or taken[block].all():
+                break
+            if within is None:  # two structures or more, so at most 128 rows
+                within = candidates._own_log_kernels()
+            start, length = offsets[best]
+            candidates._add(within[start : start + length].copy())
     return CompressionResult(selected=tuple(selected), per_step=tuple(steps), delta_h=delta_h)
 
 

@@ -154,6 +154,27 @@ def count_cross_passes(monkeypatch):
     return shapes
 
 
+def record_extends(monkeypatch):
+    """Record (coverage, reference rows) of every ``Coverage.extend``.
+
+    ``sample_msc`` extends one Coverage of every row by each round's picks
+    and, for a prefix count inside a round, a copy of it by the round's
+    picks so far.  Returns a list that grows by one pair per extend made
+    while the monkeypatch is active; the rows are a copy.
+    """
+    from atomcover import information
+
+    calls = []
+    real = information.Coverage.extend
+
+    def recording(self, refs):
+        calls.append((self, np.array(np.atleast_2d(getattr(refs, "values", refs)))))
+        return real(self, refs)
+
+    monkeypatch.setattr(information.Coverage, "extend", recording)
+    return calls
+
+
 # --- independent reference implementations -------------------------------
 
 
@@ -226,6 +247,47 @@ def naive_diversity(rows, h):
     rows = np.atleast_2d(rows)
     dh = naive_delta_entropy(rows, rows, h)
     return float(np.log(np.exp(dh).sum()))
+
+
+def eager_msc(descs, count, kernel, prefix_counts=()):
+    """``sample_msc`` as one step per pick, the reference for its rounds.
+
+    One Coverage of every row grows by each pick, and every structure is
+    rescored from it after every pick: the greedy straight off its
+    definition, with the library's kernel sums.
+    """
+    from atomcover import CompressionResult, Coverage, StepDiagnostics, per_structure_entropy
+
+    n = descs.n_structures
+    own_entropy = per_structure_entropy(descs, kernel)
+    first = int(np.argmax(own_entropy))
+    selected = [first]
+    steps = [StepDiagnostics(first, float(own_entropy[first]), None, float(own_entropy[first]))]
+    taken = np.zeros(n, dtype=bool)
+    taken[first] = True
+    readings = {int(c) for c in prefix_counts} | {count}
+    delta_h = {}
+    coverage = Coverage(descs.values, kernel)
+    coverage.extend(descs.rows_for(first))
+    while True:
+        env_dh = coverage.delta_entropy()
+        if len(selected) in readings:
+            delta_h[len(selected)] = env_dh
+        if len(selected) == count:
+            break
+        per_structure_max = np.maximum.reduceat(env_dh, descs.offsets[:, 0])
+        scores = per_structure_max + own_entropy
+        scores[taken] = -np.inf
+        pick = int(np.argmax(scores))
+        selected.append(pick)
+        taken[pick] = True
+        steps.append(
+            StepDiagnostics(
+                pick, float(scores[pick]), float(per_structure_max[pick]), float(own_entropy[pick])
+            )
+        )
+        coverage.extend(descs.rows_for(pick))
+    return CompressionResult(selected=tuple(selected), per_step=tuple(steps), delta_h=delta_h)
 
 
 def naive_kmeans(descs, count, seed):

@@ -11,7 +11,7 @@ import pytest
 import atomcover
 from atomcover import load_descriptor_set, read_extxyz
 from atomcover.cli import _THREAD_VARS, main
-from helpers import count_cross_passes, count_self_passes, count_structure_passes
+from helpers import count_self_passes, count_structure_passes, record_extends
 
 
 def frame_text(positions, forces, cell=6.0):
@@ -414,12 +414,22 @@ class TestCompress:
 
     def test_msc_makes_no_full_by_kept_cross_pass(self, tmp_path, capsys, monkeypatch):
         data = write_dataset(tmp_path / "d.xyz", n_frames=8)
-        shapes = count_cross_passes(monkeypatch)
-        assert main(["compress", str(data), "-o", str(tmp_path / "out.xyz"), "--count", "3"]) == 0
+        extends = record_extends(monkeypatch)
+        report = tmp_path / "report.json"
+        argv = ["compress", str(data), "-o", str(tmp_path / "out.xyz"), "--count", "3",
+                "--report", str(report)]
+        assert main(argv) == 0
         capsys.readouterr()
-        # the greedy's coverage of all 24 rows, grown by each three-atom
-        # pick; the report reads delta H from it instead of a 24 x 9 pass
-        assert shapes == [(24, 3)] * 3
+        picks = json.loads(report.read_text())["metrics"]["selection"]["indices"]
+        # the greedy's coverage of all 24 rows, grown round by round by its
+        # three-atom picks, each once and in pick order; the report reads
+        # delta H from it instead of another 24 x 9 pass
+        greedy = extends[0][0]
+        assert greedy.n_queries == 24
+        assert all(cov is greedy for cov, _ in extends)
+        rows = greedy._queries[:-2].T  # the 24 rows, from the right form [y, 1, |y|^2]
+        added = np.vstack([refs for _, refs in extends])
+        assert np.array_equal(added, np.vstack([rows[3 * i : 3 * i + 3] for i in picks]))
 
     def test_random_method_report_has_no_steps(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=6)

@@ -192,8 +192,8 @@ class TestBatchedBlocks:
         self._assert_rows_match_naive(s, k=6, cutoff=3.5)
 
     def test_full_block_temporaries_stay_under_3_mb(self):
-        # Two (128, 32, 32) buffers of 1.05 MB each, about 2.4 MB in all; a
-        # (3, rows, v, v) difference array would add 3.1 MB.
+        # Two (_CHUNK_ROWS, 32, 32) buffers of 0.5 MB each; a
+        # (3, rows, v, v) difference array would add 1.6 MB.
         rng = np.random.default_rng(43)
         n, v = descriptor._CHUNK_ROWS, 32
         positions = rng.normal(scale=2.0, size=(n, v, 3))
@@ -212,8 +212,8 @@ class TestBatchedBlocks:
             assert np.allclose(x2[i], naive_x2(nbrs, i, v, 5.0), atol=1e-12)
 
     def test_many_neighbors_take_smaller_blocks(self, monkeypatch):
-        # at k = 100 a block holds 128 * 32**2 // 100**2 = 13 atoms, so these
-        # 125 atoms span ten blocks, the last of 8
+        # at k = 100 a block holds _CHUNK_ROWS * 32**2 // 100**2 = 6 atoms, so
+        # these 125 atoms span 21 blocks, the last of 5
         rng = np.random.default_rng(42)
         s = perturbed_cubic(rng, n_side=5, a=2.6, jitter=0.1)
         k, cutoff = 100, 8.0
@@ -225,10 +225,10 @@ class TestBatchedBlocks:
         x2 = compute_x2(nbrs, params)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # two (rows, v, v) buffers of 13 rows: about 2.4 MB, as at k = 32;
+        # two (rows, v, v) buffers of 6 rows: about 1 MB, as at k = 32;
         # all 125 atoms in one block would take about 20 MB
         assert peak < 3e6
-        for i in (0, 12, 13, 25, 26, 116, 117, 124):  # both sides of block edges
+        for i in (0, 12, 13, 25, 26, 116, 117, 124):  # inside blocks and at their edges
             assert np.allclose(x2[i], naive_x2(nbrs, i, k, cutoff), atol=1e-12)
         monkeypatch.setattr(descriptor, "_CHUNK_ROWS", 1)
         assert np.array_equal(compute_x2(nbrs, params), x2)  # rows never see their block

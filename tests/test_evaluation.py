@@ -26,6 +26,7 @@ from helpers import (
     count_structure_passes,
     molecule,
     naive_kmeans,
+    record_extends,
     synthetic_set,
 )
 from test_samplers import random_fixture, redundant_fixture
@@ -467,14 +468,26 @@ class TestCompareMethods:
     def test_msc_rows_add_no_cross_pass(self, monkeypatch):
         rng = np.random.default_rng(18)
         descs = random_fixture(rng, n_structures=20)
-        shapes = count_cross_passes(monkeypatch)
+        extends = record_extends(monkeypatch)
         selected = sample_msc(descs, 10, KP).selected
-        greedy = list(shapes)
-        assert greedy == [(descs.n_environments, len(descs.rows_for(i))) for i in selected]
-        shapes.clear()
+        # the greedy's coverage of every row, and only it, gets each pick's
+        # rows once, in pick order
+        greedy = extends[0][0]
+        assert greedy.n_queries == descs.n_environments
+        assert all(cov is greedy for cov, _ in extends)
+        added = np.vstack([refs for _, refs in extends])
+        assert np.array_equal(added, descs.subset(selected).values)
+        # the sweep makes exactly the extends of the greedy run alone at its
+        # counts, and no full x kept pass besides
+        extends.clear()
+        sample_msc(descs, 10, KP, prefix_counts=[2, 2, 5, 10])
+        alone = [(cov.n_queries, refs) for cov, refs in extends]
+        extends.clear()
         sweep = compare_methods(descs, [0.1, 0.12, 0.25, 0.5], methods=["msc"], kernel=KP)
         assert [r.count for r in sweep.rows] == [2, 2, 5, 10]
-        assert shapes == greedy
+        assert len(extends) == len(alone)
+        for (cov, refs), (n_queries, want) in zip(extends, alone):
+            assert cov.n_queries == n_queries and np.array_equal(refs, want)
 
     def test_one_pass_serves_every_selection_but_msc(self, monkeypatch):
         rng = np.random.default_rng(23)
@@ -485,10 +498,12 @@ class TestCompareMethods:
                                                    kernel=KP), descs).selected))
             for f in fractions
         }
-        greedy = sample_msc(descs, 10, KP).selected
+        shapes = count_cross_passes(monkeypatch)
+        sample_msc(descs, 10, KP, prefix_counts=[2, 2, 5, 10])
+        greedy = list(shapes)
+        shapes.clear()
         sizes = count_self_passes(monkeypatch)
         stacks = count_structure_passes(monkeypatch)
-        shapes = count_cross_passes(monkeypatch)
         sweep = compare_methods(descs, fractions, methods=("random", "msc"), seed=4, kernel=KP)
         assert [r.count for r in sweep.rows] == [2, 2, 5, 10] * 2
         # msc's per-structure passes, one stack per row count that holds
@@ -498,8 +513,9 @@ class TestCompareMethods:
         lengths, counts = np.unique(descs.offsets[:, 1], return_counts=True)
         assert stacks == list(zip(counts.tolist(), lengths.tolist()))
         assert sizes == [(descs.n_environments, len(keys))]
-        # the greedy's own extends, and no other cross pass
-        assert shapes == [(descs.n_environments, len(descs.rows_for(i))) for i in greedy]
+        # the greedy's own extends, as it makes them alone at the sweep's
+        # counts, and no other cross pass
+        assert shapes == greedy
 
     @pytest.mark.parametrize("scale", [0.01, 0.2])
     def test_rows_equal_the_compression_report(self, scale, monkeypatch):

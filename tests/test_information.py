@@ -171,6 +171,15 @@ class TestOracleEquivalence:
             assert np.allclose(result.per_point, cross, rtol=0.0, atol=1e-12)
         assert np.array_equal(entropy(rows, KP).per_point, result.per_point)
 
+    @pytest.mark.parametrize("width", [9, 63])
+    def test_one_tile_self_pass_has_the_bits_of_a_coverage(self, width):
+        # the self pass and a Coverage lay out their right forms alike, so
+        # at every one-tile size their GEMMs, and so their sums, agree
+        rng = np.random.default_rng(width)
+        for n in range(1, 257):
+            rows = rng.normal(scale=0.02, size=(n, width))
+            assert np.array_equal(entropy(rows, KP).per_point, delta_entropy(rows, rows, KP)), n
+
 
 class TestSubsetDeltaEntropies:
     """Every subset's delta_entropy(rows, rows[s]) from one weighted self pass."""

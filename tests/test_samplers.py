@@ -17,6 +17,7 @@ from atomcover import (
 )
 from atomcover.samplers import _structure_means
 from helpers import (
+    eager_msc,
     mixed_size_set,
     naive_delta_entropy,
     naive_entropy,
@@ -380,6 +381,123 @@ class TestMsc:
         descs = random_fixture(rng)
         runs = {sample_msc(descs, 5, KP).selected for _ in range(10)}
         assert len(runs) == 1
+
+
+def far_row_fixture(rng):
+    """Random structures, six of them with one row pushed far away.
+
+    The far rows sit 0.6-2 apart, so their delta H against everything else
+    runs from about 800 to 8,900 nats: every kernel they meet underflows
+    unless it is shifted by the running max.
+    """
+    blocks = [rng.normal(scale=0.03, size=(int(rng.integers(1, 6)), 8)) for _ in range(50)]
+    for i, shift in zip(range(3, 50, 8), (0.6, 2.0, 1.1, 0.9, 1.5, 0.7)):
+        blocks[i][-1, i % 8] += shift
+    return synthetic_set(blocks)
+
+
+def assert_same_greedy(got, want, tolerance=1e-10):
+    """Identical picks; steps and every delta H reading within ``tolerance``,
+    relative to values above 1.
+
+    The rounds add the kernel sums in another order, and with two BLAS
+    threads each GEMM shape may split its sums differently, so values far
+    from 0 move in proportion to their size.
+    """
+    close = dict(rel=tolerance, abs=tolerance)
+    assert got.selected == want.selected
+    for a, b in zip(got.per_step, want.per_step):
+        assert a.structure_index == b.structure_index
+        assert a.score == pytest.approx(b.score, **close)
+        assert a.structure_entropy == b.structure_entropy
+        if b.max_delta_h is None:
+            assert a.max_delta_h is None
+        else:
+            assert a.max_delta_h == pytest.approx(b.max_delta_h, **close)
+    assert got.delta_h.keys() == want.delta_h.keys()
+    for c, dh in want.delta_h.items():
+        assert np.allclose(got.delta_h[c], dh, rtol=tolerance, atol=tolerance)
+
+
+class TestMscRounds:
+    """Lazy rounds give the picks of rescoring every structure after every pick."""
+
+    @pytest.mark.parametrize("scale", [0.01, 0.04, 0.2])
+    def test_random_sets_match_the_eager_greedy(self, scale):
+        # 80 structures of 1-5 rows: about 240 rows, so a round's candidate
+        # block leaves structures outside it
+        descs = random_fixture(np.random.default_rng(31), n_structures=80, scale=scale)
+        prefixes = [1, 7, 20, 41]
+        got = sample_msc(descs, 60, KP, prefix_counts=prefixes)
+        assert_same_greedy(got, eager_msc(descs, 60, KP, prefix_counts=prefixes))
+
+    def test_exact_ties_go_to_the_lower_index(self):
+        # every unique structure has 19 exact copies, so from the sixth
+        # pick on, covered structures tie exactly
+        descs = redundant_fixture(n_unique=5, n_dup=95)
+        got = sample_msc(descs, 40, KP)
+        assert_same_greedy(got, eager_msc(descs, 40, KP))
+        assert sorted(got.selected[:5]) == list(range(5))
+
+    # Rows on small whole numbers, so every squared distance, and so every
+    # delta H below, is exact.  Each row's delta H is its squared distance
+    # to the nearest kept row times 1/(2h^2), since every other kernel
+    # underflows against that one.  The first pick is structure 0 (own
+    # entropy log 2), the second the lone row at (0, 5) (25/(2h^2)).  That
+    # pick brings (0, 3) from 9/(2h^2) down to 4/(2h^2), where (2, 0)
+    # already is, so the third pick is an exact tie that goes to the lower
+    # index, 1.  Copied 100 times, those two rows are one candidate and
+    # the round's bound; as single rows, two candidates.
+    @pytest.mark.parametrize("copies", [100, 1])
+    def test_a_tie_made_by_a_pick_goes_to_the_lower_index(self, copies):
+        descs = synthetic_set([
+            [[0.0, 0.0], [0.0, -8.0]],
+            [[2.0, 0.0]] * copies,
+            [[0.0, 3.0]] * copies,
+            [[0.0, 5.0]],
+        ])
+        got = sample_msc(descs, 4, KP)
+        assert got.selected == (0, 3, 1, 2)
+        assert_same_greedy(got, eager_msc(descs, 4, KP), tolerance=0.0)
+
+    def test_far_rows_match_the_eager_greedy(self):
+        descs = far_row_fixture(np.random.default_rng(32))
+        got = sample_msc(descs, 30, KP, prefix_counts=[3, 4])
+        want = eager_msc(descs, 30, KP, prefix_counts=[3, 4])
+        assert max(step.max_delta_h for step in want.per_step[1:]) > 745
+        assert_same_greedy(got, want)
+
+    def test_mixed_sizes_match_the_eager_greedy(self):
+        # structures of 1 to 257 rows: a candidate block may be one
+        # structure larger than 128 rows, or more than 256
+        descs = mixed_size_set(np.random.default_rng(33))
+        n = descs.n_structures
+        got = sample_msc(descs, n, KP, prefix_counts=range(1, n))
+        assert_same_greedy(got, eager_msc(descs, n, KP, prefix_counts=range(1, n)))
+
+    def test_every_count_matches_and_is_a_bitwise_prefix(self):
+        descs = random_fixture(np.random.default_rng(34), n_structures=60)
+        n = descs.n_structures
+        longest = sample_msc(descs, n, KP, prefix_counts=range(1, n))
+        assert_same_greedy(longest, eager_msc(descs, n, KP, prefix_counts=range(1, n)))
+        for count in range(1, n + 1):
+            result = sample_msc(descs, count, KP)
+            assert result.selected == longest.selected[:count]
+            assert result.per_step == longest.per_step[:count]
+            assert np.array_equal(result.delta_h[count], longest.delta_h[count])
+
+    def test_overflow_raises_at_the_first_extend(self):
+        # the lone row lies so far from the first pick's rows that its log
+        # kernel overflows against each of them
+        descs = synthetic_set([[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[10.0, 10.0, 10.0]]])
+        with pytest.raises(InputError, match="bandwidth 1e-154"):
+            sample_msc(descs, 2, KernelParams(1e-154))
+
+    @pytest.mark.parametrize("prefix", [0, -1, 6])
+    def test_prefix_count_outside_the_run_raises(self, prefix):
+        descs = random_fixture(np.random.default_rng(35))
+        with pytest.raises(InputError, match="prefix count"):
+            sample_msc(descs, 5, KP, prefix_counts=[2, prefix])
 
 
 class TestRunSampler:
