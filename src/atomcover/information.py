@@ -196,33 +196,35 @@ def _self_kernel_sums(rows: np.ndarray, bandwidth: float, weights: np.ndarray) -
 
     ``weights`` is (n,) or (n, c); the sums take its shape, one column per
     weight column.  Tiles I <= J are visited in a fixed (I, J) order, from
-    the left form of block I, built per block, and a slice of one
-    column-major (w + 2) x n store of the right forms, filled in place as a
-    Coverage's queries are; beside that store, working memory stays a few
-    tiles.  Each tile adds W[I]^T tile to the J rows, and an off-diagonal
-    tile also adds tile W[J] to the I rows: GEMVs for a weight vector, one
-    GEMM against every column for a matrix.  Every log kernel is <= 0 and
-    the diagonal is exactly 0, so the sums need no max shift, and with a
-    weight of 1 on every row each sum holds its own exp(0) = 1.  Column
-    sums of a vector of ones are taken as in :class:`Coverage`, with
-    operands of the same layout, so a set of one tile gets the bits of a
-    Coverage of the set by itself.
+    the left form of block I, built per block, and the right form of block
+    J, built per tile in place into one reused buffer as a row-major
+    (w + 2) x rows array, the layout of a Coverage's query store, so
+    working memory stays a few tiles.  Each tile adds W[I]^T tile to the J
+    rows, and an off-diagonal tile also adds tile W[J] to the I rows: GEMVs
+    for a weight vector, one GEMM against every column for a matrix.  Every
+    log kernel is <= 0 and the diagonal is exactly 0, so the sums need no
+    max shift, and with a weight of 1 on every row each sum holds its own
+    exp(0) = 1.  Column sums of a vector of ones are taken as in
+    :class:`Coverage`, with operands of the same layout, so a set of one
+    tile gets the bits of a Coverage of the set by itself.
     """
     n = rows.shape[0]
     if n == 0:
         raise InputError("reference set is empty")
     inv_two_h2 = 1.0 / (2.0 * bandwidth * bandwidth)
     sq = np.einsum("ij,ij->i", rows, rows)
-    right = np.empty((rows.shape[1] + 2, n))
-    _augment(rows, sq, left=False, out=right.T)
+    width = rows.shape[1] + 2
+    right_buffer = np.empty(width * min(_BLOCK, n))
     sums = np.zeros(weights.shape)
     buffers = _tile_buffers(min(_BLOCK, n) ** 2)
     for i0 in range(0, n, _BLOCK):
         i1 = i0 + _BLOCK
         left = _augment(rows[i0:i1], sq[i0:i1], left=True)
         for j0 in range(i0, n, _BLOCK):
-            j1 = j0 + _BLOCK
-            tile = _log_kernel_tile(left, right[:, j0:j1], inv_two_h2, buffers)
+            j1 = min(j0 + _BLOCK, n)
+            right = right_buffer[: width * (j1 - j0)].reshape(width, j1 - j0)
+            _augment(rows[j0:j1], sq[j0:j1], left=False, out=right.T)
+            tile = _log_kernel_tile(left, right, inv_two_h2, buffers)
             np.exp(tile, out=tile)
             sums[j0:j1] += (weights[i0:i1].T @ tile).T
             if j0 != i0:
@@ -289,6 +291,7 @@ class Coverage:
         self._max = np.full(n, -np.finfo(float).max)
         self._sum = np.zeros(n)
         self._buffers = _tile_buffers(min(_TILE, max(n, 1) * _BLOCK))
+        self._own = None  # log kernels among the queries, for _fold_queries
         self.n_references = 0
 
     @property
@@ -303,6 +306,7 @@ class Coverage:
         """
         part = copy.copy(self)
         part._queries = self._queries[:, columns]
+        part._own = None
         part._max = self._max[columns].copy()
         part._sum = self._sum[columns].copy()
         return part
@@ -330,6 +334,20 @@ class Coverage:
                 tile = _log_kernel_tile(left, queries[:, q0:q1], self._inv_two_h2, self._buffers)
                 self._add(tile, slice(q0, q1))
 
+    @np.errstate(over="ignore")
+    def _fold_queries(self, start: int, stop: int) -> None:
+        """:meth:`_fold` by this Coverage's own queries ``start:stop``.
+
+        Their log kernels are rows of one tile of every query against every
+        query, made at the first call and kept, so at most 256 queries; the
+        tile depends on the queries only, so folds in between leave it valid.
+        """
+        if self._own is None:
+            queries = self._queries
+            left = _augment(queries[:-2].T, queries[-1], left=True)
+            self._own = _log_kernel_tile(left, queries, self._inv_two_h2, self._buffers).copy()
+        self._add(self._own[start:stop].copy())
+
     @np.errstate(over="ignore", invalid="ignore")
     def _add(self, tile: np.ndarray, columns=slice(None)) -> None:
         """Fold one tile of log kernels, (up to 256 references, the queries at
@@ -342,16 +360,6 @@ class Coverage:
             + _ONES[: len(tile)] @ np.exp(tile, out=tile)
         )
         run_max[...] = new_max
-
-    @np.errstate(over="ignore")
-    def _own_log_kernels(self) -> np.ndarray:
-        """Log kernels of the queries against themselves as references, (n, n).
-
-        One tile, so n is at most 256 and n * n fits the scratch buffers.
-        """
-        queries = self._queries
-        left = _augment(queries[:-2].T, queries[-1], left=True)
-        return _log_kernel_tile(left, queries, self._inv_two_h2, self._buffers).copy()
 
     # A query whose log kernel overflows to -inf against every reference has
     # a kernel sum of 0 and an infinite delta entropy; that is an

@@ -291,8 +291,7 @@ def sample_fps(descs: DescriptorSet, count: int, seed: int = 0) -> CompressionRe
 
 
 #: Most rows of the candidate block that a round of :func:`sample_msc`
-#: rescores after each pick (one structure at least, however large).  A
-#: block of two structures or more is then one self tile.
+#: rescores after each pick (one structure at least, however large).
 _CANDIDATE_ROWS = 128
 
 
@@ -317,11 +316,13 @@ def sample_msc(
     ``_CANDIDATE_ROWS`` rows (one structure at least), are its candidates,
     with a copy of their rows' running max and sum; the best score outside
     them is the bound.  Each pick's log kernels against the candidate rows
-    are folded into the copy, and the best candidate is taken while its
-    score is strictly above the bound.  Scores only fall as picks are
-    added, so these are the picks of rescoring every structure after every
-    pick.  Then the round's picks extend the Coverage of every row as one
-    block, whose fat tiles cost less per pair than one thin block per pick.
+    are folded into the copy (a candidate's are rows of one tile of the
+    candidates against themselves, made once a round), and the best
+    candidate is taken while its score is strictly above the bound.
+    Scores only fall as picks are added, so these are the picks of
+    rescoring every structure after every pick.  Then the round's picks
+    extend the Coverage of every row as one block, whose fat tiles cost
+    less per pair than one thin block per pick.
     The kernel sums are added in another order than a pick at a time,
     which moves the last bits of the scores and of ``delta_h``.
 
@@ -388,7 +389,6 @@ def sample_msc(
         candidates = coverage._part(rows)
         candidates._fold(descs.rows_for(selected[-1]))
         block_entropy = own_entropy[block]
-        within = None  # log kernels among the candidate rows
         while True:
             block_max = np.maximum.reduceat(candidates.delta_entropy(), offsets[:, 0])
             block_scores = block_max + block_entropy
@@ -402,10 +402,8 @@ def sample_msc(
             take(block[best], block_scores[best], block_max[best])
             if len(selected) == count or taken[block].all():
                 break
-            if within is None:  # two structures or more, so at most 128 rows
-                within = candidates._own_log_kernels()
-            start, length = offsets[best]
-            candidates._add(within[start : start + length].copy())
+            start, length = offsets[best]  # two candidates or more: at most 128 rows
+            candidates._fold_queries(start, start + length)
     return CompressionResult(selected=tuple(selected), per_step=tuple(steps), delta_h=delta_h)
 
 

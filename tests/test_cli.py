@@ -415,21 +415,22 @@ class TestCompress:
     def test_msc_makes_no_full_by_kept_cross_pass(self, tmp_path, capsys, monkeypatch):
         data = write_dataset(tmp_path / "d.xyz", n_frames=8)
         extends = record_extends(monkeypatch)
-        report = tmp_path / "report.json"
+        report, cache = tmp_path / "report.json", tmp_path / "cache"
         argv = ["compress", str(data), "-o", str(tmp_path / "out.xyz"), "--count", "3",
-                "--report", str(report)]
+                "--report", str(report), "--cache", str(cache)]
         assert main(argv) == 0
         capsys.readouterr()
         picks = json.loads(report.read_text())["metrics"]["selection"]["indices"]
+        (cached,) = cache.glob("*.acds")
+        descs = load_descriptor_set(cached)
         # the greedy's coverage of all 24 rows, grown round by round by its
         # three-atom picks, each once and in pick order; the report reads
         # delta H from it instead of another 24 x 9 pass
         greedy = extends[0][0]
-        assert greedy.n_queries == 24
+        assert greedy.n_queries == descs.n_environments == 24
         assert all(cov is greedy for cov, _ in extends)
-        rows = greedy._queries[:-2].T  # the 24 rows, from the right form [y, 1, |y|^2]
         added = np.vstack([refs for _, refs in extends])
-        assert np.array_equal(added, np.vstack([rows[3 * i : 3 * i + 3] for i in picks]))
+        assert np.array_equal(added, descs.subset(picks).values)
 
     def test_random_method_report_has_no_steps(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=6)

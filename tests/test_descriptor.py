@@ -192,8 +192,8 @@ class TestBatchedBlocks:
         self._assert_rows_match_naive(s, k=6, cutoff=3.5)
 
     def test_full_block_temporaries_stay_under_3_mb(self):
-        # Two (_CHUNK_ROWS, 32, 32) buffers of 0.5 MB each; a
-        # (3, rows, v, v) difference array would add 1.6 MB.
+        # Two (_CHUNK_ROWS, 32, 32) buffers, 0.5 MB each at 64 rows; a
+        # (3, rows, v, v) difference array would add 1.5 buffers more.
         rng = np.random.default_rng(43)
         n, v = descriptor._CHUNK_ROWS, 32
         positions = rng.normal(scale=2.0, size=(n, v, 3))
@@ -207,7 +207,7 @@ class TestBatchedBlocks:
         x2 = compute_x2(nbrs, params)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < 3e6
+        assert peak < 1.5 * 2 * n * v * v * 8
         for i in (0, n - 1):
             assert np.allclose(x2[i], naive_x2(nbrs, i, v, 5.0), atol=1e-12)
 
