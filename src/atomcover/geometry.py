@@ -68,6 +68,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _volume(cell: np.ndarray) -> float:
+    """The signed volume of a cell, the triple product a . (b x c) of its rows."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = cell.tolist()
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+
+
 @dataclass(frozen=True)
 class Structure:
     """One periodic or aperiodic collection of atoms.
@@ -104,17 +110,17 @@ class Structure:
         positions = np.array(self.positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 3 or positions.shape[0] < 1:
             raise InputError(f"positions must be (N, 3) with N >= 1, got {positions.shape}")
-        if not np.all(np.isfinite(positions)):
+        if not np.isfinite(positions).all():
             raise InputError("positions contain non-finite values")
         cell = np.array(self.cell, dtype=float)
         if cell.shape != (3, 3):
             raise InputError(f"cell must be 3x3, got {cell.shape}")
-        if not np.all(np.isfinite(cell)):
+        if not np.isfinite(cell).all():
             raise InputError("cell contains non-finite values")
         pbc = np.array(self.pbc, dtype=bool)
         if pbc.shape != (3,):
             raise InputError(f"pbc must have 3 flags, got {pbc.shape}")
-        if pbc.any() and abs(np.linalg.det(cell)) < _SINGULAR_VOLUME:
+        if pbc.any() and abs(_volume(cell)) < _SINGULAR_VOLUME:
             raise DegenerateGeometryError("cell is singular but periodic flags are set")
         species = tuple(map(str, self.species))
         if len(species) != len(positions):
@@ -128,7 +134,7 @@ class Structure:
                 raise InputError(
                     f"forces shape {forces.shape} does not match positions {positions.shape}"
                 )
-            if not np.all(np.isfinite(forces)):
+            if not np.isfinite(forces).all():
                 raise InputError("forces contain non-finite values")
             object.__setattr__(self, "forces", _freeze(forces))
         if self.energy is not None and not np.isfinite(self.energy):

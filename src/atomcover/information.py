@@ -21,10 +21,12 @@ one-tile self pass per stack, with the bits of a pass per structure.  A
 cross pass is a :class:`Coverage` of the query rows: it keeps its queries
 column-major and a running max-shifted log-sum-exp per query, and can be
 extended by any number of reference blocks, so a growing reference set
-costs each (query, reference) pair once.  It never underflows to
-``log(0)`` for far-away queries: a lone reference at distance d gives back
-exactly ``d^2 / (2 h^2)``, and :func:`_subset_delta_entropies` hands the
-rows whose weighted sums underflow to it.
+costs each (query, reference) pair once.  A query whose kernel sum reaches
+``_SUM_FLOOR`` is settled, unshifted, and from then on summed as a self
+pass sums.  It never underflows to ``log(0)`` for far-away queries, which
+keep the shift: a lone reference at distance d gives back exactly
+``d^2 / (2 h^2)``, and :func:`_subset_delta_entropies` hands the rows
+whose weighted sums underflow to it.
 """
 
 from __future__ import annotations
@@ -259,6 +261,13 @@ def _stacked_self_delta_entropy(stack: np.ndarray, bandwidth: float, buffers) ->
     return -np.log(_ONES[:n] @ tile)
 
 
+# A kernel sum at or above this floor (delta H up to about 644.7 nats) needs
+# no shift: a kernel that underflows to 0 (below about 5e-324) would add less
+# than 1e-43 of it.  A self pass's sums below the floor are recomputed by a
+# Coverage, which max-shifts each query's sum until it reaches the floor.
+_SUM_FLOOR = 1e-280
+
+
 class Coverage:
     """Kernel sums of fixed query rows against a growing reference set.
 
@@ -271,9 +280,15 @@ class Coverage:
 
     Each tile is a reference tile of up to 256 rows against a query slab
     of ``65536 // rows`` columns, reduced over the references (axis 0):
-    a thin block of a few references makes a few wide tiles.  Each tile
-    is shifted by the running max before its exp, so a tile that
-    overflows for a query adds exactly 0 to its sum.  The queries are
+    a thin block of a few references makes a few wide tiles.  After each
+    256-row block, a query whose sum has reached ``_SUM_FLOOR`` is settled
+    (:meth:`_settle`): its max is exactly 0 and its sum the true sum, and
+    as every log kernel is <= 0 it stays so.  A slab of settled queries
+    adds each tile's exp straight, as a self pass does; a slab that holds
+    any other query shifts the tile by the running max before its exp,
+    which leaves a settled column's bits as they are, so a tile that
+    overflows for a query adds exactly 0 to its sum and a far query,
+    never settled, is summed max-shifted throughout.  The queries are
     kept in their right form (:func:`_augment`) as one column-major
     (width + 2) x n array, written in place, so a query slab is a
     row-major (width + 2) x slab operand of the GEMM.  Each 256-row
@@ -333,6 +348,22 @@ class Coverage:
                 q1 = q0 + slab
                 tile = _log_kernel_tile(left, queries[:, q0:q1], self._inv_two_h2, self._buffers)
                 self._add(tile, slice(q0, q1))
+            self._settle()
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def _settle(self) -> None:
+        """Unshift each unsettled query whose kernel sum has reached ``_SUM_FLOOR``.
+
+        Its sum becomes the true sum, ``sum * exp(max)``, and its max exactly
+        0, which marks it settled: every later log kernel is <= 0, so its
+        max stays 0 and its shift is a no-op.  A NaN or zero sum never
+        settles.
+        """
+        unsettled = np.flatnonzero(self._max)
+        log_sum = self._max[unsettled] + np.log(self._sum[unsettled])
+        done = unsettled[log_sum >= math.log(_SUM_FLOOR)]
+        self._sum[done] *= np.exp(self._max[done])
+        self._max[done] = 0.0
 
     @np.errstate(over="ignore")
     def _fold_queries(self, start: int, stop: int) -> None:
@@ -351,8 +382,17 @@ class Coverage:
     @np.errstate(over="ignore", invalid="ignore")
     def _add(self, tile: np.ndarray, columns=slice(None)) -> None:
         """Fold one tile of log kernels, (up to 256 references, the queries at
-        ``columns``), into the running max and sum; the tile is overwritten."""
+        ``columns``), into the running max and sum; the tile is overwritten.
+
+        When every query at ``columns`` is settled (max exactly 0) the tile's
+        exp is added straight; the shifted sum would give the same bits,
+        ``tile - 0`` and ``sum * exp(0)``, at the cost of a column max, a
+        subtract and a rescale.
+        """
         run_max = self._max[columns]
+        if not run_max.any():
+            self._sum[columns] += _ONES[: len(tile)] @ np.exp(tile, out=tile)
+            return
         new_max = np.maximum(run_max, tile.max(axis=0))
         tile -= new_max
         self._sum[columns] = (
@@ -388,12 +428,6 @@ def delta_entropy(queries, refs, kernel: KernelParams = KernelParams()) -> np.nd
     coverage = Coverage(queries, kernel)
     coverage.extend(refs)
     return coverage.delta_entropy()
-
-
-# A shared kernel sum below this floor (delta H above about 644.7 nats) may
-# hold terms that underflowed in the self pass; such rows are recomputed by a
-# Coverage, which max-shifts each query's sum.
-_SUM_FLOOR = 1e-280
 
 
 def _subset_delta_entropies(rows: np.ndarray, subsets, kernel: KernelParams) -> list:

@@ -69,6 +69,22 @@ class TestStructureValidation:
         with pytest.raises(DegenerateGeometryError):
             crystal(np.zeros((3, 3)), [[0.0, 0.0, 0.0]])
 
+    # Coplanar rows, and a cell of volume 1e-13 cubic angstrom, below the
+    # 1e-12 threshold, are singular.
+    @pytest.mark.parametrize(
+        "cell", [[[4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [2.0, 3.0, 0.0]], np.diag([1e-4, 1e-4, 1e-5])]
+    )
+    def test_rejects_flat_periodic_cell(self, cell):
+        with pytest.raises(DegenerateGeometryError, match="cell is singular"):
+            crystal(cell, [[0.0, 0.0, 0.0]])
+
+    # A volume of 1e-11, and a left-handed cell, whose volume is negative.
+    @pytest.mark.parametrize(
+        "cell", [np.diag([1e-4, 1e-4, 1e-3]), [[0.0, 4.0, 0.0], [4.0, 0.0, 0.0], [0.0, 0.0, 4.0]]]
+    )
+    def test_accepts_small_or_left_handed_cell(self, cell):
+        assert len(crystal(cell, [[0.0, 0.0, 0.0]])) == 1
+
     def test_rejects_cell_of_two_rows(self):
         with pytest.raises(InputError, match="cell must be 3x3"):
             crystal(np.eye(3)[:2] * 4.0, [[0.0, 0.0, 0.0]])

@@ -334,7 +334,12 @@ class TestCoverage:
         assert np.allclose(coverage.delta_entropy(), want, rtol=0.0, atol=1e-12)
         assert np.allclose(want, naive_delta_entropy(queries, refs, H), atol=1e-8)
 
-    def test_lone_near_reference_in_the_last_chunk(self):
+    # The near reference comes first in the first chunk, inside the middle
+    # one, or last in the last one.
+    @pytest.mark.parametrize(
+        "chunk, at", [(0, 0), (1, 150), (2, 100)], ids=["first", "middle", "last"]
+    )
+    def test_lone_near_reference_in_any_chunk(self, chunk, at):
         rng = np.random.default_rng(32)
         d = 5.0 * H
         directions = rng.normal(size=(300, 63))
@@ -344,13 +349,59 @@ class TestCoverage:
         # |q - r| >= |r| - d for every query q and far reference r
         assert (np.linalg.norm(far, axis=1).min() - d) ** 2 / (2 * H * H) > 1000.0
         near = np.zeros((1, 63))
+        chunks = [far[:256], far[256:600], far[600:]]
+        chunks[chunk] = np.insert(chunks[chunk], at, near, axis=0)
         coverage = Coverage(queries, KP)
-        for chunk in (far[:256], far[256:600], np.vstack([far[600:], near])):
-            coverage.extend(chunk)
+        for rows in chunks:
+            coverage.extend(rows)
         got = coverage.delta_entropy()
-        # every far kernel is exp(< -1000) = 0 once shifted by the near max
+        # every far kernel is exp(< -1000) = 0 against the near one, shifted
+        # or settled
         assert np.array_equal(got, delta_entropy(queries, near, KP))
         assert np.allclose(got, d * d / (2 * H * H), rtol=0.0, atol=1e-9)
+
+    def test_settled_queries_keep_their_bits_beside_a_far_one(self):
+        # 288 queries near the references settle in the first block; the
+        # last, far from all of them, never does, so from the second block
+        # on the slab of queries 256-288 keeps the max shift for its sake.
+        # That slab's 32 near queries fill whole 8-column blocks: with 44 of
+        # them, the far column after them moves some of their last bits
+        # through the GEMM and GEMV shapes alone, settled or not.
+        rng = np.random.default_rng(33)
+        near = rng.normal(scale=0.01, size=(288, 63))
+        far = np.zeros((1, 63))
+        far[0, 0] = 2.0
+        refs = rng.normal(scale=0.01, size=(900, 63))
+        mixed, alone = Coverage(np.vstack([near, far]), KP), Coverage(near, KP)
+        for chunk in (refs[:256], refs[256:700], refs[700:]):
+            mixed.extend(chunk)
+            alone.extend(chunk)
+            assert not alone._max.any() and mixed._max[-1] < 0
+        got = mixed.delta_entropy()
+        assert np.array_equal(got[:-1], alone.delta_entropy())
+        assert got[-1] > 644.7
+        np.testing.assert_allclose(got[:-1], naive_delta_entropy(near, refs, H), atol=1e-8)
+
+    def test_sum_crosses_the_floor_inside_one_extend(self):
+        # Three 256-row blocks in one extend.  The first is far from every
+        # query, so no sum reaches 1e-280 there; the second holds the near
+        # references, which settle every query; the third holds more near
+        # ones, added to settled sums.
+        rng = np.random.default_rng(34)
+        queries = rng.normal(scale=0.01, size=(300, 63))
+        near = rng.normal(scale=0.01, size=(256, 63))
+        far = rng.normal(scale=0.01, size=(512, 63))
+        far[:, 0] += 2.0
+        refs = np.vstack([far[:256], far[256:384], near[:128], near[128:], far[384:]])
+        assert delta_entropy(queries, refs[:256], KP).min() > 644.7
+        coverage = Coverage(queries, KP)
+        coverage.extend(refs)
+        assert not coverage._max.any()
+        got = coverage.delta_entropy()
+        np.testing.assert_allclose(got, naive_delta_entropy(queries, refs, H), rtol=0.0, atol=1e-8)
+        # every far kernel underflows against the near ones
+        one_block = delta_entropy(queries, near, KP)
+        np.testing.assert_allclose(got, one_block, rtol=0.0, atol=1e-12)
 
     def test_overflow_against_every_chunk_raises(self):
         coverage = Coverage(np.zeros((2, 3)), KernelParams(1e-154))

@@ -5,9 +5,11 @@ import pytest
 
 from atomcover import (
     CompressionResult,
+    DescriptorParams,
     InputError,
     KernelParams,
     SamplerConfig,
+    build_descriptor_set,
     per_structure_entropy,
     run_sampler,
     sample_fps,
@@ -17,11 +19,13 @@ from atomcover import (
 )
 from atomcover.samplers import _structure_means
 from helpers import (
+    crystal,
     eager_msc,
     mixed_size_set,
     naive_delta_entropy,
     naive_entropy,
     naive_kmeans,
+    perturbed_cubic,
     synthetic_set,
 )
 
@@ -49,6 +53,17 @@ def random_fixture(rng, n_structures=12, width=8, scale=0.05):
     return synthetic_set(blocks)
 
 
+def naive_shifted_delta_entropy(queries, refs, h):
+    """``naive_delta_entropy`` with each query's sum shifted by its largest
+    log kernel, so a query far from every reference keeps a finite value."""
+    out = np.empty(len(queries))
+    for i, q in enumerate(np.atleast_2d(queries)):
+        log_k = -((refs - q) ** 2).sum(axis=1) / (2.0 * h * h)
+        top = log_k.max()
+        out[i] = -(top + np.log(np.exp(log_k - top).sum()))
+    return out
+
+
 def naive_msc(descs, count, h):
     """Greedy cover selection recomputed from scratch at every step."""
     n = descs.n_structures
@@ -61,7 +76,7 @@ def naive_msc(descs, count, h):
         for i in range(n):
             if i in selected:
                 continue
-            m = float(naive_delta_entropy(descs.rows_for(i), refs, h).max())
+            m = float(naive_shifted_delta_entropy(descs.rows_for(i), refs, h).max())
             score = m + own[i]
             if score > best_score:
                 best, best_score, best_m = i, score, m
@@ -396,6 +411,26 @@ def far_row_fixture(rng):
     return synthetic_set(blocks)
 
 
+def three_phase_fixture(rng):
+    """Jittered fcc 4.2 A and sc 2.5 A cells, and every fourth place an sc
+    1.8 A cell; returns their descriptor set and the sc 1.8 rows' mask.
+
+    The two wide phases sit 100-200 nats apart, and every sc 1.8 row more
+    than 2,000 nats from both.
+    """
+    fcc = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+    structures, dense = [], []
+    for i in range(12):
+        positions = 4.2 * fcc + rng.normal(scale=0.1, size=(4, 3))
+        structures += [crystal(4.2 * np.eye(3), positions), perturbed_cubic(rng, 2, 2.5, 0.1)]
+        dense += [False, False]
+        if i % 4 == 1:
+            structures.append(perturbed_cubic(rng, 2, 1.8, 0.02))
+            dense.append(True)
+    descs = build_descriptor_set(tuple(structures), DescriptorParams())
+    return descs, np.repeat(dense, descs.offsets[:, 1])
+
+
 def assert_same_greedy(got, want, tolerance=1e-10):
     """Identical picks; steps and every delta H reading within ``tolerance``,
     relative to values above 1.
@@ -466,6 +501,21 @@ class TestMscRounds:
         want = eager_msc(descs, 30, KP, prefix_counts=[3, 4])
         assert max(step.max_delta_h for step in want.per_step[1:]) > 745
         assert_same_greedy(got, want)
+
+    def test_rows_far_from_the_kept_phases_match_the_naive_greedy(self):
+        descs, dense = three_phase_fixture(np.random.default_rng(36))
+        count = 10
+        got = sample_msc(descs, count, KP, prefix_counts=[1])
+        want_selected, want_max = naive_msc(descs, count, H)
+        assert list(got.selected) == want_selected
+        assert not dense[descs.offsets[got.selected[0], 0]]
+        # the first pick leaves every sc 1.8 row unsettled, its sum shifted
+        assert got.delta_h[1][dense].min() > 644.7
+        for step, want in zip(got.per_step[1:], want_max[1:]):
+            assert step.max_delta_h == pytest.approx(want, rel=1e-12, abs=1e-8)
+        kept = np.vstack([descs.rows_for(i) for i in got.selected])
+        want_dh = naive_shifted_delta_entropy(descs.values, kept, H)
+        np.testing.assert_allclose(got.delta_h[count], want_dh, rtol=0.0, atol=1e-8)
 
     def test_mixed_sizes_match_the_eager_greedy(self):
         # structures of 1 to 257 rows: a candidate block may be one
