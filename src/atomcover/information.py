@@ -10,14 +10,15 @@ BLAS (a multi-threaded BLAS may move the last bits).  Each tile makes one
 GEMM of rows in augmented form (:func:`_augment`), which yields the
 squared distances directly; coincident rows snap to exactly 0.
 
-A self pass (the set against itself) computes each pair once on 256 x 256
-tiles: every log kernel is <= 0 and the diagonal is exactly 0, so it sums
-the kernels with no shift.  It sums them against weights on the rows: a
-vector of ones for :func:`entropy`, or one 0/1 column per subset for
-:func:`_subset_delta_entropies`, which thus gets every subset's
-delta_entropy(set | subset) from one pass.  :func:`per_structure_entropy`
-stacks structures of up to 256 rows by row count and makes one stacked
-one-tile self pass per stack, with the bits of a pass per structure.  A
+A self pass (each set of a (B, n, w) stack against itself,
+:func:`_self_kernel_sums`) computes each pair once on 256 x 256 tiles:
+every log kernel is <= 0 and the diagonal is exactly 0, so it sums the
+kernels with no shift.  It sums them against weights on the rows: a vector
+of ones for :func:`entropy` and :func:`per_structure_entropy`, or one 0/1
+column per subset for :func:`_subset_delta_entropies`, which thus gets
+every subset's delta_entropy(set | subset) from one pass.  A set is a
+stack of one; :func:`per_structure_entropy` stacks structures by row
+count, and every set of a stack gets the bits of a pass by itself.  A
 cross pass is a :class:`Coverage` of the query rows: it keeps its queries
 column-major and a running max-shifted log-sum-exp per query, and can be
 extended by any number of reference blocks, so a growing reference set
@@ -117,6 +118,8 @@ def _as_rows(x) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise InputError(f"expected a 2-D array of rows, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InputError("rows must be finite")
     return arr
 
 
@@ -163,14 +166,14 @@ def _log_kernel_tile(left, right, inv_two_h2, buffers) -> np.ndarray:
     # every pair with d2 <= 1e-12 (|x|^2 + |y|^2) to exactly zero, so
     # every log kernel is <= 0 and a member of the reference set always gets
     # kernel sum >= 1 (delta entropy <= 0).  One scalar per tile, at least
-    # every pair's threshold, screens the few candidates first; fmax skips
-    # NaN norms, whose pairs never snap.
+    # every pair's threshold, screens the few candidates first.
     x_sq, y_sq = left[..., -2], right[..., -1, :]
-    screen = 1e-12 * (np.fmax.reduce(x_sq, axis=-1) + np.fmax.reduce(y_sq, axis=-1))
+    screen = 1e-12 * (x_sq.max(axis=-1) + y_sq.max(axis=-1))
     np.less_equal(tile, screen[..., None, None], out=snap.reshape(shape))
     near = snap.nonzero()[0]
-    index = np.unravel_index(near, shape)  # (stack position,) row, column
-    pair_sq = x_sq[index[:-1]] + y_sq[index[:-2] + index[-1:]]
+    m, n = shape[-2:]
+    row, column = np.divmod(near, n)  # row = b m + i over the B stacked blocks
+    pair_sq = x_sq.reshape(-1)[row] + y_sq.reshape(-1)[row // m * n + column]
     d2[near[d2[near] <= pair_sq * 1e-12]] = 0.0
     d2 *= -inv_two_h2  # now the log kernel
     return tile
@@ -193,72 +196,48 @@ _ONES = np.ones(_BLOCK)
 # At tiny bandwidths the log kernel of a far pair overflows to -inf, whose
 # exp is an exact 0.
 @np.errstate(over="ignore")
-def _self_kernel_sums(rows: np.ndarray, bandwidth: float, weights: np.ndarray) -> np.ndarray:
-    """sum_j K_h(x_i, x_j) w_j over the set itself, each pair computed once.
+def _self_kernel_sums(stack: np.ndarray, kernel: KernelParams, weights: np.ndarray) -> np.ndarray:
+    """sum_j K_h(x_i, x_j) w_j over each set of a (B, n, w) stack, each pair once.
 
-    ``weights`` is (n,) or (n, c); the sums take its shape, one column per
-    weight column.  Tiles I <= J are visited in a fixed (I, J) order, from
-    the left form of block I, built per block, and the right form of block
-    J, built per tile in place into one reused buffer as a row-major
-    (w + 2) x rows array, the layout of a Coverage's query store, so
-    working memory stays a few tiles.  Each tile adds W[I]^T tile to the J
-    rows, and an off-diagonal tile also adds tile W[J] to the I rows: GEMVs
-    for a weight vector, one GEMM against every column for a matrix.  Every
-    log kernel is <= 0 and the diagonal is exactly 0, so the sums need no
-    max shift, and with a weight of 1 on every row each sum holds its own
-    exp(0) = 1.  Column sums of a vector of ones are taken as in
+    A single set passes ``rows[None]``.  ``weights`` is (n,) or (n, c),
+    shared by the B sets; the sums are (B,) + ``weights.shape``.  Tiles
+    I <= J are visited in a fixed (I, J) order, from the left form of block
+    I, built per block, and the right form of block J, built per tile in
+    place into one reused buffer as a C-contiguous (B, w + 2, rows) array,
+    each set laid out as a Coverage lays out its query store, so working
+    memory stays a few tiles.  Each tile is one stacked GEMM, which numpy
+    runs as one BLAS call per set with that set's own operands, so every
+    set gets the bits of a pass by itself.  Each tile adds W[I]^T tile to
+    the J rows, and an off-diagonal tile also adds tile W[J] to the I rows:
+    GEMVs for a weight vector, one GEMM against every column for a matrix.
+    Every log kernel is <= 0 and the diagonal is exactly 0, so the sums
+    need no max shift, and with a weight of 1 on every row each sum holds
+    its own exp(0) = 1.  Column sums of a vector of ones are taken as in
     :class:`Coverage`, with operands of the same layout, so a set of one
     tile gets the bits of a Coverage of the set by itself.
     """
-    n = rows.shape[0]
+    b, n, w = stack.shape
     if n == 0:
         raise InputError("reference set is empty")
-    inv_two_h2 = 1.0 / (2.0 * bandwidth * bandwidth)
-    sq = np.einsum("ij,ij->i", rows, rows)
-    width = rows.shape[1] + 2
-    right_buffer = np.empty(width * min(_BLOCK, n))
-    sums = np.zeros(weights.shape)
-    buffers = _tile_buffers(min(_BLOCK, n) ** 2)
+    inv_two_h2 = 1.0 / (2.0 * kernel.bandwidth * kernel.bandwidth)
+    sq = np.einsum("bij,bij->bi", stack, stack)
+    block = min(_BLOCK, n)
+    right_buffer = np.empty(b * (w + 2) * block)
+    sums = np.zeros((b,) + weights.shape)
+    buffers = _tile_buffers(b * block * block)
     for i0 in range(0, n, _BLOCK):
         i1 = i0 + _BLOCK
-        left = _augment(rows[i0:i1], sq[i0:i1], left=True)
+        left = _augment(stack[:, i0:i1], sq[:, i0:i1], left=True)
         for j0 in range(i0, n, _BLOCK):
             j1 = min(j0 + _BLOCK, n)
-            right = right_buffer[: width * (j1 - j0)].reshape(width, j1 - j0)
-            _augment(rows[j0:j1], sq[j0:j1], left=False, out=right.T)
+            right = right_buffer[: b * (w + 2) * (j1 - j0)].reshape(b, w + 2, j1 - j0)
+            _augment(stack[:, j0:j1], sq[:, j0:j1], left=False, out=right.swapaxes(-1, -2))
             tile = _log_kernel_tile(left, right, inv_two_h2, buffers)
             np.exp(tile, out=tile)
-            sums[j0:j1] += (weights[i0:i1].T @ tile).T
+            sums[:, j0:j1] += (weights[i0:i1].T @ tile).swapaxes(1, -1)
             if j0 != i0:
-                sums[i0:i1] += tile @ weights[j0:j1]
+                sums[:, i0:i1] += tile @ weights[j0:j1]
     return sums
-
-
-def _self_delta_entropy(rows: np.ndarray, bandwidth: float) -> np.ndarray:
-    """-log sum_j K_h(x_i, x_j) over the set itself, from one self pass."""
-    return -np.log(_self_kernel_sums(rows, bandwidth, np.ones(rows.shape[0])))
-
-
-@np.errstate(over="ignore")
-def _stacked_self_delta_entropy(stack: np.ndarray, bandwidth: float, buffers) -> np.ndarray:
-    """:func:`_self_delta_entropy` of each block of a (B, n, w) stack, B n <= 256.
-
-    Each block is one self-pass tile, so the stack makes one stacked GEMM,
-    one snap screen, one ``exp`` and one stacked GEMV against ones.  The
-    right forms are one C-contiguous (B, w + 2, n) array, each block laid
-    out as a self pass lays out its store.  numpy runs a stacked product as
-    one BLAS call per block with the operands of a separate pass, so every
-    row of the (B, n) result has that pass's bits.
-    """
-    b, n, w = stack.shape
-    flat = stack.reshape(b * n, w)
-    sq = np.einsum("ij,ij->i", flat, flat).reshape(b, n)
-    left = _augment(stack, sq, left=True)
-    right = np.empty((b, w + 2, n))
-    _augment(stack, sq, left=False, out=right.swapaxes(-1, -2))
-    tile = _log_kernel_tile(left, right, 1.0 / (2.0 * bandwidth * bandwidth), buffers)
-    np.exp(tile, out=tile)
-    return -np.log(_ONES[:n] @ tile)
 
 
 # A kernel sum at or above this floor (delta H up to about 644.7 nats) needs
@@ -288,7 +267,11 @@ class Coverage:
     any other query shifts the tile by the running max before its exp,
     which leaves a settled column's bits as they are, so a tile that
     overflows for a query adds exactly 0 to its sum and a far query,
-    never settled, is summed max-shifted throughout.  The queries are
+    never settled, is summed max-shifted throughout.  A query's bits thus
+    do not depend on whether its slab-mates are settled, but can depend on
+    how many queries share its slab (the GEMM's column count), so the
+    delta entropies of a subset of the queries are not a bitwise slice of
+    those of the whole.  The queries are
     kept in their right form (:func:`_augment`) as one column-major
     (width + 2) x n array, written in place, so a query slab is a
     row-major (width + 2) x slab operand of the GEMM.  Each 256-row
@@ -446,7 +429,7 @@ def _subset_delta_entropies(rows: np.ndarray, subsets, kernel: KernelParams) -> 
     weights = np.zeros((rows.shape[0], len(subsets)))
     for col, subset in enumerate(subsets):
         weights[subset, col] = 1.0
-    sums = _self_kernel_sums(rows, kernel.bandwidth, weights)
+    (sums,) = _self_kernel_sums(rows[None], kernel, weights)
     out = []
     for col, subset in enumerate(subsets):
         dh = -np.log(np.maximum(sums[:, col], _SUM_FLOOR))
@@ -488,7 +471,9 @@ def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
     environments, which weighs rare environments more than the entropy
     does and spans the same range.  The efficiency is ``H / log n``.
     """
-    return EntropyResult.of(_self_delta_entropy(_as_rows(descs), kernel.bandwidth))
+    rows = _as_rows(descs)
+    (sums,) = _self_kernel_sums(rows[None], kernel, np.ones(rows.shape[0]))
+    return EntropyResult.of(-np.log(sums))
 
 
 def diversity(descs, kernel: KernelParams = KernelParams()) -> float:
@@ -512,17 +497,13 @@ def efficiency(descs, kernel: KernelParams = KernelParams()) -> float:
 def per_structure_entropy(descs, kernel: KernelParams = KernelParams()) -> np.ndarray:
     """Entropy of each structure's own environments, taken in isolation.
 
-    Structures of up to 256 rows are stacked by row count, up to 256 rows
-    a stack, and each stack makes one stacked self pass
-    (:func:`_stacked_self_delta_entropy`) with the bits of a separate
-    pass per structure; a larger structure makes its own self pass.
+    Structures are stacked by row count, up to 256 rows a stack (a larger
+    structure is a stack of one), and each stack makes one self pass
+    (:func:`_self_kernel_sums`), with the bits of a separate pass per
+    structure.
     """
     out = np.empty(descs.n_structures)
-    buffers = _tile_buffers(_TILE)
     for index, stack in descs._stacks(_BLOCK):
-        if stack.shape[1] <= _BLOCK:
-            dh = _stacked_self_delta_entropy(stack, kernel.bandwidth, buffers)
-        else:
-            dh = _self_delta_entropy(stack[0], kernel.bandwidth)
-        out[index] = _entropy_nats(dh)
+        sums = _self_kernel_sums(stack, kernel, np.ones(stack.shape[1]))
+        out[index] = _entropy_nats(-np.log(sums))
     return out

@@ -93,10 +93,12 @@ def dataset(*structures):
 
 
 def count_self_passes(monkeypatch):
-    """Record (rows, weight columns) of every self kernel pass (a set against itself).
+    """Record (sets, rows each, weight columns) of every self kernel pass.
 
-    A pass over a weight vector, as ``entropy`` makes, has one column.
-    Returns a list that grows by one pair per pass made while the
+    A set against itself, as ``entropy`` and the subset pass make, is a
+    stack of one set; ``per_structure_entropy`` passes stacks of
+    equal-sized structures.  A pass over a weight vector has one column.
+    Returns a list that grows by one triple per pass made while the
     monkeypatch is active.
     """
     from atomcover import information
@@ -104,32 +106,11 @@ def count_self_passes(monkeypatch):
     shapes = []
     real = information._self_kernel_sums
 
-    def counting(rows, bandwidth, weights):
-        shapes.append((rows.shape[0], 1 if weights.ndim == 1 else weights.shape[1]))
-        return real(rows, bandwidth, weights)
+    def counting(stack, kernel, weights):
+        shapes.append(stack.shape[:2] + (1 if weights.ndim == 1 else weights.shape[1],))
+        return real(stack, kernel, weights)
 
     monkeypatch.setattr(information, "_self_kernel_sums", counting)
-    return shapes
-
-
-def count_structure_passes(monkeypatch):
-    """Record (structures, rows each) of every stacked per-structure self pass.
-
-    ``per_structure_entropy`` passes structures of up to 256 rows in
-    stacks of equal row count; a larger structure makes a self pass that
-    :func:`count_self_passes` records.  Returns a list that grows by one
-    pair per stack passed while the monkeypatch is active.
-    """
-    from atomcover import information
-
-    shapes = []
-    real = information._stacked_self_delta_entropy
-
-    def counting(stack, bandwidth, buffers):
-        shapes.append(stack.shape[:2])
-        return real(stack, bandwidth, buffers)
-
-    monkeypatch.setattr(information, "_stacked_self_delta_entropy", counting)
     return shapes
 
 

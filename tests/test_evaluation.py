@@ -23,7 +23,6 @@ from atomcover.evaluation import _default_threshold_grid, _pooled_force_magnitud
 from helpers import (
     count_cross_passes,
     count_self_passes,
-    count_structure_passes,
     molecule,
     naive_kmeans,
     record_extends,
@@ -390,7 +389,7 @@ class TestCompareMethods:
         shapes = count_cross_passes(monkeypatch)
         compare_methods(descs, [0.25, 0.5], methods=("random",), kernel=KP)
         # one pass over every row, with one weight column per row's selection
-        assert sizes == [(descs.n_environments, 2)]
+        assert sizes == [(1, descs.n_environments, 2)]
         assert shapes == []
 
     def test_one_kept_row_has_no_efficiency_as_in_the_report(self, tmp_path):
@@ -458,11 +457,9 @@ class TestCompareMethods:
         rng = np.random.default_rng(15)
         descs = synthetic_set([rng.normal(scale=0.05, size=(2, 8)) for _ in range(8)])
         sizes = count_self_passes(monkeypatch)
-        stacks = count_structure_passes(monkeypatch)
         sweep = compare_methods(descs, [0.25, 0.5, 1.0], methods=["msc"], kernel=KP)
         # every structure's own pass once, all in one stack, and none per row
-        assert stacks == [(descs.n_structures, 2)]
-        assert sizes == []
+        assert sizes == [(descs.n_structures, 2, 1)]
         assert [r.n_environments for r in sweep.rows] == [4, 8, 16]
 
     def test_msc_rows_add_no_cross_pass(self, monkeypatch):
@@ -503,7 +500,6 @@ class TestCompareMethods:
         greedy = list(shapes)
         shapes.clear()
         sizes = count_self_passes(monkeypatch)
-        stacks = count_structure_passes(monkeypatch)
         sweep = compare_methods(descs, fractions, methods=("random", "msc"), seed=4, kernel=KP)
         assert [r.count for r in sweep.rows] == [2, 2, 5, 10] * 2
         # msc's per-structure passes, one stack per row count that holds
@@ -511,8 +507,8 @@ class TestCompareMethods:
         # one column per distinct random selection: msc rows read the
         # greedy's sums
         lengths, counts = np.unique(descs.offsets[:, 1], return_counts=True)
-        assert stacks == list(zip(counts.tolist(), lengths.tolist()))
-        assert sizes == [(descs.n_environments, len(keys))]
+        stacks = [(c, n, 1) for c, n in zip(counts.tolist(), lengths.tolist())]
+        assert sizes == stacks + [(1, descs.n_environments, len(keys))]
         # the greedy's own extends, as it makes them alone at the sweep's
         # counts, and no other cross pass
         assert shapes == greedy
@@ -559,7 +555,7 @@ class TestCompareMethods:
         # at the three counts, all columns of one pass over every row
         assert [r.count for r in sweep.rows] == [2, 2, 5, 10] * 2
         assert shapes == []
-        assert sizes == [(descs.n_environments, 6)]
+        assert sizes == [(1, descs.n_environments, 6)]
 
     def test_repeated_selections_share_one_column(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -577,7 +573,7 @@ class TestCompareMethods:
                                      descs).selected))
             for m in ("random", "kmeans", "fps")
         }
-        assert sizes == [(descs.n_environments, len(keys))]
+        assert sizes == [(1, descs.n_environments, len(keys))]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_kmeans_rows_match_the_oracle(self, seed, monkeypatch):

@@ -22,7 +22,7 @@ from atomcover import information
 from atomcover.information import _subset_delta_entropies
 from helpers import (
     count_cross_passes,
-    count_structure_passes,
+    count_self_passes,
     mixed_size_set,
     naive_delta_entropy,
     naive_diversity,
@@ -209,16 +209,17 @@ class TestSubsetDeltaEntropies:
         passes = []
         real = information._self_kernel_sums
 
-        def recording(rows, bandwidth, weights):
-            sums = real(rows, bandwidth, weights)
-            passes.append((weights, sums))
+        def recording(stack, kernel, weights):
+            sums = real(stack, kernel, weights)
+            passes.append((stack, weights, sums))
             return sums
 
         monkeypatch.setattr(information, "_self_kernel_sums", recording)
         result = entropy(rows, KP)
-        ((weights, sums),) = passes
+        ((stack, weights, sums),) = passes
+        assert stack.shape == (1, n, 63)
         assert weights.shape == (n,) and np.all(weights == 1.0)
-        assert np.array_equal(result.per_point, -np.log(sums))
+        assert np.array_equal(result.per_point, -np.log(sums[0]))
         (all_rows,) = _subset_delta_entropies(rows, [np.arange(n)], KP)
         np.testing.assert_allclose(all_rows, result.per_point, rtol=0.0, atol=1e-12)
 
@@ -497,6 +498,24 @@ class TestDeltaEntropy:
         with pytest.raises(InputError):
             delta_entropy(np.zeros((2, 3)), np.zeros((2, 4)), KP)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows_rejected(self, value):
+        # a non-finite row would turn every row's entropy to NaN, and a
+        # cross pass would blame the bandwidth
+        good = np.zeros((2, 4))
+        bad = good.copy()
+        bad[1, 2] = value
+        calls = [
+            lambda: entropy(bad, KP),
+            lambda: delta_entropy(bad, good, KP),
+            lambda: delta_entropy(good, bad, KP),
+            lambda: Coverage(bad, KP),
+            lambda: Coverage(good, KP).extend(bad),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="rows must be finite"):
+                call()
+
 
 class TestOverlap:
     def test_self_overlap_is_exactly_one(self):
@@ -565,22 +584,17 @@ class TestPerStructure:
 
     def test_stacked_passes_have_the_bits_of_one_pass_per_structure(self, monkeypatch):
         descs = mixed_size_set(np.random.default_rng(51))
-        own = [
-            information._self_delta_entropy(descs.rows_for(i), H)
-            for i in range(descs.n_structures)
-        ]
-        stacks = count_structure_passes(monkeypatch)
+        own = [entropy(descs.rows_for(i), KP) for i in range(descs.n_structures)]
+        stacks = count_self_passes(monkeypatch)
         got = per_structure_entropy(descs, KP)
-        want = [information._entropy_nats(dh) for dh in own]
-        assert np.array_equal(got, want)
-        # every structure of up to 256 rows went through a stack, some
-        # stacks held several structures, and the far rows underflowed
-        lengths = descs.offsets[:, 1]
-        assert sum(b for b, _ in stacks) == np.count_nonzero(lengths <= 256)
-        assert max(b for b, _ in stacks) > 1
-        assert all(dh[-1] == 0.0 for dh in own if len(dh) >= 7)
-        buffers = information._tile_buffers(information._TILE)
+        assert np.array_equal(got, [result.entropy_nats for result in own])
+        # every structure went through one stack, some stacks held several
+        # structures, the one of 257 rows was a stack of one, and the far
+        # rows underflowed
+        assert sum(b for b, _, _ in stacks) == descs.n_structures
+        assert max(b for b, _, _ in stacks) > 1
+        assert (1, 257, 1) in stacks
+        assert all(r.per_point[-1] == 0.0 for r in own if r.n_environments >= 7)
         for index, stack in descs._stacks(256):
-            if stack.shape[1] <= 256:
-                dh = information._stacked_self_delta_entropy(stack, H, buffers)
-                assert np.array_equal(dh, [own[i] for i in index])
+            sums = information._self_kernel_sums(stack, KP, np.ones(stack.shape[1]))
+            assert np.array_equal(-np.log(sums), [own[i].per_point for i in index])
