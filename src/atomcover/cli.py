@@ -8,7 +8,8 @@ Subcommands:
   force-cdf  cumulative distribution of per-atom force magnitudes
   compare    sweep all samplers over multiple fractions
 
-Exit codes: 0 success, 2 unreadable/malformed input, 3 invalid flags,
+Exit codes: 0 success, 2 unreadable/malformed input (for force-cdf,
+also a structure without forces), 3 invalid flags,
 4 degenerate geometry (coincident atoms, singular cells, cells too small
 to lay out), 5 out of memory, 130 interrupted (Ctrl-C, the shell's code
 for SIGINT).  Each failure prints one line to stderr, never a traceback.
@@ -290,7 +291,13 @@ def cmd_force_cdf(args):
     from .extxyz import read_extxyz
     from .report import ReportDocument
 
-    result = force_cdf(read_extxyz(args.input), None, args.thresholds)
+    structures = read_extxyz(args.input)
+    # A frame without forces is a fault of the input file, not of a flag.
+    missing = next((i for i, s in enumerate(structures) if s.forces is None), None)
+    if missing is not None:
+        print(f"atomcover: {args.input}: structure {missing} has no forces", file=sys.stderr)
+        return EXIT_PARSE
+    result = force_cdf(structures, None, args.thresholds)
     metrics = {
         "thresholds": result.thresholds,
         "cdf": result.cdf,

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, InputError
 from .geometry import NeighborSet, _batched_neighbors, _image_reaches, _tree_neighbors
+from .information import _STORE_CHUNK, _columns, _right_store, _store_rows
 
 # Unused here, but bound: the benchmark's tracer (benchmarks/spans.py) wraps
 # every binding of nearest_neighbors, and its tests expect this one.
@@ -89,18 +90,41 @@ class DescriptorSet:
     ``offsets`` maps structures to row ranges: row ``offsets[i, 0]`` up to
     (but excluding) ``offsets[i, 0] + offsets[i, 1]`` belongs to structure
     ``i``.  Ranges form a contiguous partition of the rows, in order.
+
+    The rows are held once, in the form every kernel pass reads in place:
+    a read-only C-contiguous (width + 2, n_env) store ``[y; 1; |y|^2]``,
+    the rows transposed, a row of ones and the rows' squared norms
+    (:func:`atomcover.information._store_rows`).  ``values`` is a
+    read-only (n_env, width) view of the store's first width rows, so it
+    is not C-contiguous: a row is strided, while ``values[index]`` and
+    :meth:`rows_for` give new C-contiguous rows.  A set built from ``values``
+    copies them into a new store, in row chunks.
     """
 
-    values: np.ndarray  # (n_env, width)
+    values: np.ndarray  # (n_env, width), a view of the store
     offsets: np.ndarray  # (n_structures, 2) as (start, length)
     params: DescriptorParams | None = None
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise InputError(f"values must be 2-D, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise InputError("descriptor values must be finite")
+        self._hold(_right_store(values))
+
+    @classmethod
+    def _of_store(cls, store: np.ndarray, offsets, params) -> "DescriptorSet":
+        """A set that takes a filled store of finite rows as its own, uncopied."""
+        descs = cls.__new__(cls)
+        object.__setattr__(descs, "offsets", offsets)
+        object.__setattr__(descs, "params", params)
+        descs._hold(store)
+        return descs
+
+    def _hold(self, store: np.ndarray) -> None:
+        """Check the offsets and params against a store, and keep it read-only."""
+        width, n_env = store.shape[0] - 2, store.shape[1]
         offsets = np.asarray(self.offsets, dtype=int)
         if offsets.ndim != 2 or offsets.shape[1] != 2:
             raise InputError(f"offsets must be (n, 2), got shape {offsets.shape}")
@@ -108,15 +132,16 @@ class DescriptorSet:
         if np.any(offsets[:, 1] < 1) or np.any(offsets[:, 0] != np.append(0, ends[:-1])):
             raise InputError("offsets must form a contiguous partition of the rows")
         covered = int(ends[-1]) if len(ends) else 0
-        if covered != values.shape[0]:
-            raise InputError(f"offsets cover {covered} rows but values has {values.shape[0]}")
-        if self.params is not None and values.shape[1] != self.params.width:
+        if covered != n_env:
+            raise InputError(f"offsets cover {covered} rows but values has {n_env}")
+        if self.params is not None and width != self.params.width:
             raise InputError(
-                f"row width {values.shape[1]} does not match params width {self.params.width}"
+                f"row width {width} does not match params width {self.params.width}"
             )
-        values.flags.writeable = False
+        store.flags.writeable = False
         offsets.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_store", store)
+        object.__setattr__(self, "values", store[:width].T)
         object.__setattr__(self, "offsets", offsets)
 
     @property
@@ -132,14 +157,18 @@ class DescriptorSet:
         return self.values.shape[1]
 
     def rows_for(self, structure_index: int) -> np.ndarray:
-        """Descriptor rows of one structure (a view)."""
+        """Descriptor rows of one structure, as a new C-contiguous array.
+
+        A copy, so that numpy reduces them in the order it reduces any
+        C-contiguous rows: ``rows_for(i).mean(axis=0)`` adds rows in order.
+        """
         start, length = self.offsets[structure_index]
-        return self.values[start : start + length]
+        return np.ascontiguousarray(self.values[start : start + length])
 
     def subset(self, structure_indices) -> "DescriptorSet":
         """New set holding only the given structures, in the given order."""
         rows, offsets = self._subset_rows(structure_indices)
-        return DescriptorSet(values=self.values[rows], offsets=offsets, params=self.params)
+        return DescriptorSet._of_store(_columns(self._store, rows), offsets, self.params)
 
     def _subset_rows(self, structure_indices):
         """The rows of :meth:`subset` in this set, and the subset's offsets."""
@@ -157,12 +186,12 @@ class DescriptorSet:
         return rows, np.stack([new_starts, lengths], axis=1)
 
     def _stacks(self, max_rows: int):
-        """Yield (structure indices, their rows as one (B, n, width) array).
+        """Yield (structure indices, their row indices as one (B, n) array).
 
         Structures of equal row count n are stacked in index order, at most
         ``max(1, max_rows // n)`` per stack, so every structure lands in
         exactly one stack and a stack holds at most ``max(max_rows, n)``
-        rows.  Each stack is a copy of its rows.
+        rows.
         """
         starts, lengths = self.offsets[:, 0], self.offsets[:, 1]
         sizes, counts = np.unique(lengths, return_counts=True)
@@ -171,7 +200,7 @@ class DescriptorSet:
             per = max(1, max_rows // n)
             for b0 in range(0, len(group), per):
                 index = group[b0 : b0 + per]
-                yield index, self.values[starts[index, None] + np.arange(n)]
+                yield index, starts[index, None] + np.arange(n)
 
 
 def _cutoff_weight(r, cutoff: float):
@@ -309,17 +338,17 @@ def _build(structures, params: DescriptorParams) -> DescriptorSet:
     candidates are ranked, and its rows described, in one call each.  Rows
     are the same bits either way.
     """
-    k, cutoff = params.n_neighbors, params.cutoff
+    k, cutoff, width = params.n_neighbors, params.cutoff, params.width
     lengths = np.array([len(s) for s in structures], dtype=int)
     starts = np.cumsum(lengths) - lengths
     reaches = _image_reaches(structures, cutoff, k)
     points = lengths * np.prod(2 * reaches + 1, axis=1)
-    values = np.empty((int(lengths.sum()), params.width))
+    store = np.empty((width + 2, int(lengths.sum())))
 
     def describe(indices, nbrs):
         rows = (starts[indices][:, None] + np.arange(lengths[indices[0]])).ravel()
-        values[rows, :k] = compute_x1(nbrs, params)
-        values[rows, k:] = compute_x2(nbrs, params)
+        store[:k, rows] = compute_x1(nbrs, params).T
+        store[k:width, rows] = compute_x2(nbrs, params).T
 
     groups = {}
     for si in range(len(structures)):
@@ -333,7 +362,14 @@ def _build(structures, params: DescriptorParams) -> DescriptorSet:
         for c0 in range(0, len(indices), size):
             batch = indices[c0 : c0 + size]
             describe(batch, search([structures[i] for i in batch], tuple(reach), k))
-    return DescriptorSet(values=values, offsets=np.stack([starts, lengths], axis=1), params=params)
+    # Every row is in place; the ones and the norms follow a row chunk at a time.
+    for c0 in range(0, store.shape[1], _STORE_CHUNK):
+        rows = np.ascontiguousarray(store[:width, c0 : c0 + _STORE_CHUNK].T)
+        if not np.isfinite(rows).all():
+            raise InputError("descriptor values must be finite")
+        _store_rows(store, c0, rows)
+    offsets = np.stack([starts, lengths], axis=1)
+    return DescriptorSet._of_store(store, offsets, params)
 
 
 _CACHE_MAGIC = b"ACDS0002"
@@ -353,10 +389,10 @@ def save_descriptor_set(descs: DescriptorSet, path) -> None:
     """
     if descs.params is None:
         raise InputError("cannot cache a descriptor set without params")
-    # Written and checksummed through their buffers: a C-contiguous array of
-    # the file's dtype is not copied.
+    # Offsets are written and checksummed through their buffer, rows a
+    # C-contiguous chunk at a time: a chunk of the file's dtype is not copied
+    # again, and the checksum runs on over the chunks.
     offsets = np.ascontiguousarray(descs.offsets, dtype="<i8")
-    values = np.ascontiguousarray(descs.values, dtype="<f8")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -370,8 +406,12 @@ def save_descriptor_set(descs: DescriptorSet, path) -> None:
                 )
             )
             fh.write(offsets)
-            fh.write(values)
-            fh.write(_CACHE_CHECKSUM.pack(zlib.crc32(values, zlib.crc32(offsets))))
+            checksum = zlib.crc32(offsets)
+            for c0 in range(0, descs.n_environments, _STORE_CHUNK):
+                rows = np.ascontiguousarray(descs.values[c0 : c0 + _STORE_CHUNK], dtype="<f8")
+                fh.write(rows)
+                checksum = zlib.crc32(rows, checksum)
+            fh.write(_CACHE_CHECKSUM.pack(checksum))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -385,8 +425,9 @@ def load_descriptor_set(path) -> DescriptorSet:
     Raises InputError unless the magic, the header, the exact file length
     and the checksum all match, and on a short read (a file that shrinks
     while it is read).  Files of the older checksum-free format fail on
-    the magic.  The offsets and the rows are read straight into their
-    arrays, with no intermediate bytes copy.
+    the magic.  The offsets are read straight into their array, and the
+    rows a chunk at a time into one reused buffer, from which they fill
+    the set's store.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -406,17 +447,24 @@ def load_descriptor_set(path) -> DescriptorSet:
                 f"{path}: descriptor cache is {size} bytes, its header implies {expected}"
             )
         offsets = np.empty((n_structures, 2), dtype="<i8")
-        values = np.empty((n_env, params.width), dtype="<f8")
-        for arr in (offsets, values):
-            if fh.readinto(arr) != arr.nbytes:
-                raise InputError(f"{path}: descriptor cache is truncated")
-        checksum = fh.read(_CACHE_CHECKSUM.size)
-        if len(checksum) != _CACHE_CHECKSUM.size:
+        if fh.readinto(offsets) != offsets.nbytes:
             raise InputError(f"{path}: descriptor cache is truncated")
-    if zlib.crc32(values, zlib.crc32(offsets)) != _CACHE_CHECKSUM.unpack(checksum)[0]:
+        checksum = zlib.crc32(offsets)
+        store = np.empty((params.width + 2, n_env))
+        chunk = np.empty((min(_STORE_CHUNK, n_env), params.width), dtype="<f8")
+        finite = True
+        for c0 in range(0, n_env, _STORE_CHUNK):
+            rows = chunk[: min(_STORE_CHUNK, n_env - c0)]
+            if fh.readinto(rows) != rows.nbytes:
+                raise InputError(f"{path}: descriptor cache is truncated")
+            checksum = zlib.crc32(rows, checksum)
+            finite = finite and bool(np.isfinite(rows).all())
+            _store_rows(store, c0, rows.astype(float, copy=False))
+        tail = fh.read(_CACHE_CHECKSUM.size)
+        if len(tail) != _CACHE_CHECKSUM.size:
+            raise InputError(f"{path}: descriptor cache is truncated")
+    if checksum != _CACHE_CHECKSUM.unpack(tail)[0]:
         raise InputError(f"{path}: descriptor cache checksum does not match")
-    return DescriptorSet(
-        values=values.astype(float, copy=False),
-        offsets=offsets.astype(int, copy=False),
-        params=params,
-    )
+    if not finite:
+        raise InputError("descriptor values must be finite")
+    return DescriptorSet._of_store(store, offsets.astype(int, copy=False), params)

@@ -146,7 +146,7 @@ def _kept_figures(descs: DescriptorSet, selection, kernel: KernelParams, delta_h
     """
     rows, _ = descs._subset_rows(selection)
     if delta_h is None:
-        delta_h = delta_entropy(descs.values, descs.values[rows], kernel)
+        delta_h = delta_entropy(descs, descs.subset(selection), kernel)
     delta_h = np.asarray(delta_h, dtype=float)
     if delta_h.shape != (descs.n_environments,):
         raise InputError(f"delta_h has shape {delta_h.shape}, not ({descs.n_environments},)")
@@ -285,7 +285,7 @@ def compare_methods(
     keys = [k for k in dict.fromkeys(_selection_key(s) for _, sel in runs for s in sel)
             if k not in dh_of]
     dh_of.update(zip(keys, _subset_delta_entropies(
-        descs.values, [descs._subset_rows(key)[0] for key in keys], kernel
+        descs, [descs._subset_rows(key)[0] for key in keys], kernel
     )))
 
     rows = []

@@ -6,28 +6,32 @@ All quantities are in nats and reduce to a Gaussian kernel sum
 
 evaluated in the log domain, over tiles of fixed shapes visited in a
 fixed order, so results are deterministic for a given input ordering and
-BLAS (a multi-threaded BLAS may move the last bits).  Each tile makes one
-GEMM of rows in augmented form (:func:`_augment`), which yields the
-squared distances directly; coincident rows snap to exactly 0.
+BLAS (a multi-threaded BLAS may move the last bits).  Every pass reads
+rows from a store: their right form ``[y; 1; |y|^2]`` as one C-contiguous
+(w + 2) x n array (:func:`_store_rows`).  A DescriptorSet holds its rows
+that way and is read in place; plain rows get a store of their own, with
+the same bits.  Each tile (:func:`_log_kernel_tile`) makes one GEMM of
+the left form of its rows (:func:`_left_form`) and a slice of a store,
+which yields the squared distances directly; coincident rows snap to
+exactly 0.
 
-A self pass (each set of a (B, n, w) stack against itself,
+A self pass (a set against itself, or each set of a stack,
 :func:`_self_kernel_sums`) computes each pair once on 256 x 256 tiles:
 every log kernel is <= 0 and the diagonal is exactly 0, so it sums the
-kernels with no shift.  It sums them against weights on the rows: a vector
+kernels with no shift.  It sums them against weights on the rows: a column
 of ones for :func:`entropy` and :func:`per_structure_entropy`, or one 0/1
 column per subset for :func:`_subset_delta_entropies`, which thus gets
-every subset's delta_entropy(set | subset) from one pass.  A set is a
-stack of one; :func:`per_structure_entropy` stacks structures by row
-count, and every set of a stack gets the bits of a pass by itself.  A
-cross pass is a :class:`Coverage` of the query rows: it keeps its queries
-column-major and a running max-shifted log-sum-exp per query, and can be
-extended by any number of reference blocks, so a growing reference set
-costs each (query, reference) pair once.  A query whose kernel sum reaches
-``_SUM_FLOOR`` is settled, unshifted, and from then on summed as a self
-pass sums.  It never underflows to ``log(0)`` for far-away queries, which
-keep the shift: a lone reference at distance d gives back exactly
-``d^2 / (2 h^2)``, and :func:`_subset_delta_entropies` hands the rows
-whose weighted sums underflow to it.
+every subset's delta_entropy(set | subset) from one pass.
+:func:`per_structure_entropy` stacks structures by row count, and every
+set of a stack gets the bits of a pass by itself.  A cross pass is a
+:class:`Coverage` of the query rows: it keeps its queries' store and a
+running max-shifted log-sum-exp per query, and can be extended by any
+number of reference blocks, so a growing reference set costs each (query,
+reference) pair once.  A query whose kernel sum reaches ``_SUM_FLOOR`` is
+settled, unshifted, and from then on summed as a self pass sums.  It never
+underflows to ``log(0)`` for far-away queries, which keep the shift: a
+lone reference at distance d gives back exactly ``d^2 / (2 h^2)``, and
+:func:`_subset_delta_entropies` hands the rows whose weighted sums underflow to it.
 """
 
 from __future__ import annotations
@@ -110,71 +114,110 @@ class EntropyResult:
         )
 
 
-def _as_rows(x) -> np.ndarray:
-    """Accept a DescriptorSet or a plain (n, width) array."""
-    values = getattr(x, "values", x)
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
-        raise InputError(f"expected a 2-D array of rows, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InputError("rows must be finite")
-    return arr
+# Rows per chunk when a store is filled from rows: a C-contiguous chunk of
+# 1024 rows of width 63 is about 0.5 MB.
+_STORE_CHUNK = 1024
 
 
-def _augment(rows: np.ndarray, sq: np.ndarray, left: bool, out=None) -> np.ndarray:
-    """The left ``[-2x, |x|^2, 1]`` or right ``[y, 1, |y|^2]`` form of a row block.
+def _store_rows(store: np.ndarray, start: int, rows: np.ndarray) -> None:
+    """Write C-contiguous (m, w) rows into columns ``start:start + m`` of a store.
 
-    ``rows`` is one (n, w) block or a (B, n, w) stack of them, and ``sq``
-    holds the rows' squared norms.  The product of a left block and a
-    right block in (w + 2, n) orientation is ``|x|^2 + |y|^2 - 2 x.y``, the
-    squared distances, from one GEMM; the norm columns also serve the
-    coincidence snap.  The form is written into ``out`` when it is given
-    (any (..., n, w + 2) view, such as the transpose of a column-major
-    store), else into a new row-major array.
+    A store holds rows in their right form ``[y; 1; |y|^2]`` as one
+    C-contiguous (w + 2, n) array: the rows transposed, a row of ones and
+    the squared norms, each norm an ``einsum`` over its C-contiguous row.
     """
-    w = rows.shape[-1]
-    if out is None:
-        out = np.empty(rows.shape[:-1] + (w + 2,))
-    if left:
-        np.multiply(rows, -2.0, out=out[..., :w])  # exact: scaling by 2 and negating
-        out[..., w], out[..., w + 1] = sq, 1.0
-    else:
-        out[..., :w] = rows
-        out[..., w], out[..., w + 1] = 1.0, sq
-    return out
+    w = rows.shape[1]
+    columns = slice(start, start + rows.shape[0])
+    store[:w, columns] = rows.T
+    store[w, columns] = 1.0
+    store[w + 1, columns] = np.einsum("ij,ij->i", rows, rows)
 
 
-def _log_kernel_tile(left, right, inv_two_h2, buffers) -> np.ndarray:
+def _right_store(rows: np.ndarray) -> np.ndarray:
+    """The store (:func:`_store_rows`) of (n, w) rows, filled in row chunks."""
+    n, w = rows.shape
+    store = np.empty((w + 2, n))
+    for c0 in range(0, n, _STORE_CHUNK):
+        _store_rows(store, c0, np.ascontiguousarray(rows[c0 : c0 + _STORE_CHUNK]))
+    return store
+
+
+def _store_of(x) -> np.ndarray:
+    """The store of a DescriptorSet, read in place, or a new one of plain rows.
+
+    Plain rows are an (n, width) array, or one row as a 1-D array; a NaN or
+    infinite row is an InputError.
+    """
+    store = getattr(x, "_store", None)
+    if store is not None:
+        return store
+    rows = np.asarray(x, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    if rows.ndim != 2:
+        raise InputError(f"expected a 2-D array of rows, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise InputError("rows must be finite")
+    return _right_store(rows)
+
+
+def _columns(store: np.ndarray, index) -> np.ndarray:
+    """The rows at ``index`` (any shape) of a store, as a new C-contiguous
+    (w + 2,) + ``index.shape`` array."""
+    return np.take(store, index, axis=1)
+
+
+def _left_form(right: np.ndarray) -> np.ndarray:
+    """The left form ``[-2x, |x|^2, 1]`` of the rows of a right-form block.
+
+    ``right`` is a (w + 2, m) slice of a store, or a (B, w + 2, m) stack of
+    them; the left form is a new row-major (m, w + 2) or (B, m, w + 2)
+    array.  The product of a left block and a right block is
+    ``|x|^2 + |y|^2 - 2 x.y``, the squared distances, from one GEMM; the
+    norm rows also serve the coincidence snap.
+    """
+    w = right.shape[-2] - 2
+    left = np.empty(right.shape[:-2] + (right.shape[-1], w + 2))
+    np.multiply(right[..., :w, :].swapaxes(-1, -2), -2.0, out=left[..., :w])  # exact
+    left[..., w] = right[..., w + 1, :]
+    left[..., w + 1] = 1.0
+    return left
+
+
+def _log_kernel_tile(left, right, inv_two_h2, buffers, diagonal=False) -> np.ndarray:
     """Write log K_h(x_i, y_j) of one tile into a view of the first buffer.
 
-    ``left`` is the left form (:func:`_augment`) of the tile's rows,
-    (m, w + 2), and ``right`` the right form of its columns in (w + 2, n)
-    orientation; a stack of B tiles passes (B, m, w + 2) and (B, w + 2, n)
-    and makes one stacked GEMM.  Returns the (m, n) or (B, m, n) view that
-    holds the tile; it is valid until the next call with the same buffers.
+    ``left`` is the left form (:func:`_left_form`) of the tile's rows,
+    (m, w + 2), and ``right`` a (w + 2, n) slice of a store, read in place;
+    a stack of B tiles passes (B, m, w + 2) and (B, w + 2, n) and makes one
+    stacked GEMM.  ``diagonal`` marks a tile of a set against itself.
+    Returns the (m, n) or (B, m, n) view that holds the tile; it is valid
+    until the next call with the same buffers.
     """
     shape = left.shape[:-1] + right.shape[-1:]
     size = math.prod(shape)
-    d2, snap = buffers[0][:size], buffers[1][:size]
-    # The views are contiguous, so matmul(out=) still goes through BLAS
-    # and gives the same bits as a fresh product.
+    d2 = buffers[0][:size]
+    # The view is contiguous, so matmul(out=) still goes through BLAS and
+    # gives the same bits as a fresh product.
     tile = d2.reshape(shape)
     np.matmul(left, right, out=tile)
     # The GEMM leaves O(w * eps * |x|^2) residue on coincident rows; snap
     # every pair with d2 <= 1e-12 (|x|^2 + |y|^2) to exactly zero, so
     # every log kernel is <= 0 and a member of the reference set always gets
     # kernel sum >= 1 (delta entropy <= 0).  One scalar per tile, at least
-    # every pair's threshold, screens the few candidates first.
+    # every pair's threshold, screens the few candidates first.  A tile of
+    # a set against itself always holds some; any other tile holds none
+    # when its least entry is above every screen, and skips the snap.
     x_sq, y_sq = left[..., -2], right[..., -1, :]
     screen = 1e-12 * (x_sq.max(axis=-1) + y_sq.max(axis=-1))
-    np.less_equal(tile, screen[..., None, None], out=snap.reshape(shape))
-    near = snap.nonzero()[0]
-    m, n = shape[-2:]
-    row, column = np.divmod(near, n)  # row = b m + i over the B stacked blocks
-    pair_sq = x_sq.reshape(-1)[row] + y_sq.reshape(-1)[row // m * n + column]
-    d2[near[d2[near] <= pair_sq * 1e-12]] = 0.0
+    if diagonal or not tile.min() > screen.max():
+        snap = buffers[1][:size]
+        np.less_equal(tile, screen[..., None, None], out=snap.reshape(shape))
+        near = snap.nonzero()[0]
+        m, n = shape[-2:]
+        row, column = np.divmod(near, n)  # row = b m + i over the B stacked blocks
+        pair_sq = x_sq.reshape(-1)[row] + y_sq.reshape(-1)[row // m * n + column]
+        d2[near[d2[near] <= pair_sq * 1e-12]] = 0.0
     d2 *= -inv_two_h2  # now the log kernel
     return tile
 
@@ -196,47 +239,44 @@ _ONES = np.ones(_BLOCK)
 # At tiny bandwidths the log kernel of a far pair overflows to -inf, whose
 # exp is an exact 0.
 @np.errstate(over="ignore")
-def _self_kernel_sums(stack: np.ndarray, kernel: KernelParams, weights: np.ndarray) -> np.ndarray:
-    """sum_j K_h(x_i, x_j) w_j over each set of a (B, n, w) stack, each pair once.
+def _self_kernel_sums(store, kernel: KernelParams, weights, buffers=None) -> np.ndarray:
+    """sum_j K_h(x_i, x_j) w_j over a set, each pair once.
 
-    A single set passes ``rows[None]``.  ``weights`` is (n,) or (n, c),
-    shared by the B sets; the sums are (B,) + ``weights.shape``.  Tiles
-    I <= J are visited in a fixed (I, J) order, from the left form of block
-    I, built per block, and the right form of block J, built per tile in
-    place into one reused buffer as a C-contiguous (B, w + 2, rows) array,
-    each set laid out as a Coverage lays out its query store, so working
-    memory stays a few tiles.  Each tile is one stacked GEMM, which numpy
-    runs as one BLAS call per set with that set's own operands, so every
-    set gets the bits of a pass by itself.  Each tile adds W[I]^T tile to
-    the J rows, and an off-diagonal tile also adds tile W[J] to the I rows:
-    GEMVs for a weight vector, one GEMM against every column for a matrix.
-    Every log kernel is <= 0 and the diagonal is exactly 0, so the sums
-    need no max shift, and with a weight of 1 on every row each sum holds
-    its own exp(0) = 1.  Column sums of a vector of ones are taken as in
-    :class:`Coverage`, with operands of the same layout, so a set of one
-    tile gets the bits of a Coverage of the set by itself.
+    ``store`` is the set's store (:func:`_store_rows`), (w + 2, n), or a
+    (B, w + 2, n) stack of the stores of B sets of n rows, read in place;
+    ``weights`` is (n, c), shared by the B sets; the sums are (n, c) or
+    (B, n, c).  Tiles I <= J are visited in a fixed (I, J) order, from the
+    left form of block I, built per block, and the store's own slice of
+    block J; working memory is ``buffers`` (:func:`_tile_buffers`, made
+    for the pass when not given) and one left block.  Each tile is one
+    GEMM, stacked over the B sets, which numpy runs as one BLAS call per
+    set with that set's own operands, so every set gets the bits of a pass
+    by itself.  Each tile adds W[I]^T tile to the J rows, and an
+    off-diagonal tile also adds tile W[J] to the I rows: GEMVs for one
+    weight column, GEMMs for several.  Every log kernel is <= 0 and the
+    diagonal is exactly 0, so the sums need no max shift, and with a
+    weight of 1 on every row each sum holds its own exp(0) = 1.  Column
+    sums of a column of ones are taken as in :class:`Coverage`, with
+    operands of the same layout, so a set of one tile gets the bits of a
+    Coverage of the set by itself.
     """
-    b, n, w = stack.shape
+    n = store.shape[-1]
     if n == 0:
         raise InputError("reference set is empty")
     inv_two_h2 = 1.0 / (2.0 * kernel.bandwidth * kernel.bandwidth)
-    sq = np.einsum("bij,bij->bi", stack, stack)
-    block = min(_BLOCK, n)
-    right_buffer = np.empty(b * (w + 2) * block)
-    sums = np.zeros((b,) + weights.shape)
-    buffers = _tile_buffers(b * block * block)
+    if buffers is None:
+        buffers = _tile_buffers(math.prod(store.shape[:-2]) * min(_BLOCK, n) ** 2)
+    sums = np.zeros(store.shape[:-2] + weights.shape)
     for i0 in range(0, n, _BLOCK):
         i1 = i0 + _BLOCK
-        left = _augment(stack[:, i0:i1], sq[:, i0:i1], left=True)
+        left = _left_form(store[..., i0:i1])
         for j0 in range(i0, n, _BLOCK):
-            j1 = min(j0 + _BLOCK, n)
-            right = right_buffer[: b * (w + 2) * (j1 - j0)].reshape(b, w + 2, j1 - j0)
-            _augment(stack[:, j0:j1], sq[:, j0:j1], left=False, out=right.swapaxes(-1, -2))
-            tile = _log_kernel_tile(left, right, inv_two_h2, buffers)
+            j1 = j0 + _BLOCK
+            tile = _log_kernel_tile(left, store[..., j0:j1], inv_two_h2, buffers, j0 == i0)
             np.exp(tile, out=tile)
-            sums[:, j0:j1] += (weights[i0:i1].T @ tile).swapaxes(1, -1)
+            sums[..., j0:j1, :] += (weights[i0:i1].T @ tile).swapaxes(-1, -2)
             if j0 != i0:
-                sums[:, i0:i1] += tile @ weights[j0:j1]
+                sums[..., i0:i1, :] += tile @ weights[j0:j1]
     return sums
 
 
@@ -271,20 +311,19 @@ class Coverage:
     do not depend on whether its slab-mates are settled, but can depend on
     how many queries share its slab (the GEMM's column count), so the
     delta entropies of a subset of the queries are not a bitwise slice of
-    those of the whole.  The queries are
-    kept in their right form (:func:`_augment`) as one column-major
-    (width + 2) x n array, written in place, so a query slab is a
-    row-major (width + 2) x slab operand of the GEMM.  Each 256-row
-    reference block is put in its left form once per :meth:`extend`.
+    those of the whole.  The queries are kept as a store
+    (:func:`_store_rows`): a DescriptorSet's own, read in place with no
+    copy, or one filled from plain rows, so a query slab is a row-major
+    (width + 2) x slab operand of the GEMM.  :meth:`extend` reads the
+    references' store the same way, and puts each 256-row reference block
+    in its left form once.
     """
 
     def __init__(self, queries, kernel: KernelParams = KernelParams()):
-        rows = _as_rows(queries)
-        n = rows.shape[0]
+        self._queries = _store_of(queries)
+        n = self.n_queries
         self._bandwidth = kernel.bandwidth
         self._inv_two_h2 = 1.0 / (2.0 * kernel.bandwidth * kernel.bandwidth)
-        self._queries = np.empty((rows.shape[1] + 2, n))
-        _augment(rows, np.einsum("ij,ij->i", rows, rows), left=False, out=self._queries.T)
         # the lowest finite float, so run_max - new_max is never -inf - -inf
         self._max = np.full(n, -np.finfo(float).max)
         self._sum = np.zeros(n)
@@ -311,21 +350,20 @@ class Coverage:
 
     def extend(self, refs) -> None:
         """Add a block of reference rows to every query's kernel sum."""
-        refs = _as_rows(refs)
-        if self._queries.shape[0] - 2 != refs.shape[1]:
+        refs = _store_of(refs)
+        if self._queries.shape[0] != refs.shape[0]:
             raise InputError(
-                f"query width {self._queries.shape[0] - 2} != reference width {refs.shape[1]}"
+                f"query width {self._queries.shape[0] - 2} != reference width {refs.shape[0] - 2}"
             )
         self._fold(refs)
-        self.n_references += refs.shape[0]
+        self.n_references += refs.shape[1]
 
     @np.errstate(over="ignore", invalid="ignore")
     def _fold(self, refs: np.ndarray) -> None:
-        """:meth:`extend` by a (rows, width) array, with no checks and no count."""
+        """:meth:`extend` by a store of references, with no checks and no count."""
         queries = self._queries
-        ref_sq = np.einsum("ij,ij->i", refs, refs)
-        for r0 in range(0, refs.shape[0], _BLOCK):
-            left = _augment(refs[r0 : r0 + _BLOCK], ref_sq[r0 : r0 + _BLOCK], left=True)
+        for r0 in range(0, refs.shape[1], _BLOCK):
+            left = _left_form(refs[:, r0 : r0 + _BLOCK])
             slab = _TILE // len(left)
             for q0 in range(0, queries.shape[1], slab):
                 q1 = q0 + slab
@@ -358,8 +396,8 @@ class Coverage:
         """
         if self._own is None:
             queries = self._queries
-            left = _augment(queries[:-2].T, queries[-1], left=True)
-            self._own = _log_kernel_tile(left, queries, self._inv_two_h2, self._buffers).copy()
+            own = _log_kernel_tile(_left_form(queries), queries, self._inv_two_h2, self._buffers, True)
+            self._own = own.copy()
         self._add(self._own[start:stop].copy())
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -413,9 +451,10 @@ def delta_entropy(queries, refs, kernel: KernelParams = KernelParams()) -> np.nd
     return coverage.delta_entropy()
 
 
-def _subset_delta_entropies(rows: np.ndarray, subsets, kernel: KernelParams) -> list:
+def _subset_delta_entropies(descs, subsets, kernel: KernelParams) -> list:
     """``delta_entropy(rows, rows[s])`` for each row-index array s in ``subsets``.
 
+    ``descs`` is a DescriptorSet or a plain (n, width) array of the rows.
     Every subset is a column of 0/1 weights on the rows, and one self pass
     (:func:`_self_kernel_sums`) sums every column at once, so c subsets
     cost the n^2 / 2 pairs of the set instead of c cross passes.  A row
@@ -426,10 +465,12 @@ def _subset_delta_entropies(rows: np.ndarray, subsets, kernel: KernelParams) -> 
     """
     if not subsets:
         return []
-    weights = np.zeros((rows.shape[0], len(subsets)))
+    store = _store_of(descs)
+    weights = np.zeros((store.shape[1], len(subsets)))
     for col, subset in enumerate(subsets):
         weights[subset, col] = 1.0
-    (sums,) = _self_kernel_sums(rows[None], kernel, weights)
+    sums = _self_kernel_sums(store, kernel, weights)
+    rows = store[:-2].T
     out = []
     for col, subset in enumerate(subsets):
         dh = -np.log(np.maximum(sums[:, col], _SUM_FLOOR))
@@ -471,9 +512,9 @@ def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
     environments, which weighs rare environments more than the entropy
     does and spans the same range.  The efficiency is ``H / log n``.
     """
-    rows = _as_rows(descs)
-    (sums,) = _self_kernel_sums(rows[None], kernel, np.ones(rows.shape[0]))
-    return EntropyResult.of(-np.log(sums))
+    store = _store_of(descs)
+    sums = _self_kernel_sums(store, kernel, np.ones((store.shape[1], 1)))
+    return EntropyResult.of(-np.log(sums[:, 0]))
 
 
 def diversity(descs, kernel: KernelParams = KernelParams()) -> float:
@@ -499,11 +540,16 @@ def per_structure_entropy(descs, kernel: KernelParams = KernelParams()) -> np.nd
 
     Structures are stacked by row count, up to 256 rows a stack (a larger
     structure is a stack of one), and each stack makes one self pass
-    (:func:`_self_kernel_sums`), with the bits of a separate pass per
-    structure.
+    (:func:`_self_kernel_sums`) over a copy of its rows' store, with the
+    bits of a separate pass per structure.  The stacks share one set of
+    tile buffers.
     """
     out = np.empty(descs.n_structures)
-    for index, stack in descs._stacks(_BLOCK):
-        sums = _self_kernel_sums(stack, kernel, np.ones(stack.shape[1]))
-        out[index] = _entropy_nats(-np.log(sums))
+    longest = int(descs.offsets[:, 1].max(initial=0))
+    buffers = _tile_buffers(_BLOCK * min(_BLOCK, longest))
+    ones = np.ones((longest, 1))
+    for index, rows in descs._stacks(_BLOCK):
+        stack = _columns(descs._store, rows).swapaxes(0, 1)  # (B, w + 2, n)
+        sums = _self_kernel_sums(stack, kernel, ones[: rows.shape[1]], buffers)
+        out[index] = _entropy_nats(-np.log(sums[..., 0]))
     return out

@@ -119,13 +119,14 @@ def sample_random(n_structures: int, count: int, seed: int = 0) -> CompressionRe
 def _structure_means(descs: DescriptorSet) -> np.ndarray:
     """Arithmetic mean descriptor of each structure, shape (n_structures, width).
 
-    Structures are averaged a stack of equal row counts at a time; numpy
-    adds each block's rows in row order, as ``rows.mean(axis=0)`` does, so
-    the means have its bits.
+    Structures are averaged a stack of equal row counts at a time, each
+    stack gathered into a C-contiguous (B, n, width) array; numpy adds each
+    block's rows in row order, as ``rows.mean(axis=0)`` of C-contiguous
+    rows does, so the means have its bits.
     """
     out = np.empty((descs.n_structures, descs.width))
-    for index, stack in descs._stacks(_BLOCK):
-        out[index] = stack.mean(axis=1)
+    for index, rows in descs._stacks(_BLOCK):
+        out[index] = descs.values[rows].mean(axis=1)
     return out
 
 
@@ -358,12 +359,12 @@ def sample_msc(
         )
 
     def extended(coverage, picks):
-        coverage.extend(descs.values[descs._subset_rows(picks)[0]])
+        coverage.extend(descs.subset(picks))
         return coverage
 
     first = int(np.argmax(own_entropy))
     take(first, own_entropy[first], None)
-    coverage = Coverage(descs.values, kernel)
+    coverage = Coverage(descs, kernel)
     delta_h = {}
     done = 0  # picks already in the coverage
     while True:
@@ -387,7 +388,8 @@ def sample_msc(
         bound = scores[rest[fit]] if fit < rest.size else -np.inf
         rows, offsets = descs._subset_rows(block)
         candidates = coverage._part(rows)
-        candidates._fold(descs.rows_for(selected[-1]))
+        pick = selected[-1]
+        candidates._fold(descs._store[:, starts[pick] : starts[pick] + sizes[pick]])
         block_entropy = own_entropy[block]
         while True:
             block_max = np.maximum.reduceat(candidates.delta_entropy(), offsets[:, 0])

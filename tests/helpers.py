@@ -95,20 +95,21 @@ def dataset(*structures):
 def count_self_passes(monkeypatch):
     """Record (sets, rows each, weight columns) of every self kernel pass.
 
-    A set against itself, as ``entropy`` and the subset pass make, is a
-    stack of one set; ``per_structure_entropy`` passes stacks of
-    equal-sized structures.  A pass over a weight vector has one column.
-    Returns a list that grows by one triple per pass made while the
-    monkeypatch is active.
+    A set against itself, as ``entropy`` and the subset pass make, is one
+    set, passed as a (width + 2, n) store; ``per_structure_entropy``
+    passes (B, width + 2, n) stacks of equal-sized structures.  Returns a
+    list that grows by one triple per pass made while the monkeypatch is
+    active.
     """
     from atomcover import information
 
     shapes = []
     real = information._self_kernel_sums
 
-    def counting(stack, kernel, weights):
-        shapes.append(stack.shape[:2] + (1 if weights.ndim == 1 else weights.shape[1],))
-        return real(stack, kernel, weights)
+    def counting(store, kernel, weights, buffers=None):
+        sets = store.shape[0] if store.ndim == 3 else 1
+        shapes.append((sets, store.shape[-1], weights.shape[1]))
+        return real(store, kernel, weights, buffers)
 
     monkeypatch.setattr(information, "_self_kernel_sums", counting)
     return shapes

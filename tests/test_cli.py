@@ -226,6 +226,17 @@ class TestExitCodes:
         assert "line 6" in capsys.readouterr().err  # the frame's first line
         assert not report.exists()
 
+    def test_force_cdf_without_forces_exits_2(self, tmp_path, capsys):
+        # frame 0 has forces, frames 1 and 2 have none: the first is named
+        bare = "2\nProperties=species:S:1:pos:R:3\nSi 0 0 0\nSi 2.3 0 0\n"
+        data = write_dataset(tmp_path / "d.xyz", n_frames=1)
+        data.write_text(data.read_text() + bare + bare)
+        report = tmp_path / "report.json"
+        assert main(["force-cdf", str(data), "-o", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"atomcover: {data}: structure 1 has no forces"]
+        assert not report.exists()
+
     def test_bad_fractions_token_exits_3(self, tmp_path, capsys):
         data = write_dataset(tmp_path / "d.xyz", n_frames=2)
         with pytest.raises(SystemExit) as err:

@@ -617,6 +617,29 @@ class TestCache:
         assert np.array_equal(loaded.values, descs.values)
         assert np.array_equal(loaded.offsets, descs.offsets)
 
+    def test_load_then_save_rewrites_the_file(self, tmp_path):
+        descs = self.large_set(rows=2_600, structures=13)  # three row chunks
+        path = tmp_path / "cache.acds"
+        save_descriptor_set(descs, path)
+        written = path.read_bytes()
+        save_descriptor_set(load_descriptor_set(path), path)
+        assert path.read_bytes() == written
+
+    def test_loaded_store_has_the_bits_of_the_built_store(self, tmp_path):
+        rng = np.random.default_rng(36)
+        params = DescriptorParams(n_neighbors=6, cutoff=3.5)
+        built = build_descriptor_set(
+            [perturbed_cubic(rng, n_side=2, a=2.8) for _ in range(140)], params
+        )
+        assert built.n_environments > 1024  # more than one row chunk
+        path = tmp_path / "cache.acds"
+        save_descriptor_set(built, path)
+        loaded = load_descriptor_set(path)
+        assert np.ascontiguousarray(loaded.values).tobytes() == np.ascontiguousarray(
+            built.values
+        ).tobytes()
+        assert loaded._store.tobytes() == built._store.tobytes()
+
     @staticmethod
     def large_set(rows=20_000, structures=100):
         rng = np.random.default_rng(35)

@@ -209,17 +209,17 @@ class TestSubsetDeltaEntropies:
         passes = []
         real = information._self_kernel_sums
 
-        def recording(stack, kernel, weights):
-            sums = real(stack, kernel, weights)
-            passes.append((stack, weights, sums))
+        def recording(store, kernel, weights, buffers=None):
+            sums = real(store, kernel, weights, buffers)
+            passes.append((store, weights, sums))
             return sums
 
         monkeypatch.setattr(information, "_self_kernel_sums", recording)
         result = entropy(rows, KP)
-        ((stack, weights, sums),) = passes
-        assert stack.shape == (1, n, 63)
-        assert weights.shape == (n,) and np.all(weights == 1.0)
-        assert np.array_equal(result.per_point, -np.log(sums[0]))
+        ((store, weights, sums),) = passes
+        assert store.shape == (63 + 2, n)
+        assert weights.shape == (n, 1) and np.all(weights == 1.0)
+        assert np.array_equal(result.per_point, -np.log(sums[:, 0]))
         (all_rows,) = _subset_delta_entropies(rows, [np.arange(n)], KP)
         np.testing.assert_allclose(all_rows, result.per_point, rtol=0.0, atol=1e-12)
 
@@ -278,10 +278,81 @@ class TestBlockBuffers:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # one float64 and one bool 256 x 256 tile, a few 256-row blocks
-            # in (width + 2)-column form, the queries' (n, width + 2) copy
-            # and O(n) vectors
+            # plain rows build their own (width + 2) x n stores, for the
+            # queries and for the references (2.6 MB here); on top of them
+            # one float64 and one bool 256 x 256 tile, a left block in
+            # (width + 2)-column form and O(n) vectors
             assert peak < 4 * 2**20
+
+    def test_a_descriptor_set_is_read_in_place(self):
+        # a copy of the store would take 10.4 MB for the 20,000 x 63 set,
+        # and 3.1 MB for its first 6,000 rows
+        rng = np.random.default_rng(23)
+        descs = synthetic_set(np.split(rng.normal(scale=0.02, size=(20_000, 63)), 100))
+        first, head = descs.subset([0]), descs.subset(range(30))
+        for run in (
+            lambda: Coverage(descs, KP).extend(first),
+            lambda: entropy(head, KP),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the tile buffers (0.6 MB), a left block and O(n) vectors
+            assert peak < 3 * 2**20
+
+
+class TestStoreEntryPoints:
+    """A DescriptorSet is read from its store in place, with the bits of its
+    rows passed as a plain C-contiguous array."""
+
+    @staticmethod
+    def mixed(n, width):
+        # structures of 1, 7, 64 and 200 rows in turn; one row far from the
+        # rest, so the subset pass recomputes it; for n > 300 a coincident
+        # pair in an off-diagonal tile
+        rng = np.random.default_rng(n * width)
+        rows = rng.normal(scale=0.01, size=(n, width)) + 0.05 * rng.random((n, 1))
+        rows[n // 2, 0] += 5.0
+        if n > 300:
+            rows[n - 1] = rows[3]
+        edges, size = [], 0
+        while size < n:
+            size += (1, 7, 64, 200)[len(edges) % 4]
+            edges.append(min(size, n))
+        return synthetic_set(np.split(rows, edges[:-1]))
+
+    @pytest.mark.parametrize("width", [9, 63])
+    @pytest.mark.parametrize("n", [1, 255, 257, 600])
+    def test_same_bits_as_contiguous_rows(self, n, width):
+        descs = self.mixed(n, width)
+        rows = np.ascontiguousarray(descs.values)
+        assert np.shares_memory(descs.values, descs._store)
+
+        def same(a, b):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+        # the store's norms are those of C-contiguous rows, not strided ones
+        same(descs._store[-1], np.einsum("ij,ij->i", rows, rows))
+        same(entropy(descs, KP).per_point, entropy(rows, KP).per_point)
+        kept = descs.subset(range(0, descs.n_structures, 2))
+        kept_rows = np.ascontiguousarray(kept.values)
+        same(delta_entropy(descs, descs, KP), delta_entropy(rows, rows, KP))
+        same(delta_entropy(descs, kept, KP), delta_entropy(rows, kept_rows, KP))
+        same(delta_entropy(kept, descs, KP), delta_entropy(kept_rows, rows, KP))
+        last = descs._subset_rows([descs.n_structures - 1])[0]
+        subsets = [np.array([0]), np.arange(0, n, 3), last]
+        for got, want in zip(
+            _subset_delta_entropies(descs, subsets, KP), _subset_delta_entropies(rows, subsets, KP)
+        ):
+            same(got, want)
+        each = [
+            entropy(np.ascontiguousarray(descs.values[start : start + length]), KP).entropy_nats
+            for start, length in descs.offsets
+        ]
+        same(per_structure_entropy(descs, KP), each)
 
 
 class TestCoincidenceSnap:
@@ -595,6 +666,7 @@ class TestPerStructure:
         assert max(b for b, _, _ in stacks) > 1
         assert (1, 257, 1) in stacks
         assert all(r.per_point[-1] == 0.0 for r in own if r.n_environments >= 7)
-        for index, stack in descs._stacks(256):
-            sums = information._self_kernel_sums(stack, KP, np.ones(stack.shape[1]))
-            assert np.array_equal(-np.log(sums), [own[i].per_point for i in index])
+        for index, rows in descs._stacks(256):
+            stack = information._columns(descs._store, rows).swapaxes(0, 1)
+            sums = information._self_kernel_sums(stack, KP, np.ones((rows.shape[1], 1)))
+            assert np.array_equal(-np.log(sums[..., 0]), [own[i].per_point for i in index])
