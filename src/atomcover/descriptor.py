@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, InputError
 from .geometry import NeighborSet, _batched_neighbors, _image_reaches, _tree_neighbors
-from .information import _STORE_CHUNK, _columns, _right_store, _store_rows
+from .information import _columns, _fill_store, _right_store
 
 # Unused here, but bound: the benchmark's tracer (benchmarks/spans.py) wraps
 # every binding of nearest_neighbors, and its tests expect this one.
@@ -94,11 +94,11 @@ class DescriptorSet:
     The rows are held once, in the form every kernel pass reads in place:
     a read-only C-contiguous (width + 2, n_env) store ``[y; 1; |y|^2]``,
     the rows transposed, a row of ones and the rows' squared norms
-    (:func:`atomcover.information._store_rows`).  ``values`` is a
+    (:func:`atomcover.information._fill_store`).  ``values`` is a
     read-only (n_env, width) view of the store's first width rows, so it
     is not C-contiguous: a row is strided, while ``values[index]`` and
     :meth:`rows_for` give new C-contiguous rows.  A set built from ``values``
-    copies them into a new store, in row chunks.
+    copies them into a new store; a NaN or infinite row is an InputError.
     """
 
     values: np.ndarray  # (n_env, width), a view of the store
@@ -109,8 +109,6 @@ class DescriptorSet:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 2:
             raise InputError(f"values must be 2-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise InputError("descriptor values must be finite")
         self._hold(_right_store(values))
 
     @classmethod
@@ -362,17 +360,12 @@ def _build(structures, params: DescriptorParams) -> DescriptorSet:
         for c0 in range(0, len(indices), size):
             batch = indices[c0 : c0 + size]
             describe(batch, search([structures[i] for i in batch], tuple(reach), k))
-    # Every row is in place; the ones and the norms follow a row chunk at a time.
-    for c0 in range(0, store.shape[1], _STORE_CHUNK):
-        rows = np.ascontiguousarray(store[:width, c0 : c0 + _STORE_CHUNK].T)
-        if not np.isfinite(rows).all():
-            raise InputError("descriptor values must be finite")
-        _store_rows(store, c0, rows)
+    _fill_store(store)
     offsets = np.stack([starts, lengths], axis=1)
     return DescriptorSet._of_store(store, offsets, params)
 
 
-_CACHE_MAGIC = b"ACDS0002"
+_CACHE_MAGIC = b"ACDS0003"
 _CACHE_HEADER = struct.Struct("<IdQQ")
 _CACHE_CHECKSUM = struct.Struct("<I")
 
@@ -382,17 +375,18 @@ def save_descriptor_set(descs: DescriptorSet, path) -> None:
 
     Layout is little-endian: magic, u32 neighbor count, f64 cutoff,
     u64 environment count, u64 structure count, then (start, length)
-    pairs as i64, the row-major f64 value matrix and a u32 ``zlib.crc32``
-    of those pairs and values.  The file is written under a temporary
-    name in the same directory and renamed into place, so an interrupted
-    write never leaves a partial cache at ``path``.
+    pairs as i64, the first width rows of the set's store, each a
+    contiguous run of n_env f64 (``values.T``, written from the store as
+    it lies in memory), and a u32 ``zlib.crc32`` of those pairs and rows.
+    The file is written under a temporary name in the same directory and
+    renamed into place, so an interrupted write never leaves a partial
+    cache at ``path``.
     """
     if descs.params is None:
         raise InputError("cannot cache a descriptor set without params")
-    # Offsets are written and checksummed through their buffer, rows a
-    # C-contiguous chunk at a time: a chunk of the file's dtype is not copied
-    # again, and the checksum runs on over the chunks.
     offsets = np.ascontiguousarray(descs.offsets, dtype="<i8")
+    # A copy only on a big-endian host.
+    body = np.asarray(descs._store[: descs.width], dtype="<f8")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -406,12 +400,8 @@ def save_descriptor_set(descs: DescriptorSet, path) -> None:
                 )
             )
             fh.write(offsets)
-            checksum = zlib.crc32(offsets)
-            for c0 in range(0, descs.n_environments, _STORE_CHUNK):
-                rows = np.ascontiguousarray(descs.values[c0 : c0 + _STORE_CHUNK], dtype="<f8")
-                fh.write(rows)
-                checksum = zlib.crc32(rows, checksum)
-            fh.write(_CACHE_CHECKSUM.pack(checksum))
+            fh.write(body)
+            fh.write(_CACHE_CHECKSUM.pack(zlib.crc32(body, zlib.crc32(offsets))))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -423,11 +413,12 @@ def load_descriptor_set(path) -> DescriptorSet:
     """Read a cache written by :func:`save_descriptor_set`.
 
     Raises InputError unless the magic, the header, the exact file length
-    and the checksum all match, and on a short read (a file that shrinks
-    while it is read).  Files of the older checksum-free format fail on
-    the magic.  The offsets are read straight into their array, and the
-    rows a chunk at a time into one reused buffer, from which they fill
-    the set's store.
+    and the checksum all match, on a short read (a file that shrinks
+    while it is read), and on a NaN or infinite row.  Files of the older
+    formats (the checksum-free one, and the one of row-major values) fail
+    on the magic.  The offsets are read straight into their array, and the
+    rows straight into the first width rows of the set's store, which
+    :func:`atomcover.information._fill_store` then finishes.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -447,24 +438,17 @@ def load_descriptor_set(path) -> DescriptorSet:
                 f"{path}: descriptor cache is {size} bytes, its header implies {expected}"
             )
         offsets = np.empty((n_structures, 2), dtype="<i8")
-        if fh.readinto(offsets) != offsets.nbytes:
-            raise InputError(f"{path}: descriptor cache is truncated")
-        checksum = zlib.crc32(offsets)
         store = np.empty((params.width + 2, n_env))
-        chunk = np.empty((min(_STORE_CHUNK, n_env), params.width), dtype="<f8")
-        finite = True
-        for c0 in range(0, n_env, _STORE_CHUNK):
-            rows = chunk[: min(_STORE_CHUNK, n_env - c0)]
-            if fh.readinto(rows) != rows.nbytes:
+        body = store[: params.width]
+        for array in (offsets, body):
+            if fh.readinto(array) != array.nbytes:
                 raise InputError(f"{path}: descriptor cache is truncated")
-            checksum = zlib.crc32(rows, checksum)
-            finite = finite and bool(np.isfinite(rows).all())
-            _store_rows(store, c0, rows.astype(float, copy=False))
         tail = fh.read(_CACHE_CHECKSUM.size)
         if len(tail) != _CACHE_CHECKSUM.size:
             raise InputError(f"{path}: descriptor cache is truncated")
-    if checksum != _CACHE_CHECKSUM.unpack(tail)[0]:
+    if zlib.crc32(body, zlib.crc32(offsets)) != _CACHE_CHECKSUM.unpack(tail)[0]:
         raise InputError(f"{path}: descriptor cache checksum does not match")
-    if not finite:
-        raise InputError("descriptor values must be finite")
+    if not np.little_endian:
+        body.byteswap(inplace=True)
+    _fill_store(store)
     return DescriptorSet._of_store(store, offsets.astype(int, copy=False), params)

@@ -8,7 +8,7 @@ evaluated in the log domain, over tiles of fixed shapes visited in a
 fixed order, so results are deterministic for a given input ordering and
 BLAS (a multi-threaded BLAS may move the last bits).  Every pass reads
 rows from a store: their right form ``[y; 1; |y|^2]`` as one C-contiguous
-(w + 2) x n array (:func:`_store_rows`).  A DescriptorSet holds its rows
+(w + 2) x n array (:func:`_fill_store`).  A DescriptorSet holds its rows
 that way and is read in place; plain rows get a store of their own, with
 the same bits.  Each tile (:func:`_log_kernel_tile`) makes one GEMM of
 the left form of its rows (:func:`_left_form`) and a slice of a store,
@@ -114,31 +114,40 @@ class EntropyResult:
         )
 
 
-# Rows per chunk when a store is filled from rows: a C-contiguous chunk of
-# 1024 rows of width 63 is about 0.5 MB.
-_STORE_CHUNK = 1024
+# Rows per chunk when a store is finished: the chunk buffer of 256 rows of
+# width 63 is 126 kB, small beside the store it is read back from.
+_STORE_CHUNK = 256
 
 
-def _store_rows(store: np.ndarray, start: int, rows: np.ndarray) -> None:
-    """Write C-contiguous (m, w) rows into columns ``start:start + m`` of a store.
+def _fill_store(store: np.ndarray) -> None:
+    """Finish a store whose first w rows hold the rows, transposed.
 
-    A store holds rows in their right form ``[y; 1; |y|^2]`` as one
+    A store holds (n, w) rows in their right form ``[y; 1; |y|^2]`` as one
     C-contiguous (w + 2, n) array: the rows transposed, a row of ones and
-    the squared norms, each norm an ``einsum`` over its C-contiguous row.
+    the squared norms.  The rows are copied back a C-contiguous chunk at a
+    time into one reused buffer, checked finite (a NaN or infinite row is
+    an InputError) and each norm taken as an ``einsum`` over its
+    C-contiguous row, so a store's bits do not depend on how its first w
+    rows were written.
     """
-    w = rows.shape[1]
-    columns = slice(start, start + rows.shape[0])
-    store[:w, columns] = rows.T
-    store[w, columns] = 1.0
-    store[w + 1, columns] = np.einsum("ij,ij->i", rows, rows)
+    w, n = store.shape[0] - 2, store.shape[1]
+    buffer = np.empty((min(_STORE_CHUNK, n), w))
+    for c0 in range(0, n, _STORE_CHUNK):
+        c1 = min(c0 + _STORE_CHUNK, n)
+        rows = buffer[: c1 - c0]
+        rows[...] = store[:w, c0:c1].T
+        if not np.isfinite(rows).all():
+            raise InputError("rows must be finite")
+        store[w, c0:c1] = 1.0
+        store[w + 1, c0:c1] = np.einsum("ij,ij->i", rows, rows)
 
 
 def _right_store(rows: np.ndarray) -> np.ndarray:
-    """The store (:func:`_store_rows`) of (n, w) rows, filled in row chunks."""
+    """The store (:func:`_fill_store`) of (n, w) rows."""
     n, w = rows.shape
     store = np.empty((w + 2, n))
-    for c0 in range(0, n, _STORE_CHUNK):
-        _store_rows(store, c0, np.ascontiguousarray(rows[c0 : c0 + _STORE_CHUNK]))
+    store[:w] = rows.T
+    _fill_store(store)
     return store
 
 
@@ -156,8 +165,6 @@ def _store_of(x) -> np.ndarray:
         rows = rows[None, :]
     if rows.ndim != 2:
         raise InputError(f"expected a 2-D array of rows, got shape {rows.shape}")
-    if not np.isfinite(rows).all():
-        raise InputError("rows must be finite")
     return _right_store(rows)
 
 
@@ -242,7 +249,7 @@ _ONES = np.ones(_BLOCK)
 def _self_kernel_sums(store, kernel: KernelParams, weights, buffers=None) -> np.ndarray:
     """sum_j K_h(x_i, x_j) w_j over a set, each pair once.
 
-    ``store`` is the set's store (:func:`_store_rows`), (w + 2, n), or a
+    ``store`` is the set's store (:func:`_fill_store`), (w + 2, n), or a
     (B, w + 2, n) stack of the stores of B sets of n rows, read in place;
     ``weights`` is (n, c), shared by the B sets; the sums are (n, c) or
     (B, n, c).  Tiles I <= J are visited in a fixed (I, J) order, from the
@@ -312,7 +319,7 @@ class Coverage:
     how many queries share its slab (the GEMM's column count), so the
     delta entropies of a subset of the queries are not a bitwise slice of
     those of the whole.  The queries are kept as a store
-    (:func:`_store_rows`): a DescriptorSet's own, read in place with no
+    (:func:`_fill_store`): a DescriptorSet's own, read in place with no
     copy, or one filled from plain rows, so a query slab is a row-major
     (width + 2) x slab operand of the GEMM.  :meth:`extend` reads the
     references' store the same way, and puts each 256-row reference block

@@ -5,6 +5,9 @@ off the definitions, as an independent route to the same numbers the
 library computes with blocked/vectorized code.
 """
 
+import struct
+import zlib
+
 import numpy as np
 
 from atomcover import DescriptorSet, Structure
@@ -155,6 +158,30 @@ def record_extends(monkeypatch):
 
     monkeypatch.setattr(information.Coverage, "extend", recording)
     return calls
+
+
+def cache_with_value(data: bytes, index: int, value: float) -> bytes:
+    """A descriptor cache file's bytes with body value ``index`` set to
+    ``value`` and the checksum recomputed, so that only the value differs."""
+    (n_structures,) = struct.unpack_from("<Q", data, 8 + 20)
+    start = 8 + 28 + 16 * n_structures
+    pos = start + 8 * index
+    data = data[:pos] + struct.pack("<d", value) + data[pos + 8 :]
+    checksum = zlib.crc32(data[start:-4], zlib.crc32(data[8 + 28 : start]))
+    return data[:-4] + struct.pack("<I", checksum)
+
+
+def previous_format_cache(descs) -> bytes:
+    """The bytes of a format-2 cache of a DescriptorSet: magic ``ACDS0002``,
+    the header, the offsets, the row-major values and a valid checksum."""
+    offsets = np.ascontiguousarray(descs.offsets, dtype="<i8").tobytes()
+    values = np.ascontiguousarray(descs.values, dtype="<f8").tobytes()
+    params = descs.params
+    header = struct.pack(
+        "<IdQQ", params.n_neighbors, params.cutoff, descs.n_environments, descs.n_structures
+    )
+    checksum = struct.pack("<I", zlib.crc32(values, zlib.crc32(offsets)))
+    return b"ACDS0002" + header + offsets + values + checksum
 
 
 # --- independent reference implementations -------------------------------

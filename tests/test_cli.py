@@ -11,7 +11,7 @@ import pytest
 import atomcover
 from atomcover import load_descriptor_set, read_extxyz
 from atomcover.cli import _THREAD_VARS, main
-from helpers import count_self_passes, record_extends
+from helpers import cache_with_value, count_self_passes, previous_format_cache, record_extends
 
 
 def frame_text(positions, forces, cell=6.0):
@@ -627,13 +627,35 @@ class TestCache:
         (cached,) = cache.glob("*.acds")
         full = cached.read_bytes()
         width = load_descriptor_set(cached).width
-        # byte 5 of the last row's first value: the row changes but stays finite
+        # byte 5 of a value in the file's last descriptor row: it changes but
+        # stays finite
         pos = len(full) - 4 - 8 * width + 5
         cached.write_bytes(full[:pos] + bytes([full[pos] ^ 0xFF]) + full[pos + 1 :])
         out = tmp_path / "cached.json"
         assert main(["analyze", str(data), "--cache", str(cache), "-o", str(out)]) == 0
         assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
         assert cached.read_bytes() == full  # rebuilt in place
+
+    @pytest.mark.parametrize("kind", ["non-finite", "format-2"])
+    def test_checksummed_cache_that_does_not_load_is_a_miss(self, tmp_path, capsys, kind):
+        # a file with a valid checksum: a NaN in its rows, or the row-major
+        # values of format 2 under its own magic
+        data = write_dataset(tmp_path / "d.xyz", n_frames=5)
+        cache = tmp_path / "cache"
+        main(["analyze", str(data), "-o", str(tmp_path / "uncached.json")])
+        main(["analyze", str(data), "--cache", str(cache)])
+        capsys.readouterr()
+        (cached,) = cache.glob("*.acds")
+        full = cached.read_bytes()
+        if kind == "non-finite":
+            cached.write_bytes(cache_with_value(full, 7, np.nan))
+        else:
+            cached.write_bytes(previous_format_cache(load_descriptor_set(cached)))
+        out = tmp_path / "cached.json"
+        assert main(["analyze", str(data), "--cache", str(cache), "-o", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "uncached.json").read_bytes()
+        assert cached.read_bytes() == full  # rebuilt in place
+        assert sorted(p.name for p in cache.iterdir()) == [cached.name]
 
     def test_unwritable_cache_entry_only_warns(self, tmp_path, capsys):
         # a directory at the entry's path can be neither read nor replaced

@@ -22,14 +22,17 @@ from atomcover import (
     save_descriptor_set,
 )
 from atomcover.descriptor import _cutoff_weight
+from atomcover.information import _STORE_CHUNK, _store_of
 from helpers import (
     assert_row_multisets_close,
+    cache_with_value,
     crystal,
     dataset,
     molecule,
     naive_x1,
     naive_x2,
     perturbed_cubic,
+    previous_format_cache,
     random_rotation,
 )
 
@@ -618,7 +621,7 @@ class TestCache:
         assert np.array_equal(loaded.offsets, descs.offsets)
 
     def test_load_then_save_rewrites_the_file(self, tmp_path):
-        descs = self.large_set(rows=2_600, structures=13)  # three row chunks
+        descs = self.large_set(rows=2_600, structures=13)  # eleven store chunks
         path = tmp_path / "cache.acds"
         save_descriptor_set(descs, path)
         written = path.read_bytes()
@@ -626,19 +629,28 @@ class TestCache:
         assert path.read_bytes() == written
 
     def test_loaded_store_has_the_bits_of_the_built_store(self, tmp_path):
-        rng = np.random.default_rng(36)
+        # row counts on both sides of a store chunk's edge, and several chunks
         params = DescriptorParams(n_neighbors=6, cutoff=3.5)
-        built = build_descriptor_set(
-            [perturbed_cubic(rng, n_side=2, a=2.8) for _ in range(140)], params
-        )
-        assert built.n_environments > 1024  # more than one row chunk
-        path = tmp_path / "cache.acds"
-        save_descriptor_set(built, path)
-        loaded = load_descriptor_set(path)
-        assert np.ascontiguousarray(loaded.values).tobytes() == np.ascontiguousarray(
-            built.values
-        ).tobytes()
-        assert loaded._store.tobytes() == built._store.tobytes()
+        for rows in (1, _STORE_CHUNK - 1, _STORE_CHUNK, _STORE_CHUNK + 1, 3 * _STORE_CHUNK + 5):
+            # eight-atom cells, then one-atom cells of varied edge for the rest
+            rng = np.random.default_rng(36)
+            structures = [perturbed_cubic(rng, n_side=2, a=2.8) for _ in range(rows // 8)]
+            structures += [
+                perturbed_cubic(rng, n_side=1, a=a) for a in 2.5 + rng.random(rows % 8)
+            ]
+            built = build_descriptor_set(structures, params)
+            assert built.n_environments == rows
+            path = tmp_path / f"{rows}.acds"
+            save_descriptor_set(built, path)
+            loaded = load_descriptor_set(path)
+            plain = np.ascontiguousarray(built.values)
+            assert np.ascontiguousarray(loaded.values).tobytes() == plain.tobytes(), rows
+            for store in (
+                loaded._store,
+                DescriptorSet(values=plain, offsets=built.offsets, params=params)._store,
+                _store_of(plain),
+            ):
+                assert store.tobytes() == built._store.tobytes(), rows
 
     @staticmethod
     def large_set(rows=20_000, structures=100):
@@ -655,9 +667,9 @@ class TestCache:
         path = tmp_path / "cache.acds"
         save_descriptor_set(descs, path)
         offsets = descs.offsets.astype("<i8").tobytes()
-        values = descs.values.astype("<f8").tobytes()
+        values = descs.values.T.astype("<f8").tobytes()
         expected = (
-            b"ACDS0002"
+            b"ACDS0003"
             + struct.pack("<IdQQ", 32, 5.0, 210, 21)
             + offsets
             + values
@@ -710,8 +722,23 @@ class TestCache:
         path = tmp_path / "cache.acds"
         save_descriptor_set(descs, path)
         full = path.read_bytes()
-        path.write_bytes(b"ACDS0001" + full[8:-4])  # the checksum-free layout
-        with pytest.raises(InputError):
+        # the checksum-free layout, and the row-major one of format 2
+        for old in (b"ACDS0001" + full[8:-4], previous_format_cache(descs)):
+            path.write_bytes(old)
+            with pytest.raises(InputError, match="not a descriptor cache file of this version"):
+                load_descriptor_set(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows(self, tmp_path, value):
+        rng = np.random.default_rng(37)
+        descs = build_descriptor_set(
+            dataset(perturbed_cubic(rng, n_side=2, a=2.8)),
+            DescriptorParams(n_neighbors=4, cutoff=3.5),
+        )
+        path = tmp_path / "cache.acds"
+        save_descriptor_set(descs, path)
+        path.write_bytes(cache_with_value(path.read_bytes(), 13, value))
+        with pytest.raises(InputError, match="rows must be finite"):
             load_descriptor_set(path)
 
     def test_rejects_wrong_length(self, tmp_path):
