@@ -13,7 +13,8 @@ atom-point pairs in batches of one atom count and image reach, where
 per-structure overhead would dominate, without a tree.  Every other
 structure gets its own k-d tree, but is grouped the same way, so that its
 neighbors are ranked and its rows described together with its group's.
-A row's bits do not depend on the route it took.
+A row's bits do not depend on the route it took: every distance of
+either comes from one routine, :func:`atomcover.geometry._distances`.
 
 Units: entries are in inverse angstrom.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError
-from .geometry import NeighborSet, _batched_neighbors, _image_reaches, _tree_neighbors
+from .geometry import NeighborSet, _batched_neighbors, _distances, _image_reaches, _tree_neighbors
 from .information import _columns, _fill_store, _right_store
 
 # Unused here, but bound: the benchmark's tracer (benchmarks/spans.py) wraps
@@ -60,6 +61,10 @@ _TREE_ROWS = 256
 _TREE_POINTS = 2**16
 #: Largest accepted neighbor count, 32 times the default.
 _MAX_NEIGHBORS = 1024
+#: Neighbors closer than this (angstrom) are coincident.  A row's squared
+#: norm, at most (2k - 1)/r^2 (2e303 at k = 1024), then stays below a quarter
+#: of the largest float, so no kernel tile's GEMM overflows.
+_COINCIDENT = 1e-150
 
 
 @dataclass(frozen=True)
@@ -224,12 +229,15 @@ def compute_x1(nbrs: NeighborSet, params: DescriptorParams) -> np.ndarray:
 
     Row ``i`` belongs to atom ``i``.  Slots past the last neighbor found
     are zero.  Entries are kept in radial order, not re-sorted by value.
+    A neighbor closer than ``_COINCIDENT`` is a DegenerateGeometryError;
+    the three-body terms need no such floor, as two neighbors that close
+    are two atoms that close.
     """
     r = nbrs.distances
-    bad = np.flatnonzero((r <= 0).any(axis=1))
+    bad = np.flatnonzero((r < _COINCIDENT).any(axis=1))
     if bad.size:
         raise DegenerateGeometryError(
-            f"atom {bad[0]}: coincident atoms, zero distance to a neighbor"
+            f"atom {bad[0]}: coincident atoms, a neighbor closer than {_COINCIDENT:g} angstrom"
         )
     out = np.zeros((r.shape[0], params.n_neighbors))
     out[:, : r.shape[1]] = _cutoff_weight(r, params.cutoff) / r
@@ -266,23 +274,16 @@ def _x2_rows(pos, distances, first_atom, params, dist, terms) -> np.ndarray:
     """:func:`compute_x2` for one block of atoms, the first being ``first_atom``.
 
     Returns the v - 1 ranks, (rows, v - 1), for v neighbors per atom.
-    ``dist`` and ``terms`` are (rows, v, v) buffers that are overwritten.
+    ``dist`` and ``terms`` are (rows, v, v) buffers that are overwritten;
+    ``dist`` takes the neighbors' distances from :func:`_distances`.
     """
     m, v = distances.shape
     w = _cutoff_weight(distances, params.cutoff)
     p = np.ascontiguousarray(pos.transpose(2, 0, 1))  # (3, m, v)
+    _distances(p[..., :, None], p[..., None, :], dist, terms)
     # The diagonal distance is 0, so its terms are inf, or nan for a
     # neighbor beyond the cutoff; they are overwritten below.
     with np.errstate(invalid="ignore", divide="ignore"):
-        # Same bits as the norm over the last axis of the (.., 3)
-        # differences, one coordinate at a time.
-        np.subtract(p[0, :, :, None], p[0, :, None, :], out=dist)
-        dist *= dist
-        for axis in (1, 2):
-            np.subtract(p[axis, :, :, None], p[axis, :, None, :], out=terms)
-            terms *= terms
-            dist += terms
-        np.sqrt(dist, out=dist)
         # One multiply per element, as np.multiply broadcasts it, but faster.
         np.einsum("ij,ik->ijk", w, w, out=terms)
         np.sqrt(terms, out=terms)

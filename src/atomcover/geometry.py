@@ -25,8 +25,9 @@ distance, which costs less than a tree where the layouts are small.
 Layouts are computed over stacked cells, with the same bits per cell as
 alone.  Both searches widen their candidates in one loop until every point
 tied with the k-th neighbor is one; the ranking recomputes each distance
-with one formula and sorts by (distance, atom, point), so both give the
-same bits.
+with :func:`_distances`, the one routine that computes a distance between
+points here (the descriptor's three-body terms use it too), and sorts by
+(distance, atom, point), so both give the same bits.
 """
 
 from __future__ import annotations
@@ -170,16 +171,7 @@ def _cell_heights(cells: np.ndarray) -> np.ndarray:
     """Perpendicular spacing between opposite cell faces, per direction, of
     one cell (3, 3) or of each cell of a stack (..., 3, 3)."""
     volume = np.abs(np.linalg.det(cells))
-    a, b = cells[..., [1, 2, 0], :], cells[..., [2, 0, 1], :]
-    # np.cross's arithmetic, without its per-call overhead.
-    crosses = np.stack(
-        [
-            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        ],
-        axis=-1,
-    )
+    crosses = np.cross(cells[..., [1, 2, 0], :], cells[..., [2, 0, 1], :])
     # One dot product per cross product, as np.linalg.norm takes it on one
     # vector, so a stack gives each cell's heights to the bit.
     squares = (crosses[..., None, :] @ crosses[..., :, None])[..., 0, 0]
@@ -267,6 +259,22 @@ def _tie_closed(nearest, n_points: int, k: int, m: int, rows: tuple) -> np.ndarr
     return np.broadcast_to(np.arange(n_points), (*rows, n_points))
 
 
+def _distances(a, b, out=None, scratch=None) -> np.ndarray:
+    """|a - b| of points given as (3, ...) coordinate arrays, broadcast.
+
+    The squares are added in x, y, z order, then square-rooted: the bits of
+    ``np.linalg.norm`` over (..., 3) differences.  ``out`` and ``scratch``
+    (one coordinate's squares) are optional buffers of the result's shape.
+    """
+    out = np.subtract(a[0], b[0], out=out)
+    out *= out
+    for axis in (1, 2):
+        scratch = np.subtract(a[axis], b[axis], out=scratch)
+        scratch *= scratch
+        out += scratch
+    return np.sqrt(out, out=out)
+
+
 def _own_points(n_points: int, n: int) -> np.ndarray:
     """Indices of the ``n`` atoms in a layout of ``n_points`` points.
 
@@ -281,13 +289,11 @@ def _ranked(points: np.ndarray, cand: np.ndarray, k: int) -> NeighborSet:
 
     Each layout is one of :func:`_image_points`, of a multiple of the n atoms.
     Each atom's candidates must include every point tied with its k-th
-    neighbor.  Each distance is recomputed with one formula, whatever search
-    found the candidate: the differences are taken one coordinate at a time,
-    each gathered with a flat 1-D ``take`` from one (3, B * P) copy of the
-    layouts, and the neighbors' positions with one ``take`` of whole points.
-    These are the subtractions of the (B * n, m, 3) difference array, on the
-    same operands, so the bits are the same.  The rows of the result are
-    those of each layout in turn.
+    neighbor.  Each distance is recomputed by :func:`_distances`, whatever
+    search found the candidate, from the candidates' coordinates gathered
+    out of one (3, B * P) copy of the layouts; the neighbors' positions are
+    one ``take`` of whole points.  The rows of the result are those of each
+    layout in turn.
     """
     b, p, _ = points.shape
     n = cand.shape[1]
@@ -296,10 +302,8 @@ def _ranked(points: np.ndarray, cand: np.ndarray, k: int) -> NeighborSet:
     own = (base + _own_points(p, n)).ravel()
     cand = (cand + base[:, :, None]).reshape(b * n, -1)
     points = points.reshape(-1, 3)
-    dx, dy, dz = (axis.take(cand) - axis.take(own)[:, None] for axis in points.T.copy())
-    # Same bits as np.linalg.norm of the difference vectors, without its
-    # reduction overhead.
-    dists = np.sqrt(dx * dx + dy * dy + dz * dz)
+    coords = points.T.copy()
+    dists = _distances(coords.take(cand, axis=1), coords.take(own, axis=1)[:, :, None])
     # Sort each row by (distance, atom, image offset): among points of one
     # atom the point index runs in image order.  The self-image gets a key
     # below every distance, so it sorts first and is dropped.
@@ -387,8 +391,9 @@ def _batched_neighbors(structures, reach, k: int) -> NeighborSet:
     the result are those of each structure in turn, with the same bits as
     :func:`nearest_neighbors` gives.  Unless the first k + 1 +
     ``_BATCH_SPARE`` candidates already cover the layout, every distance
-    from an atom to the points of its layout is computed, (B, n, P) of them
-    for B structures, and :func:`_tie_closed` partitions them.
+    from an atom to the points of its layout is computed by
+    :func:`_distances`, (B, n, P) of them for B structures, and
+    :func:`_tie_closed` partitions them.
     """
     points = _image_points(structures, reach)
     b, p, _ = points.shape
@@ -396,18 +401,8 @@ def _batched_neighbors(structures, reach, k: int) -> NeighborSet:
     own = _own_points(p, n)
     first = k + 1 + _BATCH_SPARE
     if first < p:  # else _tie_closed takes every point without a search
-        # _ranked's arithmetic, one coordinate at a time into two buffers:
-        # faster than one (b, n, p, 3) difference array.
         coords = points.transpose(2, 0, 1)[:, :, None, :]  # (3, b, 1, p)
-        centers = coords[..., own].transpose(0, 1, 3, 2)  # (3, b, n, 1)
-        dists = coords[0] - centers[0]
-        dists *= dists
-        term = np.empty_like(dists)
-        for axis in (1, 2):
-            np.subtract(coords[axis], centers[axis], out=term)
-            term *= term
-            dists += term
-        np.sqrt(dists, out=dists)
+        dists = _distances(coords, coords[..., own].transpose(0, 1, 3, 2))  # (b, n, p)
 
     def nearest(m):
         near = np.argpartition(dists, (k, m - 1), axis=2)[:, :, :m]

@@ -18,10 +18,11 @@ exactly 0.
 A self pass (a set against itself, or each set of a stack,
 :func:`_self_kernel_sums`) computes each pair once on 256 x 256 tiles:
 every log kernel is <= 0 and the diagonal is exactly 0, so it sums the
-kernels with no shift.  It sums them against weights on the rows: a column
-of ones for :func:`entropy` and :func:`per_structure_entropy`, or one 0/1
+kernels with no shift.  It sums them against weights on the rows: one 0/1
 column per subset for :func:`_subset_delta_entropies`, which thus gets
-every subset's delta_entropy(set | subset) from one pass.
+every subset's delta_entropy(set | subset) from one pass, and of which
+:func:`entropy` is the one-subset case of the whole set; or a column of
+ones, shared by a stack, for :func:`per_structure_entropy`.
 :func:`per_structure_entropy` stacks structures by row count, and every
 set of a stack gets the bits of a pass by itself.  A cross pass is a
 :class:`Coverage` of the query rows: it keeps its queries' store and a
@@ -154,15 +155,13 @@ def _right_store(rows: np.ndarray) -> np.ndarray:
 def _store_of(x) -> np.ndarray:
     """The store of a DescriptorSet, read in place, or a new one of plain rows.
 
-    Plain rows are an (n, width) array, or one row as a 1-D array; a NaN or
-    infinite row is an InputError.
+    Plain rows are an (n, width) array; any other number of dimensions, or
+    a NaN or infinite row, is an InputError.
     """
     store = getattr(x, "_store", None)
     if store is not None:
         return store
     rows = np.asarray(x, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[None, :]
     if rows.ndim != 2:
         raise InputError(f"expected a 2-D array of rows, got shape {rows.shape}")
     return _right_store(rows)
@@ -191,15 +190,15 @@ def _left_form(right: np.ndarray) -> np.ndarray:
     return left
 
 
-def _log_kernel_tile(left, right, inv_two_h2, buffers, diagonal=False) -> np.ndarray:
+def _log_kernel_tile(left, right, inv_two_h2, buffers) -> np.ndarray:
     """Write log K_h(x_i, y_j) of one tile into a view of the first buffer.
 
     ``left`` is the left form (:func:`_left_form`) of the tile's rows,
     (m, w + 2), and ``right`` a (w + 2, n) slice of a store, read in place;
     a stack of B tiles passes (B, m, w + 2) and (B, w + 2, n) and makes one
-    stacked GEMM.  ``diagonal`` marks a tile of a set against itself.
-    Returns the (m, n) or (B, m, n) view that holds the tile; it is valid
-    until the next call with the same buffers.
+    stacked GEMM, and any tile decides from its least entry whether to
+    snap.  Returns the (m, n) or (B, m, n) view that holds the tile; it is
+    valid until the next call with the same buffers.
     """
     shape = left.shape[:-1] + right.shape[-1:]
     size = math.prod(shape)
@@ -212,12 +211,12 @@ def _log_kernel_tile(left, right, inv_two_h2, buffers, diagonal=False) -> np.nda
     # every pair with d2 <= 1e-12 (|x|^2 + |y|^2) to exactly zero, so
     # every log kernel is <= 0 and a member of the reference set always gets
     # kernel sum >= 1 (delta entropy <= 0).  One scalar per tile, at least
-    # every pair's threshold, screens the few candidates first.  A tile of
-    # a set against itself always holds some; any other tile holds none
-    # when its least entry is above every screen, and skips the snap.
+    # every pair's threshold, screens the few candidates first.  A tile
+    # whose least entry is above every screen holds none and skips the
+    # snap, which would change nothing in it.
     x_sq, y_sq = left[..., -2], right[..., -1, :]
     screen = 1e-12 * (x_sq.max(axis=-1) + y_sq.max(axis=-1))
-    if diagonal or not tile.min() > screen.max():
+    if not tile.min() > screen.max():
         snap = buffers[1][:size]
         np.less_equal(tile, screen[..., None, None], out=snap.reshape(shape))
         near = snap.nonzero()[0]
@@ -246,7 +245,7 @@ _ONES = np.ones(_BLOCK)
 # At tiny bandwidths the log kernel of a far pair overflows to -inf, whose
 # exp is an exact 0.
 @np.errstate(over="ignore")
-def _self_kernel_sums(store, kernel: KernelParams, weights, buffers=None) -> np.ndarray:
+def _self_kernel_sums(store, kernel: KernelParams, weights) -> np.ndarray:
     """sum_j K_h(x_i, x_j) w_j over a set, each pair once.
 
     ``store`` is the set's store (:func:`_fill_store`), (w + 2, n), or a
@@ -254,8 +253,8 @@ def _self_kernel_sums(store, kernel: KernelParams, weights, buffers=None) -> np.
     ``weights`` is (n, c), shared by the B sets; the sums are (n, c) or
     (B, n, c).  Tiles I <= J are visited in a fixed (I, J) order, from the
     left form of block I, built per block, and the store's own slice of
-    block J; working memory is ``buffers`` (:func:`_tile_buffers`, made
-    for the pass when not given) and one left block.  Each tile is one
+    block J; working memory is the pass's own tile buffers
+    (:func:`_tile_buffers`) and one left block.  Each tile is one
     GEMM, stacked over the B sets, which numpy runs as one BLAS call per
     set with that set's own operands, so every set gets the bits of a pass
     by itself.  Each tile adds W[I]^T tile to the J rows, and an
@@ -271,15 +270,14 @@ def _self_kernel_sums(store, kernel: KernelParams, weights, buffers=None) -> np.
     if n == 0:
         raise InputError("reference set is empty")
     inv_two_h2 = 1.0 / (2.0 * kernel.bandwidth * kernel.bandwidth)
-    if buffers is None:
-        buffers = _tile_buffers(math.prod(store.shape[:-2]) * min(_BLOCK, n) ** 2)
+    buffers = _tile_buffers(math.prod(store.shape[:-2]) * min(_BLOCK, n) ** 2)
     sums = np.zeros(store.shape[:-2] + weights.shape)
     for i0 in range(0, n, _BLOCK):
         i1 = i0 + _BLOCK
         left = _left_form(store[..., i0:i1])
         for j0 in range(i0, n, _BLOCK):
             j1 = j0 + _BLOCK
-            tile = _log_kernel_tile(left, store[..., j0:j1], inv_two_h2, buffers, j0 == i0)
+            tile = _log_kernel_tile(left, store[..., j0:j1], inv_two_h2, buffers)
             np.exp(tile, out=tile)
             sums[..., j0:j1, :] += (weights[i0:i1].T @ tile).swapaxes(-1, -2)
             if j0 != i0:
@@ -403,7 +401,7 @@ class Coverage:
         """
         if self._own is None:
             queries = self._queries
-            own = _log_kernel_tile(_left_form(queries), queries, self._inv_two_h2, self._buffers, True)
+            own = _log_kernel_tile(_left_form(queries), queries, self._inv_two_h2, self._buffers)
             self._own = own.copy()
         self._add(self._own[start:stop].copy())
 
@@ -459,7 +457,8 @@ def delta_entropy(queries, refs, kernel: KernelParams = KernelParams()) -> np.nd
 
 
 def _subset_delta_entropies(descs, subsets, kernel: KernelParams) -> list:
-    """``delta_entropy(rows, rows[s])`` for each row-index array s in ``subsets``.
+    """``delta_entropy(rows, rows[s])`` for each row index s in ``subsets``,
+    an index array or a slice.
 
     ``descs`` is a DescriptorSet or a plain (n, width) array of the rows.
     Every subset is a column of 0/1 weights on the rows, and one self pass
@@ -518,10 +517,11 @@ def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
     ``log sum_i exp(dH_i)``, the effective log-count of distinct
     environments, which weighs rare environments more than the entropy
     does and spans the same range.  The efficiency is ``H / log n``.
+    ``dH`` is :func:`_subset_delta_entropies` of the whole set, whose
+    kernel sums are each at least 1, so none is recomputed.
     """
-    store = _store_of(descs)
-    sums = _self_kernel_sums(store, kernel, np.ones((store.shape[1], 1)))
-    return EntropyResult.of(-np.log(sums[:, 0]))
+    (dh,) = _subset_delta_entropies(descs, [slice(None)], kernel)
+    return EntropyResult.of(dh)
 
 
 def diversity(descs, kernel: KernelParams = KernelParams()) -> float:
@@ -547,16 +547,12 @@ def per_structure_entropy(descs, kernel: KernelParams = KernelParams()) -> np.nd
 
     Structures are stacked by row count, up to 256 rows a stack (a larger
     structure is a stack of one), and each stack makes one self pass
-    (:func:`_self_kernel_sums`) over a copy of its rows' store, with the
-    bits of a separate pass per structure.  The stacks share one set of
-    tile buffers.
+    (:func:`_self_kernel_sums`) over a copy of its rows' store, against
+    one column of ones, with the bits of a separate pass per structure.
     """
     out = np.empty(descs.n_structures)
-    longest = int(descs.offsets[:, 1].max(initial=0))
-    buffers = _tile_buffers(_BLOCK * min(_BLOCK, longest))
-    ones = np.ones((longest, 1))
     for index, rows in descs._stacks(_BLOCK):
         stack = _columns(descs._store, rows).swapaxes(0, 1)  # (B, w + 2, n)
-        sums = _self_kernel_sums(stack, kernel, ones[: rows.shape[1]], buffers)
+        sums = _self_kernel_sums(stack, kernel, np.ones((rows.shape[1], 1)))
         out[index] = _entropy_nats(-np.log(sums[..., 0]))
     return out

@@ -109,10 +109,10 @@ def count_self_passes(monkeypatch):
     shapes = []
     real = information._self_kernel_sums
 
-    def counting(store, kernel, weights, buffers=None):
+    def counting(store, kernel, weights):
         sets = store.shape[0] if store.ndim == 3 else 1
         shapes.append((sets, store.shape[-1], weights.shape[1]))
-        return real(store, kernel, weights, buffers)
+        return real(store, kernel, weights)
 
     monkeypatch.setattr(information, "_self_kernel_sums", counting)
     return shapes

@@ -170,6 +170,37 @@ class TestExitCodes:
         assert main(["analyze", str(bad)]) == 4
         assert "degenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{bad}", "-o", "{out}"],
+        ["overlap", "{bad}", "{bad}", "-o", "{out}"],
+        ["compare", "{bad}", "-o", "{out}"],
+        ["compress", "{bad}", "-o", "{kept}", "--count", "1", "--report", "{out}"],
+    ], ids=["analyze", "overlap", "compare", "compress"])
+    def test_near_coincident_atoms_exit_4(self, tmp_path, capsys, argv):
+        # 1e-160 angstrom apart: each row's squared norm would overflow to
+        # inf, and the figures come out NaN
+        bad = tmp_path / "near.xyz"
+        bad.write_text(
+            "2\nProperties=species:S:1:pos:R:3\nSi 0.0 0.0 0.0\nSi 0.0 0.0 1e-160\n"
+        )
+        out, kept = tmp_path / "report.json", tmp_path / "kept.xyz"
+        assert main([a.format(bad=bad, out=out, kept=kept) for a in argv]) == 4
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("atomcover: degenerate geometry: structure 0, atom 0: coincident")
+        assert not out.exists() and not kept.exists()
+
+    def test_pair_just_above_the_coincidence_floor_analyzes(self, tmp_path):
+        data = tmp_path / "near.xyz"
+        data.write_text(
+            "2\nProperties=species:S:1:pos:R:3\nSi 0.0 0.0 0.0\nSi 0.0 0.0 1.01e-150\n"
+        )
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(data), "-o", str(out)]) == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["n_environments"] == 2
+        assert metrics["entropy_nats"] == 0.0  # the two rows coincide in the kernel
+        assert np.isfinite(metrics["diversity_nats"]) and np.isfinite(metrics["efficiency"])
+
     def test_tiny_cell_exits_4_before_replicating(self, tmp_path, capsys, monkeypatch):
         from types import SimpleNamespace
 

@@ -334,6 +334,18 @@ class TestBuildErrors:
         with pytest.raises(DegenerateGeometryError, match="structure 1, atom 0"):
             build_descriptor_set(dataset(good, bad), params)
 
+    def test_neighbors_closer_than_the_floor_are_coincident(self):
+        # At 1e-160 angstrom an entry is 1e160 and its square overflows; just
+        # above the 1e-150 floor every squared norm is finite.
+        params = DescriptorParams(n_neighbors=4, cutoff=5.0)
+        for gap in (1e-160, 0.99e-150):
+            near = molecule([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 0.0, gap]])
+            with pytest.raises(DegenerateGeometryError, match="^structure 0, atom 1: coincident"):
+                build_descriptor_set(dataset(near), params)
+        apart = molecule([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 0.0, 1.01e-150]])
+        store = build_descriptor_set(dataset(apart), params)._store
+        assert np.isfinite(store).all() and store[-1].max() < np.finfo(float).max / 4
+
 
 def tree_rows(structures, params):
     """Rows of each structure from its own k-d tree search, one at a time."""

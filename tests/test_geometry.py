@@ -421,6 +421,38 @@ def lexsorted_neighbors(points, cand, k):
     return np.take_along_axis(dists, order, axis=1), points[chosen], chosen % n
 
 
+class TestOneForms:
+    """The one distance routine and the stacked cell heights give the bits
+    of the numpy forms they stand for."""
+
+    def test_distances_have_the_bits_of_norm(self):
+        rng = np.random.default_rng(60)
+        a = rng.normal(scale=5.0, size=(3, 7, 1, 40))
+        b = rng.normal(scale=5.0, size=(3, 1, 9, 1))
+        want = np.linalg.norm(np.moveaxis(a, 0, -1) - np.moveaxis(b, 0, -1), axis=-1)
+        assert want.shape == (7, 9, 40)
+        assert geometry._distances(a, b).tobytes() == want.tobytes()
+        out, scratch = np.full((2, 7, 9, 40), np.nan)
+        assert geometry._distances(a, b, out, scratch) is out
+        assert out.tobytes() == want.tobytes()
+        # plain point pairs, as (3, n) arrays
+        p, q = rng.normal(size=(2, 3, 100))
+        assert geometry._distances(p, q).tobytes() == np.linalg.norm(p.T - q.T, axis=-1).tobytes()
+
+    def test_stacked_cell_heights_are_each_cells_own(self):
+        rng = np.random.default_rng(61)
+        sides = rng.uniform(2.0, 20.0, size=(600, 1, 1))
+        cells = np.eye(3) * sides + rng.uniform(-0.4, 0.4, size=(600, 3, 3)) * sides
+        stacked = geometry._cell_heights(cells.reshape(30, 20, 3, 3)).reshape(600, 3)
+        for cell, heights in zip(cells, stacked):
+            assert geometry._cell_heights(cell).tobytes() == heights.tobytes()
+            volume = abs(np.linalg.det(cell))
+            for axis in range(3):
+                b, c = np.delete(cell, axis, axis=0)
+                want = volume / np.linalg.norm(np.cross(b, c))
+                assert heights[axis] == pytest.approx(want, rel=1e-12)
+
+
 class TestRanking:
     """``_ranked`` sorts each row by distance alone, and again by (distance,
     atom, point) only where a distance it keeps or the one after repeats

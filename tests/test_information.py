@@ -209,8 +209,8 @@ class TestSubsetDeltaEntropies:
         passes = []
         real = information._self_kernel_sums
 
-        def recording(store, kernel, weights, buffers=None):
-            sums = real(store, kernel, weights, buffers)
+        def recording(store, kernel, weights):
+            sums = real(store, kernel, weights)
             passes.append((store, weights, sums))
             return sums
 
@@ -221,7 +221,7 @@ class TestSubsetDeltaEntropies:
         assert weights.shape == (n, 1) and np.all(weights == 1.0)
         assert np.array_equal(result.per_point, -np.log(sums[:, 0]))
         (all_rows,) = _subset_delta_entropies(rows, [np.arange(n)], KP)
-        np.testing.assert_allclose(all_rows, result.per_point, rtol=0.0, atol=1e-12)
+        assert np.array_equal(all_rows, result.per_point)
 
     def test_far_row_falls_back_to_the_closed_form(self, monkeypatch):
         # row 1 sits 50 h from the lone kept row 0: exp(-1250) underflows in
@@ -364,13 +364,19 @@ class TestCoincidenceSnap:
         # duplicates whose pairs fall in an off-diagonal tile.  Each row is
         # moved out by its own fraction of the offset, so squared norms
         # spread over each tile, and a large offset leaves the norm
-        # expansion a large residue on coincident rows.
+        # expansion a large residue on coincident rows.  With no offset,
+        # rows 256-511 are all zero, so block 1's tiles with itself have a
+        # screen of 0, and the other rows are moved out as at 1e3.
         rng = np.random.default_rng(40)
-        rows = rng.normal(scale=0.01, size=(900, 63)) + offset * rng.random((900, 1))
+        rows = rng.normal(scale=0.01, size=(900, 63)) + (offset or 1e3) * rng.random((900, 1))
+        if offset is None:
+            rows[256:512] = 0.0
         rows[700], rows[512] = rows[3], rows[255]
         return rows
 
-    @pytest.mark.parametrize("offset", [1e-3, 1.0, 1e3])
+    OFFSETS = [1e-3, 1.0, 1e3, pytest.param(None, id="zero-block")]
+
+    @pytest.mark.parametrize("offset", OFFSETS)
     def test_duplicates_across_tiles(self, offset):
         rows = self.duplicated(offset)
         for dh in (entropy(rows, KP).per_point, delta_entropy(rows, rows, KP)):
@@ -378,7 +384,7 @@ class TestCoincidenceSnap:
             for i, j in ((3, 700), (255, 512)):
                 assert dh[i] == pytest.approx(dh[j], rel=0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("offset", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("offset", OFFSETS)
     def test_every_member_is_contained(self, offset):
         rows = self.duplicated(offset)
         assert np.all(delta_entropy(rows, rows[::7], KP)[::7] <= 0)
@@ -585,6 +591,20 @@ class TestDeltaEntropy:
         ]
         for call in calls:
             with pytest.raises(InputError, match="rows must be finite"):
+                call()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 4)], ids=["1-D", "3-D"])
+    def test_rows_that_are_not_2d_rejected(self, shape):
+        good, bad = np.zeros((2, 4)), np.zeros(shape)
+        calls = [
+            lambda: entropy(bad, KP),
+            lambda: delta_entropy(bad, good, KP),
+            lambda: delta_entropy(good, bad, KP),
+            lambda: Coverage(bad, KP),
+            lambda: Coverage(good, KP).extend(bad),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="expected a 2-D array of rows"):
                 call()
 
 
