@@ -8,13 +8,10 @@ rotation, atom-index permutation and species relabeling (species never
 enter it), and a supercell produces exactly the same rows as its
 primitive cell repeated.
 
-:func:`build_descriptor_set` searches and describes structures of few
-atom-point pairs in batches of one atom count and image reach, where
-per-structure overhead would dominate, without a tree.  Every other
-structure gets its own k-d tree, but is grouped the same way, so that its
-neighbors are ranked and its rows described together with its group's.
-A row's bits do not depend on the route it took: every distance of
-either comes from one routine, :func:`atomcover.geometry._distances`.
+:func:`build_descriptor_set` describes the rows of each group of
+structures that :func:`atomcover.geometry._neighbor_groups` searches
+together, in one call each; which candidate finder searched a group moves
+no bit of its rows.
 
 Units: entries are in inverse angstrom.
 """
@@ -29,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, InputError
-from .geometry import NeighborSet, _batched_neighbors, _distances, _image_reaches, _tree_neighbors
+from .geometry import NeighborSet, _distances, _neighbor_groups
 from .information import _columns, _fill_store, _right_store
 
 # Unused here, but bound: the benchmark's tracer (benchmarks/spans.py) wraps
@@ -50,15 +47,6 @@ __all__ = [
 #: blocks shrink as v grows, so its two (rows, v, v) buffers stay 512 kB
 #: each and fit in L2 together.
 _CHUNK_ROWS = 64
-#: Most atom-point pairs in one batch, so its (rows, points) arrays stay
-#: within 256 kB.  A structure of n atoms and P layout points batches when
-#: two of it fit, 2 n P <= _BATCH_PAIRS; past that the tree is as fast.
-_BATCH_PAIRS = 2**15
-#: Most rows, and layout points, in one group of the k-d tree route: the
-#: group ranks and describes its rows at once, and holds every layout and
-#: tree at once.  A structure of more atoms or points goes alone.
-_TREE_ROWS = 256
-_TREE_POINTS = 2**16
 #: Largest accepted neighbor count, 32 times the default.
 _MAX_NEIGHBORS = 1024
 #: Neighbors closer than this (angstrom) are coincident.  A row's squared
@@ -325,42 +313,17 @@ def build_descriptor_set(structures, params: DescriptorParams) -> DescriptorSet:
 
 
 def _build(structures, params: DescriptorParams) -> DescriptorSet:
-    """:func:`build_descriptor_set` over a sequence of structures.
-
-    Structures are grouped by atom count n and image reach, so a group's
-    search layouts share one size P.  Where n and P make at most
-    ``_BATCH_PAIRS // 2`` pairs, ``_BATCH_PAIRS // (n * P)`` structures are
-    searched at once without a tree (:func:`_batched_neighbors`); otherwise
-    each structure gets its own k-d tree, in groups of at most
-    ``_TREE_ROWS`` rows and ``_TREE_POINTS`` layout points, or of one
-    structure (:func:`_tree_neighbors`).  Either way the group's
-    candidates are ranked, and its rows described, in one call each.  Rows
-    are the same bits either way.
-    """
-    k, cutoff, width = params.n_neighbors, params.cutoff, params.width
+    """:func:`build_descriptor_set` over a sequence of structures: the rows
+    of each group of :func:`atomcover.geometry._neighbor_groups`, described
+    at once and placed in the store."""
+    k, width = params.n_neighbors, params.width
     lengths = np.array([len(s) for s in structures], dtype=int)
     starts = np.cumsum(lengths) - lengths
-    reaches = _image_reaches(structures, cutoff, k)
-    points = lengths * np.prod(2 * reaches + 1, axis=1)
     store = np.empty((width + 2, int(lengths.sum())))
-
-    def describe(indices, nbrs):
+    for indices, nbrs in _neighbor_groups(structures, params.cutoff, k):
         rows = (starts[indices][:, None] + np.arange(lengths[indices[0]])).ravel()
         store[:k, rows] = compute_x1(nbrs, params).T
         store[k:width, rows] = compute_x2(nbrs, params).T
-
-    groups = {}
-    for si in range(len(structures)):
-        groups.setdefault((lengths[si], *reaches[si]), []).append(si)
-    for (n, *reach), indices in groups.items():
-        p = points[indices[0]]
-        if 2 * n * p <= _BATCH_PAIRS:
-            search, size = _batched_neighbors, _BATCH_PAIRS // (n * p)
-        else:
-            search, size = _tree_neighbors, max(1, min(_TREE_ROWS // n, _TREE_POINTS // p))
-        for c0 in range(0, len(indices), size):
-            batch = indices[c0 : c0 + size]
-            describe(batch, search([structures[i] for i in batch], tuple(reach), k))
     _fill_store(store)
     offsets = np.stack([starts, lengths], axis=1)
     return DescriptorSet._of_store(store, offsets, params)

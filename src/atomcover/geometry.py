@@ -15,19 +15,17 @@ are wrong for cells smaller than the search radius, which occur routinely
 in the datasets this package targets.  All atoms of a structure are
 searched in one batch.
 
-Two searches find the candidates of a group of structures of one atom
-count and image reach, and one ranking step turns them into the group's
-neighbors.  :func:`_tree_neighbors` builds one k-d tree per structure;
-scipy is imported there, on the first tree search, not when this module
-loads.  :func:`nearest_neighbors` is its one-structure case.
-:func:`_batched_neighbors` stacks the layouts and computes every
-distance, which costs less than a tree where the layouts are small.
-Layouts are computed over stacked cells, with the same bits per cell as
-alone.  Both searches widen their candidates in one loop until every point
-tied with the k-th neighbor is one; the ranking recomputes each distance
+One driver, :func:`_neighbor_groups`, groups structures by atom count and
+image reach, so that a group's layouts share one size, and picks each
+group's candidate finder from its size: :func:`_batch_finder` stacks small
+layouts and computes every distance; :func:`_tree_finder` builds one k-d
+tree per layout, and is :func:`nearest_neighbors`' finder too.  Layouts are
+computed over stacked cells, with the same bits per cell as alone.  A
+group's candidates are widened in one lockstep loop until every point tied
+with a k-th neighbor is one, and one ranking step recomputes each distance
 with :func:`_distances`, the one routine that computes a distance between
 points here (the descriptor's three-body terms use it too), and sorts by
-(distance, atom, point), so both give the same bits.
+(distance, atom, point), so both finders give the same bits.
 """
 
 from __future__ import annotations
@@ -61,6 +59,15 @@ _TIE_SLACK = 1e-8
 #: Candidates per atom that a batched search takes first beyond the k
 #: nearest points and the self-image (the tree takes one).
 _BATCH_SPARE = 8
+#: Most atom-point pairs in one batch, so its (rows, points) arrays stay
+#: within 256 kB.  A structure of n atoms and P layout points batches when
+#: two of it fit, 2 n P <= _BATCH_PAIRS; past that the tree is as fast.
+_BATCH_PAIRS = 2**15
+#: Most rows, and layout points, in one group of the k-d tree route: the
+#: group's rows are ranked, and described, at once, and it holds every
+#: layout and tree at once.  A structure of more atoms or points goes alone.
+_TREE_ROWS = 256
+_TREE_POINTS = 2**16
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -246,10 +253,11 @@ def _tie_closed(nearest, n_points: int, k: int, m: int, rows: tuple) -> np.ndarr
 
     ``nearest(m)`` gives each atom's distances (*rows, 2) to its k-th
     neighbor, past the self-image, and to its m-th nearest point, and its m
-    nearest points (*rows, m).  m starts at the given count and doubles
-    until the m-th point lies clearly beyond the k-th neighbor, so every
-    point tied with the k-th neighbor is a candidate, whatever the search's
-    order of ties; from ``n_points`` on, every point is one.
+    nearest points (*rows, m).  m starts at the given count and doubles, for
+    all rows at once, until every atom's m-th point lies clearly beyond its
+    k-th neighbor, so every point tied with a k-th neighbor is a candidate,
+    whatever the search's order of ties; from ``n_points`` on, every point
+    is one.
     """
     while m < n_points:
         edge, cand = nearest(m)
@@ -333,7 +341,7 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     atom are valid neighbors.  Neighbors are sorted by distance, with
     exact ties broken by (atom index, image offset lexicographic) so the
     ordering is deterministic.  The images of :func:`_image_reaches` are
-    searched, once, with a k-d tree (:func:`_tree_neighbors`).  Within
+    searched, once, with a k-d tree (:func:`_tree_finder`).  Within
     ``search_radius`` the neighbors are the nearest points of the infinite
     crystal; past it, where the descriptor's cutoff weight is 0, they are
     the nearest remaining points of the layout.  A periodic structure's rows
@@ -343,69 +351,87 @@ def nearest_neighbors(structure: Structure, k: int, search_radius: float) -> Nei
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     reach = tuple(_image_reaches([structure], search_radius, k)[0])
-    return _tree_neighbors([structure], reach, k)
+    return _searched([structure], reach, k, _tree_finder)
 
 
-def _tree_neighbors(structures, reach, k: int) -> NeighborSet:
-    """:func:`nearest_neighbors` of several structures, each searched with
-    its own k-d tree and all ranked together.
+def _neighbor_groups(structures, search_radius: float, k: int):
+    """Yield (indices, NeighborSet) for groups of the structures, each
+    group's rows being :func:`nearest_neighbors` of each structure in turn.
 
-    The structures must share one atom count n and one ``reach`` of
-    :func:`_image_reaches`, so their layouts share one size P.  The rows of
-    the result are those of each structure in turn.  Where the structures'
-    candidate counts differ, each with fewer is queried again at the
-    largest: more candidates rank to the same neighbors.
+    Structures are grouped by atom count n and :func:`_image_reaches`, so a
+    group's layouts share one size P.  Where n and P make at most
+    ``_BATCH_PAIRS // 2`` pairs, ``_BATCH_PAIRS // (n * P)`` structures are
+    searched at once by :func:`_batch_finder`; otherwise each structure gets
+    its own k-d tree (:func:`_tree_finder`), in groups of at most
+    ``_TREE_ROWS`` rows and ``_TREE_POINTS`` layout points, or of one
+    structure.  Every image reach is computed, and checked against
+    ``_MAX_IMAGE_POINTS``, before the first group is searched.
     """
+    lengths = [len(s) for s in structures]
+    reaches = _image_reaches(structures, search_radius, k).tolist()
+    groups = {}
+    for si, (n, reach) in enumerate(zip(lengths, reaches)):
+        groups.setdefault((n, tuple(reach)), []).append(si)
+    for (n, reach), indices in groups.items():
+        p = n * math.prod(2 * r + 1 for r in reach)
+        if 2 * n * p <= _BATCH_PAIRS:
+            finder, size = _batch_finder, _BATCH_PAIRS // (n * p)
+        else:
+            finder, size = _tree_finder, max(1, min(_TREE_ROWS // n, _TREE_POINTS // p))
+        for c0 in range(0, len(indices), size):
+            batch = indices[c0 : c0 + size]
+            yield batch, _searched([structures[i] for i in batch], reach, k, finder)
+
+
+def _searched(structures, reach, k: int, finder) -> NeighborSet:
+    """The neighbors of structures of one atom count n and image ``reach``,
+    the rows of each structure in turn: ``finder`` finds candidates,
+    :func:`_tie_closed` widens them in lockstep over the whole group until
+    every point tied with a k-th neighbor is one, and :func:`_ranked` ranks
+    them, so every finder gives the same bits."""
     points = _image_points(structures, reach)
-    p, n = points.shape[1], len(structures[0])
-    own = _own_points(p, n)
+    b, p, _ = points.shape
+    n = len(structures[0])
+    nearest, m = finder(points, _own_points(p, n), k)
+    return _ranked(points, _tie_closed(nearest, p, k, m, (b, n)), k)
+
+
+def _tree_finder(points, own, k: int):
+    """``nearest`` over layouts (B, P, 3), whose atoms are the points
+    ``own``, from one k-d tree per layout, each queried at the same count
+    and stacked; and its first count, k + 2."""
     # scipy takes longer to import than most commands take to run, and only
     # this search needs it.  The tie loop decides the candidates, so no
     # result depends on the tree's shape: skipping the balancing halves the
     # build time on replicated cells, and 32-point leaves query faster.
     from scipy.spatial import cKDTree
 
-    searches = []
-    for layout in points:
-        tree = cKDTree(layout, leafsize=32, balanced_tree=False, compact_nodes=False)
-        centers = layout[own]
+    trees = [cKDTree(layout, leafsize=32, balanced_tree=False, compact_nodes=False)
+             for layout in points]
+    centers = points[:, own]
 
-        def nearest(m, tree=tree, centers=centers):
-            dists, cand = tree.query(centers, k=m)
-            return dists[:, [k, m - 1]], cand
+    def nearest(m):
+        found = [tree.query(c, k=m) for tree, c in zip(trees, centers)]
+        return np.stack([d[:, [k, m - 1]] for d, _ in found]), np.stack([c for _, c in found])
 
-        searches.append((tree, centers, _tie_closed(nearest, p, k, k + 2, (n,))))
-    m = max(cand.shape[1] for _, _, cand in searches)
-    cands = [
-        cand if cand.shape[1] == m else tree.query(centers, k=m)[1]
-        for tree, centers, cand in searches
-    ]
-    return _ranked(points, np.stack(cands), k)
+    return nearest, k + 2
 
 
-def _batched_neighbors(structures, reach, k: int) -> NeighborSet:
-    """:func:`nearest_neighbors` of several structures, without a tree.
+def _batch_finder(points, own, k: int):
+    """``nearest`` over layouts (B, P, 3) without a tree, and its first
+    count, k + 1 + ``_BATCH_SPARE``.
 
-    The structures must share one atom count n and one ``reach`` of
-    :func:`_image_reaches`, so their layouts share one size P.  The rows of
-    the result are those of each structure in turn, with the same bits as
-    :func:`nearest_neighbors` gives.  Unless the first k + 1 +
-    ``_BATCH_SPARE`` candidates already cover the layout, every distance
-    from an atom to the points of its layout is computed by
-    :func:`_distances`, (B, n, P) of them for B structures, and
-    :func:`_tie_closed` partitions them.
+    Unless that count already covers the layout, every distance from an atom
+    to the points of its layout is computed by :func:`_distances`, (B, n, P)
+    of them, and ``nearest`` partitions them.
     """
-    points = _image_points(structures, reach)
-    b, p, _ = points.shape
-    n = len(structures[0])
-    own = _own_points(p, n)
     first = k + 1 + _BATCH_SPARE
-    if first < p:  # else _tie_closed takes every point without a search
-        coords = points.transpose(2, 0, 1)[:, :, None, :]  # (3, b, 1, p)
-        dists = _distances(coords, coords[..., own].transpose(0, 1, 3, 2))  # (b, n, p)
+    if first < points.shape[1]:  # else _tie_closed takes every point without a search
+        coords = points.transpose(2, 0, 1)[:, :, None, :]  # (3, B, 1, P)
+        dists = _distances(coords, coords[..., own].transpose(0, 1, 3, 2))  # (B, n, P)
 
     def nearest(m):
         near = np.argpartition(dists, (k, m - 1), axis=2)[:, :, :m]
         return np.take_along_axis(dists, near[:, :, [k, m - 1]], axis=2), near
 
-    return _ranked(points, _tie_closed(nearest, p, k, first, (b, n)), k)
+    return nearest, first

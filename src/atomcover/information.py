@@ -118,6 +118,9 @@ class EntropyResult:
 # Rows per chunk when a store is finished: the chunk buffer of 256 rows of
 # width 63 is 126 kB, small beside the store it is read back from.
 _STORE_CHUNK = 256
+# A store's squared norms are below a quarter of the largest float, so no
+# partial sum of a tile's GEMM, |x|^2 + |y|^2 - 2 x.y, overflows.
+_MAX_NORM = np.finfo(float).max / 4
 
 
 def _fill_store(store: np.ndarray) -> None:
@@ -129,7 +132,8 @@ def _fill_store(store: np.ndarray) -> None:
     time into one reused buffer, checked finite (a NaN or infinite row is
     an InputError) and each norm taken as an ``einsum`` over its
     C-contiguous row, so a store's bits do not depend on how its first w
-    rows were written.
+    rows were written.  A squared norm of ``_MAX_NORM`` or more, which a
+    kernel tile could overflow on, is an InputError naming its row.
     """
     w, n = store.shape[0] - 2, store.shape[1]
     buffer = np.empty((min(_STORE_CHUNK, n), w))
@@ -140,7 +144,10 @@ def _fill_store(store: np.ndarray) -> None:
         if not np.isfinite(rows).all():
             raise InputError("rows must be finite")
         store[w, c0:c1] = 1.0
-        store[w + 1, c0:c1] = np.einsum("ij,ij->i", rows, rows)
+        norms = np.einsum("ij,ij->i", rows, rows, out=store[w + 1, c0:c1])
+        if (over := np.flatnonzero(norms >= _MAX_NORM)).size:
+            raise InputError(f"row {c0 + over[0]}: squared norm {norms[over[0]]:.4g} overflows "
+                             f"the kernel, which takes squared norms below {_MAX_NORM:.4g}")
 
 
 def _right_store(rows: np.ndarray) -> np.ndarray:

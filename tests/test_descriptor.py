@@ -368,6 +368,32 @@ def random_cluster(rng, n, side=5):
     return molecule((sites + rng.uniform(-0.3, 0.3, size=(n, 3))) * 2.0)
 
 
+def spy_routes(monkeypatch):
+    """Structures per group of each route that build_descriptor_set
+    searches: each group is counted under the finder that found its
+    candidates."""
+    calls, route = {"batches": [], "trees": []}, []
+    for name, finder in (("batches", "_batch_finder"), ("trees", "_tree_finder")):
+
+        def spy(points, own, k, find=getattr(geometry, finder), name=name):
+            route.append(name)
+            return find(points, own, k)
+
+        monkeypatch.setattr(geometry, finder, spy)
+    groups = descriptor._neighbor_groups
+
+    def counted(structures, search_radius, k):
+        route.clear()  # nearest_neighbors searches outside a build count for none
+        for indices, nbrs in groups(structures, search_radius, k):
+            (name,) = route  # one finder call per group
+            route.clear()
+            calls[name].append(len(indices))
+            yield indices, nbrs
+
+    monkeypatch.setattr(descriptor, "_neighbor_groups", counted)
+    return calls
+
+
 class TestBatchedPath:
     """Small structures are searched and described in batches; every other
     structure takes its own k-d tree, in groups.  Rows must be those of one
@@ -375,17 +401,7 @@ class TestBatchedPath:
 
     @pytest.fixture
     def routes(self, monkeypatch):
-        # structures per call of each route
-        calls = {"batches": [], "trees": []}
-        for name, route in (("batches", "_batched_neighbors"), ("trees", "_tree_neighbors")):
-            search = getattr(descriptor, route)
-
-            def spy(structures, reach, k, search=search, sizes=calls[name]):
-                sizes.append(len(structures))
-                return search(structures, reach, k)
-
-            monkeypatch.setattr(descriptor, route, spy)
-        return calls
+        return spy_routes(monkeypatch)
 
     @staticmethod
     def assert_tree_rows(structures, params):
@@ -435,15 +451,15 @@ class TestBatchedPath:
         # count, so the candidates widen through the doubling loop.
         from test_geometry import LATTICE_TIES
 
-        counts, tie_closed = [], geometry._tie_closed
+        # the counts each batch is searched at
+        counts, batch_finder = [], geometry._batch_finder
 
-        def count_spy(nearest, n_points, k, m, rows):
-            if len(rows) == 1:  # a tree search
-                return tie_closed(nearest, n_points, k, m, rows)
+        def count_spy(points, own, k):
+            nearest, m = batch_finder(points, own, k)
             counts.append([])
-            return tie_closed(lambda m: counts[-1].append(m) or nearest(m), n_points, k, m, rows)
+            return (lambda m: counts[-1].append(m) or nearest(m)), m
 
-        monkeypatch.setattr(geometry, "_tie_closed", count_spy)
+        monkeypatch.setattr(geometry, "_batch_finder", count_spy)
         if spare is not None:
             monkeypatch.setattr(geometry, "_BATCH_SPARE", spare)
         for cell, grid, pbc, radius in LATTICE_TIES:
@@ -468,7 +484,7 @@ class TestBatchedPath:
             structures.append(random_cluster(rng, 9 + i % 2))
             if i % 10 == 0:
                 structures.append(random_cluster(rng, 40))
-        monkeypatch.setattr(descriptor, "_BATCH_PAIRS", 729)
+        monkeypatch.setattr(geometry, "_BATCH_PAIRS", 729)
         self.assert_tree_rows(structures, params)
         assert routes["trees"] == [4]  # 2 * 40**2 pairs > 729, one group
         # 40 cells of 3 * 81 pairs, 3 a batch; 20 clusters of 9 atoms (81
@@ -481,10 +497,10 @@ class TestBatchedPath:
         tiny = crystal(np.eye(3) * 0.3, [[0.1, 0.2, 0.3]])
         small = crystal(np.eye(3) * 2.0, [[0.1, 0.2, 0.3]])
         assert geometry._image_reaches([tiny], 5.0, 32).tolist() == [[17, 17, 17]]
-        assert 35**3 > descriptor._BATCH_PAIRS // 2
+        assert 35**3 > geometry._BATCH_PAIRS // 2
         self.assert_tree_rows([tiny, small, tiny], DescriptorParams(32, 5.0))
         # 2 * 35**3 points are more than one tree group holds
-        assert 2 * 35**3 > descriptor._TREE_POINTS
+        assert 2 * 35**3 > geometry._TREE_POINTS
         assert routes == {"batches": [1], "trees": [1, 1]}
 
     def test_tree_groups_hold_at_most_256_rows(self, routes):
@@ -517,7 +533,7 @@ class TestBatchedPath:
         large_bad = crystal(large.cell, np.vstack([large.positions, large.positions[5:6]]))
         # 41 atoms in a layout of 27 images: too many pairs for a batch
         assert geometry._image_reaches([large_bad], 4.0, 8).tolist() == [[1, 1, 1]]
-        assert 2 * 41 * 41 * 27 > descriptor._BATCH_PAIRS
+        assert 2 * 41 * 41 * 27 > geometry._BATCH_PAIRS
         # ceil(4 / 0.03) = 134 images per side: more than 10**7 points
         tiny = crystal(np.eye(3) * 0.03, [[0.0, 0.0, 0.0]])
         cases = [

@@ -294,6 +294,33 @@ class TestNearestNeighbors:
         assert np.allclose(nbrs.distances[0], [1.0, 1.0])
         assert list(nbrs.indices[0]) == [1, 2]
 
+    @pytest.mark.parametrize("s", [
+        # fcc on a dyadic grid: every shell is an exact tie
+        crystal(np.eye(3) * 4.0, [[0, 0, 0], [0, 2, 2], [2, 0, 2], [2, 2, 0]]),
+        # an octahedron: every atom has four ties at one distance
+        molecule([[1.5, 0, 0], [-1.5, 0, 0], [0, 1.5, 0], [0, -1.5, 0], [0, 0, 1.5],
+                  [0, 0, -1.5]]),
+    ], ids=["cell-4", "cluster-6"])
+    def test_small_structures_take_the_tree(self, monkeypatch, s):
+        # small enough to batch, yet searched with a k-d tree, with the
+        # bits of the batched search
+        found = []
+        for name in ("_batch_finder", "_tree_finder"):
+
+            def spy(points, own, k, find=getattr(geometry, name), name=name):
+                found.append((name, len(points)))
+                return find(points, own, k)
+
+            monkeypatch.setattr(geometry, name, spy)
+        for k in (2, 4, 8, 32):
+            alone = nearest_neighbors(s, k, 5.0)
+            ((indices, batched),) = geometry._neighbor_groups([s], 5.0, k)
+            assert indices == [0]
+            assert found == [("_tree_finder", 1), ("_batch_finder", 1)]
+            found.clear()
+            for got, want in zip(vars(alone).values(), vars(batched).values()):
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("cell, grid, pbc, radius", LATTICE_TIES, ids=LATTICE_TIE_IDS)
     def test_lattice_ties_follow_brute_force_order(self, cell, grid, pbc, radius):
         # dyadic coordinates keep the ties exact
@@ -533,20 +560,20 @@ class TestRanking:
 
 
 class TestGroupedTreeRoute:
-    """Structures of one atom count and image reach share one
-    ``_tree_neighbors`` call: one tree each, one ranking for the group.  On
-    exact-tie lattices its rows must follow brute force and equal one tree
-    search per structure, also where the group's structures widen their
-    candidates to different counts."""
+    """Structures of one atom count and image reach share one k-d tree
+    group: one tree each, queried in lockstep, and one ranking for the
+    group.  On exact-tie lattices its rows must follow brute force and equal
+    one tree search per structure, also where one structure widens the
+    candidates of the whole group."""
 
     @pytest.fixture
     def widths(self, monkeypatch):
-        # candidates per atom that each tree search settles on
+        # (structures, candidates per atom) that each search settles on
         found, tie_closed = [], geometry._tie_closed
 
         def spy(nearest, n_points, k, m, rows):
             cand = tie_closed(nearest, n_points, k, m, rows)
-            found.append(cand.shape[-1])
+            found.append((cand.shape[0], cand.shape[-1]))
             return cand
 
         monkeypatch.setattr(geometry, "_tie_closed", spy)
@@ -561,16 +588,19 @@ class TestGroupedTreeRoute:
         return [s, crystal(cell, grid + jitter, pbc=pbc), s]
 
     @pytest.mark.parametrize("cell, grid, pbc, radius", LATTICE_TIES, ids=LATTICE_TIE_IDS)
-    def test_lattice_ties_follow_brute_force_order(self, widths, cell, grid, pbc, radius):
+    def test_lattice_ties_follow_brute_force_order(self, monkeypatch, widths, cell, grid, pbc,
+                                                   radius):
+        # one lattice widens the candidates of the whole group
+        monkeypatch.setattr(geometry, "_BATCH_PAIRS", 0)
         structures = self.group(cell, grid, pbc)
         n = len(grid)
-        reach = tuple(geometry._image_reaches(structures, radius, 1)[0])
-        spread = []
+        widened = []
         for k in (2, 6, 8, 10, 20, 32):
-            assert geometry._image_reaches(structures, radius, k).tolist() == [list(reach)] * 3
             widths.clear()
-            nbrs = geometry._tree_neighbors(structures, reach, k)
-            spread.append(len(set(widths)) > 1)
+            ((indices, nbrs),) = geometry._neighbor_groups(structures, radius, k)
+            assert indices == [0, 1, 2]
+            ((b, width),) = widths
+            assert b == 3
             for j, s in enumerate(structures):
                 rows = slice(j * n, (j + 1) * n)
                 part = NeighborSet(nbrs.distances[rows], nbrs.neighbor_positions[rows],
@@ -580,29 +610,26 @@ class TestGroupedTreeRoute:
                     assert got.tobytes() == want.tobytes()
                 if j != 1:  # the jittered copy's distances are not brute force's bits
                     assert_brute_force_order(s, part, radius)
-        # some groups widened their candidates to different counts
-        assert any(spread)
+            # every tree of the group widens as far as the widest search alone
+            lone = [w for _, w in widths[1:]]
+            assert width == max(lone)
+            # alone, the jittered copy settles on the first count
+            widened.append(lone[1] == k + 2 < width)
+        assert any(widened)
 
     @pytest.mark.parametrize("cell, grid, pbc, radius", LATTICE_TIES, ids=LATTICE_TIE_IDS)
     def test_every_structure_takes_the_tree(self, monkeypatch, widths, cell, grid, pbc, radius):
-        from atomcover import descriptor
-        from test_descriptor import tree_rows
+        from test_descriptor import spy_routes, tree_rows
 
-        monkeypatch.setattr(descriptor, "_BATCH_PAIRS", 0)
-        groups, tree = [], descriptor._tree_neighbors
-
-        def spy(structures, reach, k):
-            groups.append(len(structures))
-            return tree(structures, reach, k)
-
-        monkeypatch.setattr(descriptor, "_tree_neighbors", spy)
+        monkeypatch.setattr(geometry, "_BATCH_PAIRS", 0)
+        routes = spy_routes(monkeypatch)
         structures = self.group(cell, grid, pbc)
-        spread = []
+        widened = []
         for k in (2, 6, 8, 10, 20, 32):
             params = DescriptorParams(k, radius)
             widths.clear()
             got = build_descriptor_set(tuple(structures), params)
-            spread.append(len(set(widths)) > 1)
+            widened.append(widths[0][1] > k + 2)
             assert got.values.tobytes() == tree_rows(structures, params).tobytes()
-        assert groups == [3] * 6
-        assert any(spread)
+        assert routes == {"batches": [], "trees": [3] * 6}
+        assert any(widened)

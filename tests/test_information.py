@@ -8,6 +8,7 @@ import pytest
 
 from atomcover import (
     Coverage,
+    DescriptorSet,
     InputError,
     KernelParams,
     contained_fraction,
@@ -592,6 +593,33 @@ class TestDeltaEntropy:
         for call in calls:
             with pytest.raises(InputError, match="rows must be finite"):
                 call()
+
+    @pytest.mark.parametrize("row, value, norm", [
+        (0, 1e160, "inf"),  # every squared norm overflows
+        (2, 6.71e153, "4.502e\\+307"),  # finite, but a kernel tile's GEMM could overflow
+    ], ids=["infinite", "past-a-quarter"])
+    def test_rows_whose_norms_overflow_rejected(self, row, value, norm):
+        # the cross pass would blame the bandwidth, and numpy would warn
+        good = np.zeros((2, 4))
+        bad = np.full((3, 4), value) if row == 0 else np.zeros((3, 4))
+        bad[row, 0] = value
+        calls = [
+            lambda: entropy(bad, KP),
+            lambda: delta_entropy(bad, good, KP),
+            lambda: delta_entropy(good, bad, KP),
+            lambda: Coverage(bad, KP),
+            lambda: Coverage(good, KP).extend(bad),
+            lambda: DescriptorSet(values=bad, offsets=[[0, 3]]),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match=f"^row {row}: squared norm {norm} overflows"):
+                call()
+
+    def test_rows_with_norms_just_below_the_limit_pass(self):
+        edge = np.nextafter(np.sqrt(information._MAX_NORM), 0)
+        rows = np.zeros((3, 4))
+        rows[:2, 0] = edge
+        assert entropy(rows, KP).per_point.tolist() == [-np.log(2), -np.log(2), 0.0]
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 4)], ids=["1-D", "3-D"])
     def test_rows_that_are_not_2d_rejected(self, shape):
