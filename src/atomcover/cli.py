@@ -9,7 +9,8 @@ Subcommands:
   compare    sweep all samplers over multiple fractions
 
 Exit codes: 0 success, 2 unreadable/malformed input (for force-cdf,
-also a structure without forces), 3 invalid flags,
+also a structure without forces) or an output that cannot be written
+(checked before the input is read), 3 invalid flags,
 4 degenerate geometry (coincident atoms, singular cells, cells too small
 to lay out), 5 out of memory, 130 interrupted (Ctrl-C, the shell's code
 for SIGINT).  Each failure prints one line to stderr, never a traceback.
@@ -187,6 +188,23 @@ def _common_parameters(args, **extra):
     return out
 
 
+def _check_outputs(*paths):
+    """Fail, as an OSError (exit 2), on an output path that cannot be written.
+
+    Called after the flag checks and before any input is read, so a bad
+    path costs no work.  ``None`` (stdout) passes; any other path must not
+    be a directory, and its directory must exist and be writable.
+    """
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(folder):
+            raise OSError(f"cannot write {path}: no directory {folder}")
+        if not os.access(folder, os.W_OK):
+            raise OSError(f"cannot write {path}: directory {folder} is not writable")
+
+
 def _emit(doc, output):
     if output is None:
         sys.stdout.write(doc.to_json())
@@ -209,6 +227,8 @@ def cmd_compress(args):
         kernel=_kernel_params(args),
     )
     params = _descriptor_params(args)  # --k and --cutoff checked before the input is read
+    report_path = args.report or args.output + ".report.json"
+    _check_outputs(args.output, report_path)
     structures = read_extxyz(args.input)
     config.resolve_count(len(structures))  # --count checked before anything is described
     descs = _load_descriptors(args.input, args, params, structures)
@@ -223,7 +243,6 @@ def cmd_compress(args):
     doc = compression_report(descs, result.selected, config.kernel, parameters, delta_h)
     if result.per_step is not None:
         doc.metrics["steps"] = [asdict(s) for s in result.per_step]
-    report_path = args.report or args.output + ".report.json"
     doc.write(report_path)
     print(f"kept {len(result.selected)}/{len(structures)} structures -> {args.output}")
     print(f"report -> {report_path}")
@@ -237,7 +256,9 @@ def cmd_analyze(args):
     from .report import ReportDocument
 
     kernel = _kernel_params(args)
-    descs = _load_descriptors(args.input, args, _descriptor_params(args))
+    params = _descriptor_params(args)
+    _check_outputs(args.output)
+    descs = _load_descriptors(args.input, args, params)
     result = entropy(descs, kernel)
     metrics = {
         "n_structures": descs.n_structures,
@@ -266,6 +287,7 @@ def cmd_overlap(args):
 
     kernel = _kernel_params(args)
     params = _descriptor_params(args)
+    _check_outputs(args.output)
     query_descs = _load_descriptors(args.query, args, params)
     ref_descs = _load_descriptors(args.reference, args, params)
     dh = delta_entropy(query_descs, ref_descs, kernel)
@@ -291,6 +313,7 @@ def cmd_force_cdf(args):
     from .extxyz import read_extxyz
     from .report import ReportDocument
 
+    _check_outputs(args.output)
     structures = read_extxyz(args.input)
     # A frame without forces is a fault of the input file, not of a flag.
     missing = next((i for i, s in enumerate(structures) if s.forces is None), None)
@@ -321,7 +344,9 @@ def cmd_compare(args):
     methods = METHODS if names == ["all"] else tuple(names)
     kernel = _kernel_params(args)
     _sweep_configs(args.fractions, methods, args.seed, kernel)  # checked before loading
-    descs = _load_descriptors(args.input, args, _descriptor_params(args))
+    params = _descriptor_params(args)
+    _check_outputs(args.output, args.csv)
+    descs = _load_descriptors(args.input, args, params)
     sweep = compare_methods(descs, args.fractions, methods, seed=args.seed, kernel=kernel)
     doc = ReportDocument(
         kind="compare",

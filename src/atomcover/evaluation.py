@@ -23,7 +23,7 @@ from .information import (
 )
 from .errors import InputError
 from .report import ReportDocument
-from .samplers import METHODS, SamplerConfig, _kmeans_sweep, run_sampler, sample_msc
+from .samplers import METHODS, SamplerConfig, _sweep
 
 __all__ = [
     "ForceCdf",
@@ -251,46 +251,29 @@ def compare_methods(
 ) -> SweepResult:
     """Run each sampler at each fraction and tabulate the figures of merit.
 
-    Fractions are sorted ascending; one row per (method, fraction).
-    ``fps`` and ``msc`` run once, at the largest count, and each smaller
-    fraction takes the prefix of that selection, which is what they pick
-    at that count.  ``kmeans`` seeds once, to the largest count, and each
-    count runs its own Lloyd iterations from its prefix of the centers:
-    the picks are those of one ``sample_kmeans`` run per fraction.  Each
-    row's figures come from one delta_entropy(full | kept) vector
-    (:func:`_kept_figures`).  ``msc`` rows read it off the greedy's own
-    kernel sums; every other selection, counted once however many rows
-    share it, is a column of one :func:`_subset_delta_entropies`
-    self pass over the full set, which a sweep of ``msc`` alone skips.
+    Fractions are sorted ascending; one row per (method, fraction).  Each
+    method's picks at every fraction come from one :func:`_sweep`, which
+    holds the per-count rule, so they are those of one ``run_sampler`` per
+    fraction.  Each row's figures come from one delta_entropy(full | kept)
+    vector (:func:`_kept_figures`).  ``msc`` rows read it off the greedy's
+    own kernel sums; every other selection, counted once however many rows
+    share it, is a column of one :func:`_subset_delta_entropies` self pass
+    over the full set, which a sweep of ``msc`` alone skips.
     """
     fractions, sweep = _sweep_configs(fractions, methods, seed, kernel)
-    runs = []  # (method, one selection per fraction)
-    dh_of = {}  # selection key -> its delta H vector
-    for configs in sweep:
-        method = configs[0].method
-        counts = [c.resolve_count(descs.n_structures) for c in configs]
-        if method == "msc":
-            result = sample_msc(descs, counts[-1], kernel, prefix_counts=counts)
-            selections = [result.selected[:c] for c in counts]
-            dh_of.update((_selection_key(s), result.delta_h[len(s)]) for s in selections)
-        elif method == "fps":
-            largest = run_sampler(configs[-1], descs).selected
-            selections = [largest[:c] for c in counts]
-        elif method == "kmeans":
-            selections = _kmeans_sweep(descs, counts, seed)
-        else:
-            selections = [run_sampler(c, descs).selected for c in configs]
-        runs.append((method, selections))
-
-    keys = [k for k in dict.fromkeys(_selection_key(s) for _, sel in runs for s in sel)
+    runs = [(configs[0].method, _sweep(descs, configs)) for configs in sweep]
+    dh_of = {_selection_key(r.selected): r.delta_h[len(r)]  # selection key -> its delta H
+             for _, results in runs for r in results if r.delta_h}
+    keys = [k for k in dict.fromkeys(_selection_key(r.selected) for _, rs in runs for r in rs)
             if k not in dh_of]
     dh_of.update(zip(keys, _subset_delta_entropies(
         descs, [descs._subset_rows(key)[0] for key in keys], kernel
     )))
 
     rows = []
-    for method, selections in runs:
-        for fraction, selected in zip(fractions, selections):
+    for method, results in runs:
+        for fraction, result in zip(fractions, results):
+            selected = result.selected
             dh, kept = _kept_figures(descs, selected, kernel, dh_of[_selection_key(selected)])
             rows.append(
                 SweepRow(

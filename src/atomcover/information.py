@@ -61,8 +61,8 @@ __all__ = [
 # Tile edge of every kernel pass, and the element count of every tile.  Fixed
 # constants keep the floating-point summation order and the bits of each
 # tile's GEMM (and hence every digit of the result) independent of memory
-# pressure or input size.  At 256 x 256 the two tile buffers of a pass
-# (about 0.6 MiB) stay in a 4 MiB L2 cache.
+# pressure or input size.  At 256 x 256 the one tile buffer of a pass
+# (0.5 MiB) stays in a 4 MiB L2 cache.
 _BLOCK = 256
 _TILE = _BLOCK * _BLOCK
 
@@ -197,19 +197,20 @@ def _left_form(right: np.ndarray) -> np.ndarray:
     return left
 
 
-def _log_kernel_tile(left, right, inv_two_h2, buffers) -> np.ndarray:
-    """Write log K_h(x_i, y_j) of one tile into a view of the first buffer.
+def _log_kernel_tile(left, right, inv_two_h2, out) -> np.ndarray:
+    """Write log K_h(x_i, y_j) of one tile into a view of ``out``.
 
     ``left`` is the left form (:func:`_left_form`) of the tile's rows,
     (m, w + 2), and ``right`` a (w + 2, n) slice of a store, read in place;
     a stack of B tiles passes (B, m, w + 2) and (B, w + 2, n) and makes one
     stacked GEMM, and any tile decides from its least entry whether to
-    snap.  Returns the (m, n) or (B, m, n) view that holds the tile; it is
-    valid until the next call with the same buffers.
+    snap.  ``out`` is a pass's one float buffer, sized for its largest
+    tile: a pass allocates it once, so it allocates O(n) memory on top of
+    it whatever its size.  Returns the (m, n) or (B, m, n) view that holds
+    the tile; it is valid until the next call with the same ``out``.
     """
     shape = left.shape[:-1] + right.shape[-1:]
-    size = math.prod(shape)
-    d2 = buffers[0][:size]
+    d2 = out[: math.prod(shape)]
     # The view is contiguous, so matmul(out=) still goes through BLAS and
     # gives the same bits as a fresh product.
     tile = d2.reshape(shape)
@@ -224,25 +225,13 @@ def _log_kernel_tile(left, right, inv_two_h2, buffers) -> np.ndarray:
     x_sq, y_sq = left[..., -2], right[..., -1, :]
     screen = 1e-12 * (x_sq.max(axis=-1) + y_sq.max(axis=-1))
     if not tile.min() > screen.max():
-        snap = buffers[1][:size]
-        np.less_equal(tile, screen[..., None, None], out=snap.reshape(shape))
-        near = snap.nonzero()[0]
+        near = np.flatnonzero(tile <= screen[..., None, None])
         m, n = shape[-2:]
         row, column = np.divmod(near, n)  # row = b m + i over the B stacked blocks
         pair_sq = x_sq.reshape(-1)[row] + y_sq.reshape(-1)[row // m * n + column]
         d2[near[d2[near] <= pair_sq * 1e-12]] = 0.0
     d2 *= -inv_two_h2  # now the log kernel
     return tile
-
-
-def _tile_buffers(size: int):
-    """The squared-distance and snap-screen buffers of a pass.
-
-    Each holds ``size`` elements, the largest tile the pass makes.  A pass
-    allocates them once and works in views of them, so it allocates O(n)
-    memory on top of them whatever its size.
-    """
-    return np.empty(size), np.empty(size, dtype=bool)
 
 
 # A Coverage tile's column sums are GEMVs against a slice of this vector.
@@ -260,11 +249,11 @@ def _self_kernel_sums(store, kernel: KernelParams, weights) -> np.ndarray:
     ``weights`` is (n, c), shared by the B sets; the sums are (n, c) or
     (B, n, c).  Tiles I <= J are visited in a fixed (I, J) order, from the
     left form of block I, built per block, and the store's own slice of
-    block J; working memory is the pass's own tile buffers
-    (:func:`_tile_buffers`) and one left block.  Each tile is one
-    GEMM, stacked over the B sets, which numpy runs as one BLAS call per
-    set with that set's own operands, so every set gets the bits of a pass
-    by itself.  Each tile adds W[I]^T tile to the J rows, and an
+    block J; working memory is the pass's one tile buffer, sized for its
+    largest tile (:func:`_log_kernel_tile`), and one left block.  Each tile
+    is one GEMM, stacked over the B sets, which numpy runs as one BLAS call
+    per set with that set's own operands, so every set gets the bits of a
+    pass by itself.  Each tile adds W[I]^T tile to the J rows, and an
     off-diagonal tile also adds tile W[J] to the I rows: GEMVs for one
     weight column, GEMMs for several.  Every log kernel is <= 0 and the
     diagonal is exactly 0, so the sums need no max shift, and with a
@@ -277,14 +266,14 @@ def _self_kernel_sums(store, kernel: KernelParams, weights) -> np.ndarray:
     if n == 0:
         raise InputError("reference set is empty")
     inv_two_h2 = 1.0 / (2.0 * kernel.bandwidth * kernel.bandwidth)
-    buffers = _tile_buffers(math.prod(store.shape[:-2]) * min(_BLOCK, n) ** 2)
+    buffer = np.empty(math.prod(store.shape[:-2]) * min(_BLOCK, n) ** 2)
     sums = np.zeros(store.shape[:-2] + weights.shape)
     for i0 in range(0, n, _BLOCK):
         i1 = i0 + _BLOCK
         left = _left_form(store[..., i0:i1])
         for j0 in range(i0, n, _BLOCK):
             j1 = j0 + _BLOCK
-            tile = _log_kernel_tile(left, store[..., j0:j1], inv_two_h2, buffers)
+            tile = _log_kernel_tile(left, store[..., j0:j1], inv_two_h2, buffer)
             np.exp(tile, out=tile)
             sums[..., j0:j1, :] += (weights[i0:i1].T @ tile).swapaxes(-1, -2)
             if j0 != i0:
@@ -339,7 +328,7 @@ class Coverage:
         # the lowest finite float, so run_max - new_max is never -inf - -inf
         self._max = np.full(n, -np.finfo(float).max)
         self._sum = np.zeros(n)
-        self._buffers = _tile_buffers(min(_TILE, max(n, 1) * _BLOCK))
+        self._buffer = np.empty(min(_TILE, max(n, 1) * _BLOCK))  # its largest tile
         self._own = None  # log kernels among the queries, for _fold_queries
         self.n_references = 0
 
@@ -351,7 +340,7 @@ class Coverage:
         """A Coverage of the queries at ``columns`` (an index array or a
         slice), holding their kernel sums so far; the two then grow apart.
 
-        It shares the scratch buffers, and for a slice the query store.
+        It shares the one tile buffer, and for a slice the query store.
         """
         part = copy.copy(self)
         part._queries = self._queries[:, columns]
@@ -379,7 +368,7 @@ class Coverage:
             slab = _TILE // len(left)
             for q0 in range(0, queries.shape[1], slab):
                 q1 = q0 + slab
-                tile = _log_kernel_tile(left, queries[:, q0:q1], self._inv_two_h2, self._buffers)
+                tile = _log_kernel_tile(left, queries[:, q0:q1], self._inv_two_h2, self._buffer)
                 self._add(tile, slice(q0, q1))
             self._settle()
 
@@ -408,7 +397,7 @@ class Coverage:
         """
         if self._own is None:
             queries = self._queries
-            own = _log_kernel_tile(_left_form(queries), queries, self._inv_two_h2, self._buffers)
+            own = _log_kernel_tile(_left_form(queries), queries, self._inv_two_h2, self._buffer)
             self._own = own.copy()
         self._add(self._own[start:stop].copy())
 

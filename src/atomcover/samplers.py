@@ -409,13 +409,30 @@ def sample_msc(
     return CompressionResult(selected=tuple(selected), per_step=tuple(steps), delta_h=delta_h)
 
 
+def _sweep(descs: DescriptorSet, configs) -> list[CompressionResult]:
+    """The result of ``run_sampler(config, descs)`` for each config, from one run.
+
+    ``configs`` are one method's, sharing one seed and kernel, in ascending
+    count.  ``random`` draws once per count.  ``fps`` and ``msc`` are nested,
+    so each runs once, at the largest count, and every count takes its
+    prefix of the picks (and for ``msc`` of the steps, with ``delta_h`` at
+    that count).  ``kmeans`` seeds once, to the largest count
+    (:func:`_kmeans_sweep`).
+    """
+    method, seed, kernel = configs[0].method, configs[0].seed, configs[0].kernel
+    counts = [config.resolve_count(descs.n_structures) for config in configs]
+    if method == "random":
+        return [sample_random(descs.n_structures, c, seed) for c in counts]
+    if method == "kmeans":
+        return [CompressionResult(selected=s) for s in _kmeans_sweep(descs, counts, seed)]
+    if method == "fps":
+        run = sample_fps(descs, counts[-1], seed)
+        return [CompressionResult(selected=run.selected[:c]) for c in counts]
+    run = sample_msc(descs, counts[-1], kernel, prefix_counts=counts)
+    return [CompressionResult(run.selected[:c], run.per_step[:c], {c: run.delta_h[c]})
+            for c in counts]
+
+
 def run_sampler(config: SamplerConfig, descs: DescriptorSet) -> CompressionResult:
-    """Dispatch on ``config.method`` with the resolved target count."""
-    count = config.resolve_count(descs.n_structures)
-    if config.method == "random":
-        return sample_random(descs.n_structures, count, config.seed)
-    if config.method == "kmeans":
-        return sample_kmeans(descs, count, config.seed)
-    if config.method == "fps":
-        return sample_fps(descs, count, config.seed)
-    return sample_msc(descs, count, config.kernel)
+    """Run ``config.method`` at the resolved target count: a sweep of one (:func:`_sweep`)."""
+    return _sweep(descs, [config])[0]

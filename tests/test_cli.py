@@ -122,10 +122,10 @@ class TestExitCodes:
     def test_negative_seed_in_compare_exits_3_before_any_sampler_runs(
         self, tmp_path, capsys, monkeypatch
     ):
-        def no_run(config, descs):
-            raise AssertionError(f"{config.method} ran before the sweep was checked")
+        def no_run(descs, configs):
+            raise AssertionError(f"{configs[0].method} ran before the sweep was checked")
 
-        monkeypatch.setattr("atomcover.evaluation.run_sampler", no_run)
+        monkeypatch.setattr("atomcover.evaluation._sweep", no_run)
         data = write_dataset(tmp_path / "d.xyz", n_frames=4)
         assert main(["compare", str(data), "--seed", "-1"]) == 3
         assert "seed" in capsys.readouterr().err
@@ -300,8 +300,7 @@ class TestExitCodes:
         def no_run(*args, **kwargs):
             raise AssertionError("a sampler ran before the sweep was checked")
 
-        monkeypatch.setattr("atomcover.evaluation.run_sampler", no_run)
-        monkeypatch.setattr("atomcover.evaluation.sample_msc", no_run)
+        monkeypatch.setattr("atomcover.evaluation._sweep", no_run)
         data = write_dataset(tmp_path / "d.xyz", n_frames=4)
         out = tmp_path / "sweep.json"
         assert main(["compare", str(data), "--methods", "msc,fps,msc", "-o", str(out)]) == 3
@@ -315,8 +314,7 @@ class TestExitCodes:
         def no_run(*args, **kwargs):
             raise AssertionError("a sampler ran before the sweep was checked")
 
-        monkeypatch.setattr("atomcover.evaluation.run_sampler", no_run)
-        monkeypatch.setattr("atomcover.evaluation.sample_msc", no_run)
+        monkeypatch.setattr("atomcover.evaluation._sweep", no_run)
         data = write_dataset(tmp_path / "d.xyz", n_frames=4)
         out = tmp_path / "sweep.json"
         csv_path = tmp_path / "sweep.csv"
@@ -367,6 +365,36 @@ class TestExitCodes:
         assert main(["compress", str(data), "-o", str(out), "--count", "1", *flag]) == 3
         assert "Traceback" not in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.xyz"]  # no report
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["compress", "{data}", "-o", "{missing}/kept.xyz", "--count", "1"], "{missing}/kept.xyz"),
+        (["compress", "{data}", "-o", "{tmp}/kept.xyz", "--report", "{missing}/r.json",
+          "--count", "1"], "{missing}/r.json"),
+        (["analyze", "{data}", "-o", "{missing}/r.json"], "{missing}/r.json"),
+        (["analyze", "{data}", "-o", "{tmp}"], "{tmp}"),  # a directory
+        (["overlap", "{data}", "{data}", "-o", "{missing}/r.json"], "{missing}/r.json"),
+        (["force-cdf", "{data}", "-o", "{missing}/r.json"], "{missing}/r.json"),
+        (["compare", "{data}", "-o", "{missing}/r.json"], "{missing}/r.json"),
+        (["compare", "{data}", "--csv", "{missing}/t.csv"], "{missing}/t.csv"),
+    ], ids=["compress-o", "compress-report", "analyze", "analyze-directory", "overlap",
+            "force-cdf", "compare-o", "compare-csv"])
+    def test_unwritable_output_exits_2_before_the_input_is_read(
+        self, tmp_path, capsys, monkeypatch, argv, bad
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("input read before the outputs were checked")
+
+        monkeypatch.setattr("atomcover.extxyz.read_extxyz", no_read)
+        data = write_dataset(tmp_path / "d.xyz", n_frames=3)
+        names = {"data": data, "missing": tmp_path / "missing", "tmp": tmp_path}
+        argv = [arg.format(**names) for arg in argv]
+        if argv[0] != "force-cdf":
+            argv += ["--cache", str(tmp_path / "cache")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"atomcover: cannot write {bad.format(**names)}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.xyz"]  # no .xyz, no cache
 
     @pytest.mark.parametrize("error, code, line", [
         (KeyboardInterrupt(), 130, "atomcover: interrupted"),

@@ -643,8 +643,7 @@ class TestCompareMethods:
         def no_run(*args, **kwargs):
             raise AssertionError("a sampler ran before the sweep was checked")
 
-        monkeypatch.setattr("atomcover.evaluation.run_sampler", no_run)
-        monkeypatch.setattr("atomcover.evaluation.sample_msc", no_run)
+        monkeypatch.setattr("atomcover.evaluation._sweep", no_run)
         with pytest.raises(InputError, match=r"fractions given more than once: 0\.1$"):
             compare_methods(descs, [0.5, 0.1, 0.1], kernel=KP)
 
@@ -652,9 +651,9 @@ class TestCompareMethods:
         rng = np.random.default_rng(16)
         descs = random_fixture(rng, n_structures=4)
 
-        def no_run(config, descs):
-            raise AssertionError(f"{config.method} ran before the sweep was checked")
+        def no_run(descs, configs):
+            raise AssertionError(f"{configs[0].method} ran before the sweep was checked")
 
-        monkeypatch.setattr("atomcover.evaluation.run_sampler", no_run)
+        monkeypatch.setattr("atomcover.evaluation._sweep", no_run)
         with pytest.raises(InputError, match="bogus"):
             compare_methods(descs, [0.5], methods=("random", "bogus"), kernel=KP)

@@ -301,7 +301,7 @@ class TestBlockBuffers:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the tile buffers (0.6 MB), a left block and O(n) vectors
+            # the tile buffer (0.5 MB), a left block and O(n) vectors
             assert peak < 3 * 2**20
 
 

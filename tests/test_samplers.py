@@ -17,7 +17,7 @@ from atomcover import (
     sample_msc,
     sample_random,
 )
-from atomcover.samplers import _structure_means
+from atomcover.samplers import METHODS, _structure_means, _sweep
 from helpers import (
     crystal,
     eager_msc,
@@ -567,3 +567,32 @@ class TestRunSampler:
             config = SamplerConfig(method=method, count=4, seed=9, kernel=KP)
             runs = {run_sampler(config, descs).selected for _ in range(10)}
             assert len(runs) == 1
+
+
+class TestSweep:
+    """Every count of a sweep gets the bits of the public sampler run at
+    that count alone."""
+
+    ALONE = {
+        "random": lambda descs, count: sample_random(descs.n_structures, count, seed=3),
+        "kmeans": lambda descs, count: sample_kmeans(descs, count, seed=3),
+        "fps": lambda descs, count: sample_fps(descs, count, seed=3),
+        "msc": lambda descs, count: sample_msc(descs, count, KP),
+    }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_count_has_the_bits_of_a_run_alone(self, method):
+        descs = random_fixture(np.random.default_rng(36), n_structures=12)
+        counts = [1, 5, 5, 12]  # a repeated count, and the whole set
+        configs = [SamplerConfig(method=method, count=c, seed=3, kernel=KP) for c in counts]
+        results = _sweep(descs, configs)
+        assert [len(r) for r in results] == counts
+        for config, got in zip(configs, results):
+            for want in (self.ALONE[method](descs, config.count), run_sampler(config, descs)):
+                assert got.selected == want.selected
+                assert got.per_step == want.per_step
+                if want.delta_h is None:
+                    assert got.delta_h is None
+                else:
+                    assert got.delta_h.keys() == want.delta_h.keys() == {config.count}
+                    assert np.array_equal(got.delta_h[config.count], want.delta_h[config.count])
