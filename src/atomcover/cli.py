@@ -9,17 +9,21 @@ Subcommands:
   compare    sweep all samplers over multiple fractions
 
 Exit codes: 0 success, 2 unreadable/malformed input (for force-cdf,
-also a structure without forces) or an output that cannot be written
-(checked before the input is read), 3 invalid flags,
-4 degenerate geometry (coincident atoms, singular cells, cells too small
-to lay out), 5 out of memory, 130 interrupted (Ctrl-C, the shell's code
-for SIGINT).  Each failure prints one line to stderr, never a traceback.
+also a structure without forces) or an output that cannot be written or
+that another output names too (checked before the input is read),
+3 invalid flags, 4 degenerate geometry (coincident atoms, singular cells,
+cells too small to lay out), 5 out of memory, 130 interrupted (Ctrl-C,
+the shell's code for SIGINT).  Each failure prints one line to stderr,
+never a traceback.  Every file is written under a temporary name and
+renamed into place, so a failure never leaves a partial one.
 
-Heavy imports happen inside the command functions so that --threads can
-pin the BLAS/OpenMP pool sizes before numpy is loaded.  The thread count
-is a speed setting, but it can move the last bits of a kernel figure (a
-multi-threaded BLAS may split a GEMM's sums differently); reports, at 12
-significant digits, have not been seen to change.
+Library names are reached as ``ac.<name>``: the package resolves each on
+first use, so importing this module and parsing the flags load no numpy,
+and ``main`` sets the pool sizes of --threads before any command does.
+The thread count is a speed setting, but it can move the last bits of a
+kernel figure (a multi-threaded BLAS may split a GEMM's sums
+differently); reports, at 12 significant digits, have not been seen to
+change.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
+
+import atomcover as ac
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -75,65 +82,61 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="atomcover", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("compress", help="select a subset of structures")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True, help="compressed extxyz path")
+    def command(name, func, summary, *inputs, **output):
+        """A subcommand with its input paths and then -o (a report path by default)."""
+        p = sub.add_parser(name, help=summary)
+        for arg in inputs:
+            p.add_argument(arg)
+        p.add_argument("-o", "--output", **(output or {"help": "report JSON path (default stdout)"}))
+        p.set_defaults(func=func)
+        return p
+
+    p = command("compress", cmd_compress, "select a subset of structures", "input",
+                required=True, help="compressed extxyz path")
     p.add_argument("--report", default=None, help="report JSON path (default <output>.report.json)")
+    # A literal, not ac.METHODS: parsing must not load numpy before --threads applies.
     p.add_argument("--method", choices=["random", "kmeans", "fps", "msc"], default="msc")
     size = p.add_mutually_exclusive_group(required=True)
     size.add_argument("--fraction", type=float, help="fraction of structures to keep")
     size.add_argument("--count", type=int, help="number of structures to keep")
     p.add_argument("--seed", type=int, default=0)
     _add_descriptor_flags(p)
-    p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("analyze", help="dataset information metrics")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", default=None, help="report JSON path (default stdout)")
-    _add_descriptor_flags(p)
-    p.set_defaults(func=cmd_analyze)
+    _add_descriptor_flags(command("analyze", cmd_analyze, "dataset information metrics", "input"))
+    _add_descriptor_flags(command("overlap", cmd_overlap, "containment of query in reference",
+                                  "query", "reference"))
 
-    p = sub.add_parser("overlap", help="containment of query in reference")
-    p.add_argument("query")
-    p.add_argument("reference")
-    p.add_argument("-o", "--output", default=None, help="report JSON path (default stdout)")
-    _add_descriptor_flags(p)
-    p.set_defaults(func=cmd_overlap)
-
-    p = sub.add_parser("force-cdf", help="force-magnitude CDF")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", default=None, help="report JSON path (default stdout)")
+    p = command("force-cdf", cmd_force_cdf, "force-magnitude CDF", "input")
     p.add_argument(
         "--thresholds",
         type=_float_list,
         default=None,
         help="comma-separated eV/A thresholds (default: 80th percentile to max)",
     )
-    p.set_defaults(func=cmd_force_cdf)
 
-    p = sub.add_parser("compare", help="sweep samplers over fractions")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", default=None, help="report JSON path (default stdout)")
+    p = command("compare", cmd_compare, "sweep samplers over fractions", "input")
     p.add_argument("--csv", default=None, help="also write the sweep table as CSV")
     p.add_argument("--fractions", type=_float_list, default=[0.1, 0.25, 0.5, 0.75])
     p.add_argument("--methods", default="all", help='comma list of samplers, or "all"')
     p.add_argument("--seed", type=int, default=0)
     _add_descriptor_flags(p)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
-def _descriptor_params(args):
-    from .descriptor import DescriptorParams
+def _prepare(args, *outputs, check=None):
+    """Check a descriptor command's flags (exit 3), then its ``outputs`` (exit 2).
 
-    return DescriptorParams(n_neighbors=args.k, cutoff=args.cutoff)
-
-
-def _kernel_params(args):
-    from .information import KernelParams
-
-    return KernelParams(bandwidth=args.bandwidth)
+    Builds the kernel params, then ``check(kernel)`` (the command's own
+    flags, checked against that kernel), then the descriptor params, and
+    last checks the output paths, all before any input is read.  Returns
+    the kernel params, the descriptor params and what ``check`` returned.
+    """
+    kernel = ac.KernelParams(bandwidth=args.bandwidth)
+    checked = check(kernel) if check else None
+    params = ac.DescriptorParams(n_neighbors=args.k, cutoff=args.cutoff)
+    _check_outputs(*outputs)
+    return kernel, params, checked
 
 
 def _load_descriptors(path, args, params, structures=None):
@@ -145,11 +148,6 @@ def _load_descriptors(path, args, params, structures=None):
     directory that cannot be made, or an entry that cannot be written, costs
     a warning on stderr, not the command.
     """
-    from .descriptor import build_descriptor_set, load_descriptor_set, save_descriptor_set
-    from .errors import InputError
-    from .extxyz import read_extxyz
-    from .report import file_digest
-
     cache_file = None
     if args.cache:
         try:
@@ -158,22 +156,22 @@ def _load_descriptors(path, args, params, structures=None):
             # A cache directory that cannot be made is a miss on every run.
             print(f"atomcover: warning: descriptor cache not used: {exc}", file=sys.stderr)
         else:
-            key = f"{file_digest(path)[:16]}_k{params.n_neighbors}_rc{params.cutoff!r}"
+            key = f"{ac.file_digest(path)[:16]}_k{params.n_neighbors}_rc{params.cutoff!r}"
             cache_file = os.path.join(args.cache, f"{key}.acds")
     if cache_file and os.path.exists(cache_file):
         try:
-            descs = load_descriptor_set(cache_file)
-        except (InputError, OSError):
+            descs = ac.load_descriptor_set(cache_file)
+        except (ac.InputError, OSError):
             pass  # truncated or unreadable: a miss, rebuilt below
         else:
             if descs.params == params:
                 return descs
     if structures is None:
-        structures = read_extxyz(path)
-    descs = build_descriptor_set(structures, params)
+        structures = ac.read_extxyz(path)
+    descs = ac.build_descriptor_set(structures, params)
     if cache_file:
         try:
-            save_descriptor_set(descs, cache_file)
+            ac.save_descriptor_set(descs, cache_file)
         except OSError as exc:
             # The descriptors are built; a cache that cannot take them
             # only costs the next run a rebuild.
@@ -181,20 +179,15 @@ def _load_descriptors(path, args, params, structures=None):
     return descs
 
 
-def _common_parameters(args, **extra):
-    out = {"command": args.command, "k": args.k, "cutoff": args.cutoff,
-           "bandwidth": args.bandwidth, "format": "extxyz"}
-    out.update(extra)
-    return out
-
-
 def _check_outputs(*paths):
     """Fail, as an OSError (exit 2), on an output path that cannot be written.
 
     Called after the flag checks and before any input is read, so a bad
     path costs no work.  ``None`` (stdout) passes; any other path must not
-    be a directory, and its directory must exist and be writable.
+    be a directory, its directory must exist and be writable, and no two
+    outputs may name one file.
     """
+    seen = {}
     for path in filter(None, paths):
         folder = os.path.dirname(path) or "."
         if os.path.isdir(path):
@@ -203,47 +196,51 @@ def _check_outputs(*paths):
             raise OSError(f"cannot write {path}: no directory {folder}")
         if not os.access(folder, os.W_OK):
             raise OSError(f"cannot write {path}: directory {folder} is not writable")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise OSError(f"cannot write {path}: it is also the output {seen[real]}")
+        seen[real] = path
 
 
-def _emit(doc, output):
-    if output is None:
+def _report(args, path, make, /, **parameters):
+    """Write a descriptor command's report to ``path``, or to stdout for None.
+
+    ``make`` builds the document from its parameters: the command, its
+    descriptor and kernel flags, the format, then ``parameters``.
+    """
+    doc = make({"command": args.command, "k": args.k, "cutoff": args.cutoff,
+                "bandwidth": args.bandwidth, "format": "extxyz", **parameters})
+    if path is None:
         sys.stdout.write(doc.to_json())
     else:
-        doc.write(output)
+        doc.write(path)
 
 
 def cmd_compress(args):
-    from dataclasses import asdict
-
-    from .evaluation import compression_report
-    from .extxyz import read_extxyz, write_extxyz
-    from .samplers import SamplerConfig, run_sampler
-
-    config = SamplerConfig(
-        method=args.method,
-        count=args.count,
-        fraction=args.fraction,
-        seed=args.seed,
-        kernel=_kernel_params(args),
-    )
-    params = _descriptor_params(args)  # --k and --cutoff checked before the input is read
     report_path = args.report or args.output + ".report.json"
-    _check_outputs(args.output, report_path)
-    structures = read_extxyz(args.input)
+    kernel, params, config = _prepare(
+        args, args.output, report_path,
+        check=lambda kernel: ac.SamplerConfig(
+            method=args.method, count=args.count, fraction=args.fraction, seed=args.seed,
+            kernel=kernel,
+        ),
+    )
+    structures = ac.read_extxyz(args.input)
     config.resolve_count(len(structures))  # --count checked before anything is described
     descs = _load_descriptors(args.input, args, params, structures)
-    result = run_sampler(config, descs)
-    write_extxyz(structures, args.output, result.selected)
+    result = ac.run_sampler(config, descs)
 
-    parameters = _common_parameters(
-        args, input=args.input, output=args.output, method=args.method,
-        fraction=args.fraction, count=args.count, seed=args.seed,
-    )
-    delta_h = result.delta_h[len(result)] if result.delta_h else None
-    doc = compression_report(descs, result.selected, config.kernel, parameters, delta_h)
-    if result.per_step is not None:
-        doc.metrics["steps"] = [asdict(s) for s in result.per_step]
-    doc.write(report_path)
+    def make(parameters):
+        delta_h = result.delta_h[len(result)] if result.delta_h else None
+        doc = ac.compression_report(descs, result.selected, kernel, parameters, delta_h)
+        if result.per_step is not None:
+            doc.metrics["steps"] = [asdict(s) for s in result.per_step]
+        return doc
+
+    # The report first: one that fails leaves no kept frames behind.
+    _report(args, report_path, make, input=args.input, output=args.output,
+            method=args.method, fraction=args.fraction, count=args.count, seed=args.seed)
+    ac.write_extxyz(structures, args.output, result.selected)
     print(f"kept {len(result.selected)}/{len(structures)} structures -> {args.output}")
     print(f"report -> {report_path}")
     return EXIT_OK
@@ -252,14 +249,9 @@ def cmd_compress(args):
 def cmd_analyze(args):
     import numpy as np
 
-    from .information import entropy, per_structure_entropy
-    from .report import ReportDocument
-
-    kernel = _kernel_params(args)
-    params = _descriptor_params(args)
-    _check_outputs(args.output)
+    kernel, params, _ = _prepare(args, args.output)
     descs = _load_descriptors(args.input, args, params)
-    result = entropy(descs, kernel)
+    result = ac.entropy(descs, kernel)
     metrics = {
         "n_structures": descs.n_structures,
         "n_environments": descs.n_environments,
@@ -267,98 +259,69 @@ def cmd_analyze(args):
         "max_entropy_nats": float(np.log(descs.n_environments)),
         "diversity_nats": result.diversity_nats,
         "efficiency": result.efficiency,
-        "per_structure_entropy_nats": per_structure_entropy(descs, kernel),
+        "per_structure_entropy_nats": ac.per_structure_entropy(descs, kernel),
     }
-    doc = ReportDocument(
-        kind="analyze",
-        parameters=_common_parameters(args, input=args.input),
-        metrics=metrics,
-    )
-    _emit(doc, args.output)
+    _report(args, args.output, lambda p: ac.ReportDocument("analyze", p, metrics),
+            input=args.input)
     return EXIT_OK
 
 
 def cmd_overlap(args):
     import numpy as np
 
-    from .information import contained_fraction, delta_entropy
-    from .evaluation import delta_h_histogram
-    from .report import ReportDocument
-
-    kernel = _kernel_params(args)
-    params = _descriptor_params(args)
-    _check_outputs(args.output)
+    kernel, params, _ = _prepare(args, args.output)
     query_descs = _load_descriptors(args.query, args, params)
     ref_descs = _load_descriptors(args.reference, args, params)
-    dh = delta_entropy(query_descs, ref_descs, kernel)
+    dh = ac.delta_entropy(query_descs, ref_descs, kernel)
     metrics = {
         "n_query_environments": query_descs.n_environments,
         "n_reference_environments": ref_descs.n_environments,
-        "overlap": contained_fraction(dh),
+        "overlap": ac.contained_fraction(dh),
         "n_delta_h_positive": int(np.count_nonzero(dh > 0)),
         "n_delta_h_above_10": int(np.count_nonzero(dh > 10)),
-        "delta_h_histogram": delta_h_histogram(dh, kernel),
+        "delta_h_histogram": ac.delta_h_histogram(dh, kernel),
     }
-    doc = ReportDocument(
-        kind="overlap",
-        parameters=_common_parameters(args, query=args.query, reference=args.reference),
-        metrics=metrics,
-    )
-    _emit(doc, args.output)
+    _report(args, args.output, lambda p: ac.ReportDocument("overlap", p, metrics),
+            query=args.query, reference=args.reference)
     return EXIT_OK
 
 
 def cmd_force_cdf(args):
-    from .evaluation import force_cdf
-    from .extxyz import read_extxyz
-    from .report import ReportDocument
-
     _check_outputs(args.output)
-    structures = read_extxyz(args.input)
+    structures = ac.read_extxyz(args.input)
     # A frame without forces is a fault of the input file, not of a flag.
     missing = next((i for i, s in enumerate(structures) if s.forces is None), None)
     if missing is not None:
         print(f"atomcover: {args.input}: structure {missing} has no forces", file=sys.stderr)
         return EXIT_PARSE
-    result = force_cdf(structures, None, args.thresholds)
-    metrics = {
-        "thresholds": result.thresholds,
-        "cdf": result.cdf,
-        "max_force": result.max_force,
-    }
-    doc = ReportDocument(
+    result = ac.force_cdf(structures, None, args.thresholds)
+    doc = ac.ReportDocument(
         kind="force_cdf",
         parameters={"command": args.command, "input": args.input, "format": "extxyz"},
-        metrics=metrics,
+        metrics=asdict(result),  # thresholds, cdf, max_force
     )
-    _emit(doc, args.output)
+    if args.output is None:
+        sys.stdout.write(doc.to_json())
+    else:
+        doc.write(args.output)
     return EXIT_OK
 
 
 def cmd_compare(args):
-    from .evaluation import _sweep_configs, compare_methods
-    from .report import ReportDocument, write_csv
-    from .samplers import METHODS
+    from .evaluation import _sweep_configs  # private, so not a package name
 
     names = [m.strip() for m in args.methods.split(",") if m.strip()]  # as _float_list does
-    methods = METHODS if names == ["all"] else tuple(names)
-    kernel = _kernel_params(args)
-    _sweep_configs(args.fractions, methods, args.seed, kernel)  # checked before loading
-    params = _descriptor_params(args)
-    _check_outputs(args.output, args.csv)
-    descs = _load_descriptors(args.input, args, params)
-    sweep = compare_methods(descs, args.fractions, methods, seed=args.seed, kernel=kernel)
-    doc = ReportDocument(
-        kind="compare",
-        parameters=_common_parameters(
-            args, input=args.input, fractions=args.fractions,
-            methods=list(methods), seed=args.seed,
-        ),
-        metrics=sweep.to_metrics(),
+    methods = ac.METHODS if names == ["all"] else tuple(names)
+    kernel, params, _ = _prepare(  # every config checked before loading
+        args, args.output, args.csv,
+        check=lambda kernel: _sweep_configs(args.fractions, methods, args.seed, kernel),
     )
-    _emit(doc, args.output)
+    descs = _load_descriptors(args.input, args, params)
+    sweep = ac.compare_methods(descs, args.fractions, methods, seed=args.seed, kernel=kernel)
+    _report(args, args.output, lambda p: ac.ReportDocument("compare", p, sweep.to_metrics()),
+            input=args.input, fractions=args.fractions, methods=list(methods), seed=args.seed)
     if args.csv:
-        write_csv(args.csv, sweep.HEADER, sweep.to_table())
+        ac.write_csv(args.csv, sweep.HEADER, sweep.to_table())
     return EXIT_OK
 
 
@@ -369,6 +332,7 @@ def main(argv=None) -> int:
         for var in _THREAD_VARS:
             os.environ[var] = str(args.threads)
 
+    # Imported ahead of the try, so that matching an exception runs no import.
     from .errors import DegenerateGeometryError, InputError, ParseError
 
     try:

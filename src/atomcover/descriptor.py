@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DegenerateGeometryError, InputError
 from .geometry import NeighborSet, _distances, _neighbor_groups
 from .information import _columns, _fill_store, _right_store
+from .report import _replacing
 
 # Unused here, but bound: the benchmark's tracer (benchmarks/spans.py) wraps
 # every binding of nearest_neighbors, and its tests expect this one.
@@ -351,26 +352,19 @@ def save_descriptor_set(descs: DescriptorSet, path) -> None:
     offsets = np.ascontiguousarray(descs.offsets, dtype="<i8")
     # A copy only on a big-endian host.
     body = np.asarray(descs._store[: descs.width], dtype="<f8")
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            fh.write(
-                _CACHE_HEADER.pack(
-                    descs.params.n_neighbors,
-                    descs.params.cutoff,
-                    descs.n_environments,
-                    descs.n_structures,
-                )
+    with _replacing(path, "wb") as fh:
+        fh.write(_CACHE_MAGIC)
+        fh.write(
+            _CACHE_HEADER.pack(
+                descs.params.n_neighbors,
+                descs.params.cutoff,
+                descs.n_environments,
+                descs.n_structures,
             )
-            fh.write(offsets)
-            fh.write(body)
-            fh.write(_CACHE_CHECKSUM.pack(zlib.crc32(body, zlib.crc32(offsets))))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        )
+        fh.write(offsets)
+        fh.write(body)
+        fh.write(_CACHE_CHECKSUM.pack(zlib.crc32(body, zlib.crc32(offsets))))
 
 
 def load_descriptor_set(path) -> DescriptorSet:

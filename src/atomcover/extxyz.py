@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InputError, ParseError
 from .geometry import Structure
+from .report import _replacing
 
 __all__ = ["read_extxyz", "write_extxyz"]
 
@@ -264,7 +265,7 @@ def write_extxyz(structures, path, selection=None) -> None:
     """Write a sequence of Structures (all, or the given indices in order)
     as extended-XYZ."""
     indices = range(len(structures)) if selection is None else selection
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path, encoding="utf-8") as fh:
         for idx in indices:
             s = structures[int(idx)]
             parts = []

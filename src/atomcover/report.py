@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,32 @@ def _round_floats(obj):
     return obj
 
 
+@contextmanager
+def _replacing(path, mode="w", **kwargs):
+    """Open a temporary file beside ``path`` that replaces it once written.
+
+    The file is ``<path>.<pid>.tmp`` in the same directory, renamed onto
+    ``path`` when the block ends.  On any exception, an interrupt included,
+    it is removed and ``path`` is left as it was, so no failure leaves a
+    partial file.  A symlink is written through; a path that exists and is
+    not a regular file (``/dev/stdout``, a pipe) is written directly.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 @dataclass(frozen=True)
 class ReportDocument:
     """A report: what was computed (kind), with what (parameters), results."""
@@ -55,9 +83,8 @@ class ReportDocument:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
 
     def write(self, path) -> None:
-        text = self.to_json()  # serialize first, so a failure leaves no file
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with _replacing(path, encoding="utf-8") as fh:
+            fh.write(self.to_json())
 
 
 def file_digest(path) -> str:
@@ -71,7 +98,7 @@ def file_digest(path) -> str:
 
 def write_csv(path, header, rows) -> None:
     """CSV with a fixed line terminator so output bytes are platform-stable."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

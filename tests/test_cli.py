@@ -396,6 +396,36 @@ class TestExitCodes:
         assert err.startswith(f"atomcover: cannot write {bad.format(**names)}: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.xyz"]  # no .xyz, no cache
 
+    @pytest.mark.parametrize("argv, name", [
+        (["compress", "d.xyz", "-o", "k.xyz", "--report", "./k.xyz", "--count", "2"], "k.xyz"),
+        (["compare", "d.xyz", "-o", "t.json", "--csv", "./t.json"], "t.json"),
+    ], ids=["compress", "compare"])
+    def test_two_outputs_naming_one_file_exit_2_before_the_input_is_read(
+        self, tmp_path, capsys, monkeypatch, argv, name
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("input read before the outputs were checked")
+
+        monkeypatch.setattr("atomcover.extxyz.read_extxyz", no_read)
+        monkeypatch.chdir(tmp_path)
+        write_dataset(tmp_path / "d.xyz", n_frames=8)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"atomcover: cannot write ./{name}: it is also the output {name}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.xyz"]
+
+    def test_failing_report_leaves_no_kept_frames(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise atomcover.InputError("no report")
+
+        monkeypatch.setattr("atomcover.evaluation.compression_report", fail)
+        data = write_dataset(tmp_path / "d.xyz", n_frames=8)
+        kept, report = tmp_path / "kept.xyz", tmp_path / "kept.json"
+        argv = ["compress", str(data), "-o", str(kept), "--report", str(report), "--count", "2"]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "atomcover: no report\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.xyz"]
+
     @pytest.mark.parametrize("error, code, line", [
         (KeyboardInterrupt(), 130, "atomcover: interrupted"),
         (MemoryError(), 5, "atomcover: out of memory"),
@@ -832,6 +862,40 @@ class TestThreads:
             main(["analyze", str(data), "--threads", threads])
         assert err.value.code == 3
         assert "not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compress", "analyze", "overlap", "compare"])
+    def test_threads_reach_blas_before_numpy_loads(self, tmp_path, command):
+        # A finder on sys.meta_path sees numpy's first import and records the
+        # pool sizes that BLAS/OpenMP read then; each run needs a fresh
+        # interpreter, since numpy loads once.
+        data = str(write_dataset(tmp_path / "d.xyz", n_frames=4))
+        argv = {
+            "compress": ["compress", data, "-o", "kept.xyz", "--count", "2"],
+            "analyze": ["analyze", data, "-o", "r.json"],
+            "overlap": ["overlap", data, data, "-o", "r.json"],
+            "compare": ["compare", data, "-o", "r.json", "--fractions", "0.5"],
+        }[command]
+        code = (
+            "import json, os, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append([os.environ.get(v) for v in json.loads(sys.argv[2])])\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "from atomcover.cli import main\n"
+            "assert main(json.loads(sys.argv[1])) == 0\n"
+            "print(json.dumps(seen))\n"
+        )
+        src = os.path.dirname(os.path.dirname(atomcover.__file__))
+        env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+        run = subprocess.run(
+            [sys.executable, "-c", code, json.dumps([*argv, "--threads", "3"]),
+             json.dumps(_THREAD_VARS)],
+            cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
+        )
+        assert json.loads(run.stdout.splitlines()[-1]) == [["3"] * len(_THREAD_VARS)]
 
     def test_thread_count_never_changes_reports(self, tmp_path):
         # the BLAS pool size is fixed when numpy loads, so each run needs

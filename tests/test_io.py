@@ -1,14 +1,19 @@
 import hashlib
 import json
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from atomcover import (
+    DescriptorParams,
     ParseError,
     ReportDocument,
+    build_descriptor_set,
     file_digest,
     read_extxyz,
+    save_descriptor_set,
     write_csv,
     write_extxyz,
 )
@@ -407,3 +412,69 @@ class TestCsvAndDigest:
         path = tmp_path / "blob.bin"
         path.write_bytes(b"atomcover digest check")
         assert file_digest(path) == hashlib.sha256(b"atomcover digest check").hexdigest()
+
+
+class TestWritesReplaceTheWholeFile:
+    """Every writer fills ``<path>.<pid>.tmp`` and renames it onto the path,
+    so a write that fails partway (Ctrl-C, a full disk) leaves a file that
+    existed before byte-identical, and no temporary file."""
+
+    BEFORE = b"the file as it was\n"
+
+    def assert_interrupted_write_changes_nothing(self, tmp_path, name, write):
+        target = tmp_path / name
+        target.write_bytes(self.BEFORE)
+        with pytest.raises(KeyboardInterrupt):
+            write(target)
+        assert target.read_bytes() == self.BEFORE
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]  # no *.tmp
+
+    def test_extxyz(self, tmp_path):
+        class InterruptedAtSecond(list):
+            def __getitem__(self, i):
+                if i == 1:
+                    raise KeyboardInterrupt
+                return super().__getitem__(i)
+
+        frames = InterruptedAtSecond(demo_dataset())
+        self.assert_interrupted_write_changes_nothing(
+            tmp_path, "d.xyz", lambda path: write_extxyz(frames, path))
+
+    def test_csv(self, tmp_path):
+        def rows():
+            yield ["row1", 0.5]
+            raise KeyboardInterrupt
+
+        self.assert_interrupted_write_changes_nothing(
+            tmp_path, "t.csv", lambda path: write_csv(path, ["name", "value"], rows()))
+
+    def test_report(self, tmp_path, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        doc = ReportDocument(kind="x", parameters={}, metrics={"a": 1.0})
+        monkeypatch.setattr("atomcover.report.os.replace", interrupt)  # every byte written
+        self.assert_interrupted_write_changes_nothing(tmp_path, "r.json", doc.write)
+
+    def test_descriptor_cache(self, tmp_path, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        descs = build_descriptor_set(demo_dataset(), DescriptorParams(n_neighbors=2))
+        # the checksum is computed after the header and every row are written
+        monkeypatch.setattr("atomcover.descriptor.zlib", SimpleNamespace(crc32=interrupt))
+        self.assert_interrupted_write_changes_nothing(
+            tmp_path, "c.acds", lambda path: save_descriptor_set(descs, path))
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "t.csv"
+        target.write_bytes(self.BEFORE)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_csv(link, ["name"], [["row1"]])
+        assert link.is_symlink() and target.read_text() == "name\nrow1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "t.csv"]
+
+    def test_a_device_is_written_directly(self):
+        write_csv(os.devnull, ["name"], [["row1"]])  # no temporary file beside it
+        assert not os.path.exists(f"{os.devnull}.{os.getpid()}.tmp")
