@@ -10,16 +10,19 @@ Subcommands:
 
 Exit codes: 0 success, 2 unreadable/malformed input (for force-cdf,
 also a structure without forces) or an output that cannot be written or
-that another output names too (checked before the input is read),
-3 invalid flags, 4 degenerate geometry (coincident atoms, singular cells,
-cells too small to lay out), 5 out of memory, 130 interrupted (Ctrl-C,
-the shell's code for SIGINT).  Each failure prints one line to stderr,
-never a traceback.  Every file is written under a temporary name and
-renamed into place, so a failure never leaves a partial one.
+that another output or an input names too (checked before any input is
+read), 3 invalid flags, 4 degenerate geometry (coincident atoms, singular
+cells, cells too small to lay out), 5 out of memory, 130 interrupted
+(Ctrl-C, the shell's code for SIGINT).  Each failure prints one line to
+stderr, never a traceback.  Every file is written under a temporary name
+and renamed into place, so a failure never leaves a partial one.
 
 Library names are reached as ``ac.<name>``: the package resolves each on
 first use, so importing this module and parsing the flags load no numpy,
 and ``main`` sets the pool sizes of --threads before any command does.
+Those take effect only where numpy has not loaded yet, as in the console
+script or ``python -m atomcover.cli``; a process that has imported numpy
+must set the variables before that import, as ``benchmarks/run.py`` does.
 The thread count is a speed setting, but it can move the last bits of a
 kernel figure (a multi-threaded BLAS may split a GEMM's sums
 differently); reports, at 12 significant digits, have not been seen to
@@ -135,7 +138,7 @@ def _prepare(args, *outputs, check=None):
     kernel = ac.KernelParams(bandwidth=args.bandwidth)
     checked = check(kernel) if check else None
     params = ac.DescriptorParams(n_neighbors=args.k, cutoff=args.cutoff)
-    _check_outputs(*outputs)
+    _check_outputs(args, *outputs)
     return kernel, params, checked
 
 
@@ -143,7 +146,8 @@ def _load_descriptors(path, args, params, structures=None):
     """Descriptors of one input file with ``params``, from the cache when it holds them.
 
     A cache hit reads only the cache file: its key pins the input's exact
-    bytes, so the input is hashed, not parsed.  On a miss the input is
+    bytes, so the input is hashed, not parsed (and a reader change that
+    alters parsed values needs a new cache format).  On a miss the input is
     parsed, unless the caller passes its parsed ``structures``.  A cache
     directory that cannot be made, or an entry that cannot be written, costs
     a warning on stderr, not the command.
@@ -179,15 +183,16 @@ def _load_descriptors(path, args, params, structures=None):
     return descs
 
 
-def _check_outputs(*paths):
+def _check_outputs(args, *paths):
     """Fail, as an OSError (exit 2), on an output path that cannot be written.
 
     Called after the flag checks and before any input is read, so a bad
     path costs no work.  ``None`` (stdout) passes; any other path must not
     be a directory, its directory must exist and be writable, and no two
-    outputs may name one file.
+    outputs, nor an output and an input of ``args``, may name one file.
     """
-    seen = {}
+    inputs = (getattr(args, name, None) for name in ("input", "query", "reference"))
+    seen = {os.path.realpath(path): f"input {path}" for path in filter(None, inputs)}
     for path in filter(None, paths):
         folder = os.path.dirname(path) or "."
         if os.path.isdir(path):
@@ -198,8 +203,8 @@ def _check_outputs(*paths):
             raise OSError(f"cannot write {path}: directory {folder} is not writable")
         real = os.path.realpath(path)
         if real in seen:
-            raise OSError(f"cannot write {path}: it is also the output {seen[real]}")
-        seen[real] = path
+            raise OSError(f"cannot write {path}: it is also the {seen[real]}")
+        seen[real] = f"output {path}"
 
 
 def _report(args, path, make, /, **parameters):
@@ -287,7 +292,7 @@ def cmd_overlap(args):
 
 
 def cmd_force_cdf(args):
-    _check_outputs(args.output)
+    _check_outputs(args, args.output)
     structures = ac.read_extxyz(args.input)
     # A frame without forces is a fault of the input file, not of a flag.
     missing = next((i for i, s in enumerate(structures) if s.forces is None), None)

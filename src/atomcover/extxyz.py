@@ -7,9 +7,11 @@ per-atom columns.  Unrecognized comment keys are kept as raw strings on
 ``Structure.info`` and written back untouched.  Floats are emitted with
 17 significant digits so a write/read cycle reproduces values exactly.
 
-A frame's atom rows are read column by column: each row is split once, the
-rows' widths are checked together, and species, pos and forces each come
-from strided slices of the frame's tokens.  Only a frame that fails those
+A frame whose ``Properties`` lack a species or pos column, or declare pos
+or forces other than 3 wide, fails on its comment line, before any atom
+row is read.  A frame's atom rows are read column by column: each row is
+split once, the rows' widths are checked together, and species, pos and
+forces each come from strided slices of the frame's tokens.  Only a frame that fails those
 checks is walked row by row, so a ParseError still names the first failing
 row, with the message a row-by-row read gives.
 """

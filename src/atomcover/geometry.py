@@ -19,13 +19,16 @@ One driver, :func:`_neighbor_groups`, groups structures by atom count and
 image reach, so that a group's layouts share one size, and picks each
 group's candidate finder from its size: :func:`_batch_finder` stacks small
 layouts and computes every distance; :func:`_tree_finder` builds one k-d
-tree per layout, and is :func:`nearest_neighbors`' finder too.  Layouts are
-computed over stacked cells, with the same bits per cell as alone.  A
-group's candidates are widened in one lockstep loop until every point tied
-with a k-th neighbor is one, and one ranking step recomputes each distance
-with :func:`_distances`, the one routine that computes a distance between
-points here (the descriptor's three-body terms use it too), and sorts by
-(distance, atom, point), so both finders give the same bits.
+tree per layout, and is :func:`nearest_neighbors`' finder too.  The route
+depends on n x P alone: clusters of up to 128 atoms batch, and so do 2-D
+slabs of up to 42 atoms with one image per side; a 64-atom cell takes the
+tree.  Layouts are computed over stacked cells, with the same bits per
+cell as alone.  A group's candidates are widened in one lockstep loop
+until every point tied with a k-th neighbor is one, and one ranking step
+recomputes each distance with :func:`_distances`, the one routine that
+computes a distance between points here (the descriptor's three-body
+terms use it too), and sorts by (distance, atom, point), so both finders
+give the same bits.
 """
 
 from __future__ import annotations

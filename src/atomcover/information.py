@@ -12,8 +12,10 @@ rows from a store: their right form ``[y; 1; |y|^2]`` as one C-contiguous
 that way and is read in place; plain rows get a store of their own, with
 the same bits.  Each tile (:func:`_log_kernel_tile`) makes one GEMM of
 the left form of its rows (:func:`_left_form`) and a slice of a store,
-which yields the squared distances directly; coincident rows snap to
-exactly 0.
+which yields the squared distances directly; a pair with
+d^2 <= 1e-12 (|x|^2 + |y|^2), a coincident pair's GEMM residue, snaps to
+exactly 0, so the diagonal of a self pass is 0 and every member of a
+reference set gets delta H <= 0.
 
 A self pass (a set against itself, or each set of a stack,
 :func:`_self_kernel_sums`) computes each pair once on 256 x 256 tiles:
@@ -31,8 +33,11 @@ number of reference blocks, so a growing reference set costs each (query,
 reference) pair once.  A query whose kernel sum reaches ``_SUM_FLOOR`` is
 settled, unshifted, and from then on summed as a self pass sums.  It never
 underflows to ``log(0)`` for far-away queries, which keep the shift: a
-lone reference at distance d gives back exactly ``d^2 / (2 h^2)``, and
-:func:`_subset_delta_entropies` hands the rows whose weighted sums underflow to it.
+lone reference at distance d gives back exactly ``d^2 / (2 h^2)``, a lone
+near reference among far ones the bits of a Coverage of it alone,
+whichever block it arrives in, and a query whose log kernel overflows
+against every reference raises InputError.  :func:`_subset_delta_entropies`
+hands the rows whose weighted sums underflow to a Coverage.
 """
 
 from __future__ import annotations
@@ -459,11 +464,13 @@ def _subset_delta_entropies(descs, subsets, kernel: KernelParams) -> list:
     ``descs`` is a DescriptorSet or a plain (n, width) array of the rows.
     Every subset is a column of 0/1 weights on the rows, and one self pass
     (:func:`_self_kernel_sums`) sums every column at once, so c subsets
-    cost the n^2 / 2 pairs of the set instead of c cross passes.  A row
-    whose sum falls below ``_SUM_FLOOR`` is recomputed exactly by
-    :func:`delta_entropy` against that subset, which keeps its guarantees:
-    a lone far reference gives d^2 / (2 h^2), and a row whose log kernel
-    overflows against every reference raises ``InputError``.
+    cost the n^2 / 2 pairs of the set instead of c cross passes; the
+    weights and the sums take n x c floats each (about 19 MB together at
+    10^5 rows and 12 subsets).  A row whose sum falls below ``_SUM_FLOOR``
+    is recomputed exactly by :func:`delta_entropy` against that subset,
+    which keeps its guarantees: a lone far reference gives d^2 / (2 h^2),
+    and a row whose log kernel overflows against every reference raises
+    ``InputError``.
     """
     if not subsets:
         return []

@@ -5,6 +5,18 @@ and its primitive cell look identical to them); the greedy
 minimum-set-cover sampler works on the full per-atom rows and picks, at
 every step, the structure whose environments are least covered by what
 is already selected, balanced against the structure's own entropy.
+
+One method's picks at several counts come from one sweep
+(:func:`_sweep`), whose result at each count is that of
+:func:`run_sampler` at that count alone; ``run_sampler`` is a sweep of
+one.  ``random`` draws once per count.  ``msc`` and ``fps`` are nested
+(their first c picks at a larger count are their picks at count c), so
+each runs once, at the largest count.  ``kmeans`` is not nested, but its
+k-means++ seeding is, so it seeds once, to the largest count, and each
+count runs its own Lloyd iterations from its prefix of the centers.
+k-means assigns points to centers in row blocks of at most 2^20
+distances, so that step's working memory stays about 16 MiB however many
+structures there are.
 """
 
 from __future__ import annotations

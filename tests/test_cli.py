@@ -334,6 +334,7 @@ class TestExitCodes:
         ["compare", "{data}", "-o", "{out}", "--fractions", "0.5,2"],
         ["compare", "{data}", "-o", "{out}", "--methods", "msc,bogus"],
         ["compare", "{data}", "-o", "{out}", "--seed", "-1"],
+        ["compare", "{data}", "-o", "{out}", "--fractions", ","],
     ])
     def test_bad_flag_exits_3_before_any_descriptor_is_built(
         self, tmp_path, capsys, monkeypatch, argv
@@ -413,6 +414,32 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"atomcover: cannot write ./{name}: it is also the output {name}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.xyz"]
+
+    @pytest.mark.parametrize("argv, name", [
+        (["compress", "d.xyz", "-o", "./d.xyz", "--count", "2", "--method", "random"], "d.xyz"),
+        (["compress", "d.xyz", "-o", "k.xyz", "--report", "./d.xyz", "--count", "2"], "d.xyz"),
+        (["analyze", "d.xyz", "-o", "./d.xyz"], "d.xyz"),
+        (["overlap", "d.xyz", "r.xyz", "-o", "./d.xyz"], "d.xyz"),
+        (["overlap", "d.xyz", "r.xyz", "-o", "./r.xyz"], "r.xyz"),
+        (["force-cdf", "d.xyz", "-o", "./d.xyz"], "d.xyz"),
+        (["compare", "d.xyz", "-o", "./d.xyz"], "d.xyz"),
+        (["compare", "d.xyz", "--csv", "./d.xyz"], "d.xyz"),
+    ], ids=["compress-o", "compress-report", "analyze", "overlap-query", "overlap-reference",
+            "force-cdf", "compare-o", "compare-csv"])
+    def test_output_naming_an_input_exits_2_before_the_input_is_read(
+        self, tmp_path, capsys, monkeypatch, argv, name
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("input read before the outputs were checked")
+
+        monkeypatch.setattr("atomcover.extxyz.read_extxyz", no_read)
+        monkeypatch.chdir(tmp_path)
+        inputs = {name: write_dataset(tmp_path / name, n_frames=9, seed=i).read_bytes()
+                  for i, name in enumerate(["d.xyz", "r.xyz"])}
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"atomcover: cannot write ./{name}: it is also the input {name}\n")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == inputs
 
     def test_failing_report_leaves_no_kept_frames(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -662,6 +689,74 @@ class TestCompare:
             blobs.append(csv_path.read_bytes())
         capsys.readouterr()
         assert blobs[0] == blobs[1]
+
+
+DESCRIPTOR_PARAMETERS = ["command", "k", "cutoff", "bandwidth", "format"]
+HISTOGRAM = ["parameters", "bin_edges", "counts", "n_below_range", "n_above_range"]
+
+
+class TestReportFields:
+    """Every report's keys, in the order README lists them."""
+
+    REPORTS = {
+        "compress": ("compression", DESCRIPTOR_PARAMETERS + [
+            "input", "output", "method", "fraction", "count", "seed",
+        ], {
+            "sizes": ["parameters", "n_structures_full", "n_structures_compressed",
+                      "n_environments_full", "n_environments_compressed"],
+            "selection": ["parameters", "indices"],
+            "compressed": ["parameters", "entropy_nats", "diversity_nats",
+                           "max_entropy_nats", "efficiency"],
+            "overlap": ["parameters", "full_vs_compressed", "compressed_vs_full",
+                        "n_delta_h_positive", "n_delta_h_above_10"],
+            "delta_h_histogram": HISTOGRAM,
+            "steps": ["structure_index", "score", "max_delta_h", "structure_entropy"],
+        }),
+        "analyze": ("analyze", DESCRIPTOR_PARAMETERS + ["input"], {
+            "n_structures": None, "n_environments": None, "entropy_nats": None,
+            "max_entropy_nats": None, "diversity_nats": None, "efficiency": None,
+            "per_structure_entropy_nats": None,
+        }),
+        "overlap": ("overlap", DESCRIPTOR_PARAMETERS + ["query", "reference"], {
+            "n_query_environments": None, "n_reference_environments": None, "overlap": None,
+            "n_delta_h_positive": None, "n_delta_h_above_10": None,
+            "delta_h_histogram": HISTOGRAM,
+        }),
+        "force-cdf": ("force_cdf", ["command", "input", "format"], {
+            "thresholds": None, "cdf": None, "max_force": None,
+        }),
+        "compare": ("compare", DESCRIPTOR_PARAMETERS + ["input", "fractions", "methods", "seed"], {
+            "rows": ["method", "fraction", "count", "n_environments", "entropy_nats",
+                     "diversity_nats", "efficiency", "overlap_full_vs_compressed"],
+        }),
+    }
+
+    @pytest.mark.parametrize("command", list(REPORTS))
+    def test_keys_are_the_documented_ones(self, tmp_path, capsys, command):
+        data = str(write_dataset(tmp_path / "d.xyz", n_frames=6))
+        report = tmp_path / "report.json"
+        argv = {
+            "compress": ["compress", data, "-o", str(tmp_path / "kept.xyz"),
+                         "--report", str(report), "--count", "2"],
+            "overlap": ["overlap", data, data, "-o", str(report)],
+            "compare": ["compare", data, "-o", str(report), "--fractions", "0.5",
+                        "--csv", str(tmp_path / "table.csv")],
+        }.get(command, [command, data, "-o", str(report)])
+        assert main(argv) == 0
+        capsys.readouterr()
+        doc = json.loads(report.read_text())
+        kind, parameters, metrics = self.REPORTS[command]
+        assert list(doc) == ["kind", "parameters", "metrics"]
+        assert (doc["kind"], list(doc["parameters"])) == (kind, parameters)
+        assert list(doc["metrics"]) == list(metrics)
+        for name, keys in metrics.items():
+            if keys is not None:
+                block = doc["metrics"][name]
+                for entry in block if isinstance(block, list) else [block]:
+                    assert list(entry) == keys
+        if command == "compare":  # the CSV header is a row's keys
+            header = (tmp_path / "table.csv").read_text().splitlines()[0]
+            assert header.split(",") == metrics["rows"]
 
 
 class TestCache:

@@ -281,8 +281,9 @@ class TestBlockBuffers:
                 tracemalloc.stop()
             # plain rows build their own (width + 2) x n stores, for the
             # queries and for the references (2.6 MB here); on top of them
-            # one float64 and one bool 256 x 256 tile, a left block in
-            # (width + 2)-column form and O(n) vectors
+            # the pass's one float64 256 x 256 tile buffer (0.5 MiB), a left
+            # block in (width + 2)-column form, the flat indices of a tile's
+            # snap candidates and O(n) vectors
             assert peak < 4 * 2**20
 
     def test_a_descriptor_set_is_read_in_place(self):
