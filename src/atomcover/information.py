@@ -5,8 +5,11 @@ All quantities are in nats and reduce to a Gaussian kernel sum
     K_h(x, y) = exp(-|x - y|^2 / (2 h^2))
 
 evaluated in the log domain, over tiles of fixed shapes visited in a
-fixed order, so results are deterministic for a given input ordering and
-BLAS (a multi-threaded BLAS may move the last bits).  Every pass reads
+fixed order, so results are deterministic for a given input and BLAS (a
+multi-threaded BLAS may move the last bits).  A self pass over more than
+256 rows with a weight of 1 on each (:func:`entropy`) gives every row's
+delta H the same bits whatever the order of the rows; every other figure
+can move in its last bits with the order of its rows.  Every pass reads
 rows from a store: their right form ``[y; 1; |y|^2]`` as one C-contiguous
 (w + 2) x n array (:func:`_fill_store`).  A DescriptorSet holds its rows
 that way and is read in place; plain rows get a store of their own, with
@@ -20,24 +23,39 @@ reference set gets delta H <= 0.
 A self pass (a set against itself, or each set of a stack,
 :func:`_self_kernel_sums`) computes each pair once on 256 x 256 tiles:
 every log kernel is <= 0 and the diagonal is exactly 0, so it sums the
-kernels with no shift.  It sums them against weights on the rows: one 0/1
-column per subset for :func:`_subset_delta_entropies`, which thus gets
-every subset's delta_entropy(set | subset) from one pass, and of which
-:func:`entropy` is the one-subset case of the whole set; or a column of
-ones, shared by a stack, for :func:`per_structure_entropy`.
+kernels with no shift.  It sums them against weights on the rows: one
+0/1 column per subset for :func:`_subset_delta_entropies`, which thus
+gets every subset's delta_entropy(set | subset) from one pass, and of
+which :func:`entropy` is the one-subset case of the whole set; or a
+column of ones, shared by a stack, for :func:`per_structure_entropy`.
 :func:`per_structure_entropy` stacks structures by row count, and every
-set of a stack gets the bits of a pass by itself.  A cross pass is a
-:class:`Coverage` of the query rows: it keeps its queries' store and a
-running max-shifted log-sum-exp per query, and can be extended by any
-number of reference blocks, so a growing reference set costs each (query,
-reference) pair once.  A query whose kernel sum reaches ``_SUM_FLOOR`` is
-settled, unshifted, and from then on summed as a self pass sums.  It never
-underflows to ``log(0)`` for far-away queries, which keep the shift: a
-lone reference at distance d gives back exactly ``d^2 / (2 h^2)``, a lone
-near reference among far ones the bits of a Coverage of it alone,
-whichever block it arrives in, and a query whose log kernel overflows
-against every reference raises InputError.  :func:`_subset_delta_entropies`
-hands the rows whose weighted sums underflow to a Coverage.
+set of a stack gets the bits of a pass by itself.
+
+A pass over one set of more than one 256-row block whose weights are all
+1 (:func:`entropy`, and a structure of more than 256 rows in
+:func:`per_structure_entropy`) visits the rows in a canonical order: by
+entry sum s over sqrt(w), ties broken by the rows' entries.  As
+|x - y| >= |s_x - s_y| / sqrt(w) (Cauchy-Schwarz), a tile whose blocks'
+keys lie far enough apart has every kernel below epsilon / n, with
+epsilon = ``_EPSILON`` = 1e-13, and is skipped: each such sum holds its
+own exp(0) = 1, so it moves by less than epsilon relative, and each
+delta H by less than epsilon.  Subset columns keep the rows' order and
+skip nothing: a row outside a subset has no lower bound on its sum, so a
+skipped tile could hold all of it.
+
+A cross pass is a :class:`Coverage` of the query rows: it keeps its
+queries' store and a running max-shifted log-sum-exp per query, and can
+be extended by any number of reference blocks, so a growing reference
+set costs each (query, reference) pair once; it keeps the rows' order
+and skips nothing.  A query whose kernel sum reaches ``_SUM_FLOOR`` is
+settled, unshifted, and from then on summed as a self pass sums.  It
+never underflows to ``log(0)`` for far-away queries, which keep the
+shift: a lone reference at distance d gives back exactly
+``d^2 / (2 h^2)``, a lone near reference among far ones the bits of a
+Coverage of it alone, whichever block it arrives in, and a query whose
+log kernel overflows against every reference raises InputError.
+:func:`_subset_delta_entropies` hands the rows whose weighted sums
+underflow to a Coverage.
 """
 
 from __future__ import annotations
@@ -185,17 +203,19 @@ def _columns(store: np.ndarray, index) -> np.ndarray:
     return np.take(store, index, axis=1)
 
 
-def _left_form(right: np.ndarray) -> np.ndarray:
+def _left_form(right: np.ndarray, out=None) -> np.ndarray:
     """The left form ``[-2x, |x|^2, 1]`` of the rows of a right-form block.
 
     ``right`` is a (w + 2, m) slice of a store, or a (B, w + 2, m) stack of
-    them; the left form is a new row-major (m, w + 2) or (B, m, w + 2)
-    array.  The product of a left block and a right block is
-    ``|x|^2 + |y|^2 - 2 x.y``, the squared distances, from one GEMM; the
-    norm rows also serve the coincidence snap.
+    them; the left form is a row-major (m, w + 2) or (B, m, w + 2) array,
+    new or the leading part of the flat buffer ``out``.  The product of a
+    left block and a right block is ``|x|^2 + |y|^2 - 2 x.y``, the squared
+    distances, from one GEMM; the norm rows also serve the coincidence
+    snap.
     """
     w = right.shape[-2] - 2
-    left = np.empty(right.shape[:-2] + (right.shape[-1], w + 2))
+    shape = right.shape[:-2] + (right.shape[-1], w + 2)
+    left = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
     np.multiply(right[..., :w, :].swapaxes(-1, -2), -2.0, out=left[..., :w])  # exact
     left[..., w] = right[..., w + 1, :]
     left[..., w + 1] = 1.0
@@ -243,46 +263,172 @@ def _log_kernel_tile(left, right, inv_two_h2, out) -> np.ndarray:
 _ONES = np.ones(_BLOCK)
 
 
-# At tiny bandwidths the log kernel of a far pair overflows to -inf, whose
-# exp is an exact 0.
-@np.errstate(over="ignore")
+# A self pass in canonical order skips a tile whose every kernel is provably
+# below epsilon / n: each row's sum holds its own exp(0) = 1 and gains fewer
+# than n kernels, so the skipped ones move it by less than epsilon relative.
+_EPSILON = 1e-13
+# Blocks of a canonical pass over a read-only store gathered at once.
+_GROUP = 4
+
+
+def _canonical_order(store: np.ndarray):
+    """(order, keys, first) of the rows of a (w + 2, n) store.
+
+    Each row's key is its entry sum over sqrt(w), its entries added in
+    order down the store's rows, so every store of the same rows gives it
+    the same bits.  ``order`` sorts the rows by key, ties broken by their
+    entries, so it depends on the multiset of rows only, whatever their
+    input order; ``keys`` are the sorted keys.  Rows that stay tied are
+    identical, and ``first`` maps each canonical position to the first of
+    its run of identical rows.
+    """
+    w = store.shape[0] - 2
+    keys = store[:w].sum(axis=0) / math.sqrt(max(w, 1))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.arange(len(keys))
+    tied = np.flatnonzero(keys[1:] == keys[:-1])
+    if tied.size:
+        tied = np.union1d(tied, tied + 1)
+        rows = store[:w, order[tied]]
+        by_entries = np.lexsort(np.vstack([rows[::-1], keys[tied]]))
+        order[tied] = order[tied][by_entries]
+        rows = rows[:, by_entries]
+        first[tied[1:][(rows[:, 1:] == rows[:, :-1]).all(axis=0)]] = 0
+        first = np.maximum.accumulate(first)
+    return order, keys, first
+
+
+def _near_blocks(store: np.ndarray, keys: np.ndarray, bandwidth: float) -> np.ndarray:
+    """For each 256-row block I of a store in canonical order, the first
+    block J past every tile (I, J) that the pass must compute.
+
+    By Cauchy-Schwarz |x - y| >= |s_x - s_y| / sqrt(w), so a tile whose key
+    gap (the least key of J less the largest of I) exceeds margin + h
+    sqrt(2T), T = log(n / epsilon), has every (gap - margin)^2 / (2 h^2) > T:
+    every kernel below epsilon / n.  Keys are sorted, so the gap grows with
+    J.  The margin covers the GEMM's residue on d^2, at most
+    1e-12 (|x|^2 + |y|^2) as the snap takes it, and the rounding of the
+    keys and of the bound, each well below (w + 2) eps |x|.  Nothing here
+    squares the gap, so no bandwidth overflows it.
+    """
+    w, n = store.shape[0] - 2, store.shape[1]
+    norm = math.sqrt(float(store[w + 1].max()))
+    margin = norm * (math.sqrt(2e-12) + 4 * (w + 2) * np.finfo(float).eps)
+    reach = margin + bandwidth * math.sqrt(2.0 * math.log(n / _EPSILON))
+    last = keys[np.minimum(np.arange(_BLOCK, n + _BLOCK, _BLOCK), n) - 1]
+    return np.searchsorted(keys[::_BLOCK], last + reach, side="right")
+
+
+def _reorder(store: np.ndarray, index: np.ndarray) -> None:
+    """Put the columns of a store in ``index`` order, in place, a row at a time."""
+    for row in store:
+        row[...] = row[index]
+
+
 def _self_kernel_sums(store, kernel: KernelParams, weights) -> np.ndarray:
     """sum_j K_h(x_i, x_j) w_j over a set, each pair once.
 
     ``store`` is the set's store (:func:`_fill_store`), (w + 2, n), or a
-    (B, w + 2, n) stack of the stores of B sets of n rows, read in place;
-    ``weights`` is (n, c), shared by the B sets; the sums are (n, c) or
-    (B, n, c).  Tiles I <= J are visited in a fixed (I, J) order, from the
-    left form of block I, built per block, and the store's own slice of
-    block J; working memory is the pass's one tile buffer, sized for its
-    largest tile (:func:`_log_kernel_tile`), and one left block.  Each tile
-    is one GEMM, stacked over the B sets, which numpy runs as one BLAS call
-    per set with that set's own operands, so every set gets the bits of a
-    pass by itself.  Each tile adds W[I]^T tile to the J rows, and an
-    off-diagonal tile also adds tile W[J] to the I rows: GEMVs for one
-    weight column, GEMMs for several.  Every log kernel is <= 0 and the
-    diagonal is exactly 0, so the sums need no max shift, and with a
-    weight of 1 on every row each sum holds its own exp(0) = 1.  Column
-    sums of a column of ones are taken as in :class:`Coverage`, with
-    operands of the same layout, so a set of one tile gets the bits of a
-    Coverage of the set by itself.
+    (B, w + 2, n) stack of the stores of B sets of n rows; ``weights`` is
+    (n, c), shared by the B sets; the sums are (n, c) or (B, n, c), in the
+    store's row order.  The tiles are those of :func:`_tile_sums`.
+
+    A pass over one set of more than one 256-row block whose weights are
+    all 1 (``entropy``, and ``per_structure_entropy``'s stacks of one)
+    visits the rows in canonical order (:func:`_canonical_order`), skips
+    each tile whose every kernel is provably below epsilon / n
+    (:func:`_near_blocks`), and scatters the sums back: each sum, at least
+    its own exp(0) = 1, moves by less than ``_EPSILON`` relative, and its
+    bits do not depend on the order of the rows; identical rows get the
+    sum of the first of them.  A store it may write, one made for the pass
+    (plain rows' or a stack's), is reordered in place and back; a
+    DescriptorSet's read-only store is gathered a group of blocks at a
+    time.  Every other pass keeps the store's order and skips nothing: a
+    stack of several sets has no one order, and a row outside a 0/1 subset
+    has no lower bound on its sum, so a skipped tile could hold all of it.
     """
     n = store.shape[-1]
     if n == 0:
         raise InputError("reference set is empty")
+    if n <= _BLOCK or math.prod(store.shape[:-2]) > 1 or not (weights == 1.0).all():
+        return _tile_sums(store, kernel, weights)
+    shape, store = store.shape, store.reshape(store.shape[-2:])
+    order, keys, first = _canonical_order(store)
+    stop = _near_blocks(store, keys, kernel.bandwidth)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(n)
+    if store.flags.writeable:
+        _reorder(store, order)
+        try:
+            sums = _tile_sums(store, kernel, weights, stop)
+        finally:
+            _reorder(store, inverse)
+    else:
+        sums = _tile_sums(store, kernel, weights, stop, order)
+    return sums[first[inverse]].reshape(shape[:-2] + weights.shape)
+
+
+# At tiny bandwidths the log kernel of a far pair overflows to -inf, whose
+# exp is an exact 0.
+@np.errstate(over="ignore")
+def _tile_sums(store, kernel: KernelParams, weights, stop=None, gather=None) -> np.ndarray:
+    """The tiles of a self pass, summed against ``weights``.
+
+    Tiles (I, J) of 256-row blocks, I <= J < ``stop[I]`` (every J when
+    ``stop`` is None), are visited a group of blocks against a group at a
+    time, from the left form of block I and the right form of block J.
+    The rows are the store's, a block to a group, or its columns at
+    ``gather`` (canonical order), gathered 4 blocks to a group so that each
+    gather serves the tiles of 4 blocks.  Every row's sum gains its tiles
+    in ascending partner block whatever the group size, so the sums have
+    the bits of a plain (I, J) loop.  Working memory is the pass's one
+    tile buffer, sized for its largest tile (:func:`_log_kernel_tile`),
+    one buffer for the left form of a group and, with ``gather``, a
+    gathered group or two.  Each tile is one GEMM, stacked over the B
+    sets, which numpy runs as one BLAS call per set with that set's own
+    operands, so every set gets the bits of a pass by itself.  Each tile
+    adds W[I]^T tile to the J rows, and an off-diagonal tile also adds
+    tile W[J] to the I rows: GEMVs for one weight column, GEMMs for
+    several.  Every log kernel is <= 0 and the diagonal is exactly 0, so
+    the sums need no max shift, and with a weight of 1 on every row each
+    sum holds its own exp(0) = 1.  Column sums of a column of ones are
+    taken as in :class:`Coverage`, with operands of the same layout, so a
+    set of one tile gets the bits of a Coverage of the set by itself.
+    """
+    n = store.shape[-1]
     inv_two_h2 = 1.0 / (2.0 * kernel.bandwidth * kernel.bandwidth)
-    buffer = np.empty(math.prod(store.shape[:-2]) * min(_BLOCK, n) ** 2)
+    blocks = -(-n // _BLOCK)
+    if stop is None:
+        stop = np.full(blocks, blocks)
+    sets = math.prod(store.shape[:-2])
+    buffer = np.empty(sets * min(_BLOCK, n) ** 2)
+    per = 1 if gather is None else _GROUP  # blocks per group
+    left_buffer = np.empty(sets * min(per * _BLOCK, n) * store.shape[-2])
     sums = np.zeros(store.shape[:-2] + weights.shape)
-    for i0 in range(0, n, _BLOCK):
-        i1 = i0 + _BLOCK
-        left = _left_form(store[..., i0:i1])
-        for j0 in range(i0, n, _BLOCK):
-            j1 = j0 + _BLOCK
-            tile = _log_kernel_tile(left, store[..., j0:j1], inv_two_h2, buffer)
-            np.exp(tile, out=tile)
-            sums[..., j0:j1, :] += (weights[i0:i1].T @ tile).swapaxes(-1, -2)
-            if j0 != i0:
-                sums[..., i0:i1, :] += tile @ weights[j0:j1]
+
+    def group(g):
+        columns = slice(g * _BLOCK, (g + per) * _BLOCK)
+        return store[..., columns] if gather is None else np.take(store, gather[columns], axis=1)
+
+    for g in range(0, blocks, per):
+        theirs = group(g)
+        lefts = _left_form(theirs, left_buffer)
+        own = range(g, min(g + per, blocks))
+        for h in range(g, stop[own[-1]], per):
+            if h > g:
+                theirs = group(h)
+            for i in own:
+                i0, i1 = i * _BLOCK, (i + 1) * _BLOCK
+                left = lefts[..., i0 - g * _BLOCK : i1 - g * _BLOCK, :]
+                for j in range(max(i, h), min(h + per, stop[i])):
+                    j0, j1 = j * _BLOCK, (j + 1) * _BLOCK
+                    right = theirs[..., j0 - h * _BLOCK : j1 - h * _BLOCK]
+                    tile = _log_kernel_tile(left, right, inv_two_h2, buffer)
+                    np.exp(tile, out=tile)
+                    sums[..., j0:j1, :] += (weights[i0:i1].T @ tile).swapaxes(-1, -2)
+                    if j != i:
+                        sums[..., i0:i1, :] += tile @ weights[j0:j1]
     return sums
 
 
@@ -521,7 +667,10 @@ def entropy(descs, kernel: KernelParams = KernelParams()) -> EntropyResult:
     environments, which weighs rare environments more than the entropy
     does and spans the same range.  The efficiency is ``H / log n``.
     ``dH`` is :func:`_subset_delta_entropies` of the whole set, whose
-    kernel sums are each at least 1, so none is recomputed.
+    kernel sums are each at least 1, so none is recomputed.  Over more than
+    256 rows the pass visits the rows in canonical order and skips far
+    tiles (:func:`_self_kernel_sums`): each ``dH`` is within 1e-13 of the
+    full sum's and has the same bits whatever the order of the rows.
     """
     (dh,) = _subset_delta_entropies(descs, [slice(None)], kernel)
     return EntropyResult.of(dh)
@@ -551,7 +700,9 @@ def per_structure_entropy(descs, kernel: KernelParams = KernelParams()) -> np.nd
     Structures are stacked by row count, up to 256 rows a stack (a larger
     structure is a stack of one), and each stack makes one self pass
     (:func:`_self_kernel_sums`) over a copy of its rows' store, against
-    one column of ones, with the bits of a separate pass per structure.
+    one column of ones, with the bits of a separate pass per structure: a
+    structure of more than 256 rows takes the canonical route of
+    :func:`entropy` of its rows alone.
     """
     out = np.empty(descs.n_structures)
     for index, rows in descs._stacks(_BLOCK):

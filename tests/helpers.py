@@ -5,6 +5,7 @@ off the definitions, as an independent route to the same numbers the
 library computes with blocked/vectorized code.
 """
 
+import math
 import struct
 import zlib
 
@@ -89,6 +90,23 @@ def mixed_size_set(rng, width=15):
             rows[-1, 0] += 50.0
         blocks.append(rows)
     return synthetic_set(blocks)
+
+
+def multi_phase_rows(rng, phases=4, per_phase=300, width=8, h=0.015, spacing_over_h=20.0):
+    """Rows of several phases, shuffled; at the defaults 1,200 rows, more than
+    four 256-row blocks.
+
+    Each phase is a cluster of rows spread h / 2 per entry about its centre.
+    The centres lie on the all-ones direction, ``spacing_over_h`` bandwidths
+    apart and centred on the origin, so the phases' entry sums lie as far
+    apart as the phases themselves.
+    """
+    direction = np.ones(width) / math.sqrt(width)
+    centres = (np.arange(phases) - (phases - 1) / 2) * spacing_over_h * h
+    rows = np.vstack([
+        centre * direction + rng.normal(scale=h / 2, size=(per_phase, width)) for centre in centres
+    ])
+    return rows[rng.permutation(len(rows))]
 
 
 def dataset(*structures):
@@ -244,6 +262,17 @@ def naive_delta_entropy(queries, refs, h):
     for i, q in enumerate(queries):
         d2 = ((refs - q) ** 2).sum(axis=1)
         out[i] = -np.log(np.exp(-d2 / (2.0 * h * h)).sum())
+    return out
+
+
+def fsum_delta_entropy(rows, h):
+    """-log sum_j K_h(x_i, x_j) of every row against every row: each sum a
+    log-sum-exp whose shifted kernels are added by ``math.fsum``."""
+    out = np.empty(len(rows))
+    for i, x in enumerate(rows):
+        log_kernels = -((rows - x) ** 2).sum(axis=1) / (2.0 * h * h)
+        top = log_kernels.max()
+        out[i] = -(top + math.log(math.fsum(np.exp(log_kernels - top))))
     return out
 
 

@@ -24,7 +24,9 @@ from atomcover.information import _subset_delta_entropies
 from helpers import (
     count_cross_passes,
     count_self_passes,
+    fsum_delta_entropy,
     mixed_size_set,
+    multi_phase_rows,
     naive_delta_entropy,
     naive_diversity,
     naive_entropy,
@@ -396,6 +398,88 @@ class TestCoincidenceSnap:
         blocks = [rng.normal(scale=0.01, size=(n, 63)) + 1.0 for n in (300, 600)]
         got = per_structure_entropy(synthetic_set(blocks), KP)
         assert got.tolist() == [entropy(block, KP).entropy_nats for block in blocks]
+
+
+class TestCanonicalOrder:
+    """A self pass over more than one 256-row block, with a weight of 1 on
+    every row, visits its rows in canonical order and skips every tile whose
+    kernels are all below 1e-13 / n."""
+
+    @staticmethod
+    def count_tiles(monkeypatch):
+        tiles = []
+        real = information._log_kernel_tile
+
+        def counting(left, right, inv_two_h2, out):
+            tiles.append(right.shape[-1])
+            return real(left, right, inv_two_h2, out)
+
+        monkeypatch.setattr(information, "_log_kernel_tile", counting)
+        return tiles
+
+    @staticmethod
+    def all_tiles(n):
+        blocks = -(-n // 256)
+        return blocks * (blocks + 1) // 2
+
+    # phases far apart, and phases whose closest tiles lie just past the bound
+    @pytest.mark.parametrize("spacing_over_h", [20.0, 6.0])
+    def test_skipped_tiles_move_each_delta_h_by_at_most_epsilon(self, spacing_over_h, monkeypatch):
+        rows = multi_phase_rows(np.random.default_rng(61), spacing_over_h=spacing_over_h)
+        tiles = self.count_tiles(monkeypatch)
+        dh = entropy(rows, KP).per_point
+        assert len(rows) > 4 * 256 and len(tiles) < self.all_tiles(len(rows))
+        np.testing.assert_allclose(dh, fsum_delta_entropy(rows, H), rtol=0.0, atol=1e-12)
+
+    def test_one_cluster_skips_no_tile(self, monkeypatch):
+        rows = multi_phase_rows(np.random.default_rng(61), phases=1, per_phase=1200)
+        tiles = self.count_tiles(monkeypatch)
+        entropy(rows, KP)
+        assert len(tiles) == self.all_tiles(len(rows))
+
+    def test_per_point_bits_do_not_depend_on_row_order(self):
+        rng = np.random.default_rng(62)
+        rows = multi_phase_rows(rng, phases=2, per_phase=600)
+        # tied keys: duplicate rows, and rows of dyadic entries, whose sums
+        # are exact, that are permutations of one another.  The rows ranked
+        # 255, 510, 765 and 1020 by entry sum get a twin each, the first row
+        # of the next block, whose sum gains its tiles in another order.
+        dyadic = rng.integers(0, 8, size=(20, rows.shape[1])) / 64.0
+        permuted = [rng.permutation(row) for row in dyadic for _ in range(3)]
+        rows = np.vstack([rows, rows[:40], dyadic, permuted])
+        rows = np.vstack([rows, rows[np.argsort(rows.sum(axis=1))[[255, 510, 765, 1020]]]])
+        want = entropy(rows, KP).per_point
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(rows))
+            for shuffled in (rows[order], synthetic_set(np.split(rows[order], [100, 700]))):
+                got = np.empty_like(want)
+                got[order] = entropy(shuffled, KP).per_point
+                assert np.array_equal(got, want)
+
+    def test_far_tiles_skip_at_the_smallest_bandwidth(self, monkeypatch):
+        # (gap / h)^2 would overflow at h = 1e-154, and pytest turns a
+        # RuntimeWarning into an error.  Tiles of block 0 or 1 (zeros)
+        # against block 3 or 4 (tens) are skipped.
+        rows = np.vstack([np.zeros((600, 3)), np.full((600, 3), 10.0)])
+        tiles = self.count_tiles(monkeypatch)
+        result = entropy(rows, KernelParams(1e-154))
+        assert len(tiles) == self.all_tiles(1200) - 4
+        assert np.array_equal(result.per_point, np.full(1200, -np.log(600)))
+
+    def test_identical_rows_in_two_blocks_are_never_skipped_apart(self, monkeypatch):
+        # 600 rows 100 h apart on the all-ones direction, of which the two at
+        # step 255 are identical: canonical rows 255 and 256, the last of
+        # block 0 and the first of block 1
+        steps = np.arange(600.0)
+        steps[256:] -= 1.0
+        rows = np.outer(steps * 100.0 * H, np.ones(8) / np.sqrt(8))
+        order = np.random.default_rng(63).permutation(600)
+        tiles = self.count_tiles(monkeypatch)
+        dh = entropy(rows[order], KP).per_point
+        assert len(tiles) == 4  # (0, 0), (0, 1), (1, 1), (2, 2)
+        twins = steps[order] == 255.0
+        assert np.array_equal(dh[twins], [-np.log(2.0)] * 2)
+        assert np.all(dh[~twins] == 0.0)
 
 
 class TestCoverage:
